@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 from typing import Callable, Sequence
 
 from .errors import CenterMismatch, DivergenceUnknown, OutOfDomain, QuadratureStall
@@ -32,12 +34,14 @@ from .kernel import (
     _FACT,
     _MAX_FLOAT_FACTORIAL,
     _term_and_err,
+    _term_from_coefficient,
     constant_sequence,
     finite_sequence,
+    plan_truncation,
     rule_sequence,
     tail_bound,
 )
-from .measure import MeasureValue, NatSet, TaylorMeasure, evaluate
+from .measure import MeasureValue, _identity, _require_certificate, _sum_selected
 
 __all__ = [
     "AnalyticRep",
@@ -212,10 +216,45 @@ def eval_rep(rep: AnalyticRep, x: float, eps: float = 1e-12) -> MeasureValue:
 
     x = center returns a_0 exactly with zero reported error.
     """
-    gamma = _require_inside(rep, x)
-    if gamma == 0.0:
-        return MeasureValue(_d_value(rep.coefficients, 0), 0.0)
-    return evaluate(TaylorMeasure(rep.coefficients, gamma), NatSet.all(), eps)
+    return _eval_points(rep, (x,), eps)[0]
+
+
+def _eval_points(rep: AnalyticRep, xs: Sequence[float], eps: float) -> list[MeasureValue]:
+    """eval_rep(rep, x, eps) for every x, bit for bit, sharing one
+    coefficient fetch.
+
+    Each point is validated and planned in order. Then a_n is fetched once,
+    up to the largest plan, and each point sums its own plan's terms in the
+    same order and with the same operations as evaluate on the whole of N.
+    A point at the presentation gamma of a term-backed sequence reads the
+    term function directly, as evaluate does.
+    """
+    seq = rep.coefficients
+    points = []
+    for x in xs:
+        gamma = _require_inside(rep, x)
+        if gamma == 0.0:
+            points.append((gamma, None))
+            continue
+        _require_certificate(seq, "evaluation")
+        points.append((gamma, plan_truncation(seq.certificate, gamma, eps)))
+    presented = seq.presentation_gamma if isinstance(seq, TermBackedSequence) else None
+    last = max((plan.last_index for gamma, plan in points
+                if plan is not None and gamma != presented), default=-1)
+    a = [seq.a(n) for n in range(last + 1)]
+    out = []
+    for gamma, plan in points:
+        if plan is None:
+            out.append(MeasureValue(_d_value(seq, 0), 0.0))
+            continue
+        indices = range(plan.last_index + 1)
+        if gamma == presented:
+            terms = map(partial(_term_and_err, seq, gamma), indices)
+        else:
+            terms = map(partial(_term_from_coefficient, seq), a, repeat(gamma), indices)
+        value, err = _sum_selected(terms, _identity)
+        out.append(MeasureValue(value, err + plan.tail_bound))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -577,14 +616,19 @@ def sup_distance_on_grid(
     m: int = 1001,
     eps: float = 1e-12,
 ) -> float:
-    """max_i |f(x_i) - oracle(x_i)| over m uniform grid points on K."""
+    """max_i |f(x_i) - oracle(x_i)| over m uniform grid points on K.
+
+    All points are evaluated in one batch; each f(x_i) equals
+    eval_rep(rep, x_i, eps) bit for bit. The oracle is called after the
+    batch.
+    """
     lo, hi = _require_interval(rep, K)
     if m < 2:
         raise ValueError("need at least 2 grid points")
+    xs = [lo + (hi - lo) * i / (m - 1) for i in range(m)]
     worst = 0.0
-    for i in range(m):
-        x = lo + (hi - lo) * i / (m - 1)
-        worst = max(worst, abs(eval_rep(rep, x, eps).value - oracle(x)))
+    for x, f in zip(xs, _eval_points(rep, xs, eps)):
+        worst = max(worst, abs(f.value - oracle(x)))
     return worst
 
 
@@ -599,7 +643,10 @@ def lp_norm_on_interval(
 
     Panels double until two successive estimates agree within eps; the
     final value gets one Richardson correction. Raises QuadratureStall
-    if depth_cap doublings cannot reach eps.
+    if depth_cap doublings cannot reach eps. The new points of each level
+    are evaluated in one batch, and each f(x) equals
+    eval_rep(rep, x, eval_eps) bit for bit, with
+    eval_eps = min(eps / (100 (hi - lo)), 1e-12).
     """
     if p < 1.0:
         raise ValueError("p must be >= 1")
@@ -609,16 +656,15 @@ def lp_norm_on_interval(
     eval_eps = min(eps / (100.0 * (hi - lo)), 1e-12)
     cache: dict[float, float] = {}
 
-    def g(x: float) -> float:
-        if x not in cache:
-            cache[x] = abs(eval_rep(rep, x, eval_eps).value) ** p
-        return cache[x]
-
     def simpson(panels: int) -> float:
         h = (hi - lo) / panels
-        acc = g(lo) + g(hi)
-        for i in range(1, panels):
-            acc += (4.0 if i % 2 else 2.0) * g(lo + i * h)
+        inner = [lo + i * h for i in range(1, panels)]
+        new = [x for x in dict.fromkeys([lo, hi, *inner]) if x not in cache]
+        for x, f in zip(new, _eval_points(rep, new, eval_eps)):
+            cache[x] = abs(f.value) ** p
+        acc = cache[lo] + cache[hi]
+        for i, x in enumerate(inner, 1):
+            acc += (4.0 if i % 2 else 2.0) * cache[x]
         return acc * h / 3.0
 
     panels = 8

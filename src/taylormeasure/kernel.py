@@ -8,6 +8,8 @@ and set values are sums of these terms. This module owns the per-term
 arithmetic and everything needed to sum the terms safely: coefficient
 sequences with declared tails, growth certificates, certified tail
 bounds, truncation planning, and compensated summation split by sign.
+A truncation plan starts from a closed-form estimate of its index and
+confirms it with two tail bounds in the common case.
 
 Terms are kept in sign + log-magnitude form (via lgamma) so that a_n,
 gamma**n, and n! never have to be represented separately; a linear-space
@@ -361,24 +363,55 @@ def _term_and_err(seq: SequenceLike, gamma: float, n: int) -> tuple[float, float
     if isinstance(seq, TermBackedSequence) and gamma == seq.presentation_gamma:
         q = seq.term_rule(n)
         return q, abs(q) * 2.0 * _ULP
-    a = seq.a(n)
+    return _term_from_coefficient(seq, seq.a(n), gamma, n)
+
+
+def _term_from_coefficient(seq: SequenceLike, a: float, gamma: float, n: int) -> tuple[float, float]:
+    """The arithmetic of _term_and_err, given the coefficient a = seq.a(n).
+
+    Callers that evaluate one sequence at several gammas fetch each a_n
+    once and pass it in. ``seq`` still feeds the log path, which reads
+    log|a_n| from the sequence itself.
+    """
     if a == 0.0:
         return 0.0, 0.0
     if n == 0:
         return a, abs(a) * _ULP
     if gamma == 0.0:
         return 0.0, 0.0
+    npow = n * math.log(abs(gamma))
     if math.isfinite(a):
         la = math.log(abs(a))
-        npow = n * math.log(abs(gamma))
         if n <= _MAX_FLOAT_FACTORIAL and abs(npow) < _LOG_SAFE and abs(la + npow) < _LOG_SAFE:
             v = a * gamma ** n / _FACT[n]
             if math.isfinite(v):
                 return v, abs(v) * 4.0 * _ULP
+    return _log_term_and_err(seq, gamma, n, npow)
+
+
+def _log_term_and_err(seq: SequenceLike, gamma: float, n: int, npow: float) -> tuple[float, float]:
+    """Log-path term value exp(la + npow - lgamma(n+1)), where npow is
+    n*log|gamma| as term() forms it, and a bound on its roundoff, in units
+    of u = 2**-53 of the value.
+
+    Each operand rounds at its own size, not at the size of the result:
+    la (a log, or a short sum of logs: 4 |la|), n*log|gamma| (a log within
+    u relative, then a product: 2 |n log|gamma||) and lgamma(n+1)
+    (3 lgamma(n+1) + 2; against mpmath, CPython's lgamma stays within
+    2.6 u relative for n from 10 to 10**7, and within that bound below).
+    The two additions round at the size of their results (|la + n log|gamma||
+    and |log_mag|), and exp turns an absolute error d in the log into a
+    relative error of d in the value, adding its own rounding (1 unit).
+    """
     t = term(seq, gamma, n)
     v = t.value
-    err = abs(v) * (abs(t.log_mag) + 4.0) * _ULP if v != 0.0 and math.isfinite(v) else 0.0
-    return v, err
+    if v == 0.0 or not math.isfinite(v):
+        return v, 0.0
+    lg = math.lgamma(n + 1)
+    la = t.log_mag - npow + lg  # log|a_n| as term() read it, to within roundoff
+    units = (abs(t.log_mag) + 4.0 + 4.0 * abs(la) + 2.0 * abs(npow) + 3.0 * lg
+             + abs(la + npow))
+    return v, abs(v) * units * _ULP
 
 
 # ---------------------------------------------------------------------------
@@ -459,12 +492,67 @@ class TruncationPlan:
 _PLAN_CAP = 10 ** 7
 
 
+def _lambert_w(x: float) -> float:
+    """Lambert W on x >= 0 to within about 2% (Winitzki's approximation)."""
+    l = math.log1p(x)
+    return l * (1.0 - math.log1p(l) / (2.0 + l))
+
+
+def _index_estimate(cert: GrowthCertificate, g: float, eps: float) -> int:
+    """Closed-form estimate of the index plan_truncation returns for |gamma| = g.
+
+    Only a starting point: plan_truncation confirms it with tail_bound,
+    so a wrong estimate costs extra tail bounds, never a different plan.
+    """
+    if isinstance(cert, FactorialGeometric):
+        # scale * q**(N+1) / (1 - q) <= eps, solved exactly in logs
+        q = cert.ratio * g
+        if cert.scale == 0.0 or q == 0.0:
+            return cert.start
+        k = (math.log(eps) + math.log1p(-q) - math.log(cert.scale)) / math.log(q)
+        return max(cert.start, math.ceil(k) - 1)
+    if isinstance(cert, Bounded):
+        scale, r, start = cert.bound, g, 0
+    else:
+        scale, r, start = cert.scale, cert.ratio * g, cert.start
+    if scale == 0.0 or r == 0.0:
+        return start
+    target = math.log(eps) - math.log(scale)
+    if r <= target:
+        return start  # the global bound scale * e**r already meets eps
+    if r >= _PLAN_CAP:
+        return max(start, _PLAN_CAP)  # the answer N has N + 2 > r
+    # Newton on h(k) = k log r - lgamma(k+1) - log(1 - r/(k+1)) = target,
+    # the log of _factorial_ratio_tail at N = k - 1, from the root of its
+    # Stirling form k log(k / (e r)) = -target; h is decreasing for k >= r
+    lr = math.log(r)
+    L = -target
+    if L > 0.0:
+        k = max(L / _lambert_w(min(L / (math.e * r), 1e300)), r)
+    else:
+        k = math.e * r + 1.0
+    for _ in range(3):
+        h = k * lr - math.lgamma(k + 1.0) - math.log1p(-r / (k + 1.0)) - target
+        dh = lr - math.log(k + 0.5) - r / ((k + 1.0) * (k + 1.0 - r))
+        step = h / dh
+        k = max(k - step, r)
+        if abs(step) < 0.1:
+            break
+    return max(start, math.ceil(k) - 1)
+
+
 def plan_truncation(cert: GrowthCertificate, gamma: float, eps: float) -> TruncationPlan:
     """Smallest last_index whose certified tail bound is <= eps.
 
-    Found by doubling then bisection (tail_bound is non-increasing in
-    the index). FiniteSupport plans stop exactly at the support bound.
-    Raises DivergenceUnknown when no finite index can satisfy eps.
+    tail_bound is non-increasing in the index, so the index is found by a
+    search that starts from a closed-form estimate (_index_estimate),
+    gallops away from it until the answer is bracketed, then bisects. An
+    exact estimate N is confirmed by two tail bounds, at N and at N - 1.
+    FiniteSupport plans stop exactly at the support bound.
+
+    Raises DivergenceUnknown when no finite index can satisfy eps: when the
+    index would exceed the largest max(1, start) * 2**k that is at most
+    _PLAN_CAP.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be > 0, got {eps}")
@@ -481,21 +569,48 @@ def plan_truncation(cert: GrowthCertificate, gamma: float, eps: float) -> Trunca
                 f"factorial-geometric envelope with ratio {cert.ratio} does not "
                 f"converge at gamma={gamma}"
             )
-    hi = max(1, getattr(cert, "start", 0))
-    while tail_bound(cert, gamma, hi) > eps:
-        hi *= 2
-        if hi > _PLAN_CAP:
-            raise DivergenceUnknown(
-                f"no truncation index below {_PLAN_CAP} meets eps={eps}"
-            )
-    lo = 0
-    while lo < hi:
+    first = max(1, getattr(cert, "start", 0))
+    cap = first if first > _PLAN_CAP else first << ((_PLAN_CAP // first).bit_length() - 1)
+    g = abs(gamma)
+    if math.isfinite(g) and math.isfinite(eps):
+        n = min(_index_estimate(cert, g, eps), cap)
+    else:
+        n = first
+    t = tail_bound(cert, gamma, n)
+    if t > eps:
+        # gallop up: tail_bound(lo) > eps, and hi is the first probe that meets eps
+        lo, step = n, 1
+        while True:
+            if lo >= cap:
+                raise DivergenceUnknown(
+                    f"no truncation index below {_PLAN_CAP} meets eps={eps}"
+                )
+            hi = min(lo + step, cap)
+            t = tail_bound(cert, gamma, hi)
+            if t <= eps:
+                break
+            lo, step = hi, 2 * step
+    elif t <= eps:
+        # gallop down: tail_bound(hi) <= eps, and lo is -1 or fails eps
+        lo, hi, step = -1, n, 1
+        while hi > 0:
+            probe = max(hi - step, 0)
+            tp = tail_bound(cert, gamma, probe)
+            if tp > eps:
+                lo = probe
+                break
+            hi, t, step = probe, tp, 2 * step
+    else:
+        # a nan bound (gamma not finite) fails both tests; bisect below n
+        lo, hi = -1, n
+    while hi - lo > 1:
         mid = (lo + hi) // 2
-        if tail_bound(cert, gamma, mid) <= eps:
-            hi = mid
+        tm = tail_bound(cert, gamma, mid)
+        if tm <= eps:
+            hi, t = mid, tm
         else:
-            lo = mid + 1
-    return TruncationPlan(lo, tail_bound(cert, gamma, lo))
+            lo = mid
+    return TruncationPlan(hi, t)
 
 
 # ---------------------------------------------------------------------------

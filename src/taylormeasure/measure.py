@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Iterator
 
 from . import kernel
@@ -131,18 +132,23 @@ def zero_measure() -> TaylorMeasure:
     return TaylorMeasure(finite_sequence(()), 1.0)
 
 
-def _require_certificate(T: TaylorMeasure, what: str) -> None:
-    if isinstance(T.coefficients.certificate, Unverified):
+def _require_certificate(seq: SequenceLike, what: str) -> None:
+    if isinstance(seq.certificate, Unverified):
         raise DivergenceUnknown(
             f"{what} over an infinite set requires a growth certificate; "
             "this measure's coefficient sequence is Unverified"
         )
 
 
+def _terms(T: TaylorMeasure, indices: Iterable[int]) -> Iterator[tuple[float, float]]:
+    """(value, roundoff) of T's terms at the given indices, in order."""
+    return map(partial(kernel._term_and_err, T.coefficients, T.gamma), indices)
+
+
 def _sum_selected(
-    T: TaylorMeasure, indices: Iterable[int], select: Callable[[float], float]
+    terms: Iterable[tuple[float, float]], select: Callable[[float], float]
 ) -> tuple[float, float]:
-    """Sum select(term) over indices with compensated accumulation.
+    """Sum select(v) over (v, roundoff) term pairs with compensated accumulation.
 
     select maps a term to its contribution (identity, positive part,
     negative part, or absolute value). Returns (value, roundoff_estimate).
@@ -150,8 +156,7 @@ def _sum_selected(
     acc_pos = kernel._NeumaierSum()
     acc_neg = kernel._NeumaierSum()
     err = 0.0
-    for n in indices:
-        v, e = kernel._term_and_err(T.coefficients, T.gamma, n)
+    for v, e in terms:
         w = select(v)
         if w == 0.0:
             continue
@@ -180,22 +185,26 @@ def _eval_selected(
     sum |p(n)| over the tail.
     """
     if sets.is_finite:
-        value, err = _sum_selected(T, sets.elements, select)
+        value, err = _sum_selected(_terms(T, sets.elements), select)
         return MeasureValue(value, err)
-    _require_certificate(T, "evaluation")
+    _require_certificate(T.coefficients, "evaluation")
     plan = _plan_for(T, eps)
     if sets.kind == "all":
         indices: Iterable[int] = range(plan.last_index + 1)
     else:
         excluded = set(sets.elements)
         indices = (n for n in range(plan.last_index + 1) if n not in excluded)
-    value, err = _sum_selected(T, indices, select)
+    value, err = _sum_selected(_terms(T, indices), select)
     return MeasureValue(value, err + plan.tail_bound)
+
+
+def _identity(v: float) -> float:
+    return v
 
 
 def evaluate(T: TaylorMeasure, sets: NatSet, eps: float = 1e-12) -> MeasureValue:
     """T(B) with |returned - exact| <= abs_error (tail bound + roundoff)."""
-    return _eval_selected(T, sets, eps, lambda v: v)
+    return _eval_selected(T, sets, eps, _identity)
 
 
 def taylor_derivative(T: TaylorMeasure, n: int) -> float:

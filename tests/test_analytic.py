@@ -8,12 +8,15 @@ from taylormeasure import (
     CenterMismatch,
     DivergenceUnknown,
     FiniteSupport,
+    NatSet,
     OutOfDomain,
     QuadratureStall,
+    TaylorMeasure,
     Unverified,
     builtin,
     cos_rep,
     eval_rep,
+    evaluate,
     exp_rep,
     geometric_rep,
     linear_combine,
@@ -27,7 +30,7 @@ from taylormeasure import (
     sup_distance_on_grid,
     truncate_rep,
 )
-from taylormeasure.analytic import AnalyticRep
+from taylormeasure.analytic import AnalyticRep, _eval_points
 
 
 class TestBuiltins:
@@ -311,3 +314,88 @@ class TestTruncate:
     def test_validation(self):
         with pytest.raises(ValueError):
             truncate_rep(exp_rep(), -1)
+
+
+class TestGridBatch:
+    """Grid diagnostics evaluate all their points in one batch that fetches
+    each coefficient once. Every point must equal, bit for bit, the
+    whole-N evaluate that eval_rep performs for it alone."""
+
+    REPS = {
+        "multiply": lambda: multiply(exp_rep(), sin_rep()),
+        "recenter": lambda: recenter(exp_rep(), 0.25),
+        "linear_combine": lambda: linear_combine(2.0, cos_rep(), -0.5, exp_rep()),
+        "linear_combine_finite": lambda: linear_combine(
+            1.5, polynomial_rep([1.0, -2.0]), 0.25, polynomial_rep([0.0, 0.5, 3.0])),
+        "polynomial": lambda: polynomial_rep([1.0, -2.0, 0.5, 3.0]),
+        "power": lambda: power(exp_rep(), 3),
+    }
+
+    @staticmethod
+    def one_point(rep, x, eps):
+        gamma = x - rep.center
+        if gamma == 0.0:
+            return eval_rep(rep, x, eps)
+        return evaluate(TaylorMeasure(rep.coefficients, gamma), NatSet.all(), eps)
+
+    @staticmethod
+    def bits(mv):
+        return mv.value.hex(), mv.abs_error.hex()
+
+    def grid(self, rep, m=31):
+        # hi - center == 1.0 exactly: the presentation gamma of term-backed reps
+        lo, hi = rep.center - 0.5, rep.center + 1.0
+        xs = [lo + (hi - lo) * i / (m - 1) for i in range(m)]
+        assert xs[-1] - rep.center == 1.0 and rep.center in xs
+        return lo, hi, xs
+
+    @pytest.mark.parametrize("name", sorted(REPS))
+    def test_points_equal_one_point_evaluation(self, name):
+        rep = self.REPS[name]()
+        lo, hi, xs = self.grid(rep)
+        batch = _eval_points(rep, xs, 1e-12)
+        for x, got in zip(xs, batch):
+            assert self.bits(got) == self.bits(self.one_point(rep, x, 1e-12))
+            assert self.bits(got) == self.bits(eval_rep(rep, x, 1e-12))
+
+    @pytest.mark.parametrize("name", sorted(REPS))
+    def test_sup_distance_against_one_point_values_is_zero(self, name):
+        rep = self.REPS[name]()
+        lo, hi, xs = self.grid(rep)
+        oracle = lambda x: self.one_point(rep, x, 1e-12).value
+        assert sup_distance_on_grid(rep, oracle, (lo, hi), len(xs), 1e-12) == 0.0
+
+    @pytest.mark.parametrize("name", ["multiply", "recenter", "polynomial"])
+    def test_lp_norm_equals_point_by_point_simpson(self, name):
+        rep = self.REPS[name]()
+        lo, hi, p, eps = rep.center - 0.5, rep.center + 1.0, 2.0, 1e-7
+        eval_eps = min(eps / (100.0 * (hi - lo)), 1e-12)
+        cache = {}
+
+        def g(x):
+            if x not in cache:
+                cache[x] = abs(self.one_point(rep, x, eval_eps).value) ** p
+            return cache[x]
+
+        def simpson(panels):
+            h = (hi - lo) / panels
+            acc = g(lo) + g(hi)
+            for i in range(1, panels):
+                acc += (4.0 if i % 2 else 2.0) * g(lo + i * h)
+            return acc * h / 3.0
+
+        panels, prev = 8, simpson(8)
+        while True:
+            panels *= 2
+            cur = simpson(panels)
+            if abs(cur - prev) <= eps:
+                break
+            prev = cur
+        expected = max(cur + (cur - prev) / 15.0, 0.0) ** (1.0 / p)
+        assert lp_norm_on_interval(rep, p, (lo, hi), eps) == expected
+
+    def test_geometric_grid_inside_radius(self):
+        rep = geometric_rep()
+        xs = [-0.5 + i / 20 for i in range(21)]
+        for x, got in zip(xs, _eval_points(rep, xs, 1e-12)):
+            assert self.bits(got) == self.bits(self.one_point(rep, x, 1e-12))

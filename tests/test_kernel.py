@@ -13,9 +13,13 @@ from taylormeasure import (
     FactorialGeometric,
     FiniteSupport,
     GeometricEnvelope,
+    NatSet,
+    TaylorMeasure,
     TermBackedSequence,
+    TruncationPlan,
     Unverified,
     constant_sequence,
+    evaluate,
     finite_sequence,
     geometric_sequence,
     plan_truncation,
@@ -24,6 +28,7 @@ from taylormeasure import (
     term,
     term_value,
 )
+from taylormeasure.kernel import _PLAN_CAP, _log_term_and_err
 
 ONES = constant_sequence(1.0)
 
@@ -111,8 +116,23 @@ class TestTerm:
             components += abs(math.lgamma(n + 1)) + abs(n * math.log(abs(gamma)))
         slack = (4.0 * max(abs(ref_log), 1.0) + 4.0 * components) * 2.0 ** -53
         assert abs(t.log_mag - ref_log) <= slack
-        # value reconstruction inherits exp's conditioning on log_mag
-        assert abs(t.value - ref) <= abs(ref) * (components + 8.0) * 2.0 ** -52
+        # value reconstruction inherits exp's conditioning on log_mag: an
+        # error of slack in the log is a relative error of expm1(slack) in
+        # the value, plus the rounding of exp and of ref itself
+        assert abs(t.value - ref) <= abs(ref) * (math.expm1(slack) + 4.0 * 2.0 ** -52)
+        # and the bound the log path certifies covers the true error
+        v, err = _log_term_and_err(seq, gamma, n, n * math.log(abs(gamma)) if n else 0.0)
+        assert v == t.value
+        assert abs(Fraction(v) - exact) <= Fraction(err)
+
+    @pytest.mark.parametrize("gamma", [150.0, 170.0, 190.0, 200.0, 210.0, 230.0, 250.0,
+                                       270.0, 290.0, 310.0, 330.0])
+    def test_log_path_sum_meets_its_bound(self, gamma):
+        # e**gamma = sum gamma**n / n! needs terms beyond n = 170, which take
+        # the log path; eps is 1e-16 of the value, so abs_error is roundoff
+        exact = math.exp(gamma)
+        out = evaluate(TaylorMeasure(ONES, gamma), NatSet.all(), 1e-16 * exact)
+        assert abs(out.value - exact) <= out.abs_error + 2.0 * math.ulp(exact)
 
 
 class TestTailBound:
@@ -193,6 +213,85 @@ class TestPlanTruncation:
     def test_factorial_geometric_outside_radius_raises(self):
         with pytest.raises(DivergenceUnknown):
             plan_truncation(FactorialGeometric(1.0, 2.0), 0.5, 1e-6)
+
+    @staticmethod
+    def doubling_plan(cert, gamma, eps):
+        """Reference search: doubling from max(1, start), then bisection.
+        plan_truncation must return the same plan or raise the same class."""
+        if isinstance(cert, FactorialGeometric) and cert.scale > 0.0 and cert.ratio * abs(gamma) >= 1.0:
+            raise DivergenceUnknown("outside the radius")
+        hi = max(1, getattr(cert, "start", 0))
+        while tail_bound(cert, gamma, hi) > eps:
+            hi *= 2
+            if hi > _PLAN_CAP:
+                raise DivergenceUnknown("cap")
+        lo = 0
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if tail_bound(cert, gamma, mid) <= eps:
+                hi = mid
+            else:
+                lo = mid + 1
+        return TruncationPlan(lo, tail_bound(cert, gamma, lo))
+
+    def assert_same_as_doubling(self, cert, gamma, eps):
+        try:
+            expected = self.doubling_plan(cert, gamma, eps)
+        except DivergenceUnknown:
+            with pytest.raises(DivergenceUnknown):
+                plan_truncation(cert, gamma, eps)
+            return
+        got = plan_truncation(cert, gamma, eps)
+        assert got.last_index == expected.last_index
+        assert repr(got.tail_bound) == repr(expected.tail_bound)
+
+    @given(
+        kind=st.sampled_from(["bounded", "geometric", "factorial"]),
+        scale=st.floats(min_value=0.0, max_value=1e300),
+        ratio=st.floats(min_value=0.0, max_value=20.0),
+        start=st.sampled_from([0, 0, 1, 7, 40, 3 * 10 ** 6, _PLAN_CAP + 3]),
+        gamma=st.floats(min_value=-1e7, max_value=1e7),
+        eps=st.floats(min_value=5e-324, max_value=1e3),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_doubling_search(self, kind, scale, ratio, start, gamma, eps):
+        if kind == "bounded":
+            cert = Bounded(scale)
+        elif kind == "geometric":
+            cert = GeometricEnvelope(scale, ratio, start)
+        else:
+            cert = FactorialGeometric(scale, ratio, start)
+        self.assert_same_as_doubling(cert, gamma, eps)
+
+    @given(
+        scale=st.floats(min_value=1e-6, max_value=1e6),
+        ratio=st.floats(min_value=1e-3, max_value=10.0),
+        gap=st.floats(min_value=1e-15, max_value=0.5),
+        start=st.sampled_from([0, 5, 60]),
+        eps=st.floats(min_value=1e-300, max_value=1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_doubling_search_near_radius(self, scale, ratio, gap, start, eps):
+        # q = ratio * |gamma| close to 1: the answer can pass the cap
+        self.assert_same_as_doubling(FactorialGeometric(scale, ratio, start), (1.0 - gap) / ratio, eps)
+
+    @pytest.mark.parametrize(
+        "cert,gamma",
+        [
+            (Bounded(1.0), 3.0e6),    # answer about 8.1e6: below the last doubling
+            (Bounded(1.0), 3.2e6),    # answer above 2**23: refused
+            (Bounded(1.0), math.inf),
+            (Bounded(1.0), math.nan),
+            (GeometricEnvelope(1.0, 0.0, 3), math.inf),
+            (GeometricEnvelope(2.0, 1.0, _PLAN_CAP + 1), 1.0),
+            (GeometricEnvelope(2.0, 1.0, 6 * 10 ** 6), 2.5e6),
+            (FactorialGeometric(0.0, 2.0, 4), 9.0),
+            (FactorialGeometric(1.0, 1.0, 0), 1.0 - 1e-9),
+        ],
+    )
+    @pytest.mark.parametrize("eps", [1e-12, math.inf, math.nan])
+    def test_matches_doubling_search_at_the_edges(self, cert, gamma, eps):
+        self.assert_same_as_doubling(cert, gamma, eps)
 
     @pytest.mark.parametrize(
         "cert,gamma,eps",
