@@ -5,7 +5,12 @@ factorial-weighted inner-product geometry, power-series probability
 distributions with samplers and Monte Carlo estimators, stochastic
 Taylor measures, and Taylor-coefficient representations of analytic
 functions.
+
+The Monte Carlo and stochastic names (the only ones that need numpy) are
+loaded on first access, so deterministic use never imports numpy.
 """
+
+from importlib import import_module
 
 from .errors import (
     CenterMismatch,
@@ -78,13 +83,6 @@ from .probability import (
     probability_pair,
     quantile,
 )
-from .montecarlo import (
-    McEstimate,
-    RngSpec,
-    estimate_measure,
-    estimate_normalizer_poisson,
-    sample_pmf,
-)
 from .analytic import (
     AnalyticRep,
     builtin,
@@ -102,28 +100,87 @@ from .analytic import (
     sup_distance_on_grid,
     truncate_rep,
 )
-from .stochastic import (
-    Ar1,
-    BernoulliStep,
-    BrownianApprox,
-    GaussianIID,
-    GaussianIndep,
-    IndicatorGamma,
-    NormalStep,
-    RandomWalk,
-    SamplePath,
-    SimpleFunction,
-    UniformStep,
-    brownian_marginal_moments,
-    gaussian_truncation_plan,
-    sample_stm,
-    sample_stm_batch,
-    simulate_brownian,
-    simulate_brownian_batch,
-    simulate_random_walk,
-    simulate_random_walk_batch,
-    stm_coefficients,
-    stm_moments,
-)
+
+# names of the two numpy-backed modules, resolved by __getattr__ (PEP 562)
+_LAZY = {
+    "montecarlo": (
+        "McEstimate",
+        "RngSpec",
+        "estimate_measure",
+        "estimate_normalizer_poisson",
+        "sample_pmf",
+    ),
+    "stochastic": (
+        "Ar1",
+        "BernoulliStep",
+        "BrownianApprox",
+        "GaussianIID",
+        "GaussianIndep",
+        "IndicatorGamma",
+        "NormalStep",
+        "RandomWalk",
+        "SamplePath",
+        "SimpleFunction",
+        "UniformStep",
+        "brownian_marginal_moments",
+        "gaussian_truncation_plan",
+        "sample_stm",
+        "sample_stm_batch",
+        "simulate_brownian",
+        "simulate_brownian_batch",
+        "simulate_random_walk",
+        "simulate_random_walk_batch",
+        "stm_coefficients",
+        "stm_moments",
+    ),
+}
+_LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    # No caching: each access reads the defining module's current binding.
+    module = _LAZY_OWNER.get(name)
+    if module is not None:
+        return getattr(import_module(f".{module}", __name__), name)
+    if name in _LAZY:
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_LAZY_OWNER})
+
+
+__all__ = [
+    # errors
+    "CenterMismatch", "DegenerateDistribution", "DivergenceUnknown",
+    "InvalidDocument", "InvalidPmf", "NegativeRadicand", "NoSamplerAvailable",
+    "OutOfDomain", "QuadratureStall", "QuantileTailUnresolved",
+    "TaylorMeasureError", "UnsupportedSpec",
+    # kernel
+    "Bounded", "CoefficientSequence", "ConstantTail", "CustomTail",
+    "FactorialGeometric", "FiniteSupport", "GeometricEnvelope", "GeometricTail",
+    "SignedLogTerm", "TermBackedSequence", "TruncationPlan", "Unverified",
+    "ZeroTail", "constant_sequence", "finite_sequence", "geometric_sequence",
+    "plan_truncation", "rule_sequence", "sum_terms", "tail_bound", "term",
+    "term_value",
+    # measure
+    "JordanPair", "MeasureValue", "NatSet", "TaylorMeasure", "evaluate",
+    "from_term_function", "jordan_decompose", "linear_combination",
+    "taylor_derivative", "total_variation", "zero_measure",
+    # geometry
+    "HilbertAxiomReport", "distance", "hilbert_axiom_report", "inner_product",
+    "norm", "rational_approximation",
+    # probability
+    "JordanPmf", "PowerSeriesPmf", "TaylorProbabilityPair", "cdf", "from_pmf",
+    "measure_from_densities", "normalizer", "pmf_eval", "probability_pair",
+    "quantile",
+    # analytic
+    "AnalyticRep", "builtin", "cos_rep", "eval_rep", "exp_rep", "geometric_rep",
+    "linear_combine", "lp_norm_on_interval", "multiply", "polynomial_rep",
+    "power", "recenter", "sin_rep", "sup_distance_on_grid", "truncate_rep",
+    # montecarlo and stochastic, loaded on first access
+    *_LAZY_OWNER,
+]
 
 __version__ = "0.1.0"

@@ -18,6 +18,10 @@ Randomized subcommands (sample, mc-measure, mc-normalizer, stm-sim,
 axioms) require an explicit ``--seed``; there is no wall-clock seeding.
 Re-running any command with the same inputs and seed reproduces the
 output bit for bit, regardless of ``--threads``.
+
+Only the handlers of sample, mc-*, and stm-* import the numpy-backed
+montecarlo and stochastic modules, so the deterministic subcommands run
+without loading numpy.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from .errors import (
     InvalidDocument,
     InvalidPmf,
     TaylorMeasureError,
+    UnsupportedSpec,
 )
 from .geometry import distance, hilbert_axiom_report, inner_product, norm
 from .kernel import finite_sequence
@@ -53,19 +58,7 @@ from .measure import (
     jordan_decompose,
     total_variation,
 )
-from .montecarlo import (
-    RngSpec,
-    estimate_measure,
-    estimate_normalizer_poisson,
-    sample_pmf,
-)
 from .probability import PowerSeriesPmf, normalizer, pmf_eval
-from .stochastic import (
-    gaussian_truncation_plan,
-    sample_stm_batch,
-    stm_moments,
-)
-from .errors import UnsupportedSpec
 
 _ORACLES = {
     "exp": math.exp,
@@ -119,9 +112,9 @@ def _seed_opt(p: argparse.ArgumentParser) -> None:
                    help="RNG seed (required; no wall-clock seeding)")
 
 
-def _threads_opt(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap; never changes results")
+def _threads_opt(p: argparse.ArgumentParser,
+                 help_text: str = "worker cap; never changes results") -> None:
+    p.add_argument("--threads", type=int, default=1, help=help_text)
 
 
 def _csv_opt(p: argparse.ArgumentParser) -> None:
@@ -253,6 +246,8 @@ def _cmd_pmf(args):
 
 
 def _cmd_sample(args):
+    from .montecarlo import RngSpec, sample_pmf
+
     zeta, b = serialize.parse_pmf_inputs(_load_doc(args.pmf, "pmf"))
     p = PowerSeriesPmf(zeta, b, args.eps)
     draws = sample_pmf(p, RngSpec(args.seed), args.L, args.method)
@@ -269,6 +264,8 @@ def _cmd_sample(args):
 
 
 def _cmd_mc_measure(args):
+    from .montecarlo import RngSpec, estimate_measure
+
     z1, b1 = serialize.parse_pmf_inputs(_load_doc(args.positive, "positive"),
                                         "positive")
     z2, b2 = serialize.parse_pmf_inputs(_load_doc(args.negative, "negative"),
@@ -296,6 +293,8 @@ def _cmd_mc_measure(args):
 
 
 def _cmd_mc_normalizer(args):
+    from .montecarlo import RngSpec, estimate_normalizer_poisson
+
     zeta, b = serialize.parse_pmf_inputs(_load_doc(args.pmf, "pmf"))
     est = estimate_normalizer_poisson(zeta, b, args.L, RngSpec(args.seed),
                                       threads=args.threads)
@@ -315,6 +314,8 @@ def _cmd_mc_normalizer(args):
 
 
 def _cmd_stm_moments(args):
+    from .stochastic import stm_moments
+
     spec = serialize.parse_stm_spec(_load_doc(args.spec, "spec"))
     B = _load_set(args)
     mean, var = stm_moments(spec, B, args.eps)
@@ -330,6 +331,9 @@ def _cmd_stm_moments(args):
 
 
 def _cmd_stm_sim(args):
+    from .montecarlo import RngSpec
+    from .stochastic import gaussian_truncation_plan, sample_stm_batch
+
     spec = serialize.parse_stm_spec(_load_doc(args.spec, "spec"))
     B = _load_set(args)
     plan = None
@@ -562,7 +566,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _set_opt(p)
     p.add_argument("--L", type=int, required=True,
                    help="number of replications")
-    _eps_opt(p); _seed_opt(p); _threads_opt(p)
+    _eps_opt(p); _seed_opt(p)
+    _threads_opt(p, "accepted for compatibility; has no effect")
 
     p = add("fn-eval", _cmd_fn_eval, "evaluate an analytic representation")
     p.add_argument("function", help="function document")

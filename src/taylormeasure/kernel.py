@@ -34,6 +34,7 @@ _LOG_SAFE = 700.0           # |log| budget that keeps intermediates normal
 _LOG_TINY = -745.0          # below this, exp underflows to zero
 _LOG_HUGE = 709.0           # above this, exp overflows
 _ULP = 2.0 ** -53
+_TINY = 2.0 ** -1074        # one subnormal unit: the absolute rounding floor
 
 
 def _sign(x: float) -> int:
@@ -180,6 +181,20 @@ class CoefficientSequence:
     prefix: tuple[float, ...] = ()
     tail: TailModel = field(default_factory=ZeroTail)
     certificate: GrowthCertificate = field(default_factory=Unverified)
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, self.prefix)):
+            n = next(n for n, c in enumerate(self.prefix) if not math.isfinite(c))
+            raise ValueError(f"coefficient a_{n} = {self.prefix[n]} is not finite")
+        t = self.tail
+        if isinstance(t, ConstantTail):
+            constants: tuple[float, ...] = (t.value,)
+        elif isinstance(t, GeometricTail):
+            constants = (t.scale, t.ratio)
+        else:
+            constants = ()
+        if not all(map(math.isfinite, constants)):
+            raise ValueError(f"tail constants must be finite, got {t}")
 
     def a(self, n: int) -> float:
         if n < 0:
@@ -372,11 +387,17 @@ def _term_from_coefficient(seq: SequenceLike, a: float, gamma: float, n: int) ->
     Callers that evaluate one sequence at several gammas fetch each a_n
     once and pass it in. ``seq`` still feeds the log path, which reads
     log|a_n| from the sequence itself.
+
+    Every nonzero coefficient's roundoff estimate includes one subnormal
+    unit (_TINY), the absolute rounding of a term that underflows; a
+    relative bound alone reads 0 there. Raises ValueError for a nan a.
     """
     if a == 0.0:
         return 0.0, 0.0
     if n == 0:
-        return a, abs(a) * _ULP
+        if math.isnan(a):
+            raise ValueError(f"coefficient a_{n} is nan")
+        return a, abs(a) * _ULP + _TINY
     if gamma == 0.0:
         return 0.0, 0.0
     npow = n * math.log(abs(gamma))
@@ -385,7 +406,9 @@ def _term_from_coefficient(seq: SequenceLike, a: float, gamma: float, n: int) ->
         if n <= _MAX_FLOAT_FACTORIAL and abs(npow) < _LOG_SAFE and abs(la + npow) < _LOG_SAFE:
             v = a * gamma ** n / _FACT[n]
             if math.isfinite(v):
-                return v, abs(v) * 4.0 * _ULP
+                return v, abs(v) * 4.0 * _ULP + _TINY
+    elif math.isnan(a):
+        raise ValueError(f"coefficient a_{n} is nan")
     return _log_term_and_err(seq, gamma, n, npow)
 
 
@@ -402,16 +425,21 @@ def _log_term_and_err(seq: SequenceLike, gamma: float, n: int, npow: float) -> t
     The two additions round at the size of their results (|la + n log|gamma||
     and |log_mag|), and exp turns an absolute error d in the log into a
     relative error of d in the value, adding its own rounding (1 unit).
+    A result below the normal range rounds to a multiple of 2**-1074, so
+    one such unit is added to the bound; a term that underflows to 0 has
+    |exact| below that unit.
     """
     t = term(seq, gamma, n)
     v = t.value
-    if v == 0.0 or not math.isfinite(v):
+    if v == 0.0:
+        return v, _TINY
+    if not math.isfinite(v):
         return v, 0.0
     lg = math.lgamma(n + 1)
     la = t.log_mag - npow + lg  # log|a_n| as term() read it, to within roundoff
     units = (abs(t.log_mag) + 4.0 + 4.0 * abs(la) + 2.0 * abs(npow) + 3.0 * lg
              + abs(la + npow))
-    return v, abs(v) * units * _ULP
+    return v, abs(v) * units * _ULP + _TINY
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,10 @@ class TaylorMeasure:
     gamma: float
     label: str | None = None
 
+    def __post_init__(self):
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"TaylorMeasure.gamma must be finite, got {self.gamma}")
+
     def term(self, n: int) -> float:
         """The term function p(n) = a_n * gamma**n / n! in linear space."""
         return kernel.term_value(self.coefficients, self.gamma, n)
@@ -152,13 +156,15 @@ def _sum_selected(
 
     select maps a term to its contribution (identity, positive part,
     negative part, or absolute value). Returns (value, roundoff_estimate).
+    A term that rounded to 0 keeps its roundoff: it may have underflowed,
+    and then its sign is unknown.
     """
     acc_pos = kernel._NeumaierSum()
     acc_neg = kernel._NeumaierSum()
     err = 0.0
     for v, e in terms:
         w = select(v)
-        if w == 0.0:
+        if w == 0.0 and v != 0.0:
             continue
         err += e
         if w > 0.0:

@@ -55,7 +55,7 @@ measure document and STEP is {"kind": "normal", "mu": 0.0, "sigma": 1.0},
 from __future__ import annotations
 
 import math
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from .analytic import AnalyticRep, builtin, polynomial_rep
 from .errors import InvalidDocument
@@ -72,20 +72,9 @@ from .kernel import (
     ZeroTail,
 )
 from .measure import NatSet, TaylorMeasure
-from .stochastic import (
-    Ar1,
-    BernoulliStep,
-    BrownianApprox,
-    GaussianIID,
-    GaussianIndep,
-    IndicatorGamma,
-    NormalStep,
-    RandomWalk,
-    SimpleFunction,
-    StepDistribution,
-    StmSpec,
-    UniformStep,
-)
+
+if TYPE_CHECKING:
+    from .stochastic import StepDistribution, StmSpec
 
 _BUILTIN_NAMES = ("exp", "sin", "cos", "geometric")
 
@@ -301,7 +290,13 @@ def parse_function(doc: Any, field: str = "function") -> AnalyticRep:
     raise InvalidDocument(f"{field}.kind", f"unknown function kind {kind!r}")
 
 
+# The stochastic-spec functions import their classes when called, so that
+# parsing the other documents never loads numpy.
+
+
 def _parse_step(doc: Any, field: str) -> StepDistribution:
+    from .stochastic import BernoulliStep, NormalStep, UniformStep
+
     doc = _require_object(doc, field)
     kind = _string(_get(doc, field, "kind"), f"{field}.kind")
     try:
@@ -330,6 +325,16 @@ def _parse_step(doc: Any, field: str) -> StepDistribution:
 
 
 def parse_stm_spec(doc: Any, field: str = "spec") -> StmSpec:
+    from .stochastic import (
+        Ar1,
+        BrownianApprox,
+        GaussianIID,
+        GaussianIndep,
+        IndicatorGamma,
+        RandomWalk,
+        SimpleFunction,
+    )
+
     doc = _require_object(doc, field)
     kind = _string(_get(doc, field, "kind"), f"{field}.kind")
     try:
@@ -439,6 +444,8 @@ def set_to_doc(B: NatSet) -> dict[str, Any]:
 
 
 def step_to_doc(step: StepDistribution) -> dict[str, Any]:
+    from .stochastic import BernoulliStep, NormalStep, UniformStep
+
     if isinstance(step, NormalStep):
         return {"kind": "normal", "mu": step.mu, "sigma": step.sigma}
     if isinstance(step, UniformStep):
@@ -449,6 +456,16 @@ def step_to_doc(step: StepDistribution) -> dict[str, Any]:
 
 
 def stm_spec_to_doc(spec: StmSpec) -> dict[str, Any]:
+    from .stochastic import (
+        Ar1,
+        BrownianApprox,
+        GaussianIID,
+        GaussianIndep,
+        IndicatorGamma,
+        RandomWalk,
+        SimpleFunction,
+    )
+
     if isinstance(spec, GaussianIID):
         return {"kind": "gaussian_iid", "mu": spec.mu_a, "sigma": spec.sigma_a,
                 "gamma": spec.gamma}

@@ -2,11 +2,13 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import taylormeasure
 from taylormeasure.cli import main as cli_main
 
 ONES = json.dumps({
@@ -269,3 +271,97 @@ class TestCsv:
         assert rows[0] == ["command", "value", "abs_error"]
         assert rows[1][0] == "eval"
         assert float(rows[1][1]) == pytest.approx(math.e, rel=1e-12)
+
+
+# The public names of the package, frozen: these must stay importable.
+PUBLIC_NAMES = """
+    AnalyticRep Ar1 BernoulliStep Bounded BrownianApprox CenterMismatch
+    CoefficientSequence ConstantTail CustomTail DegenerateDistribution
+    DivergenceUnknown FactorialGeometric FiniteSupport GaussianIID GaussianIndep
+    GeometricEnvelope GeometricTail HilbertAxiomReport IndicatorGamma
+    InvalidDocument InvalidPmf JordanPair JordanPmf McEstimate MeasureValue NatSet
+    NegativeRadicand NoSamplerAvailable NormalStep OutOfDomain PowerSeriesPmf
+    QuadratureStall QuantileTailUnresolved RandomWalk RngSpec SamplePath
+    SignedLogTerm SimpleFunction TaylorMeasure TaylorMeasureError
+    TaylorProbabilityPair TermBackedSequence TruncationPlan UniformStep
+    UnsupportedSpec Unverified ZeroTail brownian_marginal_moments builtin cdf
+    constant_sequence cos_rep distance estimate_measure estimate_normalizer_poisson
+    eval_rep evaluate exp_rep finite_sequence from_pmf from_term_function
+    gaussian_truncation_plan geometric_rep geometric_sequence hilbert_axiom_report
+    inner_product jordan_decompose linear_combination linear_combine
+    lp_norm_on_interval measure_from_densities multiply norm normalizer
+    plan_truncation pmf_eval polynomial_rep power probability_pair quantile
+    rational_approximation recenter rule_sequence sample_pmf sample_stm
+    sample_stm_batch simulate_brownian simulate_brownian_batch simulate_random_walk
+    simulate_random_walk_batch sin_rep stm_coefficients stm_moments sum_terms
+    sup_distance_on_grid tail_bound taylor_derivative term term_value
+    total_variation truncate_rep zero_measure
+""".split()
+
+GRID_FN = '{"kind": "builtin", "name": "exp"}'
+DETERMINISTIC_RUNS = [
+    ["eval", ONES],
+    ["decompose", SIGNED, "--set", FIRST_THREE],
+    ["tv", SIGNED],
+    ["inner", ONES, SIGNED],
+    ["norm", ONES],
+    ["dist", ONES, SIGNED],
+    ["pmf", POISSON2, "--upto", "3"],
+    ["fn-eval", GRID_FN, "--x", "0.5"],
+    ["fn-mul", GRID_FN, '{"kind": "polynomial", "coeffs": [1.0, 2.0]}'],
+    ["fn-recenter", '{"kind": "polynomial", "coeffs": [1.0, 0.0, 3.0]}',
+     "--center", "1.0"],
+    ["fn-supdist", GRID_FN, "--oracle", "exp", "--grid", "11"],
+    ["fn-lpnorm", GRID_FN, "--p", "2"],
+    ["axioms", "--seed", "3", "--count", "4"],
+]
+
+_CHILD = """
+import contextlib, io, json, sys
+from taylormeasure.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    if code != 0:
+        sys.exit(f"{argv[0]} exited {code}")
+print(json.dumps(sorted(
+    m for m in sys.modules
+    if m.split(".")[0] == "numpy"
+    or m in ("taylormeasure.montecarlo", "taylormeasure.stochastic"))))
+"""
+
+
+class TestLazyImports:
+    def test_deterministic_subcommands_never_load_numpy(self):
+        src = os.path.dirname(os.path.dirname(taylormeasure.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        r = subprocess.run(
+            [sys.executable, "-c", _CHILD, json.dumps(DETERMINISTIC_RUNS)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout) == []
+
+    def test_public_names_are_exported(self):
+        namespace = {}
+        exec("from taylormeasure import *", namespace)
+        assert set(PUBLIC_NAMES) <= set(namespace)
+        assert set(PUBLIC_NAMES) <= set(dir(taylormeasure))
+        assert set(PUBLIC_NAMES) <= set(taylormeasure.__all__)
+        for name in PUBLIC_NAMES:
+            obj = namespace[name]
+            # the object its defining module holds under the same name
+            assert obj is getattr(sys.modules[obj.__module__], name)
+            assert obj is getattr(taylormeasure, name)
+        assert taylormeasure.montecarlo is sys.modules["taylormeasure.montecarlo"]
+
+    def test_lazy_name_follows_its_module(self, monkeypatch):
+        from taylormeasure import stochastic
+        sentinel = object()
+        monkeypatch.setattr(stochastic, "sample_stm_batch", sentinel)
+        assert taylormeasure.sample_stm_batch is sentinel
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            taylormeasure.no_such_name

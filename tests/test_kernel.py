@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from taylormeasure import (
     Bounded,
     CoefficientSequence,
+    ConstantTail,
     DivergenceUnknown,
     FactorialGeometric,
     FiniteSupport,
     GeometricEnvelope,
+    GeometricTail,
     NatSet,
     TaylorMeasure,
     TermBackedSequence,
@@ -23,12 +25,13 @@ from taylormeasure import (
     finite_sequence,
     geometric_sequence,
     plan_truncation,
+    rule_sequence,
     sum_terms,
     tail_bound,
     term,
     term_value,
 )
-from taylormeasure.kernel import _PLAN_CAP, _log_term_and_err
+from taylormeasure.kernel import _PLAN_CAP, _log_term_and_err, _term_and_err
 
 ONES = constant_sequence(1.0)
 
@@ -133,6 +136,82 @@ class TestTerm:
         exact = math.exp(gamma)
         out = evaluate(TaylorMeasure(ONES, gamma), NatSet.all(), 1e-16 * exact)
         assert abs(out.value - exact) <= out.abs_error + 2.0 * math.ulp(exact)
+
+
+def _exact_term(a, gamma, n):
+    return Fraction(a) * Fraction(gamma) ** n / math.factorial(n)
+
+
+class TestUnderflowFloor:
+    """Terms below the normal range round to multiples of 2**-1074, which a
+    bound relative to |value| cannot see; the floor covers that rounding."""
+
+    @pytest.mark.parametrize("a, gamma, n", [
+        (1.0, 1e-160, 2),          # log path, subnormal value
+        (3.0, -1e-161, 2),         # log path, negative subnormal value
+        (1e-310, 1e-160, 1),       # log path, underflows to 0
+        (1e-160, 1.0, 100),        # linear path, subnormal value
+        (-7e-161, 1.03, 99),       # linear path, negative subnormal value
+        (1e-300, 1.0, 170),        # linear path, underflows to 0
+    ])
+    def test_term_bound_covers_exact(self, a, gamma, n):
+        seq = finite_sequence([0.0] * n + [a])
+        v, err = _term_and_err(seq, gamma, n)
+        assert abs(v) < 2.0 ** -1022
+        assert abs(Fraction(v) - _exact_term(a, gamma, n)) <= Fraction(err)
+
+    def test_random_terms_near_underflow(self):
+        rng = random.Random(20)
+        for _ in range(2000):
+            n = rng.randrange(1, 400)
+            a = rng.uniform(-2.0, 2.0) * 2.0 ** rng.randrange(-60, 60)
+            # |a * gamma**n / n!| near exp(target), across the underflow edge
+            target = rng.uniform(-760.0, -690.0)
+            log_gamma = (target - math.log(abs(a)) + math.lgamma(n + 1)) / n
+            gamma = rng.choice([1.0, -1.0]) * math.exp(log_gamma)
+            v, err = _term_and_err(finite_sequence([0.0] * n + [a]), gamma, n)
+            assert abs(Fraction(v) - _exact_term(a, gamma, n)) <= Fraction(err), (a, gamma, n)
+
+    def test_sum_keeps_underflowed_terms(self):
+        # terms 1 and 3 underflow to 0 and term 2 is subnormal
+        prefix = [0.0, 1e-310, 3.0, 1e-300]
+        gamma = 1e-160
+        exact = sum(_exact_term(a, gamma, n) for n, a in enumerate(prefix))
+        T = TaylorMeasure(finite_sequence(prefix), gamma)
+        for B in (NatSet.all(), NatSet.finite([1, 2, 3])):
+            out = evaluate(T, B)
+            assert abs(Fraction(out.value) - exact) <= Fraction(out.abs_error)
+
+
+class TestNonFinite:
+    """Non-finite inputs are refused, never summed into nan or a wrong value."""
+
+    def test_nan_prefix_entry(self):
+        with pytest.raises(ValueError, match="a_1"):
+            finite_sequence([1.0, math.nan])
+        with pytest.raises(ValueError, match="a_0"):
+            constant_sequence(1.0, [math.nan])
+
+    @pytest.mark.parametrize("tail", [
+        ConstantTail(math.nan),
+        ConstantTail(-math.inf),
+        GeometricTail(math.nan, 0.5),
+        GeometricTail(1.0, math.inf),
+    ])
+    def test_non_finite_tail_constant(self, tail):
+        with pytest.raises(ValueError, match="tail constants must be finite"):
+            CoefficientSequence((), tail)
+
+    @pytest.mark.parametrize("first_nan", [0, 3])
+    def test_nan_from_a_rule_names_the_index(self, first_nan):
+        seq = rule_sequence(lambda n: math.nan if n >= first_nan else 1.0, Bounded(1.0))
+        with pytest.raises(ValueError, match=f"a_{first_nan} is nan"):
+            evaluate(TaylorMeasure(seq, 1.0), NatSet.all())
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            TaylorMeasure(ONES, gamma)
 
 
 class TestTailBound:
