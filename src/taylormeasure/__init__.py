@@ -20,6 +20,7 @@ from .errors import (
     InvalidPmf,
     NegativeRadicand,
     NoSamplerAvailable,
+    NonFiniteResult,
     OutOfDomain,
     QuadratureStall,
     QuantileTailUnresolved,
@@ -155,7 +156,7 @@ __all__ = [
     # errors
     "CenterMismatch", "DegenerateDistribution", "DivergenceUnknown",
     "InvalidDocument", "InvalidPmf", "NegativeRadicand", "NoSamplerAvailable",
-    "OutOfDomain", "QuadratureStall", "QuantileTailUnresolved",
+    "NonFiniteResult", "OutOfDomain", "QuadratureStall", "QuantileTailUnresolved",
     "TaylorMeasureError", "UnsupportedSpec",
     # kernel
     "Bounded", "CoefficientSequence", "ConstantTail", "CustomTail",

@@ -27,19 +27,17 @@ from .kernel import (
     Bounded,
     FactorialGeometric,
     FiniteSupport,
-    GeometricEnvelope,
     SequenceLike,
     TermBackedSequence,
-    Unverified,
     _FACT,
     _MAX_FLOAT_FACTORIAL,
+    _TermEnvelope,
     _term_and_err,
     _term_from_coefficient,
     constant_sequence,
     finite_sequence,
     plan_truncation,
     rule_sequence,
-    tail_bound,
 )
 from .measure import MeasureValue, _identity, _require_certificate, _sum_selected
 
@@ -84,6 +82,12 @@ class AnalyticRep:
 def _d_value(seq: SequenceLike, n: int) -> float:
     """d_n = a_n / n!, the series term at gamma = 1."""
     return _term_and_err(seq, 1.0, n)[0]
+
+
+def _d_envelope(rep: AnalyticRep) -> _TermEnvelope:
+    """Envelope of d_n = a_n / n!, the terms at gamma = 1."""
+    seq = rep.coefficients
+    return _TermEnvelope.of(seq.certificate, 1.0, partial(_d_value, seq))
 
 
 def _memo_d(seq: SequenceLike) -> Callable[[int], float]:
@@ -257,84 +261,6 @@ def _eval_points(rep: AnalyticRep, xs: Sequence[float], eps: float) -> list[Meas
     return out
 
 
-# ---------------------------------------------------------------------------
-# certificates in d-space
-#
-# Envelopes for d_n = a_n/n! come in two shapes: ("exp", S, R) meaning
-# |d_n| <= S R^n / n! (a Bounded/GeometricEnvelope coefficient family)
-# and ("geo", S, R) meaning |d_n| <= S R^n (a FactorialGeometric one).
-
-_RATIO_FLOOR = 1e-12
-
-
-def _d_envelope(seq: SequenceLike) -> tuple[str, float, float] | None:
-    cert = seq.certificate
-    if isinstance(cert, Unverified):
-        return None
-    if isinstance(cert, FiniteSupport):
-        if cert.last < 0:
-            return "exp", 0.0, 1.0
-        ds = [abs(_d_value(seq, n)) for n in range(cert.last + 1)]
-        if cert.last <= _MAX_FLOAT_FACTORIAL:
-            s = max(ds[n] * _FACT[n] for n in range(len(ds)))
-            if math.isfinite(s):
-                return "exp", s, 1.0
-        return "geo", max(ds), 1.0
-    if isinstance(cert, Bounded):
-        return "exp", cert.bound, 1.0
-    if isinstance(cert, (GeometricEnvelope, FactorialGeometric)):
-        kind = "exp" if isinstance(cert, GeometricEnvelope) else "geo"
-        ratio = max(cert.ratio, _RATIO_FLOOR)
-        scale = cert.scale
-        # the envelope only binds from cert.start on; widen the scale to
-        # cover the explicit values before it
-        for n in range(min(cert.start, _MAX_FLOAT_FACTORIAL)):
-            d = abs(_d_value(seq, n))
-            unit = ratio ** n / _FACT[n] if kind == "exp" else ratio ** n
-            if d > scale * unit:
-                scale = d / unit
-        return kind, scale, ratio
-    return None
-
-
-def _cert_from_envelope(env: tuple[str, float, float] | None):
-    if env is None:
-        return Unverified()
-    kind, s, r = env
-    if kind == "exp":
-        return GeometricEnvelope(s, r, 0)
-    return FactorialGeometric(s, r, 0)
-
-
-def _envelope_product(e1, e2):
-    if e1 is None or e2 is None:
-        return None
-    k1, s1, r1 = e1
-    k2, s2, r2 = e2
-    if k1 == "exp" and k2 == "exp":
-        # sum_n S1 R1^n/n! S2 R2^(l-n)/(l-n)! = S1 S2 (R1+R2)^l / l!
-        return "exp", s1 * s2, r1 + r2
-    if k1 == "geo" and k2 == "geo":
-        # (l+1) S1 S2 Rmax^l <= 2.05 S1 S2 (1.25 Rmax)^l
-        return "geo", 2.05 * s1 * s2, 1.25 * max(r1, r2)
-    if k1 == "geo":
-        (k1, s1, r1), (k2, s2, r2) = (k2, s2, r2), (k1, s1, r1)
-    # exp times geo: S2 R2^l S1 sum (R1/R2)^n/n! <= S1 S2 e^(R1/R2) R2^l
-    r2 = max(r2, _RATIO_FLOOR)
-    return "geo", s1 * s2 * math.exp(min(r1 / r2, 700.0)), r2
-
-
-def _envelope_sum(e1, e2, w1: float, w2: float):
-    if e1 is None or e2 is None:
-        return None
-    k1, s1, r1 = e1
-    k2, s2, r2 = e2
-    if k1 == k2:
-        return k1, w1 * s1 + w2 * s2, max(r1, r2)
-    # mix: an exp envelope is also a geo envelope (n! >= 1)
-    return "geo", w1 * s1 + w2 * s2, max(r1, r2)
-
-
 def _both_finite(r1: AnalyticRep, r2: AnalyticRep) -> bool:
     return isinstance(r1.coefficients.certificate, FiniteSupport) and isinstance(
         r2.coefficients.certificate, FiniteSupport
@@ -382,9 +308,7 @@ def multiply(r1: AnalyticRep, r2: AnalyticRep) -> AnalyticRep:
             cache[l] = math.fsum(da(n) * db(l - n) for n in range(l + 1))
         return cache[l]
 
-    cert = _cert_from_envelope(
-        _envelope_product(_d_envelope(r1.coefficients), _d_envelope(r2.coefficients))
-    )
+    cert = _d_envelope(r1).cauchy(_d_envelope(r2)).to_certificate(1.0)
     return AnalyticRep(r1.center, TermBackedSequence(d_rule, 1.0, cert), radius)
 
 
@@ -429,14 +353,9 @@ def linear_combine(alpha: float, r1: AnalyticRep, beta: float, r2: AnalyticRep) 
     def d_rule(n: int) -> float:
         return alpha * da(n) + beta * db(n)
 
-    cert = _cert_from_envelope(
-        _envelope_sum(
-            _d_envelope(r1.coefficients),
-            _d_envelope(r2.coefficients),
-            abs(alpha),
-            abs(beta),
-        )
-    )
+    e1 = _d_envelope(r1).widened().scaled(alpha)
+    e2 = _d_envelope(r2).widened().scaled(beta)
+    cert = e1.add(e2).to_certificate(1.0)
     return AnalyticRep(r1.center, TermBackedSequence(d_rule, 1.0, cert), radius)
 
 
@@ -453,92 +372,15 @@ def truncate_rep(rep: AnalyticRep, N: int) -> AnalyticRep:
 # recentering
 
 
-def _full_a_envelope(seq: SequenceLike) -> tuple[str, float, float]:
-    """An all-index a-space envelope: ("bounded", M, _), ("ge", s, r) with
-    |a_n| <= s r^n, or ("fg", s, r) with |a_n| <= s n! r^n."""
-    cert = seq.certificate
-    if isinstance(cert, Bounded):
-        return "bounded", cert.bound, 1.0
-    if isinstance(cert, (GeometricEnvelope, FactorialGeometric)):
-        kind = "ge" if isinstance(cert, GeometricEnvelope) else "fg"
-        ratio = max(cert.ratio, _RATIO_FLOOR)
-        scale = cert.scale
-        for n in range(min(cert.start, _MAX_FLOAT_FACTORIAL)):
-            d = abs(_d_value(seq, n))
-            unit = ratio ** n / _FACT[n] if kind == "ge" else ratio ** n
-            if d > scale * unit:
-                scale = d / unit
-        return kind, scale, ratio
-    raise DivergenceUnknown(
-        "recentering an infinite representation needs a growth certificate"
-    )
-
-
-def _shift_tail(env: tuple[str, float, float], k: int, dist: float, M: int) -> float:
-    """Bound on sum_{m > M} |d_{k+m}| binom(k+m, m) dist^m."""
-    kind, s, r = env
-    if kind == "bounded":
-        # sum M_b dist^m / (m! k!) tails like the exponential series
-        t = tail_bound(Bounded(s), dist, M)
-        return math.exp(min(math.log(t) - math.lgamma(k + 1), 700.0)) if t > 0.0 else 0.0
-    if kind == "ge":
-        t = tail_bound(Bounded(s), r * dist, M)
-        if t <= 0.0:
-            return 0.0
-        log_t = math.log(t) + k * math.log(r) - math.lgamma(k + 1)
-        return math.exp(min(log_t, 700.0))
-    q = r * dist
-    rho = (k + M + 2) / (M + 2)
-    if q * rho >= 1.0:
-        return math.inf
-    log_t = (
-        math.log(s)
-        + k * math.log(r)
-        + math.lgamma(k + 1)
-        + (math.lgamma(k + M + 2) - math.lgamma(M + 2) - math.lgamma(k + 1))
-        + (M + 1) * math.log(q)
-        - math.log1p(-q * rho)
-    )
-    return math.exp(min(log_t, 700.0))
-
-
-def _shifted_cert(env: tuple[str, float, float], dist: float):
-    kind, s, r = env
-    if kind == "bounded":
-        return Bounded(s * math.exp(dist))
-    if kind == "ge":
-        return GeometricEnvelope(s * math.exp(r * dist), r, 0)
-    q = r * dist
-    if q >= 1.0:
-        raise OutOfDomain(
-            "shift distance reaches the certificate's divergence radius"
-        )
-    return FactorialGeometric(s / (1.0 - q), r / (1.0 - q), 0)
-
-
-def _shifted_d_bound(cert, k: int) -> float:
-    """d-space envelope value of the transformed certificate at index k."""
-    if isinstance(cert, Bounded):
-        return math.exp(math.log(cert.bound) - math.lgamma(k + 1)) if cert.bound > 0 else 0.0
-    if isinstance(cert, GeometricEnvelope):
-        if cert.scale <= 0.0:
-            return 0.0
-        return math.exp(
-            min(math.log(cert.scale) + k * math.log(cert.ratio) - math.lgamma(k + 1), 700.0)
-        )
-    if cert.scale <= 0.0:
-        return 0.0
-    return math.exp(min(math.log(cert.scale) + k * math.log(cert.ratio), 700.0))
-
-
 def recenter(rep: AnalyticRep, new_center: float, eps: float = 1e-12) -> AnalyticRep:
     """Re-express the function around a new center inside the validity
     region via the Taylor shift c_k = sum_m a_{k+m} delta^m / m!.
 
     Finite-support representations shift exactly. Otherwise each new
-    coefficient is a truncated series whose certified tail stays below
-    eps times the new certificate's envelope at that index; that small
-    bias is not folded into later abs_error fields.
+    coefficient is a truncated series that sums every coefficient below
+    the certificate's start and whose certified tail stays below eps
+    times the new certificate's envelope at that index; that small bias
+    is not folded into later abs_error fields.
     """
     delta = new_center - rep.center
     if delta == 0.0:
@@ -563,17 +405,18 @@ def recenter(rep: AnalyticRep, new_center: float, eps: float = 1e-12) -> Analyti
             out.append(math.fsum(terms))
         return _rep_from_d_list(new_center, out, rep.radius_hint)
 
-    env = _full_a_envelope(rep.coefficients)
-    new_cert = _shifted_cert(env, dist)
+    _require_certificate(rep.coefficients, "recentering")
+    env = _d_envelope(rep)
+    new_env = env.widened().shifted(dist)
     new_radius = rep.radius_hint if math.isinf(rep.radius_hint) else rep.radius_hint - dist
     cache: dict[int, float] = {}
 
     def d_rule(k: int) -> float:
         if k in cache:
             return cache[k]
-        budget = max(eps * _shifted_d_bound(new_cert, k), 5e-324)
+        budget = max(eps * new_env.at(k), 5e-324)
         M = 4
-        while _shift_tail(env, k, dist, M) > budget:
+        while env.shift_tail(k, dist, M) > budget:
             M *= 2
             if M > _SHIFT_CAP:
                 raise DivergenceUnknown(
@@ -589,7 +432,7 @@ def recenter(rep: AnalyticRep, new_center: float, eps: float = 1e-12) -> Analyti
         return cache[k]
 
     return AnalyticRep(
-        new_center, TermBackedSequence(d_rule, 1.0, new_cert), new_radius
+        new_center, TermBackedSequence(d_rule, 1.0, new_env.to_certificate(1.0)), new_radius
     )
 
 

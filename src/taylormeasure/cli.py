@@ -17,7 +17,8 @@ resolves or an evaluation outside a function's domain.
 Randomized subcommands (sample, mc-measure, mc-normalizer, stm-sim,
 axioms) require an explicit ``--seed``; there is no wall-clock seeding.
 Re-running any command with the same inputs and seed reproduces the
-output bit for bit, regardless of ``--threads``.
+output bit for bit. ``--threads`` is accepted for compatibility and has
+no effect.
 
 Only the handlers of sample, mc-*, and stm-* import the numpy-backed
 montecarlo and stochastic modules, so the deterministic subcommands run
@@ -112,9 +113,9 @@ def _seed_opt(p: argparse.ArgumentParser) -> None:
                    help="RNG seed (required; no wall-clock seeding)")
 
 
-def _threads_opt(p: argparse.ArgumentParser,
-                 help_text: str = "worker cap; never changes results") -> None:
-    p.add_argument("--threads", type=int, default=1, help=help_text)
+def _threads_opt(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
 
 
 def _csv_opt(p: argparse.ArgumentParser) -> None:
@@ -274,7 +275,6 @@ def _cmd_mc_measure(args):
     est = estimate_measure(
         z1, b1, z2, b2, B, args.L1, args.L2, RngSpec(args.seed),
         eps=args.eps, estimate_normalizers=args.estimate_normalizers,
-        threads=args.threads,
     )
     result = {
         "command": "mc-measure",
@@ -296,8 +296,7 @@ def _cmd_mc_normalizer(args):
     from .montecarlo import RngSpec, estimate_normalizer_poisson
 
     zeta, b = serialize.parse_pmf_inputs(_load_doc(args.pmf, "pmf"))
-    est = estimate_normalizer_poisson(zeta, b, args.L, RngSpec(args.seed),
-                                      threads=args.threads)
+    est = estimate_normalizer_poisson(zeta, b, args.L, RngSpec(args.seed))
     result = {
         "command": "mc-normalizer",
         "value": est.point,
@@ -567,7 +566,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=int, required=True,
                    help="number of replications")
     _eps_opt(p); _seed_opt(p)
-    _threads_opt(p, "accepted for compatibility; has no effect")
+    _threads_opt(p)
 
     p = add("fn-eval", _cmd_fn_eval, "evaluate an analytic representation")
     p.add_argument("function", help="function document")

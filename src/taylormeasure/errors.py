@@ -49,6 +49,11 @@ class NegativeRadicand(TaylorMeasureError):
     """A squared norm came out negative beyond its error bound."""
 
 
+class NonFiniteResult(TaylorMeasureError):
+    """A result or its error bound is not a finite float, for example a
+    sum beyond the float range."""
+
+
 class UnsupportedSpec(TaylorMeasureError):
     """The requested operation is not defined for this specification."""
 

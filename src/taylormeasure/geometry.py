@@ -28,19 +28,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DivergenceUnknown, NegativeRadicand
+from .errors import NegativeRadicand
 from .kernel import (
     _FACT,
     _LOG_SAFE,
     _MAX_FLOAT_FACTORIAL,
     _NeumaierSum,
     _ULP,
-    Bounded,
-    FactorialGeometric,
     FiniteSupport,
-    GeometricEnvelope,
     TermBackedSequence,
-    Unverified,
+    _TermEnvelope,
     _exp_signed,
     _term_and_err,
     finite_sequence,
@@ -65,28 +62,10 @@ __all__ = [
 ]
 
 
-def _term_envelope(T: TaylorMeasure) -> tuple:
-    """Certified envelope for |p_T(n)| on an infinite index set.
-
-    Returns ('fs', K) when the terms vanish beyond K, or ('env', c, q, start)
-    meaning |p_T(n)| <= c * q**n / n! for n >= start.
-    """
-    cert = T.coefficients.certificate
-    g = abs(T.gamma)
-    if isinstance(cert, FiniteSupport):
-        return ("fs", cert.last)
-    if isinstance(cert, Bounded):
-        return ("env", cert.bound, g, 0)
-    if isinstance(cert, GeometricEnvelope):
-        return ("env", cert.scale, cert.ratio * g, cert.start)
-    if isinstance(cert, FactorialGeometric):
-        raise DivergenceUnknown(
-            "inner products against factorially growing coefficients diverge "
-            "on infinite sets; restrict to a finite set or approximate first"
-        )
-    raise DivergenceUnknown(
-        "operand carries no growth certificate; inner products on infinite "
-        "sets need FiniteSupport, Bounded, or GeometricEnvelope coefficients"
+def _rho_envelope(T1: TaylorMeasure, T2: TaylorMeasure) -> _TermEnvelope:
+    """Envelope of the rho summand n! * p_T1(n) * p_T2(n) on an infinite set."""
+    return _TermEnvelope.of(T1.coefficients.certificate, T1.gamma).rho(
+        _TermEnvelope.of(T2.coefficients.certificate, T2.gamma)
     )
 
 
@@ -148,18 +127,13 @@ def inner_product(
     if B.is_finite:
         value, err = _rho_sum(T1, T2, B.elements)
         return MeasureValue(value, err)
-    env1 = _term_envelope(T1)
-    env2 = _term_envelope(T2)
+    pair = _rho_envelope(T1, T2)
     excluded = set(B.elements)
-    if env1[0] == "fs" or env2[0] == "fs":
-        hi = min(e[1] for e in (env1, env2) if e[0] == "fs")
-        indices = (n for n in range(hi + 1) if n not in excluded)
+    if pair.last is not None:
+        indices = (n for n in range(pair.last + 1) if n not in excluded)
         value, err = _rho_sum(T1, T2, indices)
         return MeasureValue(value, err)
-    _, c1, q1, s1 = env1
-    _, c2, q2, s2 = env2
-    pair_env = GeometricEnvelope(c1 * c2, q1 * q2, max(s1, s2))
-    plan = plan_truncation(pair_env, 1.0, eps)
+    plan = plan_truncation(pair.to_certificate(1.0), 1.0, eps)
     indices = (n for n in range(plan.last_index + 1) if n not in excluded)
     value, err = _rho_sum(T1, T2, indices)
     return MeasureValue(value, err + plan.tail_bound)
@@ -216,17 +190,13 @@ def rational_approximation(
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    cert = T.coefficients.certificate
-    if isinstance(cert, FiniteSupport):
-        if cert.last < 0:
+    pair = _rho_envelope(T, T)
+    if pair.last is not None:
+        if pair.last < 0:
             return TaylorMeasure(finite_sequence(()), 1.0, label=T.label)
-        last = cert.last
+        last = pair.last
     else:
-        env = _term_envelope(T)
-        _, c, q, start = env
-        pair_env = GeometricEnvelope(c * c, q * q, start)
-        plan = plan_truncation(pair_env, 1.0, tol * tol / 2.0)
-        last = plan.last_index
+        last = plan_truncation(pair.to_certificate(1.0), 1.0, tol * tol / 2.0).last_index
     if N_support is not None and last > N_support:
         raise ValueError(
             f"support cap {N_support} cannot meet tolerance {tol}: the "

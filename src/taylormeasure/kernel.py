@@ -9,7 +9,9 @@ arithmetic and everything needed to sum the terms safely: coefficient
 sequences with declared tails, growth certificates, certified tail
 bounds, truncation planning, and compensated summation split by sign.
 A truncation plan starts from a closed-form estimate of its index and
-confirms it with two tail bounds in the common case.
+confirms it with two tail bounds in the common case. Tail bounds and
+every certificate derived from others go through one term-space
+envelope, _TermEnvelope.
 
 Terms are kept in sign + log-magnitude form (via lgamma) so that a_n,
 gamma**n, and n! never have to be represented separately; a linear-space
@@ -22,11 +24,11 @@ even when gamma = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Union
 
-from .errors import DivergenceUnknown
+from .errors import DivergenceUnknown, OutOfDomain
 
 _MAX_FLOAT_FACTORIAL = 170  # largest n with n! below float overflow
 _FACT = tuple(float(math.factorial(n)) for n in range(_MAX_FLOAT_FACTORIAL + 1))
@@ -35,6 +37,7 @@ _LOG_TINY = -745.0          # below this, exp underflows to zero
 _LOG_HUGE = 709.0           # above this, exp overflows
 _ULP = 2.0 ** -53
 _TINY = 2.0 ** -1074        # one subnormal unit: the absolute rounding floor
+_MIN_NORMAL = 2.0 ** -1022  # smallest normal float
 
 
 def _sign(x: float) -> int:
@@ -483,30 +486,7 @@ def tail_bound(cert: GrowthCertificate, gamma: float, last_index: int) -> float:
     """
     if last_index < 0:
         raise ValueError("last_index must be >= 0")
-    g = abs(gamma)
-    if isinstance(cert, FiniteSupport):
-        return 0.0 if last_index >= cert.last else math.inf
-    if isinstance(cert, Bounded):
-        return _factorial_ratio_tail(cert.bound, g, last_index)
-    if isinstance(cert, GeometricEnvelope):
-        if last_index < cert.start:
-            return math.inf
-        return _factorial_ratio_tail(cert.scale, cert.ratio * g, last_index)
-    if isinstance(cert, FactorialGeometric):
-        if last_index < cert.start:
-            return math.inf
-        q = cert.ratio * g
-        if cert.scale == 0.0 or q == 0.0:
-            return 0.0
-        if q >= 1.0:
-            return math.inf
-        log_t = math.log(cert.scale) + (last_index + 1) * math.log(q)
-        if log_t > _LOG_HUGE:
-            return math.inf
-        return math.exp(log_t) / (1.0 - q)
-    if isinstance(cert, Unverified):
-        return math.inf
-    raise TypeError(f"unknown certificate type: {type(cert).__name__}")
+    return _TermEnvelope.of(cert, gamma).tail(last_index)
 
 
 @dataclass(frozen=True)
@@ -526,25 +506,20 @@ def _lambert_w(x: float) -> float:
     return l * (1.0 - math.log1p(l) / (2.0 + l))
 
 
-def _index_estimate(cert: GrowthCertificate, g: float, eps: float) -> int:
-    """Closed-form estimate of the index plan_truncation returns for |gamma| = g.
+def _index_estimate(env: "_TermEnvelope", eps: float) -> int:
+    """Closed-form estimate of the index plan_truncation returns for a
+    decay envelope at a finite gamma.
 
-    Only a starting point: plan_truncation confirms it with tail_bound,
+    Only a starting point: plan_truncation confirms it with tail bounds,
     so a wrong estimate costs extra tail bounds, never a different plan.
     """
-    if isinstance(cert, FactorialGeometric):
-        # scale * q**(N+1) / (1 - q) <= eps, solved exactly in logs
-        q = cert.ratio * g
-        if cert.scale == 0.0 or q == 0.0:
-            return cert.start
-        k = (math.log(eps) + math.log1p(-q) - math.log(cert.scale)) / math.log(q)
-        return max(cert.start, math.ceil(k) - 1)
-    if isinstance(cert, Bounded):
-        scale, r, start = cert.bound, g, 0
-    else:
-        scale, r, start = cert.scale, cert.ratio * g, cert.start
+    scale, r, start = env.scale, env.ratio, env.start
     if scale == 0.0 or r == 0.0:
         return start
+    if not env.k:
+        # scale * r**(N+1) / (1 - r) <= eps, solved exactly in logs
+        k = (math.log(eps) + math.log1p(-r) - math.log(scale)) / math.log(r)
+        return max(start, math.ceil(k) - 1)
     target = math.log(eps) - math.log(scale)
     if r <= target:
         return start  # the global bound scale * e**r already meets eps
@@ -584,27 +559,25 @@ def plan_truncation(cert: GrowthCertificate, gamma: float, eps: float) -> Trunca
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    if isinstance(cert, Unverified):
+    env = _TermEnvelope.of(cert, gamma)
+    if env.k is None:
         raise DivergenceUnknown(
             "cannot truncate an infinite sum without a growth certificate"
         )
-    if isinstance(cert, FiniteSupport):
-        last = max(cert.last, 0)
-        return TruncationPlan(last, 0.0)
-    if isinstance(cert, FactorialGeometric):
-        if cert.scale > 0.0 and cert.ratio * abs(gamma) >= 1.0:
-            raise DivergenceUnknown(
-                f"factorial-geometric envelope with ratio {cert.ratio} does not "
-                f"converge at gamma={gamma}"
-            )
-    first = max(1, getattr(cert, "start", 0))
+    if env.last is not None:
+        return TruncationPlan(max(env.last, 0), 0.0)
+    if not env.k and env.scale > 0.0 and env.ratio >= 1.0:
+        raise DivergenceUnknown(
+            f"factorial-geometric envelope with ratio {cert.ratio} does not "
+            f"converge at gamma={gamma}"
+        )
+    first = max(1, env.start)
     cap = first if first > _PLAN_CAP else first << ((_PLAN_CAP // first).bit_length() - 1)
-    g = abs(gamma)
-    if math.isfinite(g) and math.isfinite(eps):
-        n = min(_index_estimate(cert, g, eps), cap)
+    if math.isfinite(gamma) and math.isfinite(eps):
+        n = min(_index_estimate(env, eps), cap)
     else:
         n = first
-    t = tail_bound(cert, gamma, n)
+    t = env.tail(n)
     if t > eps:
         # gallop up: tail_bound(lo) > eps, and hi is the first probe that meets eps
         lo, step = n, 1
@@ -614,7 +587,7 @@ def plan_truncation(cert: GrowthCertificate, gamma: float, eps: float) -> Trunca
                     f"no truncation index below {_PLAN_CAP} meets eps={eps}"
                 )
             hi = min(lo + step, cap)
-            t = tail_bound(cert, gamma, hi)
+            t = env.tail(hi)
             if t <= eps:
                 break
             lo, step = hi, 2 * step
@@ -623,7 +596,7 @@ def plan_truncation(cert: GrowthCertificate, gamma: float, eps: float) -> Trunca
         lo, hi, step = -1, n, 1
         while hi > 0:
             probe = max(hi - step, 0)
-            tp = tail_bound(cert, gamma, probe)
+            tp = env.tail(probe)
             if tp > eps:
                 lo = probe
                 break
@@ -633,12 +606,242 @@ def plan_truncation(cert: GrowthCertificate, gamma: float, eps: float) -> Trunca
         lo, hi = -1, n
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        tm = tail_bound(cert, gamma, mid)
+        tm = env.tail(mid)
         if tm <= eps:
             hi, t = mid, tm
         else:
             lo = mid
     return TruncationPlan(hi, t)
+
+
+# ---------------------------------------------------------------------------
+# Term-space envelopes
+# ---------------------------------------------------------------------------
+
+
+_RATIO_FLOOR = 1e-12  # widened ratios stay positive, so a scale can be solved for
+
+
+def _needed_scale(d: float, n: int, ratio: float, k: int) -> float:
+    """A scale s with d <= s * ratio**n / (n!)**k, for d > 0 and ratio > 0.
+
+    Computed directly while ratio**n and n! are floats and s is normal;
+    otherwise in logs, raised by a bound on the logs' roundoff, plus one
+    subnormal unit for the rounding of exp.
+    """
+    lr = n * math.log(ratio)
+    if n <= _MAX_FLOAT_FACTORIAL and abs(lr) < _LOG_SAFE:
+        s = (d * _FACT[n] if k else d) / ratio ** n
+        if _MIN_NORMAL <= s < math.inf:
+            return s
+    ld = math.log(d)
+    lg = math.lgamma(n + 1) if k else 0.0
+    log_s = ld + lg - lr
+    return _exp_signed(1, log_s + 8.0 * _ULP * (abs(ld) + lg + abs(lr) + 1.0)) + _TINY
+
+
+@dataclass(slots=True)
+class _TermEnvelope:
+    """A certified bound on a term function p(n): the terms
+    a_n * gamma**n / n! of a measure, or a sum, product or shift of them.
+
+    - ``k`` None: no bound (Unverified);
+    - ``last`` not None: finite support, p(n) = 0 for n > last (-1: p = 0);
+    - otherwise |p(n)| <= scale * ratio**n / (n!)**k for n >= start, with
+      k = 1 for Bounded and GeometricEnvelope coefficients and k = 0 for
+      FactorialGeometric ones, at ratio (certificate ratio) * |gamma|.
+
+    ``term`` is p itself; widened() reads it. Operations return new
+    envelopes and never change one.
+    """
+
+    k: int | None = 1
+    scale: float = 0.0
+    ratio: float = 1.0
+    start: int = 0
+    last: int | None = None
+    term: Callable[[int], float] | None = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def of(cls, cert: GrowthCertificate, gamma: float,
+           term: Callable[[int], float] | None = None) -> "_TermEnvelope":
+        """The envelope that cert gives the terms a_n * gamma**n / n!;
+        ``term``, the terms themselves, is needed only to widen it."""
+        g = abs(gamma)
+        if isinstance(cert, FiniteSupport):
+            return cls(last=cert.last, term=term)
+        if isinstance(cert, Bounded):
+            return cls(1, cert.bound, g, term=term)
+        if isinstance(cert, GeometricEnvelope):
+            return cls(1, cert.scale, cert.ratio * g, cert.start, term=term)
+        if isinstance(cert, FactorialGeometric):
+            return cls(0, cert.scale, cert.ratio * g, cert.start, term=term)
+        return cls(None)
+
+    def tail(self, last_index: int) -> float:
+        """Bound on sum_{n > last_index} |p(n)|; +inf where the envelope
+        bounds nothing: no bound, indices before start, a k = 0 ratio of
+        1 or more."""
+        if self.k is None:
+            return math.inf
+        if self.last is not None:
+            return 0.0 if last_index >= self.last else math.inf
+        if last_index < self.start:
+            return math.inf
+        if self.k:
+            return _factorial_ratio_tail(self.scale, self.ratio, last_index)
+        q = self.ratio
+        if self.scale == 0.0 or q == 0.0:
+            return 0.0
+        if q >= 1.0:
+            return math.inf
+        log_t = math.log(self.scale) + (last_index + 1) * math.log(q)
+        if log_t > _LOG_HUGE:
+            return math.inf
+        return math.exp(log_t) / (1.0 - q)
+
+    def widened(self) -> "_TermEnvelope":
+        """The same bound as a decay bound from index 0 on: the scale grows
+        to cover the terms below start (a finite support becomes ratio 1)
+        and the ratio is floored at _RATIO_FLOOR. A k = 1 scale that
+        overflows falls back to k = 0."""
+        if self.k is None:
+            return self
+        if self.last is not None:
+            scale, ratio, stop = 0.0, 1.0, self.last + 1
+        else:
+            scale, ratio, stop = self.scale, max(self.ratio, _RATIO_FLOOR), self.start
+        for n in range(stop):
+            d = abs(self.term(n))
+            if d != 0.0:
+                scale = max(scale, _needed_scale(d, n, ratio, self.k))
+        if self.k and not math.isfinite(scale):
+            return replace(self, k=0).widened()
+        return _TermEnvelope(self.k, scale, ratio)
+
+    def scaled(self, w: float) -> "_TermEnvelope":
+        """The envelope of w * p; w = 0 gives the zero function."""
+        if w == 0.0:
+            return _TermEnvelope(last=-1)
+        term = self.term
+        return _TermEnvelope(self.k, abs(w) * self.scale, self.ratio, self.start, self.last,
+                             None if term is None else (lambda n: w * term(n)))
+
+    def add(self, other: "_TermEnvelope") -> "_TermEnvelope":
+        """The envelope of p + q, where other bounds q. A finite support
+        summed with a decay bound is widened first."""
+        if self.k is None or other.k is None:
+            return _TermEnvelope(None)
+        if self.last is not None and other.last is not None:
+            return _TermEnvelope(last=max(self.last, other.last))
+        a = self if self.last is None else self.widened()
+        b = other if other.last is None else other.widened()
+        return _TermEnvelope(min(a.k, b.k), a.scale + b.scale, max(a.ratio, b.ratio),
+                             max(a.start, b.start))
+
+    def cauchy(self, other: "_TermEnvelope") -> "_TermEnvelope":
+        """The envelope of the Cauchy product l -> sum_n p(n) q(l - n),
+        where other bounds q; both are widened first."""
+        if self.k is None or other.k is None:
+            return _TermEnvelope(None)
+        a, b = self.widened(), other.widened()
+        if a.k == b.k == 1:
+            # sum_n S1 R1^n/n! S2 R2^(l-n)/(l-n)! = S1 S2 (R1+R2)^l / l!
+            return _TermEnvelope(1, a.scale * b.scale, a.ratio + b.ratio)
+        if a.k == b.k == 0:
+            # (l+1) S1 S2 Rmax^l <= 2.05 S1 S2 (1.25 Rmax)^l
+            return _TermEnvelope(0, 2.05 * a.scale * b.scale, 1.25 * max(a.ratio, b.ratio))
+        if a.k == 0:
+            a, b = b, a
+        # k = 1 times k = 0: S2 R2^l S1 sum (R1/R2)^n/n! <= S1 S2 e^(R1/R2) R2^l
+        return _TermEnvelope(0, a.scale * b.scale * _exp_signed(1, a.ratio / b.ratio), b.ratio)
+
+    def rho(self, other: "_TermEnvelope") -> "_TermEnvelope":
+        """The envelope of n! * p(n) * q(n), the summand of the inner product.
+
+        Raises DivergenceUnknown when either side is unbounded or decays
+        only geometrically (k = 0): the n!-weighted product then diverges.
+        """
+        for e in (self, other):
+            if e.k is None:
+                raise DivergenceUnknown("an operand of an inner product on an infinite "
+                                        "set carries no growth certificate")
+            if e.last is None and e.k == 0:
+                raise DivergenceUnknown("inner products against factorially growing "
+                                        "coefficients diverge on infinite sets")
+        supports = [e.last for e in (self, other) if e.last is not None]
+        if supports:
+            return _TermEnvelope(last=min(supports))
+        return _TermEnvelope(1, self.scale * other.scale, self.ratio * other.ratio,
+                             max(self.start, other.start))
+
+    def square(self) -> "_TermEnvelope":
+        """The envelope of p(n)**2. It stays at k = 1, although p**2 decays
+        like (n!)**-2 there."""
+        if self.k is None or self.last is not None:
+            return _TermEnvelope(self.k, last=self.last)
+        return _TermEnvelope(self.k, self.scale ** 2, self.ratio ** 2, self.start)
+
+    def shifted(self, dist: float) -> "_TermEnvelope":
+        """For a widened envelope: the envelope of the Taylor shift
+        c_k = sum_m p(k+m) binom(k+m, m) delta**m, |delta| = dist.
+
+        Raises OutOfDomain when a k = 0 bound's radius 1/ratio is reached.
+        """
+        if self.k:
+            return _TermEnvelope(1, self.scale * math.exp(self.ratio * dist), self.ratio)
+        q = self.ratio * dist
+        if q >= 1.0:
+            raise OutOfDomain("shift distance reaches the certificate's divergence radius")
+        return _TermEnvelope(0, self.scale / (1.0 - q), self.ratio / (1.0 - q))
+
+    def shift_tail(self, k: int, dist: float, M: int) -> float:
+        """A bound on sum_{m > M} |p(k+m)| binom(k+m, m) dist**m for a
+        decay bound; +inf while the tail still reaches below start, where
+        the terms are explicit and are summed instead."""
+        if k + M + 1 < self.start:
+            return math.inf
+        s, r = self.scale, max(self.ratio, _RATIO_FLOOR)
+        if self.k:
+            # S r^k / k! times the tail of sum (r dist)^m / m!
+            t = _factorial_ratio_tail(s, r * dist, M)
+            if t <= 0.0:
+                return 0.0
+            log_t = math.log(t) + k * math.log(r) - math.lgamma(k + 1)
+            return math.exp(min(log_t, 700.0))
+        # k! times the first tail term S r^k binom(k+M+1, M+1) q^(M+1), over
+        # 1 - q rho: q rho bounds the ratio of successive terms
+        q = r * dist
+        rho = (k + M + 2) / (M + 2)
+        if s == 0.0 or q == 0.0:
+            return 0.0
+        if q * rho >= 1.0:
+            return math.inf
+        log_t = (math.log(s) + k * math.log(r) + math.lgamma(k + M + 2) - math.lgamma(M + 2)
+                 + (M + 1) * math.log(q) - math.log1p(-q * rho))
+        return math.exp(min(log_t, 700.0))
+
+    def at(self, n: int) -> float:
+        """The decay bound scale * ratio**n / (n!)**k at n, capped at e**700."""
+        if self.scale <= 0.0:
+            return 0.0
+        log_v = math.log(self.scale) + n * math.log(self.ratio)
+        if self.k:
+            log_v -= math.lgamma(n + 1)
+        return math.exp(min(log_v, 700.0))
+
+    def to_certificate(self, gamma: float) -> GrowthCertificate:
+        """The certificate of the coefficients a_n = n! * p(n) / gamma**n:
+        the envelope's ratio divided by |gamma|. A bound whose scale is
+        not finite certifies nothing."""
+        if self.k is None or not math.isfinite(self.scale):
+            return Unverified()
+        if self.last is not None:
+            return FiniteSupport(self.last)
+        ratio = self.ratio / abs(gamma)
+        if self.k:
+            return GeometricEnvelope(self.scale, ratio, self.start)
+        return FactorialGeometric(self.scale, ratio, self.start)
 
 
 # ---------------------------------------------------------------------------

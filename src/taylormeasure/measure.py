@@ -21,18 +21,14 @@ from functools import partial
 from typing import Callable, Iterable, Iterator
 
 from . import kernel
-from .errors import DivergenceUnknown
+from .errors import DivergenceUnknown, NonFiniteResult
 from .kernel import (
-    Bounded,
-    CoefficientSequence,
-    FactorialGeometric,
-    FiniteSupport,
-    GeometricEnvelope,
     SequenceLike,
     SignedLogTerm,
     TermBackedSequence,
     TruncationPlan,
     Unverified,
+    _TermEnvelope,
     finite_sequence,
 )
 
@@ -94,10 +90,20 @@ class NatSet:
 
 @dataclass(frozen=True)
 class MeasureValue:
-    """A computed set value together with a certified absolute error."""
+    """A computed set value together with a certified absolute error.
+
+    Both must be finite: a value or bound beyond the float range raises
+    NonFiniteResult.
+    """
 
     value: float
     abs_error: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.value) and math.isfinite(self.abs_error)):
+            raise NonFiniteResult(
+                f"result {self.value} with error bound {self.abs_error} is not finite"
+            )
 
 
 @dataclass(frozen=True)
@@ -256,60 +262,6 @@ def jordan_decompose(T: TaylorMeasure) -> JordanPair:
 # ---------------------------------------------------------------------------
 
 
-def _a_space_envelope(weight: float, T: TaylorMeasure):
-    """Envelope for |weight * n! * p(n)| = |weight * a_n * gamma**n|.
-
-    Returns ('fs', K), ('geo', scale, ratio, start),
-    ('factgeo', scale, ratio, start), or ('unverified',).
-    """
-    cert = T.coefficients.certificate
-    g = abs(T.gamma)
-    w = abs(weight)
-    if w == 0.0:
-        return ("fs", -1)
-    if isinstance(cert, FiniteSupport):
-        return ("fs", cert.last)
-    if isinstance(cert, Bounded):
-        return ("geo", w * cert.bound, g, 0)
-    if isinstance(cert, GeometricEnvelope):
-        return ("geo", w * cert.scale, cert.ratio * g, cert.start)
-    if isinstance(cert, FactorialGeometric):
-        return ("factgeo", w * cert.scale, cert.ratio * g, cert.start)
-    return ("unverified",)
-
-
-def _fs_to_geo(weight: float, T: TaylorMeasure, last: int):
-    """Concrete geometric envelope for a finite-support side: enumerate
-    max |weight * n! * p(n)| over the support (certificates carry no
-    magnitudes, the coefficients themselves do)."""
-    peak = 0.0
-    for n in range(last + 1):
-        t = T.term(n)
-        if t == 0.0:
-            continue
-        if n <= kernel._MAX_FLOAT_FACTORIAL:
-            mag = abs(weight * t) * kernel._FACT[n]
-        else:
-            mag = math.exp(math.log(abs(weight * t)) + math.lgamma(n + 1))
-        peak = max(peak, mag)
-    return ("geo", peak, 1.0, 0)
-
-
-def _combine_envelopes(e1, e2) -> kernel.GrowthCertificate:
-    if e1[0] == "unverified" or e2[0] == "unverified":
-        return Unverified()
-    if e1[0] == "fs" and e2[0] == "fs":
-        last = max(e1[1], e2[1])
-        return FiniteSupport(last)
-    kinds = {e1[0], e2[0]}
-    s = e1[1] + e2[1]
-    r = max(e1[2], e2[2])
-    start = max(e1[3], e2[3])
-    if "factgeo" in kinds:
-        return FactorialGeometric(s, r, start)
-    return GeometricEnvelope(s, r, start)
-
-
 def linear_combination(
     alpha: float, T1: TaylorMeasure, beta: float, T2: TaylorMeasure
 ) -> TaylorMeasure:
@@ -334,13 +286,9 @@ def linear_combination(
     else:
         rule = lambda n: alpha * t1(n) + beta * t2(n)
 
-    e1 = _a_space_envelope(alpha, T1)
-    e2 = _a_space_envelope(beta, T2)
-    if e1[0] == "fs" and e2[0] != "fs":
-        e1 = _fs_to_geo(alpha, T1, e1[1])
-    if e2[0] == "fs" and e1[0] != "fs":
-        e2 = _fs_to_geo(beta, T2, e2[1])
-    cert = _combine_envelopes(e1, e2)
+    e1 = _TermEnvelope.of(T1.coefficients.certificate, T1.gamma, T1.term).scaled(alpha)
+    e2 = _TermEnvelope.of(T2.coefficients.certificate, T2.gamma, T2.term).scaled(beta)
+    cert = e1.add(e2).to_certificate(1.0)
     return TaylorMeasure(TermBackedSequence(rule, 1.0, cert), 1.0)
 
 

@@ -14,14 +14,14 @@ Determinism: every draw comes from a counter-based generator keyed by
 (seed, stream) and advanced to a block determined by (role, chunk), where
 the role separates the independent draw purposes (the two indicator samples,
 the two normalizer samples, standalone pmf sampling) and chunks are
-fixed-size.  Results are therefore bit-identical for a given RngSpec no
-matter how many worker threads participate.
+fixed-size.  Results are therefore bit-identical for a given RngSpec.
+The estimators accept a ``threads`` argument for compatibility; it has no
+effect, because the chunks are drawn serially.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,15 +107,11 @@ def _draw_inverse_chunk(cdf, last_positive, rng, role, chunk, count):
 def _sample_inverse(p, rng: RngSpec, L: int, role: int) -> np.ndarray:
     cdf, last_positive = _inverse_table(p)
     out = np.empty(L, dtype=np.int64)
-    done = 0
-    chunk = 0
-    while done < L:
-        take = min(CHUNK, L - done)
-        out[done : done + take] = _draw_inverse_chunk(
+    for chunk, start in enumerate(range(0, L, CHUNK)):
+        take = min(CHUNK, L - start)
+        out[start : start + take] = _draw_inverse_chunk(
             cdf, last_positive, rng, role, chunk, take
         )
-        done += take
-        chunk += 1
     return out
 
 
@@ -179,60 +175,32 @@ def _membership_mask(draws: np.ndarray, B: NatSet) -> np.ndarray:
 
 
 def _indicator_proportion(
-    p, B: NatSet, L: int, rng: RngSpec, role: int, threads: int
+    p, B: NatSet, L: int, rng: RngSpec, role: int
 ) -> tuple[float, float]:
     """Mean of I(draw in B) over L inverse-CDF draws, with variance of mean."""
     cdf, last_positive = _inverse_table(p)
-    spans = []
-    start = 0
-    chunk = 0
-    while start < L:
-        take = min(CHUNK, L - start)
-        spans.append((chunk, take))
-        start += take
-        chunk += 1
-
-    def hits(span):
-        idx, count = span
-        draws = _draw_inverse_chunk(cdf, last_positive, rng, role, idx, count)
-        return int(np.count_nonzero(_membership_mask(draws, B)))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            total = sum(pool.map(hits, spans))
-    else:
-        total = sum(hits(s) for s in spans)
+    total = 0
+    for chunk, start in enumerate(range(0, L, CHUNK)):
+        draws = _draw_inverse_chunk(cdf, last_positive, rng, role, chunk,
+                                    min(CHUNK, L - start))
+        total += int(np.count_nonzero(_membership_mask(draws, B)))
     prop = total / L
     var = prop * (1.0 - prop) / (L - 1)
     return prop, var
 
 
 def _poisson_b_moments(
-    zeta: float, b, L: int, rng: RngSpec, role: int, threads: int
+    zeta: float, b, L: int, rng: RngSpec, role: int
 ) -> tuple[float, float]:
     """Mean and variance-of-mean of b_N over L Poisson(zeta) draws."""
-    spans = []
-    start = 0
-    chunk = 0
-    while start < L:
-        take = min(CHUNK, L - start)
-        spans.append((chunk, take))
-        start += take
-        chunk += 1
-
-    def stats(span):
-        idx, count = span
-        draws = generator(rng, role, idx).poisson(zeta, count)
+    sums, squares = [], []
+    for chunk, start in enumerate(range(0, L, CHUNK)):
+        draws = generator(rng, role, chunk).poisson(zeta, min(CHUNK, L - start))
         vals = _b_values(b, draws)
-        return float(vals.sum()), float(np.square(vals).sum())
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(stats, spans))
-    else:
-        parts = [stats(s) for s in spans]
-    s1 = math.fsum(p[0] for p in parts)
-    s2 = math.fsum(p[1] for p in parts)
+        sums.append(float(vals.sum()))
+        squares.append(float(np.square(vals).sum()))
+    s1 = math.fsum(sums)
+    s2 = math.fsum(squares)
     mean = s1 / L
     sample_var = max(s2 - L * mean * mean, 0.0) / (L - 1)
     return mean, sample_var / L
@@ -245,15 +213,13 @@ def estimate_normalizer_poisson(
 
     point = (e**zeta / L) * sum b_{n_i} with n_i iid Poisson(zeta); the
     stderr is the sample standard deviation of the scaled summands over
-    sqrt(L).
+    sqrt(L). ``threads`` is accepted for compatibility and has no effect.
     """
     if L < 2:
         raise ValueError("L must be at least 2")
     if zeta <= 0.0:
         raise ValueError("zeta must be positive for the Poisson estimator")
-    mean, var_mean = _poisson_b_moments(
-        zeta, b, L, rng, _ROLE_NORMALIZER_POS, threads
-    )
+    mean, var_mean = _poisson_b_moments(zeta, b, L, rng, _ROLE_NORMALIZER_POS)
     scale = math.exp(zeta)
     return McEstimate(
         point=scale * mean,
@@ -282,21 +248,18 @@ def estimate_measure(
     side's draws from its own substream.  Masses are the exact-within-eps
     normalizers unless estimate_normalizers is set, in which case they are
     Poisson-sampled as well and their uncertainty enters the stderr through
-    the product-variance formula.
+    the product-variance formula. ``threads`` is accepted for compatibility
+    and has no effect.
     """
     if L1 < 2 or L2 < 2:
         raise ValueError("L1 and L2 must be at least 2")
     p1 = PowerSeriesPmf(zeta1, b1, eps)
     p2 = PowerSeriesPmf(zeta2, b2, eps)
-    prop1, pv1 = _indicator_proportion(p1, B, L1, rng, _ROLE_INDICATOR_POS, threads)
-    prop2, pv2 = _indicator_proportion(p2, B, L2, rng, _ROLE_INDICATOR_NEG, threads)
+    prop1, pv1 = _indicator_proportion(p1, B, L1, rng, _ROLE_INDICATOR_POS)
+    prop2, pv2 = _indicator_proportion(p2, B, L2, rng, _ROLE_INDICATOR_NEG)
     if estimate_normalizers:
-        m1, mv1 = _poisson_b_moments(
-            zeta1, p1.b, L1, rng, _ROLE_NORMALIZER_POS, threads
-        )
-        m2, mv2 = _poisson_b_moments(
-            zeta2, p2.b, L2, rng, _ROLE_NORMALIZER_NEG, threads
-        )
+        m1, mv1 = _poisson_b_moments(zeta1, p1.b, L1, rng, _ROLE_NORMALIZER_POS)
+        m2, mv2 = _poisson_b_moments(zeta2, p2.b, L2, rng, _ROLE_NORMALIZER_NEG)
         mass1, mass_var1 = math.exp(zeta1) * m1, math.exp(2.0 * zeta1) * mv1
         mass2, mass_var2 = math.exp(zeta2) * m2, math.exp(2.0 * zeta2) * mv2
     else:

@@ -35,16 +35,14 @@ from .errors import (
 from .kernel import (
     _NeumaierSum,
     _ULP,
-    Bounded,
     CoefficientSequence,
     ConstantTail,
-    FactorialGeometric,
     FiniteSupport,
-    GeometricEnvelope,
     GeometricTail,
     TermBackedSequence,
     Unverified,
     ZeroTail,
+    _TermEnvelope,
     plan_truncation,
     sum_terms_detailed,
     term_value,
@@ -384,26 +382,16 @@ def _measure_from_prob_sequence(p: CoefficientSequence, gamma: float) -> TaylorM
     total = math.fsum(prefix) + s * r ** L / (1.0 - r)
     if abs(total - 1.0) > 1e-12:
         raise InvalidPmf(f"probabilities sum to {total}, not 1")
-    cert = FactorialGeometric(s, r / gamma, start=L) if s > 0.0 else FiniteSupport(L - 1)
-    seq = TermBackedSequence(lambda n, q=p: q.a(n), gamma, cert)
+    env = _TermEnvelope(k=0, scale=s, ratio=r, start=L) if s > 0.0 else _TermEnvelope(last=L - 1)
+    seq = TermBackedSequence(lambda n, q=p: q.a(n), gamma, env.to_certificate(gamma))
     return TaylorMeasure(seq, gamma)
 
 
 def _measure_from_power_series(p: PowerSeriesPmf, gamma: float) -> TaylorMeasure:
+    # the pmf is the density's terms over the smallest certified normalizer
     norm_lo = p.normalizer.value - p.normalizer.abs_error
-    scale = 1.0 / norm_lo
-    bc = p.b.certificate
-    if p.zeta == 0.0 or isinstance(bc, FiniteSupport):
-        cert = FiniteSupport(0 if p.zeta == 0.0 else bc.last)
-    elif isinstance(bc, Bounded):
-        cert = GeometricEnvelope(bc.bound * scale, p.zeta / gamma)
-    elif isinstance(bc, GeometricEnvelope):
-        cert = GeometricEnvelope(bc.scale * scale, bc.ratio * p.zeta / gamma, bc.start)
-    elif isinstance(bc, FactorialGeometric):
-        cert = FactorialGeometric(bc.scale * scale, bc.ratio * p.zeta / gamma, bc.start)
-    else:
-        raise DivergenceUnknown("pmf density carries no growth certificate")
-    seq = TermBackedSequence(lambda n, q=p: q.pmf(n), gamma, cert)
+    env = _TermEnvelope.of(p.b.certificate, p.zeta).scaled(1.0 / norm_lo)
+    seq = TermBackedSequence(lambda n, q=p: q.pmf(n), gamma, env.to_certificate(gamma))
     return TaylorMeasure(seq, gamma)
 
 

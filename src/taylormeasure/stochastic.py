@@ -24,17 +24,14 @@ from .errors import DivergenceUnknown, UnsupportedSpec
 from .kernel import (
     Bounded,
     CoefficientSequence,
-    FactorialGeometric,
     FiniteSupport,
-    GeometricEnvelope,
     TermBackedSequence,
     TruncationPlan,
-    Unverified,
-    _FACT,
-    _MAX_FLOAT_FACTORIAL,
+    _TermEnvelope,
     constant_sequence,
     plan_truncation,
     rule_sequence,
+    term_value,
 )
 from .measure import NatSet, TaylorMeasure, evaluate
 from .montecarlo import CHUNK, ROLE_BROWNIAN, ROLE_STM, ROLE_WALK, RngSpec, generator
@@ -321,61 +318,24 @@ class SamplePath:
 # weights and evaluation windows
 
 
-def _inv_factorial(n: int) -> float:
-    if n <= _MAX_FLOAT_FACTORIAL:
-        return 1.0 / _FACT[n]
-    return math.exp(-math.lgamma(n + 1))
-
-
-def _weight(gamma: float, n: int) -> float:
-    """gamma^n / n! with the 0^0 = 1 convention."""
-    if n == 0:
-        return 1.0
-    if gamma == 0.0:
-        return 0.0
-    if n <= _MAX_FLOAT_FACTORIAL:
-        power = gamma ** n
-        if math.isfinite(power):
-            return power / _FACT[n]
-    sign = -1.0 if (gamma < 0.0 and n % 2 == 1) else 1.0
-    return sign * math.exp(n * math.log(abs(gamma)) - math.lgamma(n + 1))
-
-
-def _scale_certificate(cert, factor: float):
-    if isinstance(cert, (FiniteSupport, Unverified)):
-        return cert
-    if isinstance(cert, Bounded):
-        return Bounded(cert.bound * factor)
-    if isinstance(cert, GeometricEnvelope):
-        return GeometricEnvelope(cert.scale * factor, cert.ratio, cert.start)
-    if isinstance(cert, FactorialGeometric):
-        return FactorialGeometric(cert.scale * factor, cert.ratio, cert.start)
-    return Unverified()
+# gamma**n / n! (0**0 = 1) is the term of the all-ones sequence at gamma
+_ONES = constant_sequence(1.0)
 
 
 def _squared_over_factorial(seq: CoefficientSequence) -> CoefficientSequence:
     """Sequence n -> a_n^2 / n! with a certificate carried along.
 
     Evaluating it as a measure at gamma^2 yields sum a_n^2 gamma^(2n)/(n!)^2,
-    the variance series of independently perturbed coefficients.
+    the variance series of independently perturbed coefficients. Its terms
+    at gamma = 1 are the squares of seq's, so its certificate is the
+    square of seq's envelope there.
     """
-    cert = seq.certificate
-    if isinstance(cert, FiniteSupport):
-        new_cert = cert
-    elif isinstance(cert, Bounded):
-        new_cert = Bounded(cert.bound ** 2)
-    elif isinstance(cert, GeometricEnvelope):
-        new_cert = GeometricEnvelope(cert.scale ** 2, cert.ratio ** 2, cert.start)
-    elif isinstance(cert, FactorialGeometric):
-        new_cert = FactorialGeometric(cert.scale ** 2, cert.ratio ** 2, cert.start)
-    else:
-        new_cert = Unverified()
 
     def rule(n: int) -> float:
         a = seq.a(n)
-        return a * a * _inv_factorial(n)
+        return a * a * term_value(_ONES, 1.0, n)
 
-    return rule_sequence(rule, new_cert)
+    return rule_sequence(rule, _TermEnvelope.of(seq.certificate, 1.0).square().to_certificate(1.0))
 
 
 def gaussian_truncation_plan(spec: StmSpec, eps: float = 1e-12) -> TruncationPlan:
@@ -395,9 +355,8 @@ def gaussian_truncation_plan(spec: StmSpec, eps: float = 1e-12) -> TruncationPla
     if isinstance(spec, (GaussianIndep, IndicatorGamma)):
         gamma = spec.gamma if isinstance(spec, GaussianIndep) else 1.0
         mean_plan = plan_truncation(spec.mu.certificate, gamma, eps / 2.0)
-        noise_plan = plan_truncation(
-            _scale_certificate(spec.sigma.certificate, 6.0), gamma, eps / 2.0
-        )
+        noise_cert = _TermEnvelope.of(spec.sigma.certificate, 1.0).scaled(6.0).to_certificate(1.0)
+        noise_plan = plan_truncation(noise_cert, gamma, eps / 2.0)
         return TruncationPlan(
             max(mean_plan.last_index, noise_plan.last_index),
             mean_plan.tail_bound + noise_plan.tail_bound,
@@ -446,7 +405,7 @@ def _chunk_spans(R: int):
 def _gaussian_batch(spec, B, truncation, rng, R):
     idx = _gaussian_window(spec, B, truncation)
     gamma = 1.0 if isinstance(spec, IndicatorGamma) else spec.gamma
-    w = np.array([_weight(gamma, int(n)) for n in idx])
+    w = np.array([term_value(_ONES, gamma, int(n)) for n in idx])
     if isinstance(spec, GaussianIID):
         mu = np.full(idx.shape, spec.mu_a)
         sigma = np.full(idx.shape, spec.sigma_a)

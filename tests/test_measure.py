@@ -7,14 +7,19 @@ from taylormeasure import (
     Bounded,
     DivergenceUnknown,
     FiniteSupport,
+    MeasureValue,
     NatSet,
+    NonFiniteResult,
     TaylorMeasure,
+    TaylorMeasureError,
     Unverified,
     constant_sequence,
+    distance,
     evaluate,
     finite_sequence,
     jordan_decompose,
     linear_combination,
+    norm,
     rule_sequence,
     taylor_derivative,
     total_variation,
@@ -211,3 +216,32 @@ class TestBoundedGamma:
         T = TaylorMeasure(constant_sequence(1.0), 9.0)
         mv = evaluate(T, NatSet.all(), eps=1e-9)
         assert mv.value == pytest.approx(math.exp(9.0), rel=1e-12)
+
+
+class TestNonFiniteResult:
+    """A result beyond the float range is refused, not returned as nan."""
+
+    def test_evaluate_beyond_float_range(self):
+        # e**720 overflows
+        T = TaylorMeasure(constant_sequence(1.0), 720.0)
+        with pytest.raises(NonFiniteResult):
+            evaluate(T, NatSet.all(), 1e300)
+
+    def test_norm_beyond_float_range(self):
+        # rho(exp@50, exp@50) = e**2500
+        T = TaylorMeasure(constant_sequence(1.0), 50.0)
+        with pytest.raises(NonFiniteResult):
+            norm(T, NatSet.all())
+
+    def test_distance_beyond_float_range(self):
+        T1 = TaylorMeasure(constant_sequence(1.0), 2.0)
+        T2 = TaylorMeasure(constant_sequence(1.0), 50.0)
+        with pytest.raises(NonFiniteResult):
+            distance(T1, T2, NatSet.all(), 1e-12)
+
+    def test_is_a_package_error(self):
+        assert issubclass(NonFiniteResult, TaylorMeasureError)
+        with pytest.raises(NonFiniteResult):
+            MeasureValue(math.inf, 0.0)
+        with pytest.raises(NonFiniteResult):
+            MeasureValue(1.0, math.nan)
