@@ -32,7 +32,9 @@ from .kernel import (
     _FACT,
     _MAX_FLOAT_FACTORIAL,
     _TermEnvelope,
+    _ULP,
     _term_and_err,
+    _term_bias,
     _term_from_coefficient,
     constant_sequence,
     finite_sequence,
@@ -90,15 +92,31 @@ def _d_envelope(rep: AnalyticRep) -> _TermEnvelope:
     return _TermEnvelope.of(seq.certificate, 1.0, partial(_d_value, seq))
 
 
-def _memo_d(seq: SequenceLike) -> Callable[[int], float]:
+def _memo(f: Callable[[int], float]) -> Callable[[int], float]:
     cache: dict[int, float] = {}
 
-    def d(n: int) -> float:
+    def memo(n: int) -> float:
         if n not in cache:
-            cache[n] = _d_value(seq, n)
+            cache[n] = f(n)
         return cache[n]
 
-    return d
+    return memo
+
+
+def _memo_d(seq: SequenceLike) -> Callable[[int], float]:
+    return _memo(partial(_d_value, seq))
+
+
+def _d_error(seq: SequenceLike) -> Callable[[int], float] | None:
+    """The term errors of d_n (TermBackedSequence.term_error at gamma = 1),
+    memoised, or None when the terms carry none."""
+    if isinstance(seq, TermBackedSequence) and seq.term_error is not None:
+        return _memo(partial(_term_bias, seq, 1.0))
+    return None
+
+
+def _no_error(n: int) -> float:
+    return 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +236,8 @@ def _require_inside(rep: AnalyticRep, x: float) -> float:
 def eval_rep(rep: AnalyticRep, x: float, eps: float = 1e-12) -> MeasureValue:
     """f(x) as the total measure mass at gamma = x - center, within eps.
 
-    x = center returns a_0 exactly with zero reported error.
+    x = center returns a_0 with zero reported error, or with a_0's term
+    error when the coefficients carry one (a recentred representation).
     """
     return _eval_points(rep, (x,), eps)[0]
 
@@ -243,13 +262,14 @@ def _eval_points(rep: AnalyticRep, xs: Sequence[float], eps: float) -> list[Meas
         _require_certificate(seq, "evaluation")
         points.append((gamma, plan_truncation(seq.certificate, gamma, eps)))
     presented = seq.presentation_gamma if isinstance(seq, TermBackedSequence) else None
+    bias = _d_error(seq)
     last = max((plan.last_index for gamma, plan in points
                 if plan is not None and gamma != presented), default=-1)
     a = [seq.a(n) for n in range(last + 1)]
     out = []
     for gamma, plan in points:
         if plan is None:
-            out.append(MeasureValue(_d_value(seq, 0), 0.0))
+            out.append(MeasureValue(_d_value(seq, 0), 0.0 if bias is None else bias(0)))
             continue
         indices = range(plan.last_index + 1)
         if gamma == presented:
@@ -257,6 +277,8 @@ def _eval_points(rep: AnalyticRep, xs: Sequence[float], eps: float) -> list[Meas
         else:
             terms = map(partial(_term_from_coefficient, seq), a, repeat(gamma), indices)
         value, err = _sum_selected(terms, _identity)
+        if bias is not None and gamma != presented:
+            err += math.fsum(_term_bias(seq, gamma, n) for n in indices)
         out.append(MeasureValue(value, err + plan.tail_bound))
     return out
 
@@ -272,11 +294,36 @@ def _finite_d_list(rep: AnalyticRep) -> list[float]:
     return [_d_value(rep.coefficients, n) for n in range(last + 1)]
 
 
-def _rep_from_d_list(center: float, d: list[float], radius: float) -> AnalyticRep:
-    while d and d[-1] == 0.0:
+def _finite_e_list(rep: AnalyticRep) -> list[float] | None:
+    """The term errors of _finite_d_list(rep), or None when there are none."""
+    e = _d_error(rep.coefficients)
+    if e is None:
+        return None
+    return [e(n) for n in range(rep.coefficients.certificate.last + 1)]
+
+
+def _convolve(x: Sequence[float], y: Sequence[float]) -> list[float]:
+    out = [0.0] * max(len(x) + len(y) - 1, 0)
+    for i, u in enumerate(x):
+        for j, v in enumerate(y):
+            out[i + j] += u * v
+    return out
+
+
+def _rep_from_d_list(
+    center: float, d: list[float], radius: float, errors: list[float] | None = None
+) -> AnalyticRep:
+    """The finite representation with d_n = d[n], whose terms carry the
+    term errors ``errors`` when given."""
+    while d and d[-1] == 0.0 and not (errors and errors[len(d) - 1]):
         d.pop()
     table = {n: d[n] for n in range(len(d))}
-    seq = TermBackedSequence(lambda n: table.get(n, 0.0), 1.0, FiniteSupport(len(d) - 1))
+    term_error = None
+    if errors is not None:
+        e_table = {n: errors[n] for n in range(len(d))}
+        term_error = lambda n: e_table.get(n, 0.0)
+    seq = TermBackedSequence(lambda n: table.get(n, 0.0), 1.0, FiniteSupport(len(d) - 1),
+                             term_error)
     return AnalyticRep(center, seq, radius)
 
 
@@ -286,7 +333,11 @@ def _rep_from_d_list(center: float, d: list[float], radius: float) -> AnalyticRe
 
 def multiply(r1: AnalyticRep, r2: AnalyticRep) -> AnalyticRep:
     """Pointwise product: the binomial convolution of the derivative
-    sequences, computed as a plain convolution of the d_n = a_n/n!."""
+    sequences, computed as a plain convolution of the d_n = a_n/n!.
+
+    Operand term errors e carry over as |d1| * e2 + e1 * (|d2| + e2),
+    convolved the same way.
+    """
     if r1.center != r2.center:
         raise CenterMismatch(
             f"centers differ: {r1.center} vs {r2.center}; recenter first"
@@ -294,22 +345,27 @@ def multiply(r1: AnalyticRep, r2: AnalyticRep) -> AnalyticRep:
     radius = min(r1.radius_hint, r2.radius_hint)
     if _both_finite(r1, r2):
         d1, d2 = _finite_d_list(r1), _finite_d_list(r2)
-        out = [0.0] * max(len(d1) + len(d2) - 1, 0)
-        for i, u in enumerate(d1):
-            for j, v in enumerate(d2):
-                out[i + j] += u * v
-        return _rep_from_d_list(r1.center, out, radius)
+        e1, e2 = _finite_e_list(r1), _finite_e_list(r2)
+        errors = None
+        if e1 is not None or e2 is not None:
+            e1, e2 = e1 or [0.0] * len(d1), e2 or [0.0] * len(d2)
+            errors = [u + v for u, v in zip(
+                _convolve([abs(u) for u in d1], e2),
+                _convolve(e1, [abs(v) + e for v, e in zip(d2, e2)]))]
+        return _rep_from_d_list(r1.center, _convolve(d1, d2), radius, errors)
 
     da, db = _memo_d(r1.coefficients), _memo_d(r2.coefficients)
-    cache: dict[int, float] = {}
-
-    def d_rule(l: int) -> float:
-        if l not in cache:
-            cache[l] = math.fsum(da(n) * db(l - n) for n in range(l + 1))
-        return cache[l]
+    d_rule = _memo(lambda l: math.fsum(da(n) * db(l - n) for n in range(l + 1)))
+    ea, eb = _d_error(r1.coefficients), _d_error(r2.coefficients)
+    term_error = None
+    if ea is not None or eb is not None:
+        ea, eb = ea or _no_error, eb or _no_error
+        term_error = _memo(lambda l: math.fsum(
+            abs(da(n)) * eb(l - n) + ea(n) * (abs(db(l - n)) + eb(l - n))
+            for n in range(l + 1)))
 
     cert = _d_envelope(r1).cauchy(_d_envelope(r2)).to_certificate(1.0)
-    return AnalyticRep(r1.center, TermBackedSequence(d_rule, 1.0, cert), radius)
+    return AnalyticRep(r1.center, TermBackedSequence(d_rule, 1.0, cert, term_error), radius)
 
 
 def _constant_rep(value: float, center: float) -> AnalyticRep:
@@ -333,7 +389,8 @@ def power(rep: AnalyticRep, n: int) -> AnalyticRep:
 
 
 def linear_combine(alpha: float, r1: AnalyticRep, beta: float, r2: AnalyticRep) -> AnalyticRep:
-    """alpha*f + beta*g at a common center."""
+    """alpha*f + beta*g at a common center; operand term errors carry
+    over as |alpha| * e1 + |beta| * e2."""
     if r1.center != r2.center:
         raise CenterMismatch(
             f"centers differ: {r1.center} vs {r2.center}; recenter first"
@@ -346,17 +403,32 @@ def linear_combine(alpha: float, r1: AnalyticRep, beta: float, r2: AnalyticRep) 
             out[i] += alpha * u
         for i, v in enumerate(d2):
             out[i] += beta * v
-        return _rep_from_d_list(r1.center, out, radius)
+        e1, e2 = _finite_e_list(r1), _finite_e_list(r2)
+        errors = None
+        if e1 is not None or e2 is not None:
+            errors = [0.0] * len(out)
+            for w, e in ((alpha, e1 or ()), (beta, e2 or ())):
+                for i, v in enumerate(e):
+                    errors[i] += abs(w) * v
+        return _rep_from_d_list(r1.center, out, radius, errors)
 
     da, db = _memo_d(r1.coefficients), _memo_d(r2.coefficients)
 
     def d_rule(n: int) -> float:
         return alpha * da(n) + beta * db(n)
 
+    ea, eb = _d_error(r1.coefficients), _d_error(r2.coefficients)
+    term_error = None
+    if ea is not None or eb is not None:
+        ea, eb = ea or _no_error, eb or _no_error
+
+        def term_error(n: int) -> float:
+            return abs(alpha) * ea(n) + abs(beta) * eb(n)
+
     e1 = _d_envelope(r1).widened().scaled(alpha)
     e2 = _d_envelope(r2).widened().scaled(beta)
     cert = e1.add(e2).to_certificate(1.0)
-    return AnalyticRep(r1.center, TermBackedSequence(d_rule, 1.0, cert), radius)
+    return AnalyticRep(r1.center, TermBackedSequence(d_rule, 1.0, cert, term_error), radius)
 
 
 def truncate_rep(rep: AnalyticRep, N: int) -> AnalyticRep:
@@ -365,7 +437,9 @@ def truncate_rep(rep: AnalyticRep, N: int) -> AnalyticRep:
     if N < 0:
         raise ValueError("truncation degree must be >= 0")
     d = [_d_value(rep.coefficients, n) for n in range(N + 1)]
-    return _rep_from_d_list(rep.center, d, math.inf)
+    e = _d_error(rep.coefficients)
+    errors = None if e is None else [e(n) for n in range(N + 1)]
+    return _rep_from_d_list(rep.center, d, math.inf, errors)
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +453,10 @@ def recenter(rep: AnalyticRep, new_center: float, eps: float = 1e-12) -> Analyti
     Finite-support representations shift exactly. Otherwise each new
     coefficient is a truncated series that sums every coefficient below
     the certificate's start and whose certified tail stays below eps
-    times the new certificate's envelope at that index; that small bias
-    is not folded into later abs_error fields.
+    times the new certificate's envelope at that index. Each coefficient
+    carries, as its term error, that tail bound, the term errors of the
+    coefficients it sums and the rounding of the sum, so evaluations of
+    the result report them in abs_error.
     """
     delta = new_center - rep.center
     if delta == 0.0:
@@ -391,49 +467,53 @@ def recenter(rep: AnalyticRep, new_center: float, eps: float = 1e-12) -> Analyti
             f"new center {new_center} outside |x - {rep.center}| < {rep.radius_hint}"
         )
     d = _memo_d(rep.coefficients)
+    d_err = _d_error(rep.coefficients) or _no_error
     cert = rep.coefficients.certificate
+
+    def shift_sum(k: int, M: int) -> tuple[float, float, float]:
+        """sum_{m <= M} d_{k+m} binom(k+m, m) delta**m, the term errors it
+        carries, and the sum of the magnitudes of its products."""
+        terms, carried = [], []
+        coef = 1.0
+        for m in range(M + 1):
+            terms.append(d(k + m) * coef)
+            carried.append(d_err(k + m) * abs(coef))
+            coef *= delta * (k + m + 1) / (m + 1)
+        return math.fsum(terms), math.fsum(carried), math.fsum(map(abs, terms))
 
     if isinstance(cert, FiniteSupport):
         last = cert.last
-        out = []
-        for k in range(last + 1):
-            terms = []
-            coef = 1.0
-            for m in range(last - k + 1):
-                terms.append(d(k + m) * coef)
-                coef *= delta * (k + m + 1) / (m + 1)
-            out.append(math.fsum(terms))
-        return _rep_from_d_list(new_center, out, rep.radius_hint)
+        out = [shift_sum(k, last - k) for k in range(last + 1)]
+        errors = None if d_err is _no_error else [e for _, e, _ in out]
+        return _rep_from_d_list(new_center, [v for v, _, _ in out], rep.radius_hint, errors)
 
     _require_certificate(rep.coefficients, "recentering")
     env = _d_envelope(rep)
     new_env = env.widened().shifted(dist)
     new_radius = rep.radius_hint if math.isinf(rep.radius_hint) else rep.radius_hint - dist
-    cache: dict[int, float] = {}
+    cache: dict[int, tuple[float, float]] = {}
 
-    def d_rule(k: int) -> float:
+    def shifted(k: int) -> tuple[float, float]:
         if k in cache:
             return cache[k]
         budget = max(eps * new_env.at(k), 5e-324)
         M = 4
-        while env.shift_tail(k, dist, M) > budget:
+        while (tail := env.shift_tail(k, dist, M)) > budget:
             M *= 2
             if M > _SHIFT_CAP:
                 raise DivergenceUnknown(
                     f"shift series for coefficient {k} does not settle below "
                     f"its budget within {_SHIFT_CAP} terms"
                 )
-        terms = []
-        coef = 1.0
-        for m in range(M + 1):
-            terms.append(d(k + m) * coef)
-            coef *= delta * (k + m + 1) / (m + 1)
-        cache[k] = math.fsum(terms)
+        value, carried, magnitude = shift_sum(k, M)
+        # each product rounds at most 3m + 1 times: 3 per step of coef, 1 more
+        rounding = (3 * M + 4) * _ULP * magnitude
+        cache[k] = value, tail + carried + rounding
         return cache[k]
 
-    return AnalyticRep(
-        new_center, TermBackedSequence(d_rule, 1.0, new_env.to_certificate(1.0)), new_radius
-    )
+    seq = TermBackedSequence(lambda k: shifted(k)[0], 1.0, new_env.to_certificate(1.0),
+                             lambda k: shifted(k)[1])
+    return AnalyticRep(new_center, seq, new_radius)
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,10 @@ def _rho_sum(T1, T2, indices) -> tuple[float, float]:
     err = _NeumaierSum()
     for n in indices:
         v, e = _rho_summand(T1, T2, n)
+        if not (math.isfinite(v) and math.isfinite(e)):
+            # no later summand makes the sum or its bound finite again, and
+            # MeasureValue refuses the pair: stop before summing the rest
+            return v, e
         acc.add(v)
         err.add(e + _ULP * abs(v))
     return acc.value, err.value

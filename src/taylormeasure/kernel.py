@@ -276,11 +276,17 @@ class TermBackedSequence:
     evaluation at the presentation value short-circuits to q itself, so
     algebraic combinations keep their term functions bit-exact instead of
     round-tripping through n!.
+
+    ``term_error``, when given, bounds |q(n) - p(n)|, how far each stored
+    term may sit from the exact term p(n) of the function it stands for
+    (say, a truncated Taylor shift). Term errors (_term_and_err) include
+    it, so every sum over these terms reports it in its abs_error.
     """
 
     term_rule: Callable[[int], float]
     presentation_gamma: float
     certificate: GrowthCertificate
+    term_error: Callable[[int], float] | None = None
 
     def a(self, n: int) -> float:
         if n < 0:
@@ -375,13 +381,32 @@ def term_value(seq: SequenceLike, gamma: float, n: int) -> float:
 
 
 def _term_and_err(seq: SequenceLike, gamma: float, n: int) -> tuple[float, float]:
-    """Term value plus an absolute roundoff estimate for that value."""
+    """Term value plus an absolute error bound for that value: its
+    roundoff and, for a term-backed sequence, its term_error."""
     if n < 0:
         raise ValueError("index must be a natural number")
-    if isinstance(seq, TermBackedSequence) and gamma == seq.presentation_gamma:
-        q = seq.term_rule(n)
-        return q, abs(q) * 2.0 * _ULP
+    if isinstance(seq, TermBackedSequence):
+        if gamma == seq.presentation_gamma:
+            q = seq.term_rule(n)
+            v, e = q, abs(q) * 2.0 * _ULP
+        else:
+            v, e = _term_from_coefficient(seq, seq.a(n), gamma, n)
+        if seq.term_error is None:
+            return v, e
+        return v, e + _term_bias(seq, gamma, n)
     return _term_from_coefficient(seq, seq.a(n), gamma, n)
+
+
+def _term_bias(seq: TermBackedSequence, gamma: float, n: int) -> float:
+    """seq.term_error(n) carried to the term at gamma: the stored term is
+    scaled by (gamma / presentation_gamma)**n, and so is its error."""
+    b = seq.term_error(n)
+    r = abs(gamma / seq.presentation_gamma)
+    if b == 0.0 or n == 0 or r == 1.0:
+        return b
+    if r == 0.0:
+        return 0.0
+    return _exp_signed(1, math.log(b) + n * math.log(r))
 
 
 def _term_from_coefficient(seq: SequenceLike, a: float, gamma: float, n: int) -> tuple[float, float]:
@@ -809,7 +834,7 @@ class _TermEnvelope:
                 return 0.0
             log_t = math.log(t) + k * math.log(r) - math.lgamma(k + 1)
             return math.exp(min(log_t, 700.0))
-        # k! times the first tail term S r^k binom(k+M+1, M+1) q^(M+1), over
+        # the first tail term S r^k binom(k+M+1, M+1) q^(M+1), over
         # 1 - q rho: q rho bounds the ratio of successive terms
         q = r * dist
         rho = (k + M + 2) / (M + 2)
@@ -817,7 +842,8 @@ class _TermEnvelope:
             return 0.0
         if q * rho >= 1.0:
             return math.inf
-        log_t = (math.log(s) + k * math.log(r) + math.lgamma(k + M + 2) - math.lgamma(M + 2)
+        log_t = (math.log(s) + k * math.log(r)
+                 + math.lgamma(k + M + 2) - math.lgamma(M + 2) - math.lgamma(k + 1)
                  + (M + 1) * math.log(q) - math.log1p(-q * rho))
         return math.exp(min(log_t, 700.0))
 

@@ -271,7 +271,8 @@ def linear_combination(
     The result's term function is exactly the pointwise combination of
     the operands' term functions; no presentation merging is attempted
     (coefficient sequences with different gamma cannot be merged at the
-    coefficient level in general).
+    coefficient level in general). Operand term errors carry over as
+    |alpha| * e1 + |beta| * e2.
     """
     alpha = float(alpha)
     beta = float(beta)
@@ -286,10 +287,26 @@ def linear_combination(
     else:
         rule = lambda n: alpha * t1(n) + beta * t2(n)
 
+    term_error = None
+    b1, b2 = _term_errors(T1), _term_errors(T2)
+    if b1 is not None or b2 is not None:
+        weighted = [(abs(w), b) for w, b in ((alpha, b1), (beta, b2)) if b is not None]
+
+        def term_error(n: int) -> float:
+            return sum(w * b(n) for w, b in weighted)
+
     e1 = _TermEnvelope.of(T1.coefficients.certificate, T1.gamma, T1.term).scaled(alpha)
     e2 = _TermEnvelope.of(T2.coefficients.certificate, T2.gamma, T2.term).scaled(beta)
     cert = e1.add(e2).to_certificate(1.0)
-    return TaylorMeasure(TermBackedSequence(rule, 1.0, cert), 1.0)
+    return TaylorMeasure(TermBackedSequence(rule, 1.0, cert, term_error), 1.0)
+
+
+def _term_errors(T: TaylorMeasure) -> Callable[[int], float] | None:
+    """The term errors of T's terms, or None when they carry none."""
+    seq = T.coefficients
+    if isinstance(seq, TermBackedSequence) and seq.term_error is not None:
+        return partial(kernel._term_bias, seq, T.gamma)
+    return None
 
 
 def from_term_function(

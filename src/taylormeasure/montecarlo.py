@@ -5,10 +5,15 @@ A signed measure built from two power-series densities can be written
     T(B) = c1 * P1(B) - c2 * P2(B),
 
 where the c are reciprocal normalizers and the P are power-series pmfs, so
-T(B) is estimated by sampling each pmf and averaging set indicators.  The
-normalizers are computed exactly-within-eps by default; they can instead be
-estimated from Poisson draws (point = (e**zeta / L) * sum b_{n_i}), which is
-the fully stochastic variant for families whose constants are unknown.
+T(B) is estimated by sampling each pmf and averaging set indicators.  An
+inverse-CDF draw lands in B exactly when its uniform lies between the cdf
+values at the edges of B's runs, so the indicators are counted from the
+uniforms against those cut points and no draw is materialised; a set that
+fixes the count (everything, or a set that holds or misses the whole cdf
+table) draws nothing.  The normalizers are computed exactly-within-eps by
+default; they can instead be estimated from Poisson draws
+(point = (e**zeta / L) * sum b_{n_i}), which is the fully stochastic
+variant for families whose constants are unknown.
 
 Determinism: every draw comes from a counter-based generator keyed by
 (seed, stream) and advanced to a block determined by (role, chunk), where
@@ -84,10 +89,20 @@ class McEstimate:
 
 
 def _b_values(b, draws: np.ndarray) -> np.ndarray:
-    """Evaluate the coefficient rule over integer draws, batched by value."""
-    uniques, inverse = np.unique(draws, return_inverse=True)
-    vals = np.array([b.a(int(n)) for n in uniques])
-    return vals[inverse]
+    """Evaluate the coefficient rule over integer draws, batched by value.
+
+    The distinct draws, in increasing order, come from a presence mask over
+    [min, max], which is short for Poisson counts.
+    """
+    lo = int(draws.min())
+    offsets = draws - lo
+    present = np.zeros(int(offsets.max()) + 1, dtype=bool)
+    present[offsets] = True
+    distinct = np.flatnonzero(present)
+    vals = np.array([b.a(int(n) + lo) for n in distinct])
+    table = np.empty(present.size, dtype=vals.dtype)
+    table[distinct] = vals
+    return table[offsets]
 
 
 def _inverse_table(p) -> tuple[np.ndarray, int]:
@@ -98,20 +113,14 @@ def _inverse_table(p) -> tuple[np.ndarray, int]:
     return cdf, last_positive
 
 
-def _draw_inverse_chunk(cdf, last_positive, rng, role, chunk, count):
-    u = generator(rng, role, chunk).random(count)
-    idx = np.searchsorted(cdf, u, side="left")
-    return np.minimum(idx, last_positive)
-
-
 def _sample_inverse(p, rng: RngSpec, L: int, role: int) -> np.ndarray:
     cdf, last_positive = _inverse_table(p)
     out = np.empty(L, dtype=np.int64)
     for chunk, start in enumerate(range(0, L, CHUNK)):
         take = min(CHUNK, L - start)
-        out[start : start + take] = _draw_inverse_chunk(
-            cdf, last_positive, rng, role, chunk, take
-        )
+        u = generator(rng, role, chunk).random(take)
+        idx = np.searchsorted(cdf, u, side="left")
+        out[start : start + take] = np.minimum(idx, last_positive)
     return out
 
 
@@ -166,24 +175,56 @@ def sample_pmf(p, rng: RngSpec, L: int, method: str = "auto") -> list[int]:
     raise ValueError(f"unknown sampling method: {method}")
 
 
-def _membership_mask(draws: np.ndarray, B: NatSet) -> np.ndarray:
+def _membership_cuts(B: NatSet, last_positive: int) -> tuple[int, list[tuple[int, int]]]:
+    """Reduce counting inverse-CDF draws in B to counting uniforms.
+
+    A clamped draw is at most k exactly when u <= cdf[k], for
+    k < last_positive, and always for k >= last_positive. Splitting
+    B & [0, last_positive] into maximal runs [a, b], the number of draws
+    in B is therefore ``base * n + sum(sign * #{u <= cdf[k]})`` over the
+    returned (k, sign) cut points, for a chunk of n uniforms.
+    """
     if B.kind == "all":
-        return np.ones(draws.shape, dtype=bool)
-    listed = np.asarray(B.elements, dtype=np.int64)
-    inside = np.isin(draws, listed)
-    return inside if B.kind == "finite" else ~inside
+        return 1, []
+    runs: list[list[int]] = []
+    for m in B.elements:
+        if m > last_positive:
+            break
+        if runs and runs[-1][1] == m - 1:
+            runs[-1][1] = m
+        else:
+            runs.append([m, m])
+    base, cuts = 0, []
+    for a, b in runs:
+        if b >= last_positive:
+            base += 1
+        else:
+            cuts.append((b, 1))
+        if a > 0:
+            cuts.append((a - 1, -1))
+    if B.kind == "cofinite":
+        return 1 - base, [(k, -sign) for k, sign in cuts]
+    return base, cuts
 
 
 def _indicator_proportion(
     p, B: NatSet, L: int, rng: RngSpec, role: int
 ) -> tuple[float, float]:
-    """Mean of I(draw in B) over L inverse-CDF draws, with variance of mean."""
+    """Mean of I(draw in B) over L inverse-CDF draws, with variance of mean.
+
+    Draws are counted from the chunk's uniforms against the cdf values at
+    B's cut points (see _membership_cuts), so no draw is materialised; when
+    no cut point remains the count is known and no chunk is drawn.
+    """
     cdf, last_positive = _inverse_table(p)
-    total = 0
-    for chunk, start in enumerate(range(0, L, CHUNK)):
-        draws = _draw_inverse_chunk(cdf, last_positive, rng, role, chunk,
-                                    min(CHUNK, L - start))
-        total += int(np.count_nonzero(_membership_mask(draws, B)))
+    base, cuts = _membership_cuts(B, last_positive)
+    total = base * L
+    if cuts:
+        edges = [float(cdf[k]) for k, _ in cuts]
+        for chunk, start in enumerate(range(0, L, CHUNK)):
+            u = generator(rng, role, chunk).random(min(CHUNK, L - start))
+            total += sum(sign * int(np.count_nonzero(u <= e))
+                         for (_, sign), e in zip(cuts, edges))
     prop = total / L
     var = prop * (1.0 - prop) / (L - 1)
     return prop, var

@@ -16,25 +16,31 @@ import mpmath
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from taylormeasure import (
     Bounded,
     FactorialGeometric,
     FiniteSupport,
     GeometricEnvelope,
+    NatSet,
     PowerSeriesPmf,
     TaylorMeasure,
     TermBackedSequence,
     eval_rep,
     exp_rep,
     from_pmf,
+    geometric_rep,
     linear_combination,
     linear_combine,
     multiply,
     power,
     recenter,
     rule_sequence,
+    truncate_rep,
 )
 from taylormeasure.analytic import AnalyticRep
+from taylormeasure.kernel import _TermEnvelope
 from taylormeasure.stochastic import _squared_over_factorial
 
 TOP = 250  # highest index checked
@@ -222,3 +228,96 @@ class TestLateStartEnvelopes:
         out = eval_rep(recenter(LATE, 1.0), 10.0)
         with mpmath.workdps(50):
             self._assert_close(out, _late_exact(10.0))
+
+
+def _shift_tail_exact(scale, r, k, q, M):
+    """sum_{m > M} scale r^k binom(k+m, m) q^m, summed term by term in
+    mpmath until what is left is below 1e-25 of the sum."""
+    with mpmath.workdps(40):
+        q = mpmath.mpf(q)
+        m = M + 1
+        t = mpmath.binomial(k + m, m) * q ** m
+        total = mpmath.mpf(0)
+        while True:
+            total += t
+            ratio = q * (k + m + 1) / (m + 1)  # falls as m grows
+            t *= ratio
+            m += 1
+            if ratio < 1 and t / (1 - ratio) < total * mpmath.mpf(1e-25):
+                return scale * mpmath.mpf(r) ** k * total
+
+
+class TestShiftTail:
+    """The k = 0 shift-tail bound of recenter against the tail itself."""
+
+    def test_direct_summation(self):
+        bound = _TermEnvelope(0, 1.0, 1.0).shift_tail(3, 0.5, 4)
+        # 16 - (1 + 2 + 5/2 + 5/2 + 35/16)
+        assert abs(_shift_tail_exact(1.0, 1.0, 3, 0.5, 4) - mpmath.mpf("5.8125")) < 1e-20
+        assert bound == pytest.approx(7.0, rel=1e-12)
+
+    @given(st.floats(0.1, 10.0), st.floats(0.1, 4.0), st.integers(0, 30),
+           st.integers(1, 64), st.floats(0.01, 0.95))
+    @settings(max_examples=200, deadline=None)
+    def test_bound_covers_tail(self, scale, r, k, M, q):
+        dist = q / r
+        bound = _TermEnvelope(0, scale, r).shift_tail(k, dist, M)
+        exact = _shift_tail_exact(scale, r, k, r * dist, M)
+        # at k = 0 the successive-term ratio is exactly q, so the bound is the
+        # tail itself up to rounding
+        assert bound >= exact * (1 - 1e-12)
+
+    @pytest.mark.parametrize("c", [0.5, 0.3, -0.4, 0.8, -0.9])
+    @pytest.mark.parametrize("eps", [1e-12, 1e-8])
+    def test_recenter_factorial_geometric(self, c, eps):
+        # 1/(1 - x) recentred at c has d_k = (1 - c)^-(k+1); each recentred
+        # term carries its shift-tail bias and rounding as its term error
+        rep = recenter(geometric_rep(0.0), c, eps)
+        seq = rep.coefficients
+        with mpmath.workdps(50):
+            for k in range(41):
+                exact = (1 - mpmath.mpf(c)) ** -(k + 1)
+                d_k = mpmath.mpf(seq.term_rule(k))
+                assert abs(d_k - exact) <= seq.term_error(k)
+            for f in (-0.9, -0.5, 0.0, 0.25, 0.5, 0.9):
+                x = c + f * rep.radius_hint
+                out = eval_rep(rep, x, eps)
+                exact = 1 / (1 - (mpmath.mpf(c) + mpmath.mpf(x - c)))
+                assert abs(mpmath.mpf(out.value) - exact) <= out.abs_error
+
+    @pytest.mark.parametrize("c, eps, x", [(0.8, 1e-12, 0.9), (0.5, 1e-8, 0.5),
+                                           (0.5, 1e-12, 0.75)])
+    def test_recenter_bias_in_abs_error(self, c, eps, x):
+        # each of these missed its abs_error while the shift-tail bias was
+        # left out of it (at x = c the error was reported as 0)
+        out = eval_rep(recenter(geometric_rep(0.0), c, eps), x)
+        with mpmath.workdps(50):
+            exact = 1 / (1 - mpmath.mpf(x))
+            assert abs(mpmath.mpf(out.value) - exact) <= out.abs_error
+        assert out.abs_error > 0.0
+
+    def test_term_errors_propagate(self):
+        # a recentred rep's term errors survive multiply, linear_combine,
+        # truncation and a second recenter, and reach abs_error
+        moved = recenter(geometric_rep(0.0), 0.5, 1e-8)
+        cases = {
+            "multiply": (multiply(moved, moved), lambda x: 1 / (1 - x) ** 2),
+            "linear_combine": (linear_combine(2.0, moved, -1.0, recenter(exp_rep(), 0.5)),
+                               lambda x: 2 / (1 - x) - mpmath.exp(x)),
+            "recenter": (recenter(moved, 0.6, 1e-8), lambda x: 1 / (1 - x)),
+        }
+        for name, (rep, f) in cases.items():
+            for x in (rep.center - 0.2, rep.center, rep.center + 0.2):
+                out = eval_rep(rep, x, 1e-12)
+                with mpmath.workdps(50):
+                    miss = abs(mpmath.mpf(out.value) - f(mpmath.mpf(x)))
+                assert miss <= out.abs_error, (name, x)
+        poly = truncate_rep(moved, 12)
+        with_errors = multiply(poly, poly)
+        assert with_errors.coefficients.term_error(3) > 0.0
+        T = TaylorMeasure(moved.coefficients, 0.3)
+        combined = linear_combination(1.0, T, -1.0, TaylorMeasure(exp_rep().coefficients, 0.3))
+        out = combined.evaluate(NatSet.all())
+        with mpmath.workdps(50):
+            exact = 1 / (1 - mpmath.mpf(0.8)) - mpmath.exp(mpmath.mpf(0.3))
+            assert abs(mpmath.mpf(out.value) - exact) <= out.abs_error

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+import taylormeasure.geometry as geometry
 from taylormeasure import (
     Bounded,
     DivergenceUnknown,
     NatSet,
+    NonFiniteResult,
     TaylorMeasure,
     Unverified,
     constant_sequence,
@@ -111,6 +113,44 @@ class TestInnerProduct:
         lhs = inner_product(T1, T2, union).value
         rhs = inner_product(T1, T2, s1).value + inner_product(T1, T2, s2).value
         assert lhs == pytest.approx(rhs, abs=1e-13)
+
+
+def _reference_rho_sum(T1, T2, indices):
+    """The rho sum over every index, with no early refusal."""
+    acc, err = geometry._NeumaierSum(), geometry._NeumaierSum()
+    for n in indices:
+        v, e = geometry._rho_summand(T1, T2, n)
+        acc.add(v)
+        err.add(e + geometry._ULP * abs(v))
+    return acc.value, err.value
+
+
+class TestEarlyRefusal:
+    def test_overflowing_distance_stops_at_first_nonfinite_summand(self, monkeypatch):
+        # the plan for exp@2 - exp@50 on all of N runs to n = 6818; the
+        # summands leave the float range at n = 201
+        calls = []
+        summand = geometry._rho_summand
+
+        def counted(T1, T2, n):
+            calls.append(n)
+            return summand(T1, T2, n)
+
+        monkeypatch.setattr(geometry, "_rho_summand", counted)
+        T1 = TaylorMeasure(constant_sequence(1.0), 2.0)
+        T2 = TaylorMeasure(constant_sequence(1.0), 50.0)
+        with pytest.raises(NonFiniteResult):
+            distance(T1, T2, ALL, 1e-12)
+        assert len(calls) <= 202
+
+    def test_finite_inner_products_unchanged(self, monkeypatch):
+        rng = random.Random(23)
+        pairs = [(random_measure(rng), random_measure(rng)) for _ in range(20)]
+        pairs.append((ONES, TaylorMeasure(constant_sequence(1.0), 30.0)))
+        sets = (ALL, NatSet.finite([0, 3, 4, 9]), NatSet.cofinite([1, 2]))
+        got = [inner_product(a, b, B) for a, b in pairs for B in sets]
+        monkeypatch.setattr(geometry, "_rho_sum", _reference_rho_sum)
+        assert got == [inner_product(a, b, B) for a, b in pairs for B in sets]
 
 
 class TestNorm:

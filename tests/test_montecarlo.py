@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
+
+import taylormeasure.montecarlo as mc
 
 from taylormeasure import (
     Bounded,
@@ -18,6 +22,7 @@ from taylormeasure import (
     rule_sequence,
 )
 from taylormeasure.montecarlo import (
+    CHUNK,
     McEstimate,
     RngSpec,
     estimate_measure,
@@ -175,3 +180,152 @@ class TestEstimateNormalizerPoisson:
             estimate_normalizer_poisson(0.0, ONES, 100, RngSpec(seed=1))
         with pytest.raises(ValueError):
             estimate_normalizer_poisson(1.0, ONES, 1, RngSpec(seed=1))
+
+
+# ---------------------------------------------------------------------------
+# set membership counted from cdf cut points
+
+
+def _reference_proportion(p, B, L, rng, role):
+    """Draw every index by search and clamp, then test membership per draw."""
+    cdf, last_positive = mc._inverse_table(p)
+    listed = np.asarray(B.elements, dtype=np.int64)
+    total = 0
+    for chunk, start in enumerate(range(0, L, CHUNK)):
+        u = mc.generator(rng, role, chunk).random(min(CHUNK, L - start))
+        draws = np.minimum(np.searchsorted(cdf, u, side="left"), last_positive)
+        inside = np.isin(draws, listed)
+        if B.kind == "all":
+            inside = np.ones(draws.shape, dtype=bool)
+        elif B.kind == "cofinite":
+            inside = ~inside
+        total += int(np.count_nonzero(inside))
+    prop = total / L
+    return prop, prop * (1.0 - prop) / (L - 1)
+
+
+def _reference_b_values(b, draws):
+    uniques, inverse = np.unique(draws, return_inverse=True)
+    vals = np.array([b.a(int(n)) for n in uniques])
+    return vals[inverse]
+
+
+EVENS = rule_sequence(lambda n: 1.0 if n % 2 == 0 else 0.0, Bounded(1.0))
+
+_densities = st.one_of(
+    st.just(ONES),
+    st.just(EVENS),
+    # zero-mass indices inside and at the ends of a finite support
+    st.lists(st.sampled_from([0.0, 1.0, 2.0, 0.5]), min_size=1, max_size=9)
+    .filter(any).map(finite_sequence),
+)
+# up to 32 listed indices: up to 64 cut points, with members past the last
+# index of positive mass
+_sets = st.one_of(
+    st.just(NatSet.all()),
+    st.lists(st.integers(0, 48), max_size=32).map(NatSet.finite),
+    st.lists(st.integers(0, 48), min_size=1, max_size=32).map(NatSet.cofinite),
+)
+_sizes = st.sampled_from([2, CHUNK - 1, CHUNK + 1, 3 * CHUNK])
+
+
+class TestCutPointCounting:
+    @given(st.floats(0.05, 12.0), _densities, _sets, _sizes, st.integers(0, 2 ** 32))
+    @settings(max_examples=80, deadline=None)
+    def test_proportion_matches_search_and_isin(self, zeta, b, B, L, seed):
+        p = PowerSeriesPmf(zeta, b)
+        rng = RngSpec(seed=seed)
+        got = mc._indicator_proportion(p, B, L, rng, 0)
+        assert got == _reference_proportion(p, B, L, rng, 0)
+
+    @given(st.floats(0.05, 6.0), st.floats(0.05, 6.0), _densities, _sets,
+           _sizes, _sizes, st.integers(0, 2 ** 32))
+    @settings(max_examples=30, deadline=None)
+    def test_estimate_matches_reference(self, z1, z2, b, B, L1, L2, seed):
+        args = (z1, b, z2, ONES, B, L1, L2, RngSpec(seed=seed))
+        got = estimate_measure(*args)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mc, "_indicator_proportion", _reference_proportion)
+            want = estimate_measure(*args)
+        assert (got.point, got.stderr, got.n_samples, got.components) == (
+            want.point, want.stderr, want.n_samples, want.components)
+
+    def test_many_and_few_cut_points(self):
+        # 40 isolated members give 79 cut points (member 0 has no lower
+        # edge), 3 give 6
+        p = PowerSeriesPmf(60.0, ONES)
+        _, last_positive = mc._inverse_table(p)
+        for members in (range(0, 120, 3), (50, 60, 70)):
+            B = NatSet.finite(members)
+            _, cuts = mc._membership_cuts(B, last_positive)
+            assert len(cuts) == 2 * len(members) - (0 in members)
+            rng = RngSpec(seed=11)
+            assert (mc._indicator_proportion(p, B, 2 * CHUNK + 5, rng, 1)
+                    == _reference_proportion(p, B, 2 * CHUNK + 5, rng, 1))
+
+    def test_fixed_count_draws_nothing(self, monkeypatch):
+        p = PowerSeriesPmf(1.0, finite_sequence([0.0, 1.0, 0.0, 2.0, 1.0, 0.0]))
+        _, last_positive = mc._inverse_table(p)
+        assert last_positive == 4
+
+        def no_draws(*_):
+            raise AssertionError("a chunk was drawn")
+
+        monkeypatch.setattr(mc, "generator", no_draws)
+        rng = RngSpec(seed=3)
+        cases = {
+            NatSet.all(): 1.0,
+            NatSet.finite(range(5)): 1.0,
+            NatSet.finite([0, 1, 2, 3, 4, 9]): 1.0,
+            NatSet.finite([5, 6, 40]): 0.0,
+            NatSet.finite([]): 0.0,
+            NatSet.cofinite([5, 17]): 1.0,
+            NatSet.cofinite(range(8)): 0.0,
+        }
+        for B, prop in cases.items():
+            assert mc._indicator_proportion(p, B, CHUNK + 1, rng, 0) == (prop, 0.0)
+        est = estimate_measure(2.0, ONES, 1.0, ONES, NatSet.all(), 10 ** 6, 10 ** 6, rng)
+        assert est.stderr == 0.0
+
+    @pytest.mark.parametrize("zeta", [0.3, 4.0, 150.0])
+    def test_b_values_match_unique(self, zeta):
+        draws = np.random.default_rng(5).poisson(zeta, 5000)
+        rules = (
+            rule_sequence(lambda n: float(n) ** 0.5, GeometricEnvelope(1.0, 2.0)),
+            rule_sequence(lambda n: n % 3, Bounded(2.0)),
+        )
+        for b in rules:
+            got = mc._b_values(b, draws)
+            want = _reference_b_values(b, draws)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_b_values_call_each_distinct_draw_once_in_order(self):
+        seen = []
+        b = rule_sequence(lambda n: seen.append(n) or n / 2.0, Bounded(8.0))
+        got = mc._b_values(b, np.array([12, 3, 3, 9, 7, 7]))
+        assert seen == [3, 7, 9, 12]
+        assert got.tolist() == [6.0, 1.5, 1.5, 4.5, 3.5, 3.5]
+
+    def test_uniform_on_an_edge_counts_below_it(self, monkeypatch):
+        # a draw with u == cdf[k] is index k or lower (searchsorted, side
+        # "left"), so it counts toward #{u <= cdf[k]}
+        p = PowerSeriesPmf(1.0, finite_sequence([1.0, 2.0, 0.0, 1.0, 3.0]))
+        cdf, last_positive = mc._inverse_table(p)
+        u = np.concatenate((cdf[:last_positive], [0.0, 0.5, 0.99]))
+
+        class OnEdges:
+            def random(self, take):
+                return u[:take]
+
+        monkeypatch.setattr(mc, "generator", lambda *_: OnEdges())
+        rng = RngSpec(seed=1)
+        for B in (NatSet.finite([1]), NatSet.finite([0, 3]), NatSet.cofinite([2, 3])):
+            got = mc._indicator_proportion(p, B, u.size, rng, 0)
+            assert got == _reference_proportion(p, B, u.size, rng, 0)
+
+    def test_rejection_sampling_unchanged(self, monkeypatch):
+        p = PowerSeriesPmf(1.5, EVENS)
+        got = sample_pmf(p, RngSpec(seed=41), 3 * CHUNK, method="rejection")
+        monkeypatch.setattr(mc, "_b_values", _reference_b_values)
+        assert got == sample_pmf(p, RngSpec(seed=41), 3 * CHUNK, method="rejection")
