@@ -725,15 +725,15 @@ class _TermEnvelope:
             return math.inf
         return math.exp(log_t) / (1.0 - q)
 
-    def widened(self) -> "_TermEnvelope":
+    def widened(self, ratio: float = 1.0) -> "_TermEnvelope":
         """The same bound as a decay bound from index 0 on: the scale grows
-        to cover the terms below start (a finite support becomes ratio 1)
+        to cover the terms below start (a finite support becomes ``ratio``)
         and the ratio is floored at _RATIO_FLOOR. A k = 1 scale that
         overflows falls back to k = 0."""
         if self.k is None:
             return self
         if self.last is not None:
-            scale, ratio, stop = 0.0, 1.0, self.last + 1
+            scale, ratio, stop = 0.0, max(ratio, _RATIO_FLOOR), self.last + 1
         else:
             scale, ratio, stop = self.scale, max(self.ratio, _RATIO_FLOOR), self.start
         for n in range(stop):
@@ -741,7 +741,7 @@ class _TermEnvelope:
             if d != 0.0:
                 scale = max(scale, _needed_scale(d, n, ratio, self.k))
         if self.k and not math.isfinite(scale):
-            return replace(self, k=0).widened()
+            return replace(self, k=0).widened(ratio)
         return _TermEnvelope(self.k, scale, ratio)
 
     def scaled(self, w: float) -> "_TermEnvelope":
@@ -754,15 +754,22 @@ class _TermEnvelope:
 
     def add(self, other: "_TermEnvelope") -> "_TermEnvelope":
         """The envelope of p + q, where other bounds q. A finite support
-        summed with a decay bound is widened first."""
+        summed with a decay bound is widened first: to its partner's k and
+        ratio when that partner is k = 0, else to ratio 1."""
         if self.k is None or other.k is None:
             return _TermEnvelope(None)
         if self.last is not None and other.last is not None:
             return _TermEnvelope(last=max(self.last, other.last))
-        a = self if self.last is None else self.widened()
-        b = other if other.last is None else other.widened()
+        a, b = self._widened_beside(other), other._widened_beside(self)
         return _TermEnvelope(min(a.k, b.k), a.scale + b.scale, max(a.ratio, b.ratio),
                              max(a.start, b.start))
+
+    def _widened_beside(self, other: "_TermEnvelope") -> "_TermEnvelope":
+        if self.last is None:
+            return self
+        if other.k == 0:
+            return replace(self, k=0).widened(other.ratio)
+        return self.widened()
 
     def cauchy(self, other: "_TermEnvelope") -> "_TermEnvelope":
         """The envelope of the Cauchy product l -> sum_n p(n) q(l - n),

@@ -6,22 +6,29 @@ A signed measure built from two power-series densities can be written
 
 where the c are reciprocal normalizers and the P are power-series pmfs, so
 T(B) is estimated by sampling each pmf and averaging set indicators.  An
-inverse-CDF draw lands in B exactly when its uniform lies between the cdf
-values at the edges of B's runs, so the indicators are counted from the
-uniforms against those cut points and no draw is materialised; a set that
-fixes the count (everything, or a set that holds or misses the whole cdf
-table) draws nothing.  The normalizers are computed exactly-within-eps by
-default; they can instead be estimated from Poisson draws
-(point = (e**zeta / L) * sum b_{n_i}), which is the fully stochastic
-variant for families whose constants are unknown.
+estimator uses its draws only to count something, so it draws the count
+from its law and no draw is materialised:
+
+* an inverse-CDF draw lands in B exactly when its uniform lies between the
+  cdf values at the edges of B's runs, and ``random()`` takes each of its
+  2**53 grid values k / 2**53 with equal probability, so the number of L
+  draws in B is Binomial(L, q) with q the exact share of grid values that
+  land in B.  A set that fixes the count (q = 0 or 1) draws nothing.
+* the normalizers are computed exactly-within-eps by default; they can
+  instead be estimated from Poisson draws (point = (e**zeta / L) *
+  sum b_{n_i}), the fully stochastic variant for families whose constants
+  are unknown.  Only how many draws land on each n matters, which is
+  Multinomial(L, Poisson pmf), drawn as conditional binomials in
+  increasing n; draws left past the Poisson table's horizon are real
+  Poisson variates conditioned on exceeding it.
 
 Determinism: every draw comes from a counter-based generator keyed by
 (seed, stream) and advanced to a block determined by (role, chunk), where
 the role separates the independent draw purposes (the two indicator samples,
 the two normalizer samples, standalone pmf sampling) and chunks are
-fixed-size.  Results are therefore bit-identical for a given RngSpec.
-The estimators accept a ``threads`` argument for compatibility; it has no
-effect, because the chunks are drawn serially.
+fixed-size.  Results are therefore bit-identical for a given RngSpec.  The
+estimators draw all of a role's counts from its first chunk.  They accept a
+``threads`` argument for compatibility; it has no effect.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoSamplerAvailable
-from .kernel import Bounded
+from .kernel import Bounded, constant_sequence
 from .measure import NatSet
 from .probability import PowerSeriesPmf
 
@@ -46,6 +53,9 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 CHUNK = 8192
+_GRID = 1 << 53  # random() returns k / 2**53, k = 0 .. 2**53 - 1
+_POISSON_TAIL_EPS = 1e-16  # Poisson mass left past the table's horizon
+_ONES = constant_sequence(1.0)
 
 # counter-block roles: keep independent draw purposes on disjoint substreams
 _ROLE_INDICATOR_POS = 0
@@ -207,43 +217,102 @@ def _membership_cuts(B: NatSet, last_positive: int) -> tuple[int, list[tuple[int
     return base, cuts
 
 
+def _grid_count(e: float) -> int:
+    """#{k : k / 2**53 <= e}, the grid values of random() at or below e.
+
+    e * 2**53 is exact in floating point, so its floor is too.
+    """
+    if e < 0.0:
+        return 0
+    return min(math.floor(e * _GRID) + 1, _GRID)
+
+
+def _membership_hits(cdf: np.ndarray, last_positive: int, B: NatSet) -> int:
+    """How many of random()'s 2**53 grid values send an inverse-CDF draw
+    into B: a draw is in B with probability exactly hits / 2**53."""
+    base, cuts = _membership_cuts(B, last_positive)
+    return base * _GRID + sum(sign * _grid_count(float(cdf[k])) for k, sign in cuts)
+
+
 def _indicator_proportion(
     p, B: NatSet, L: int, rng: RngSpec, role: int
 ) -> tuple[float, float]:
     """Mean of I(draw in B) over L inverse-CDF draws, with variance of mean.
 
-    Draws are counted from the chunk's uniforms against the cdf values at
-    B's cut points (see _membership_cuts), so no draw is materialised; when
-    no cut point remains the count is known and no chunk is drawn.
+    The number of draws in B is Binomial(L, hits / 2**53) (see
+    _membership_hits), so it is drawn as one binomial variate; when the
+    count is fixed nothing is drawn.
     """
     cdf, last_positive = _inverse_table(p)
-    base, cuts = _membership_cuts(B, last_positive)
-    total = base * L
-    if cuts:
-        edges = [float(cdf[k]) for k, _ in cuts]
-        for chunk, start in enumerate(range(0, L, CHUNK)):
-            u = generator(rng, role, chunk).random(min(CHUNK, L - start))
-            total += sum(sign * int(np.count_nonzero(u <= e))
-                         for (_, sign), e in zip(cuts, edges))
+    hits = _membership_hits(cdf, last_positive, B)
+    if 0 < hits < _GRID:
+        total = int(generator(rng, role, 0).binomial(L, hits / _GRID))
+    else:
+        total = L if hits else 0
     prop = total / L
     var = prop * (1.0 - prop) / (L - 1)
     return prop, var
 
 
+def _poisson_cells(zeta: float) -> tuple[list[float], list[float]]:
+    """Poisson(zeta) masses p_0..p_h up to the certified table's horizon h,
+    and the masses past h until they no longer add to their own sum."""
+    pmf = PowerSeriesPmf(zeta, _ONES)
+    _, horizon = pmf.cumulative_table(_POISSON_TAIL_EPS)
+    head = [pmf.pmf(n) for n in range(horizon + 1)]
+    past: list[float] = []
+    total = 0.0
+    n = horizon + 1
+    while True:
+        w = pmf.pmf(n)
+        if w == 0.0 or (n > zeta and w < total * 2.0 ** -53):
+            return head, past
+        past.append(w)
+        total += w
+        n += 1
+
+
+def _poisson_counts(zeta: float, L: int, g: np.random.Generator) -> dict[int, int]:
+    """How many of L Poisson(zeta) draws land on each n, for the n they
+    reach, in increasing n.
+
+    The counts are Multinomial(L, pmf), drawn as conditional binomials:
+    c_n ~ Binomial(L - c_0 - ... - c_{n-1}, p_n / P(N >= n)). Draws left
+    past the horizon are drawn as Poisson variates conditioned on N > h,
+    by inverse cdf over the masses past it.
+    """
+    head, past = _poisson_cells(zeta)
+    # P(N >= n), summed from the far end: no cell is a difference of sums
+    surv = np.cumsum(np.array(head + [math.fsum(past)])[::-1])[::-1]
+    counts: dict[int, int] = {}
+    left = L
+    for n, w in enumerate(head):
+        if not left:
+            return counts
+        c = int(g.binomial(left, min(w / surv[n], 1.0)))
+        if c:
+            counts[n] = c
+            left -= c
+    if left:
+        cdf = np.cumsum(past)
+        idx = np.searchsorted(cdf, g.random(left) * cdf[-1], side="right")
+        values, freq = np.unique(np.minimum(idx, len(past) - 1), return_counts=True)
+        counts.update(zip((values + len(head)).tolist(), freq.tolist()))
+    return counts
+
+
 def _poisson_b_moments(
     zeta: float, b, L: int, rng: RngSpec, role: int
 ) -> tuple[float, float]:
-    """Mean and variance-of-mean of b_N over L Poisson(zeta) draws."""
-    sums, squares = [], []
-    for chunk, start in enumerate(range(0, L, CHUNK)):
-        draws = generator(rng, role, chunk).poisson(zeta, min(CHUNK, L - start))
-        vals = _b_values(b, draws)
-        sums.append(float(vals.sum()))
-        squares.append(float(np.square(vals).sum()))
-    s1 = math.fsum(sums)
-    s2 = math.fsum(squares)
-    mean = s1 / L
-    sample_var = max(s2 - L * mean * mean, 0.0) / (L - 1)
+    """Mean and variance-of-mean of b_N over L Poisson(zeta) draws.
+
+    b.a(n) is called once for each n some draw lands on, in increasing n;
+    the variance is summed around the mean, so it does not cancel.
+    """
+    counts = _poisson_counts(zeta, L, generator(rng, role, 0))
+    cells = [(c, float(b.a(n))) for n, c in counts.items()]
+    mean = math.fsum(c * v for c, v in cells) / L
+    sample_var = math.fsum(c * (v - mean) ** 2 for c, v in cells) / (L - 1)
     return mean, sample_var / L
 
 

@@ -29,6 +29,7 @@ from taylormeasure import (
     TermBackedSequence,
     eval_rep,
     exp_rep,
+    finite_sequence,
     from_pmf,
     geometric_rep,
     linear_combination,
@@ -321,3 +322,19 @@ class TestShiftTail:
         with mpmath.workdps(50):
             exact = 1 / (1 - mpmath.mpf(0.8)) - mpmath.exp(mpmath.mpf(0.3))
             assert abs(mpmath.mpf(out.value) - exact) <= out.abs_error
+
+
+class TestEnvelopeSum:
+    def test_finite_support_beside_factorial_geometric(self):
+        # the finite part is widened at its partner's ratio; widened to
+        # ratio 1 the sum's envelope did not converge
+        T = TaylorMeasure(recenter(geometric_rep(), 0.5).coefficients, 0.3)
+        combined = linear_combination(1.0, T, -1.0, TaylorMeasure(finite_sequence([1.0]), 1.0))
+        out = combined.evaluate(NatSet.all())
+        assert abs(out.value - 4.0) <= out.abs_error
+
+    def test_finite_support_beside_k1_keeps_ratio_one(self):
+        finite = _TermEnvelope(last=2, term=lambda n: 1.0)
+        summed = finite.add(_TermEnvelope(1, 1.0, 0.5))
+        assert (summed.k, summed.ratio) == (1, 1.0)
+        assert summed == _TermEnvelope(1, 1.0, 0.5).add(finite)

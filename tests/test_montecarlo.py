@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -183,7 +184,10 @@ class TestEstimateNormalizerPoisson:
 
 
 # ---------------------------------------------------------------------------
-# set membership counted from cdf cut points
+# counts drawn from their laws, against references that draw one by one
+
+GRID = 2 ** 53  # random() returns k / 2**53, k = 0 .. 2**53 - 1
+K_SE = 5.0  # how many standard errors two samples of estimates may differ by
 
 
 def _reference_proportion(p, B, L, rng, role):
@@ -210,6 +214,63 @@ def _reference_b_values(b, draws):
     return vals[inverse]
 
 
+def _reference_poisson_moments(zeta, b, L, rng, role):
+    """Draw every Poisson variate and average b over the draws."""
+    draws = np.concatenate([
+        mc.generator(rng, role, chunk).poisson(zeta, min(CHUNK, L - start))
+        for chunk, start in enumerate(range(0, L, CHUNK))])
+    vals = _reference_b_values(b, draws).astype(float)
+    return float(vals.mean()), float(vals.var(ddof=1)) / L
+
+
+def _reference_hits(cdf, last_positive, B):
+    """Grid values k / 2**53 whose per-draw index (search and clamp) is in
+    B, counted by bisecting on k for where the index passes each m."""
+    m = np.arange(last_positive + 1)
+    lo = np.zeros(m.size, dtype=np.int64)  # k < lo: index <= m
+    hi = np.full(m.size, GRID, dtype=np.int64)  # k >= hi: index > m
+    while np.any(lo < hi):
+        mid = (lo + hi) // 2
+        index = np.minimum(np.searchsorted(cdf, mid / GRID, side="left"), last_positive)
+        at_most = (index <= m) & (lo < hi)
+        lo = np.where(at_most, mid + 1, lo)
+        hi = np.where(~at_most & (lo < hi), mid, hi)
+    cells = np.diff(np.concatenate(([0], lo)))
+    inside = np.isin(m, np.asarray(B.elements, dtype=np.int64))
+    if B.kind == "all":
+        inside[:] = True
+    elif B.kind == "cofinite":
+        inside = ~inside
+    return int(cells[inside].sum())
+
+
+def _assert_same_law(got, want):
+    """Two samples of estimates agree in mean and in variance within K_SE
+    standard errors (the variance's from the samples' fourth moments)."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+
+    def moments(x):
+        d = x - x.mean()
+        m2, m4 = float(np.mean(d ** 2)), float(np.mean(d ** 4))
+        return float(x.mean()), m2 / x.size, float(x.var(ddof=1)), (m4 - m2 ** 2) / x.size
+
+    mean1, vm1, var1, vv1 = moments(got)
+    mean2, vm2, var2, vv2 = moments(want)
+    assert abs(mean1 - mean2) <= K_SE * math.sqrt(vm1 + vm2), (mean1, mean2)
+    assert abs(var1 - var2) <= K_SE * math.sqrt(vv1 + vv2), (var1, var2)
+
+
+class _Recorder:
+    """A generator stand-in that records its binomial calls."""
+
+    def __init__(self):
+        self.calls = []
+
+    def binomial(self, n, q):
+        self.calls.append((n, q))
+        return 0
+
+
 EVENS = rule_sequence(lambda n: 1.0 if n % 2 == 0 else 0.0, Bounded(1.0))
 
 _densities = st.one_of(
@@ -226,42 +287,94 @@ _sets = st.one_of(
     st.lists(st.integers(0, 48), max_size=32).map(NatSet.finite),
     st.lists(st.integers(0, 48), min_size=1, max_size=32).map(NatSet.cofinite),
 )
-_sizes = st.sampled_from([2, CHUNK - 1, CHUNK + 1, 3 * CHUNK])
 
 
 class TestCutPointCounting:
-    @given(st.floats(0.05, 12.0), _densities, _sets, _sizes, st.integers(0, 2 ** 32))
+    @given(st.floats(0.05, 12.0), _densities, _sets)
     @settings(max_examples=80, deadline=None)
-    def test_proportion_matches_search_and_isin(self, zeta, b, B, L, seed):
+    def test_proportion_matches_search_and_isin(self, zeta, b, B):
+        # the binomial's q is the per-draw rule's probability on the grid
         p = PowerSeriesPmf(zeta, b)
-        rng = RngSpec(seed=seed)
-        got = mc._indicator_proportion(p, B, L, rng, 0)
-        assert got == _reference_proportion(p, B, L, rng, 0)
-
-    @given(st.floats(0.05, 6.0), st.floats(0.05, 6.0), _densities, _sets,
-           _sizes, _sizes, st.integers(0, 2 ** 32))
-    @settings(max_examples=30, deadline=None)
-    def test_estimate_matches_reference(self, z1, z2, b, B, L1, L2, seed):
-        args = (z1, b, z2, ONES, B, L1, L2, RngSpec(seed=seed))
-        got = estimate_measure(*args)
+        cdf, last_positive = mc._inverse_table(p)
+        hits = mc._membership_hits(cdf, last_positive, B)
+        assert hits == _reference_hits(cdf, last_positive, B)
+        recorder = _Recorder()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(mc, "_indicator_proportion", _reference_proportion)
-            want = estimate_measure(*args)
-        assert (got.point, got.stderr, got.n_samples, got.components) == (
-            want.point, want.stderr, want.n_samples, want.components)
+            patch.setattr(mc, "generator", lambda *_: recorder)
+            mc._indicator_proportion(p, B, 1000, RngSpec(seed=1), 0)
+        assert recorder.calls == ([(1000, hits / GRID)] if 0 < hits < GRID else [])
+
+    def test_uniform_on_an_edge_counts_below_it(self):
+        # cdf edges on grid points and one float below and above them; at
+        # 0.5 and up a float's neighbour is the next grid point
+        g = 2.0 ** -53
+        edges = []
+        for k in (5, 2 ** 30 + 3, 2 ** 51 + 1, 2 ** 52 + 9):
+            on = k * g
+            edges += [np.nextafter(on, 0.0), on, np.nextafter(on, 1.0)]
+        cdf = np.array(edges + [1.0])
+        last_positive = cdf.size - 1
+        # a uniform equal to an edge draws that edge's index or lower
+        assert [mc._grid_count(e) for e in edges[:3]] == [5, 6, 6]
+        assert [mc._grid_count(e) for e in edges[-3:]] == [2 ** 52 + 9, 2 ** 52 + 10, 2 ** 52 + 11]
+        assert mc._grid_count(1.0) == GRID
+        sets = [NatSet.finite([m]) for m in range(cdf.size)]
+        sets += [NatSet.finite([0, 2, 3, 7, 12]), NatSet.cofinite([1, 2, 9]),
+                 NatSet.finite(range(0, 13, 2)), NatSet.all()]
+        for B in sets:
+            assert (mc._membership_hits(cdf, last_positive, B)
+                    == _reference_hits(cdf, last_positive, B)), B
 
     def test_many_and_few_cut_points(self):
         # 40 isolated members give 79 cut points (member 0 has no lower
         # edge), 3 give 6
         p = PowerSeriesPmf(60.0, ONES)
-        _, last_positive = mc._inverse_table(p)
+        cdf, last_positive = mc._inverse_table(p)
         for members in (range(0, 120, 3), (50, 60, 70)):
             B = NatSet.finite(members)
             _, cuts = mc._membership_cuts(B, last_positive)
             assert len(cuts) == 2 * len(members) - (0 in members)
-            rng = RngSpec(seed=11)
-            assert (mc._indicator_proportion(p, B, 2 * CHUNK + 5, rng, 1)
-                    == _reference_proportion(p, B, 2 * CHUNK + 5, rng, 1))
+            assert (mc._membership_hits(cdf, last_positive, B)
+                    == _reference_hits(cdf, last_positive, B))
+
+    def test_estimate_matches_reference(self):
+        # over 300 streams, the binomial count and the count of 5000 draws
+        # give estimates with the same mean and variance; q runs from 0.003
+        # (numpy's inversion sampler) to 0.9
+        cases = [
+            (PowerSeriesPmf(2.0, ONES), NatSet.finite([0, 1, 2])),
+            (PowerSeriesPmf(2.0, ONES), NatSet.finite([7])),
+            (PowerSeriesPmf(4.0, EVENS), NatSet.cofinite([0, 2, 3])),
+            (PowerSeriesPmf(1.0, finite_sequence([1.0, 0.0, 2.0, 0.5])), NatSet.finite([1, 2])),
+        ]
+        L = 5000
+        for p, B in cases:
+            got, want = [], []
+            for r in range(300):
+                rng = RngSpec(seed=2024, stream=r)
+                got.append(mc._indicator_proportion(p, B, L, rng, 0))
+                want.append(_reference_proportion(p, B, L, rng, 0))
+            _assert_same_law([g[0] for g in got], [w[0] for w in want])
+            # and the reported variance of the mean matches the spread
+            reported = np.mean([g[1] for g in got])
+            spread = np.var([g[0] for g in got], ddof=1)
+            assert abs(reported - spread) <= K_SE * spread * math.sqrt(2.0 / 299)
+
+    def test_poisson_moments_match_reference(self):
+        cases = [
+            (2.5, rule_sequence(lambda n: float(n), GeometricEnvelope(1.0, 2.0))),
+            (10.0, rule_sequence(lambda n: n % 3, Bounded(2.0))),
+            (0.2, EVENS),
+        ]
+        L = 5000
+        for zeta, b in cases:
+            got, want = [], []
+            for r in range(300):
+                rng = RngSpec(seed=2025, stream=r)
+                got.append(mc._poisson_b_moments(zeta, b, L, rng, 2))
+                want.append(_reference_poisson_moments(zeta, b, L, rng, 2))
+            _assert_same_law([g[0] for g in got], [w[0] for w in want])
+            _assert_same_law([g[1] for g in got], [w[1] for w in want])
 
     def test_fixed_count_draws_nothing(self, monkeypatch):
         p = PowerSeriesPmf(1.0, finite_sequence([0.0, 1.0, 0.0, 2.0, 1.0, 0.0]))
@@ -281,6 +394,9 @@ class TestCutPointCounting:
             NatSet.finite([]): 0.0,
             NatSet.cofinite([5, 17]): 1.0,
             NatSet.cofinite(range(8)): 0.0,
+            # cut points remain, but the cell they bound holds no grid value
+            NatSet.finite([2]): 0.0,
+            NatSet.cofinite([2]): 1.0,
         }
         for B, prop in cases.items():
             assert mc._indicator_proportion(p, B, CHUNK + 1, rng, 0) == (prop, 0.0)
@@ -307,25 +423,80 @@ class TestCutPointCounting:
         assert seen == [3, 7, 9, 12]
         assert got.tolist() == [6.0, 1.5, 1.5, 4.5, 3.5, 3.5]
 
-    def test_uniform_on_an_edge_counts_below_it(self, monkeypatch):
-        # a draw with u == cdf[k] is index k or lower (searchsorted, side
-        # "left"), so it counts toward #{u <= cdf[k]}
-        p = PowerSeriesPmf(1.0, finite_sequence([1.0, 2.0, 0.0, 1.0, 3.0]))
-        cdf, last_positive = mc._inverse_table(p)
-        u = np.concatenate((cdf[:last_positive], [0.0, 0.5, 0.99]))
-
-        class OnEdges:
-            def random(self, take):
-                return u[:take]
-
-        monkeypatch.setattr(mc, "generator", lambda *_: OnEdges())
-        rng = RngSpec(seed=1)
-        for B in (NatSet.finite([1]), NatSet.finite([0, 3]), NatSet.cofinite([2, 3])):
-            got = mc._indicator_proportion(p, B, u.size, rng, 0)
-            assert got == _reference_proportion(p, B, u.size, rng, 0)
-
     def test_rejection_sampling_unchanged(self, monkeypatch):
         p = PowerSeriesPmf(1.5, EVENS)
         got = sample_pmf(p, RngSpec(seed=41), 3 * CHUNK, method="rejection")
         monkeypatch.setattr(mc, "_b_values", _reference_b_values)
         assert got == sample_pmf(p, RngSpec(seed=41), 3 * CHUNK, method="rejection")
+
+
+class TestPoissonCells:
+    def test_each_reached_cell_evaluated_once_in_order(self):
+        seen = []
+        b = rule_sequence(lambda n: seen.append(n) or float(n), GeometricEnvelope(1.0, 2.0))
+        counts = mc._poisson_counts(3.0, 10 ** 5, mc.generator(RngSpec(seed=8), 2, 0))
+        mc._poisson_b_moments(3.0, b, 10 ** 5, RngSpec(seed=8), 2)
+        assert seen == sorted(counts) == list(counts)
+        assert sum(counts.values()) == 10 ** 5
+
+    def test_overflow_cell_law(self, monkeypatch):
+        # a horizon of 3 at zeta = 2.5 leaves a quarter of the mass past it,
+        # so most cells are filled by conditioned Poisson variates
+        monkeypatch.setattr(mc, "_POISSON_TAIL_EPS", 0.5)
+        zeta, L = 2.5, 10 ** 5
+        head, past = mc._poisson_cells(zeta)
+        assert len(head) == 4 and len(past) > 10
+        counts = mc._poisson_counts(zeta, L, mc.generator(RngSpec(seed=9), 2, 0))
+        assert sum(counts.values()) == L
+        assert sum(c for n, c in counts.items() if n >= len(head)) > 0.2 * L
+        top = 11
+        observed = [counts.get(n, 0) for n in range(top)]
+        observed.append(L - sum(observed))
+        pmf = [stats.poisson.pmf(n, zeta) for n in range(top)]
+        pmf.append(stats.poisson.sf(top - 1, zeta))
+        _, pvalue = stats.chisquare(observed, [L * q for q in pmf])
+        assert pvalue > 0.001
+        # the conditioned draws alone follow Poisson given N > 3
+        tail_obs = [counts.get(n, 0) for n in range(4, top)]
+        tail_obs.append(sum(observed[4:]) - sum(tail_obs))
+        tail_p = np.array(pmf[4:]) / stats.poisson.sf(3, zeta)
+        _, pvalue = stats.chisquare(tail_obs, sum(tail_obs) * tail_p)
+        assert pvalue > 0.001
+        b = rule_sequence(lambda n: float(n), GeometricEnvelope(1.0, 2.0))
+        est = estimate_normalizer_poisson(zeta, b, L, RngSpec(seed=10))
+        assert abs(est.point - zeta * math.exp(zeta)) <= K_SE * est.stderr
+
+    def test_huge_sample_is_cheap_and_scales(self):
+        b = rule_sequence(lambda n: float(n), GeometricEnvelope(1.0, 2.0))
+        calls = {
+            "measure": lambda L: estimate_measure(
+                2.0, ONES, 1.0, ONES, NatSet.finite([0, 1, 2]), L, L, RngSpec(seed=12)),
+            "measure_normalizers": lambda L: estimate_measure(
+                2.0, b, 1.0, ONES, NatSet.cofinite([1]), L, L, RngSpec(seed=13),
+                estimate_normalizers=True),
+            "normalizer": lambda L: estimate_normalizer_poisson(2.0, b, L, RngSpec(seed=14)),
+        }
+        for name, call in calls.items():
+            small = call(10 ** 6)
+            times = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                big = call(10 ** 12)
+                times.append(time.perf_counter() - t0)
+            assert min(times) < 0.05, name
+            assert big.stderr * 10 ** 3 == pytest.approx(small.stderr, rel=0.02), name
+
+
+class TestHonestStderr:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_large_constant_offset_keeps_its_spread(self, seed):
+        # b_n = 1e8 + (n mod 2): Var(b_N) = P(even) P(odd) under Poisson(2);
+        # s2 - L mean**2 cancelled to a raw stderr of 0 here
+        b = rule_sequence(lambda n: 1e8 + (n % 2), Bounded(1e8 + 1.0))
+        L = 10 ** 5
+        est = estimate_normalizer_poisson(2.0, b, L, RngSpec(seed=seed))
+        even = (1.0 + math.exp(-4.0)) / 2.0
+        true_raw = math.sqrt(even * (1.0 - even) / L)
+        assert est.components["raw_stderr"] == pytest.approx(true_raw, rel=0.01)
+        exact = 1e8 * math.exp(2.0) + math.sinh(2.0)
+        assert abs(est.point - exact) <= K_SE * est.stderr
