@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoSamplerAvailable
+from .errors import NonFiniteResult, NoSamplerAvailable
 from .kernel import Bounded, constant_sequence
 from .measure import NatSet
 from .probability import PowerSeriesPmf
@@ -115,22 +115,28 @@ def _b_values(b, draws: np.ndarray) -> np.ndarray:
     return table[offsets]
 
 
-def _inverse_table(p) -> tuple[np.ndarray, int]:
+def _inverse_table(p) -> tuple[np.ndarray, int, int]:
+    """The cdf table and its first and last indices of positive mass.
+
+    Inverse-CDF draws are clamped to those indices: a uniform of exactly
+    0.0 would otherwise land on index 0 even when p_0 = 0.
+    """
     table, horizon = p.cumulative_table(tail_eps=1e-16)
     cdf = np.asarray(table)
     positive = np.flatnonzero(np.diff(np.concatenate(([0.0], cdf))) > 0.0)
-    last_positive = int(positive[-1]) if positive.size else 0
-    return cdf, last_positive
+    if not positive.size:
+        return cdf, 0, 0
+    return cdf, int(positive[0]), int(positive[-1])
 
 
 def _sample_inverse(p, rng: RngSpec, L: int, role: int) -> np.ndarray:
-    cdf, last_positive = _inverse_table(p)
+    cdf, first_positive, last_positive = _inverse_table(p)
     out = np.empty(L, dtype=np.int64)
     for chunk, start in enumerate(range(0, L, CHUNK)):
         take = min(CHUNK, L - start)
         u = generator(rng, role, chunk).random(take)
         idx = np.searchsorted(cdf, u, side="left")
-        out[start : start + take] = np.minimum(idx, last_positive)
+        out[start : start + take] = np.clip(idx, first_positive, last_positive)
     return out
 
 
@@ -185,19 +191,24 @@ def sample_pmf(p, rng: RngSpec, L: int, method: str = "auto") -> list[int]:
     raise ValueError(f"unknown sampling method: {method}")
 
 
-def _membership_cuts(B: NatSet, last_positive: int) -> tuple[int, list[tuple[int, int]]]:
+def _membership_cuts(
+    B: NatSet, first_positive: int, last_positive: int
+) -> tuple[int, list[tuple[int, int]]]:
     """Reduce counting inverse-CDF draws in B to counting uniforms.
 
-    A clamped draw is at most k exactly when u <= cdf[k], for
-    k < last_positive, and always for k >= last_positive. Splitting
-    B & [0, last_positive] into maximal runs [a, b], the number of draws
-    in B is therefore ``base * n + sum(sign * #{u <= cdf[k]})`` over the
-    returned (k, sign) cut points, for a chunk of n uniforms.
+    A clamped draw is never below first_positive, is at most k exactly
+    when u <= cdf[k] for first_positive <= k < last_positive, and always
+    for k >= last_positive. Splitting B & [first_positive, last_positive]
+    into maximal runs [a, b], the number of draws in B is therefore
+    ``base * n + sum(sign * #{u <= cdf[k]})`` over the returned (k, sign)
+    cut points, for a chunk of n uniforms.
     """
     if B.kind == "all":
         return 1, []
     runs: list[list[int]] = []
     for m in B.elements:
+        if m < first_positive:
+            continue
         if m > last_positive:
             break
         if runs and runs[-1][1] == m - 1:
@@ -210,7 +221,7 @@ def _membership_cuts(B: NatSet, last_positive: int) -> tuple[int, list[tuple[int
             base += 1
         else:
             cuts.append((b, 1))
-        if a > 0:
+        if a > first_positive:
             cuts.append((a - 1, -1))
     if B.kind == "cofinite":
         return 1 - base, [(k, -sign) for k, sign in cuts]
@@ -227,10 +238,12 @@ def _grid_count(e: float) -> int:
     return min(math.floor(e * _GRID) + 1, _GRID)
 
 
-def _membership_hits(cdf: np.ndarray, last_positive: int, B: NatSet) -> int:
+def _membership_hits(
+    cdf: np.ndarray, first_positive: int, last_positive: int, B: NatSet
+) -> int:
     """How many of random()'s 2**53 grid values send an inverse-CDF draw
     into B: a draw is in B with probability exactly hits / 2**53."""
-    base, cuts = _membership_cuts(B, last_positive)
+    base, cuts = _membership_cuts(B, first_positive, last_positive)
     return base * _GRID + sum(sign * _grid_count(float(cdf[k])) for k, sign in cuts)
 
 
@@ -243,8 +256,7 @@ def _indicator_proportion(
     _membership_hits), so it is drawn as one binomial variate; when the
     count is fixed nothing is drawn.
     """
-    cdf, last_positive = _inverse_table(p)
-    hits = _membership_hits(cdf, last_positive, B)
+    hits = _membership_hits(*_inverse_table(p), B)
     if 0 < hits < _GRID:
         total = int(generator(rng, role, 0).binomial(L, hits / _GRID))
     else:
@@ -316,6 +328,18 @@ def _poisson_b_moments(
     return mean, sample_var / L
 
 
+def _poisson_scale(zeta: float) -> float:
+    """e**zeta, which turns a mean of b_N over Poisson(zeta) draws into a
+    normalizer; refused where it overflows, before any table is built."""
+    try:
+        return math.exp(zeta)
+    except OverflowError:
+        raise NonFiniteResult(
+            f"the Poisson normalizer estimate at zeta = {zeta!r} needs e**zeta, "
+            "which overflows a float (zeta > 709.78)"
+        ) from None
+
+
 def estimate_normalizer_poisson(
     zeta: float, b, L: int, rng: RngSpec, threads: int = 1
 ) -> McEstimate:
@@ -329,8 +353,8 @@ def estimate_normalizer_poisson(
         raise ValueError("L must be at least 2")
     if zeta <= 0.0:
         raise ValueError("zeta must be positive for the Poisson estimator")
+    scale = _poisson_scale(zeta)
     mean, var_mean = _poisson_b_moments(zeta, b, L, rng, _ROLE_NORMALIZER_POS)
-    scale = math.exp(zeta)
     return McEstimate(
         point=scale * mean,
         stderr=scale * math.sqrt(var_mean),
@@ -363,6 +387,8 @@ def estimate_measure(
     """
     if L1 < 2 or L2 < 2:
         raise ValueError("L1 and L2 must be at least 2")
+    if estimate_normalizers:
+        scale1, scale2 = _poisson_scale(zeta1), _poisson_scale(zeta2)
     p1 = PowerSeriesPmf(zeta1, b1, eps)
     p2 = PowerSeriesPmf(zeta2, b2, eps)
     prop1, pv1 = _indicator_proportion(p1, B, L1, rng, _ROLE_INDICATOR_POS)
@@ -370,8 +396,8 @@ def estimate_measure(
     if estimate_normalizers:
         m1, mv1 = _poisson_b_moments(zeta1, p1.b, L1, rng, _ROLE_NORMALIZER_POS)
         m2, mv2 = _poisson_b_moments(zeta2, p2.b, L2, rng, _ROLE_NORMALIZER_NEG)
-        mass1, mass_var1 = math.exp(zeta1) * m1, math.exp(2.0 * zeta1) * mv1
-        mass2, mass_var2 = math.exp(zeta2) * m2, math.exp(2.0 * zeta2) * mv2
+        mass1, mass_var1 = scale1 * m1, math.exp(2.0 * zeta1) * mv1
+        mass2, mass_var2 = scale2 * m2, math.exp(2.0 * zeta2) * mv2
     else:
         mass1, mass_var1 = p1.normalizer.value, 0.0
         mass2, mass_var2 = p2.normalizer.value, 0.0

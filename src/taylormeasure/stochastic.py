@@ -7,6 +7,13 @@ moment formulas where they exist, samplers, and path simulators for the
 random-walk and Brownian-approximation constructions, which embed into
 the same framework through coefficients a_n = n! X_n at gamma = 1.
 
+sample_stm_batch draws each realization of X(B) from its law: one normal
+for the Gaussian specs, AR(1) and the Brownian approximation, and one
+m-step sum from the step law for a random walk (a binomial count for
+two-point steps). It does not replay the per-step draws of sample_stm,
+the simulators and stm_coefficients, which agree draw for draw with each
+other.
+
 All randomness flows through the counter-based generator shared with the
 Monte Carlo estimators, so every draw is reproducible from an RngSpec.
 """
@@ -87,6 +94,10 @@ class NormalStep:
     def draw(self, g: np.random.Generator, shape) -> np.ndarray:
         return self.mu + self.sigma * g.standard_normal(shape)
 
+    def draw_sum(self, g: np.random.Generator, m: int, size: int) -> np.ndarray:
+        """size sums of m steps each: N(m mu, m sigma^2), one normal per sum."""
+        return m * self.mu + self.sigma * math.sqrt(m) * g.standard_normal(size)
+
 
 @dataclass(frozen=True)
 class UniformStep:
@@ -109,6 +120,11 @@ class UniformStep:
 
     def draw(self, g: np.random.Generator, shape) -> np.ndarray:
         return self.low + (self.high - self.low) * g.random(shape)
+
+    def draw_sum(self, g: np.random.Generator, m: int, size: int) -> np.ndarray:
+        """size sums of m steps each, m uniforms per sum: the Irwin-Hall
+        law has no exact one-draw sampler."""
+        return self.draw(g, (size, m)).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -133,6 +149,11 @@ class BernoulliStep:
 
     def draw(self, g: np.random.Generator, shape) -> np.ndarray:
         return np.where(g.random(shape) < self.p, self.up, self.down)
+
+    def draw_sum(self, g: np.random.Generator, m: int, size: int) -> np.ndarray:
+        """size sums of m steps each: m down plus (up - down) times a
+        Binomial(m, p) count of up-steps, one binomial per sum."""
+        return m * self.down + (self.up - self.down) * g.binomial(m, self.p, size)
 
 
 StepDistribution = Union[NormalStep, UniformStep, BernoulliStep]
@@ -403,6 +424,8 @@ def _chunk_spans(R: int):
 
 
 def _gaussian_batch(spec, B, truncation, rng, R):
+    """X(B) = sum_B a_n w_n with independent normal a_n is itself normal:
+    each realization is base + scale * Z with one standard normal Z."""
     idx = _gaussian_window(spec, B, truncation)
     gamma = 1.0 if isinstance(spec, IndicatorGamma) else spec.gamma
     w = np.array([term_value(_ONES, gamma, int(n)) for n in idx])
@@ -413,15 +436,14 @@ def _gaussian_batch(spec, B, truncation, rng, R):
         mu = np.array([spec.mu.a(int(n)) for n in idx])
         sigma = np.array([spec.sigma.a(int(n)) for n in idx])
     base = float(np.dot(mu, w))
-    noise = sigma * w
-    H = idx.size
+    # hypot rounds accurately and does not overflow where a sum of squares would
+    scale = math.hypot(*(sigma * w))
     out = np.empty(R)
     indicator = isinstance(spec, IndicatorGamma)
     for chunk, start, take in _chunk_spans(R):
-        # two counter slots per chunk keep the normal matrix and the
-        # indicator uniforms at take-independent stream positions
-        z = generator(rng, ROLE_STM, 2 * chunk).standard_normal((take, H))
-        x = base + (z @ noise if H else np.zeros(take))
+        # two counter slots per chunk keep the normals and the indicator
+        # uniforms at take-independent stream positions
+        x = base + scale * generator(rng, ROLE_STM, 2 * chunk).standard_normal(take)
         if indicator:
             u = generator(rng, ROLE_STM, 2 * chunk + 1).random(take)
             x = np.where(u < spec.p_a, x, 0.0)
@@ -452,21 +474,25 @@ def _walk_coefficient_weights(spec, B) -> np.ndarray:
 
 
 def _path_batch(spec, B, rng, R):
+    """X(B) for a path spec is a sum of m = |B & 1..t| independent terms,
+    drawn from its law: a random walk asks its step law for m-step sums,
+    the Brownian approximation sums m N(0, 1/n) increments, and an AR(1)
+    value is one normal with the weighted variance."""
     w = _walk_coefficient_weights(spec, B)
-    t = w.size
-    out = np.empty(R)
+    m = int(np.count_nonzero(w))
+    out = np.zeros(R)
+    if m == 0:
+        return out
     if isinstance(spec, RandomWalk):
-        role, draw = ROLE_WALK, lambda g, shape: spec.step.draw(g, shape)
+        role, step = ROLE_WALK, spec.step
     elif isinstance(spec, Ar1):
-        sigma = math.sqrt(spec.sigma2)
-        role, draw = ROLE_STM, lambda g, shape: sigma * g.standard_normal(shape)
+        # one normal with variance sigma2 * sum_B phi^(2(t - n))
+        role, m = ROLE_STM, 1
+        step = NormalStep(0.0, math.sqrt(spec.sigma2) * math.hypot(*w))
     else:
-        scale = spec.sigma * math.sqrt(spec.n)
-        step = NormalStep(spec.mu, spec.sigma)
-        role, draw = ROLE_BROWNIAN, lambda g, shape: (step.draw(g, shape) - spec.mu) / scale
+        role, step = ROLE_BROWNIAN, NormalStep(0.0, 1.0 / math.sqrt(spec.n))
     for chunk, start, take in _chunk_spans(R):
-        steps = draw(generator(rng, role, chunk), (take, t))
-        out[start : start + take] = steps @ w if t else np.zeros(take)
+        out[start : start + take] = step.draw_sum(generator(rng, role, chunk), m, take)
     return out
 
 
@@ -479,9 +505,13 @@ def sample_stm_batch(
 ) -> np.ndarray:
     """R independent realizations of X(B), reproducible from rng.
 
-    Batch results agree with repeated single draws for the coefficient
-    specs; for the path specs the batch path accumulates in vectorized
-    order, which can differ from sample_stm by a few ulp.
+    Each realization is drawn from the law of X(B), not summed from
+    per-term draws: for the Gaussian-coefficient specs and the AR(1) and
+    Brownian specs that law is normal with the closed-form moments, one
+    standard normal per realization; a random walk draws m-step sums from
+    its step law. Row 0 equals sample_stm for the coefficient specs; for
+    the path specs sample_stm keeps the simulators' per-step draws, so the
+    batch has the same law as repeated single draws but other bits.
     """
     if R < 1:
         raise ValueError("R must be at least 1")

@@ -142,6 +142,13 @@ class TestValues:
         assert code == 3
         assert "OutOfDomain" in err
 
+    def test_overflowing_poisson_scale_exits_3(self):
+        pmf = json.dumps({**json.loads(POISSON2), "zeta": 720.0})
+        code, _, err = run_cli(["mc-normalizer", pmf, "--L", "100", "--seed", "1"])
+        assert code == 3
+        assert "NonFiniteResult" in err
+        assert "zeta = 720.0" in err
+
     def test_inner_product_of_unit_measures(self):
         code, out, _ = run_cli(["inner", ONES, ONES])
         assert code == 0

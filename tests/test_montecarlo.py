@@ -13,6 +13,7 @@ from taylormeasure import (
     Bounded,
     GeometricEnvelope,
     NatSet,
+    NonFiniteResult,
     NoSamplerAvailable,
     PowerSeriesPmf,
     TaylorMeasure,
@@ -53,6 +54,17 @@ class TestSamplePmf:
         c = sample_pmf(p, RngSpec(seed=9, stream=1), 4096)
         assert a == b
         assert a != c
+
+    def test_zero_uniform_draws_no_zero_mass_index(self, monkeypatch):
+        # the uniforms 0.0 and the largest below 1.0 land on the first and
+        # last indices of positive mass
+        class Edges:
+            def random(self, n):
+                return np.resize([0.0, 1.0 - 2.0 ** -53], n)
+
+        monkeypatch.setattr(mc, "generator", lambda *_: Edges())
+        p = PowerSeriesPmf(1.0, finite_sequence([0.0, 0.0, 1.0, 0.0, 2.0, 0.0]))
+        assert sample_pmf(p, RngSpec(seed=1), 4) == [2, 4, 2, 4]
 
     def test_rejection_even_support(self):
         even = rule_sequence(
@@ -176,6 +188,24 @@ class TestEstimateNormalizerPoisson:
         est = estimate_normalizer_poisson(1.0, b, 10 ** 6, RngSpec(seed=78))
         assert abs(est.point - 1.5430806348152437) <= 3.0 * est.stderr
 
+    def test_overflowing_scale_is_refused_by_name(self, monkeypatch):
+        # e**720 overflows a float: refused before any Poisson table is built
+        def no_tables(*_):
+            raise AssertionError("a Poisson table was built")
+
+        monkeypatch.setattr(mc, "_poisson_cells", no_tables)
+        monkeypatch.setattr(PowerSeriesPmf, "cumulative_table", no_tables)
+        calls = [
+            lambda: estimate_normalizer_poisson(720.0, ONES, 100, RngSpec(seed=1)),
+            lambda: estimate_measure(720.0, ONES, 1.0, ONES, NatSet.finite([1]), 100, 100,
+                                     RngSpec(seed=1), estimate_normalizers=True),
+            lambda: estimate_measure(1.0, ONES, 720.0, ONES, NatSet.finite([1]), 100, 100,
+                                     RngSpec(seed=1), estimate_normalizers=True),
+        ]
+        for call in calls:
+            with pytest.raises(NonFiniteResult, match=r"zeta = 720\.0 needs e\*\*zeta"):
+                call()
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             estimate_normalizer_poisson(0.0, ONES, 100, RngSpec(seed=1))
@@ -192,12 +222,12 @@ K_SE = 5.0  # how many standard errors two samples of estimates may differ by
 
 def _reference_proportion(p, B, L, rng, role):
     """Draw every index by search and clamp, then test membership per draw."""
-    cdf, last_positive = mc._inverse_table(p)
+    cdf, first_positive, last_positive = mc._inverse_table(p)
     listed = np.asarray(B.elements, dtype=np.int64)
     total = 0
     for chunk, start in enumerate(range(0, L, CHUNK)):
         u = mc.generator(rng, role, chunk).random(min(CHUNK, L - start))
-        draws = np.minimum(np.searchsorted(cdf, u, side="left"), last_positive)
+        draws = np.clip(np.searchsorted(cdf, u, side="left"), first_positive, last_positive)
         inside = np.isin(draws, listed)
         if B.kind == "all":
             inside = np.ones(draws.shape, dtype=bool)
@@ -223,7 +253,7 @@ def _reference_poisson_moments(zeta, b, L, rng, role):
     return float(vals.mean()), float(vals.var(ddof=1)) / L
 
 
-def _reference_hits(cdf, last_positive, B):
+def _reference_hits(cdf, first_positive, last_positive, B):
     """Grid values k / 2**53 whose per-draw index (search and clamp) is in
     B, counted by bisecting on k for where the index passes each m."""
     m = np.arange(last_positive + 1)
@@ -231,7 +261,8 @@ def _reference_hits(cdf, last_positive, B):
     hi = np.full(m.size, GRID, dtype=np.int64)  # k >= hi: index > m
     while np.any(lo < hi):
         mid = (lo + hi) // 2
-        index = np.minimum(np.searchsorted(cdf, mid / GRID, side="left"), last_positive)
+        index = np.clip(np.searchsorted(cdf, mid / GRID, side="left"),
+                        first_positive, last_positive)
         at_most = (index <= m) & (lo < hi)
         lo = np.where(at_most, mid + 1, lo)
         hi = np.where(~at_most & (lo < hi), mid, hi)
@@ -295,9 +326,9 @@ class TestCutPointCounting:
     def test_proportion_matches_search_and_isin(self, zeta, b, B):
         # the binomial's q is the per-draw rule's probability on the grid
         p = PowerSeriesPmf(zeta, b)
-        cdf, last_positive = mc._inverse_table(p)
-        hits = mc._membership_hits(cdf, last_positive, B)
-        assert hits == _reference_hits(cdf, last_positive, B)
+        table = mc._inverse_table(p)
+        hits = mc._membership_hits(*table, B)
+        assert hits == _reference_hits(*table, B)
         recorder = _Recorder()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mc, "generator", lambda *_: recorder)
@@ -313,7 +344,7 @@ class TestCutPointCounting:
             on = k * g
             edges += [np.nextafter(on, 0.0), on, np.nextafter(on, 1.0)]
         cdf = np.array(edges + [1.0])
-        last_positive = cdf.size - 1
+        table = (cdf, 0, cdf.size - 1)
         # a uniform equal to an edge draws that edge's index or lower
         assert [mc._grid_count(e) for e in edges[:3]] == [5, 6, 6]
         assert [mc._grid_count(e) for e in edges[-3:]] == [2 ** 52 + 9, 2 ** 52 + 10, 2 ** 52 + 11]
@@ -322,20 +353,19 @@ class TestCutPointCounting:
         sets += [NatSet.finite([0, 2, 3, 7, 12]), NatSet.cofinite([1, 2, 9]),
                  NatSet.finite(range(0, 13, 2)), NatSet.all()]
         for B in sets:
-            assert (mc._membership_hits(cdf, last_positive, B)
-                    == _reference_hits(cdf, last_positive, B)), B
+            assert mc._membership_hits(*table, B) == _reference_hits(*table, B), B
 
     def test_many_and_few_cut_points(self):
         # 40 isolated members give 79 cut points (member 0 has no lower
         # edge), 3 give 6
         p = PowerSeriesPmf(60.0, ONES)
-        cdf, last_positive = mc._inverse_table(p)
+        table = mc._inverse_table(p)
+        assert table[1] == 0
         for members in (range(0, 120, 3), (50, 60, 70)):
             B = NatSet.finite(members)
-            _, cuts = mc._membership_cuts(B, last_positive)
+            _, cuts = mc._membership_cuts(B, *table[1:])
             assert len(cuts) == 2 * len(members) - (0 in members)
-            assert (mc._membership_hits(cdf, last_positive, B)
-                    == _reference_hits(cdf, last_positive, B))
+            assert mc._membership_hits(*table, B) == _reference_hits(*table, B)
 
     def test_estimate_matches_reference(self):
         # over 300 streams, the binomial count and the count of 5000 draws
@@ -378,8 +408,7 @@ class TestCutPointCounting:
 
     def test_fixed_count_draws_nothing(self, monkeypatch):
         p = PowerSeriesPmf(1.0, finite_sequence([0.0, 1.0, 0.0, 2.0, 1.0, 0.0]))
-        _, last_positive = mc._inverse_table(p)
-        assert last_positive == 4
+        assert mc._inverse_table(p)[1:] == (1, 4)
 
         def no_draws(*_):
             raise AssertionError("a chunk was drawn")
@@ -397,6 +426,9 @@ class TestCutPointCounting:
             # cut points remain, but the cell they bound holds no grid value
             NatSet.finite([2]): 0.0,
             NatSet.cofinite([2]): 1.0,
+            # index 0 has no mass: a uniform of exactly 0.0 draws index 1
+            NatSet.finite([0]): 0.0,
+            NatSet.cofinite([0]): 1.0,
         }
         for B, prop in cases.items():
             assert mc._indicator_proportion(p, B, CHUNK + 1, rng, 0) == (prop, 0.0)

@@ -1,8 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
+import taylormeasure.stochastic as stoch
 from taylormeasure import (
     Ar1,
     BernoulliStep,
@@ -34,6 +36,13 @@ from taylormeasure import (
     simulate_random_walk_batch,
     stm_coefficients,
     stm_moments,
+)
+from taylormeasure.montecarlo import (
+    CHUNK,
+    ROLE_BROWNIAN,
+    ROLE_STM,
+    ROLE_WALK,
+    generator,
 )
 
 ALL = NatSet.all()
@@ -332,3 +341,180 @@ class TestStmCoefficients:
         direct = sample_stm(spec, ALL, None, rng)
         got = evaluate(T, NatSet.finite(range(5))).value
         assert got == pytest.approx(direct, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# batches drawn from the law of X(B), against references that draw per term
+
+
+def _reference_gaussian_batch(spec, B, truncation, rng, R):
+    """Draw every coefficient's normal and sum the weighted terms."""
+    idx = stoch._gaussian_window(spec, B, truncation)
+    gamma = 1.0 if isinstance(spec, IndicatorGamma) else spec.gamma
+    w = np.array([stoch.term_value(stoch._ONES, gamma, int(n)) for n in idx])
+    if isinstance(spec, GaussianIID):
+        mu = np.full(idx.shape, spec.mu_a)
+        sigma = np.full(idx.shape, spec.sigma_a)
+    else:
+        mu = np.array([spec.mu.a(int(n)) for n in idx])
+        sigma = np.array([spec.sigma.a(int(n)) for n in idx])
+    base = float(np.dot(mu, w))
+    noise = sigma * w
+    H = idx.size
+    out = np.empty(R)
+    for chunk, start, take in stoch._chunk_spans(R):
+        z = generator(rng, ROLE_STM, 2 * chunk).standard_normal((take, H))
+        x = base + (z @ noise if H else np.zeros(take))
+        if isinstance(spec, IndicatorGamma):
+            u = generator(rng, ROLE_STM, 2 * chunk + 1).random(take)
+            x = np.where(u < spec.p_a, x, 0.0)
+        out[start : start + take] = x
+    return out
+
+
+def _reference_path_batch(spec, B, rng, R):
+    """Draw every step or innovation and sum the weighted steps."""
+    w = stoch._walk_coefficient_weights(spec, B)
+    t = w.size
+    out = np.empty(R)
+    for chunk, start, take in stoch._chunk_spans(R):
+        if isinstance(spec, RandomWalk):
+            steps = spec.step.draw(generator(rng, ROLE_WALK, chunk), (take, t))
+        elif isinstance(spec, Ar1):
+            g = generator(rng, ROLE_STM, chunk)
+            steps = math.sqrt(spec.sigma2) * g.standard_normal((take, t))
+        else:
+            raw = NormalStep(spec.mu, spec.sigma).draw(
+                generator(rng, ROLE_BROWNIAN, chunk), (take, t))
+            steps = (raw - spec.mu) / (spec.sigma * math.sqrt(spec.n))
+        out[start : start + take] = steps @ w if t else np.zeros(take)
+    return out
+
+
+def _reference_batch(spec, B, truncation, rng, R):
+    if isinstance(spec, (GaussianIID, GaussianIndep, IndicatorGamma)):
+        return _reference_gaussian_batch(spec, B, truncation, rng, R)
+    if isinstance(spec, SimpleFunction):
+        return stoch._simple_batch(spec, rng, R)  # one uniform per draw already
+    return _reference_path_batch(spec, B, rng, R)
+
+
+K_SE = 5.0  # how many standard errors two samples may differ by
+
+
+def _assert_same_law(got, want):
+    """Two samples agree in mean and in variance within K_SE standard
+    errors (the variance's from the samples' fourth moments)."""
+
+    def moments(x):
+        d = x - x.mean()
+        m2, m4 = float(np.mean(d ** 2)), float(np.mean(d ** 4))
+        return float(x.mean()), m2 / x.size, float(x.var(ddof=1)), (m4 - m2 ** 2) / x.size
+
+    mean1, vm1, var1, vv1 = moments(got)
+    mean2, vm2, var2, vv2 = moments(want)
+    assert abs(mean1 - mean2) <= K_SE * math.sqrt(vm1 + vm2), (mean1, mean2)
+    assert abs(var1 - var2) <= K_SE * math.sqrt(vv1 + vv2), (var1, var2)
+
+
+def _plan(spec):
+    return gaussian_truncation_plan(spec, 1e-12)
+
+
+_COEFS = finite_sequence([1.0, 2.0, -1.0, 0.5])
+_SIGMAS = finite_sequence([0.5, 1.0, 2.0, 0.3])
+_IID = GaussianIID(0.5, 1.2, 1.5)
+_INDEP = GaussianIndep(_COEFS, _SIGMAS, 0.8)
+_INDICATOR = IndicatorGamma(0.3, constant_sequence(1.0), constant_sequence(1.0))
+_LAW_CASES = {
+    "iid-all": (_IID, ALL, _plan(_IID)),
+    "iid-finite": (_IID, NatSet.finite([0, 2, 5]), None),
+    "indep-all": (_INDEP, ALL, _plan(_INDEP)),
+    "indicator-all": (_INDICATOR, ALL, _plan(_INDICATOR)),
+    "simple": (SimpleFunction((2.0, 5.0, -1.0), (0.3, 0.5, 0.2)), ALL, None),
+    "walk-normal-all": (RandomWalk(NormalStep(0.3, 1.5), 40), ALL, None),
+    "walk-bernoulli-subset": (RandomWalk(BernoulliStep(0.3, 2.0, -1.0), 40),
+                              NatSet.finite(range(3, 18)), None),
+    "walk-uniform-cofinite": (RandomWalk(UniformStep(-1.0, 3.0), 40),
+                              NatSet.cofinite([2, 5, 9]), None),
+    "ar1-all": (Ar1(0.7, 1.5, 30), ALL, None),
+    "ar1-evens": (Ar1(0.9, 0.5, 30), NatSet.finite(range(0, 31, 2)), None),
+    "brownian-subset": (BrownianApprox(64, 0.5, 2.0), NatSet.finite(range(5, 64, 3)), None),
+    "brownian-all": (BrownianApprox(16, -1.0, 0.5), ALL, None),
+}
+# B holds no index of 1..t, so X(B) is 0 in every realization
+_EMPTY_CASES = {
+    "walk-bernoulli": (RandomWalk(BernoulliStep(0.5), 25), NatSet.finite([0, 30, 40])),
+    "walk-uniform": (RandomWalk(UniformStep(), 25), NatSet.finite([])),
+    "ar1": (Ar1(0.5, 1.0, 8), NatSet.finite([0])),
+    "brownian": (BrownianApprox(8, 0.0, 1.0), NatSet.finite([9, 12])),
+    "walk-no-steps": (RandomWalk(NormalStep(), 0), ALL),
+}
+
+
+class TestBatchLaw:
+    def test_normal_specs_are_mean_plus_sd_z(self):
+        # two chunks, so the second chunk's counter slot is checked too
+        R = CHUNK + 7
+        ind_mu = finite_sequence([1.0, 3.0, 2.0])
+        ind_sigma = finite_sequence([0.5, 1.0, 1.5])
+        indicator = IndicatorGamma(0.4, ind_mu, ind_sigma)
+        B3 = NatSet.finite([0, 1, 2])
+        cond = stm_moments(GaussianIndep(ind_mu, ind_sigma, 1.0), B3)
+        brownian = BrownianApprox(64, 0.5, 2.0)
+        cases = [
+            # spec, B, role, counter slot of chunk c, (mean, var)
+            (_IID, NatSet.finite([0, 2, 5]), ROLE_STM, 2, None),
+            (GaussianIndep(finite_sequence([1.0, 2.0, 4.0, 0.5]), _SIGMAS, 0.8),
+             NatSet.finite([0, 1, 3]), ROLE_STM, 2, None),
+            (indicator, B3, ROLE_STM, 2, cond),
+            (RandomWalk(NormalStep(0.3, 1.5), 40), ALL, ROLE_WALK, 1, None),
+            (Ar1(0.5, 1.5, 12), ALL, ROLE_STM, 1, None),
+            (brownian, NatSet.finite(range(1, 41)), ROLE_BROWNIAN, 1,
+             brownian_marginal_moments(brownian, 40)),
+        ]
+        for spec, B, role, slot, moments in cases:
+            mean, var = moments or stm_moments(spec, B)
+            rng = RngSpec(seed=31, stream=3)
+            z = np.concatenate([generator(rng, role, slot * c).standard_normal(take)
+                                for c, _, take in stoch._chunk_spans(R)])
+            want = mean + math.sqrt(var) * z
+            tol = 4.0 * 2.0 ** -52 * (abs(mean) + math.sqrt(var) * np.abs(z))
+            got = sample_stm_batch(spec, B, None, rng, R)
+            if spec is indicator:
+                # the event's uniforms come from the chunk's second slot
+                u = np.concatenate([generator(rng, ROLE_STM, 2 * c + 1).random(take)
+                                    for c, _, take in stoch._chunk_spans(R)])
+                on = u < spec.p_a
+                assert np.array_equal(got != 0.0, on)
+                got, want, tol = got[on], want[on], tol[on]
+            assert np.all(np.abs(got - want) <= np.maximum(tol, 5e-324)), type(spec).__name__
+
+    @pytest.mark.parametrize("name", sorted(_LAW_CASES))
+    def test_batch_matches_per_step_reference(self, name):
+        # 40 streams of 500 realizations per side
+        spec, B, plan = _LAW_CASES[name]
+        got, want = [], []
+        for r in range(40):
+            rng = RngSpec(seed=2027, stream=r)
+            got.append(sample_stm_batch(spec, B, plan, rng, 500))
+            want.append(_reference_batch(spec, B, plan, rng, 500))
+        _assert_same_law(np.concatenate(got), np.concatenate(want))
+
+    @pytest.mark.parametrize("name", sorted(_EMPTY_CASES))
+    def test_empty_window_is_zero(self, name):
+        spec, B = _EMPTY_CASES[name]
+        rng = RngSpec(seed=8)
+        got = sample_stm_batch(spec, B, None, rng, CHUNK + 3)
+        assert np.array_equal(got, np.zeros(CHUNK + 3))
+        assert np.array_equal(got, _reference_batch(spec, B, None, rng, CHUNK + 3))
+
+    def test_walk_batch_cost_does_not_grow_with_t(self):
+        # 20000 walks of 2000 steps: 4e7 per-step draws would take about a second
+        spec = RandomWalk(NormalStep(), 2000)
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            sample_stm_batch(spec, ALL, None, RngSpec(seed=1), 20000)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.05
