@@ -39,10 +39,10 @@ from .kernel import (
     TermBackedSequence,
     _TermEnvelope,
     _exp_signed,
+    _signed_log,
     _term_and_err,
     finite_sequence,
     plan_truncation,
-    term,
 )
 from .measure import (
     MeasureValue,
@@ -82,23 +82,22 @@ def _rho_summand(T1: TaylorMeasure, T2: TaylorMeasure, n: int) -> tuple[float, f
             v = (f * v1) * v2
             err = f * (abs(v1) * e2 + abs(v2) * e1 + e1 * e2) + 4.0 * _ULP * abs(v)
             return v, err
-    t1 = term(T1.coefficients, T1.gamma, n)
-    t2 = term(T2.coefficients, T2.gamma, n)
-    s = t1.sign * t2.sign
+    lf = math.lgamma(n + 1)
+    s1, l1 = _signed_log(T1.coefficients, T1.gamma, n, lf)
+    s2, l2 = _signed_log(T2.coefficients, T2.gamma, n, lf)
+    s = s1 * s2
     if s == 0:
         if e1 == 0.0 and e2 == 0.0:
             return 0.0, 0.0
-        lf = math.lgamma(n + 1)
         bound = 0.0
         if e1 > 0.0:
-            bound += _exp_signed(1, lf + math.log(e1) + max(t2.log_mag, -745.0))
+            bound += _exp_signed(1, lf + math.log(e1) + max(l2, -745.0))
         if e2 > 0.0:
-            bound += _exp_signed(1, lf + math.log(e2) + max(t1.log_mag, -745.0))
+            bound += _exp_signed(1, lf + math.log(e2) + max(l1, -745.0))
         return 0.0, bound
-    lf = math.lgamma(n + 1)
-    log_mag = lf + t1.log_mag + t2.log_mag
+    log_mag = lf + l1 + l2
     v = _exp_signed(s, log_mag)
-    err = abs(v) * (abs(t1.log_mag) + abs(t2.log_mag) + lf + 16.0) * 2.0 ** -50
+    err = abs(v) * (abs(l1) + abs(l2) + lf + 16.0) * 2.0 ** -50
     return v, err
 
 

@@ -9,9 +9,10 @@ arithmetic and everything needed to sum the terms safely: coefficient
 sequences with declared tails, growth certificates, certified tail
 bounds, truncation planning, and compensated summation split by sign.
 A truncation plan starts from a closed-form estimate of its index and
-confirms it with two tail bounds in the common case. Tail bounds and
-every certificate derived from others go through one term-space
-envelope, _TermEnvelope.
+confirms it with two tail bounds in the common case; the plan at half the
+smallest normal float is the underflow horizon where finite-set sums
+stop. Tail bounds and every certificate derived from others go through
+one term-space envelope, _TermEnvelope.
 
 Terms are kept in sign + log-magnitude form (via lgamma) so that a_n,
 gamma**n, and n! never have to be represented separately; a linear-space
@@ -358,16 +359,23 @@ def term(seq: SequenceLike, gamma: float, n: int) -> SignedLogTerm:
     """Sign and log magnitude of a_n * gamma**n / n! (0**0 = 1)."""
     if n < 0:
         raise ValueError("index must be a natural number")
+    sign, log_mag = _signed_log(seq, gamma, n, math.lgamma(n + 1))
+    return SignedLogTerm(n, sign, log_mag)
+
+
+def _signed_log(seq: SequenceLike, gamma: float, n: int, lg: float) -> tuple[int, float]:
+    """(sign, log|a_n * gamma**n / n!|) for n >= 0; (0, -inf) for a zero
+    term. ``lg`` is math.lgamma(n + 1), which the log path needs too and
+    so computes once."""
     sa, la = seq.log_a(n)
     if sa == 0:
-        return SignedLogTerm(n, 0, -math.inf)
+        return 0, -math.inf
     if n == 0:
-        return SignedLogTerm(0, sa, la)
+        return sa, la
     if gamma == 0.0:
-        return SignedLogTerm(n, 0, -math.inf)
+        return 0, -math.inf
     sign = -sa if (gamma < 0.0 and n % 2) else sa
-    log_mag = la + n * math.log(abs(gamma)) - math.lgamma(n + 1)
-    return SignedLogTerm(n, sign, log_mag)
+    return sign, la + n * math.log(abs(gamma)) - lg
 
 
 def term_value(seq: SequenceLike, gamma: float, n: int) -> float:
@@ -442,8 +450,8 @@ def _term_from_coefficient(seq: SequenceLike, a: float, gamma: float, n: int) ->
 
 def _log_term_and_err(seq: SequenceLike, gamma: float, n: int, npow: float) -> tuple[float, float]:
     """Log-path term value exp(la + npow - lgamma(n+1)), where npow is
-    n*log|gamma| as term() forms it, and a bound on its roundoff, in units
-    of u = 2**-53 of the value.
+    n*log|gamma| as _signed_log forms it, and a bound on its roundoff, in
+    units of u = 2**-53 of the value.
 
     Each operand rounds at its own size, not at the size of the result:
     la (a log, or a short sum of logs: 4 |la|), n*log|gamma| (a log within
@@ -457,15 +465,15 @@ def _log_term_and_err(seq: SequenceLike, gamma: float, n: int, npow: float) -> t
     one such unit is added to the bound; a term that underflows to 0 has
     |exact| below that unit.
     """
-    t = term(seq, gamma, n)
-    v = t.value
+    lg = math.lgamma(n + 1)
+    sign, log_mag = _signed_log(seq, gamma, n, lg)
+    v = _exp_signed(sign, log_mag)
     if v == 0.0:
         return v, _TINY
     if not math.isfinite(v):
         return v, 0.0
-    lg = math.lgamma(n + 1)
-    la = t.log_mag - npow + lg  # log|a_n| as term() read it, to within roundoff
-    units = (abs(t.log_mag) + 4.0 + 4.0 * abs(la) + 2.0 * abs(npow) + 3.0 * lg
+    la = log_mag - npow + lg  # log|a_n| as _signed_log read it, to within roundoff
+    units = (abs(log_mag) + 4.0 + 4.0 * abs(la) + 2.0 * abs(npow) + 3.0 * lg
              + abs(la + npow))
     return v, abs(v) * units * _ULP + _TINY
 
@@ -637,6 +645,43 @@ def plan_truncation(cert: GrowthCertificate, gamma: float, eps: float) -> Trunca
         else:
             lo = mid
     return TruncationPlan(hi, t)
+
+
+def underflow_horizon(seq: SequenceLike, gamma: float, last: int) -> TruncationPlan | None:
+    """The underflow horizon of seq's terms at gamma, for a finite set
+    whose largest index is ``last``: plan_truncation at eps = 2**-1023,
+    the smallest M whose certified tail is at most half the smallest
+    normal float. A sum over the set may stop at M and add the plan's
+    tail_bound to its error bound, trusting the certificate past M as an
+    infinite sum does.
+
+    That tail_bound is the smallest normal float, 2**-1022, not the tail
+    bound as computed: below the normal range a tail bound rounds by up to
+    half a subnormal unit, divided by 1 - q for a geometric ratio q < 1,
+    and 2**-1022 covers that. A finite support's horizon is its last index,
+    with tail 0.
+
+    Returns None when no index up to ``last`` lies past M, which one tail
+    bound at last - 1 decides and which is taken for granted when last is
+    at most _MAX_FLOAT_FACTORIAL, and when the certificate bounds nothing
+    (Unverified, or a k = 0 envelope at ratio >= 1) or the terms carry a
+    term_error, which the certificate does not bound.
+    """
+    if last <= _MAX_FLOAT_FACTORIAL:
+        return None
+    if isinstance(seq, TermBackedSequence) and seq.term_error is not None:
+        return None
+    cert = seq.certificate
+    env = _TermEnvelope.of(cert, gamma)
+    if not env.tail(last - 1) <= 0.5 * _MIN_NORMAL:
+        return None
+    try:
+        plan = plan_truncation(cert, gamma, 0.5 * _MIN_NORMAL)
+    except DivergenceUnknown:  # a horizon past _PLAN_CAP
+        return None
+    if env.last is not None:  # a finite support's tail is exactly 0
+        return plan
+    return TruncationPlan(plan.last_index, _MIN_NORMAL)
 
 
 # ---------------------------------------------------------------------------

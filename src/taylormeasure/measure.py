@@ -1,9 +1,12 @@
 """Signed measures on subsets of the naturals with factorial-weighted terms.
 
-A measure T assigns T(B) = sum_{n in B} a_n * gamma**n / n!. Finite sets
-are summed exactly; infinite sets (the whole of N, or complements of
-finite sets) go through a certified truncation plan derived from the
-coefficient sequence's growth certificate, and every returned value
+A measure T assigns T(B) = sum_{n in B} a_n * gamma**n / n!. Infinite sets
+(the whole of N, or complements of finite sets) go through a certified
+truncation plan derived from the coefficient sequence's growth
+certificate. Finite sets are summed index by index up to the
+certificate's underflow horizon, past which the terms' certified tail is
+below the normal float range (kernel.underflow_horizon); like an infinite
+sum, this trusts the certificate past the horizon. Every returned value
 carries an abs_error combining the tail bound with a roundoff estimate.
 
 Measures are identified semantically with their term function
@@ -15,7 +18,7 @@ presentation backed directly by the combined term function.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Iterator
@@ -191,14 +194,23 @@ def _eval_selected(
 ) -> MeasureValue:
     """Shared engine for evaluate / jordan parts / total variation.
 
-    Finite sets are summed exactly (no truncation). 'all' sums a certified
-    plan. Cofinite sets are the 'all' value minus the excluded finite part;
-    the tail bound certifies every selected variant because it dominates
-    sum |p(n)| over the tail.
+    Finite sets stop at the underflow horizon (kernel.underflow_horizon):
+    their indices past the first M whose certified tail is at most half
+    the smallest normal float are not summed, and a bound on that tail,
+    2**-1022, joins abs_error. Smaller finite sets, and terms the
+    certificate does not bound, are summed in full. 'all' sums a
+    certified plan. Cofinite sets are the 'all' value minus the excluded
+    finite part. Either tail bound certifies every selected variant
+    because it dominates sum |p(n)| over the tail.
     """
     if sets.is_finite:
-        value, err = _sum_selected(_terms(T, sets.elements), select)
-        return MeasureValue(value, err)
+        indices, tail = sets.elements, 0.0
+        horizon = indices and kernel.underflow_horizon(T.coefficients, T.gamma, indices[-1])
+        if horizon:
+            indices = indices[:bisect_right(indices, horizon.last_index)]
+            tail = horizon.tail_bound
+        value, err = _sum_selected(_terms(T, indices), select)
+        return MeasureValue(value, err + tail)
     _require_certificate(T.coefficients, "evaluation")
     plan = _plan_for(T, eps)
     if sets.kind == "all":
@@ -215,7 +227,10 @@ def _identity(v: float) -> float:
 
 
 def evaluate(T: TaylorMeasure, sets: NatSet, eps: float = 1e-12) -> MeasureValue:
-    """T(B) with |returned - exact| <= abs_error (tail bound + roundoff)."""
+    """T(B) with |returned - exact| <= abs_error (tail bound + roundoff).
+
+    A finite B stops at the underflow horizon; a bound on its tail,
+    2**-1022, joins abs_error."""
     return _eval_selected(T, sets, eps, _identity)
 
 
@@ -225,7 +240,8 @@ def taylor_derivative(T: TaylorMeasure, n: int) -> float:
 
 
 def total_variation(T: TaylorMeasure, sets: NatSet, eps: float = 1e-12) -> MeasureValue:
-    """|T|(B) = sum_{n in B} |p(n)|."""
+    """|T|(B) = sum_{n in B} |p(n)|, with finite sets cut at the underflow
+    horizon as in evaluate."""
     return _eval_selected(T, sets, eps, abs)
 
 
@@ -236,7 +252,8 @@ class JordanPair:
 
     positive(B) sums the terms of B that fall in A+, negative(B) sums
     the negated terms of B in A-; the two parts are mutually singular by
-    construction, and exactly so on finite sets.
+    construction. On a finite set both stop at the underflow horizon, as
+    evaluate does, and the terms they sum are split exactly.
     """
 
     measure: TaylorMeasure

@@ -363,6 +363,13 @@ def estimate_normalizer_poisson(
     )
 
 
+def _product_sd(m: float, mv: float, prop: float, pv: float) -> float:
+    """Standard deviation of the product of independent estimates with
+    means m, prop and variances mv, pv:
+    Var(XY) = m**2 pv + prop**2 mv + mv pv."""
+    return math.sqrt(m * m * pv + prop * prop * mv + mv * pv)
+
+
 def estimate_measure(
     zeta1: float,
     b1,
@@ -382,8 +389,13 @@ def estimate_measure(
     side's draws from its own substream.  Masses are the exact-within-eps
     normalizers unless estimate_normalizers is set, in which case they are
     Poisson-sampled as well and their uncertainty enters the stderr through
-    the product-variance formula. ``threads`` is accepted for compatibility
-    and has no effect.
+    the product-variance formula. Each side's stderr is a scale times a
+    standard deviation formed at scale 1: mass * sd(prop) for an exact
+    mass, e**zeta times the sd of (mean of b_N) * prop for an estimated
+    one. No squared mass or e**(2 zeta) is formed, and the two sides
+    combine by hypot. A point or stderr beyond the float range raises
+    NonFiniteResult. ``threads`` is accepted for compatibility and has no
+    effect.
     """
     if L1 < 2 or L2 < 2:
         raise ValueError("L1 and L2 must be at least 2")
@@ -396,26 +408,28 @@ def estimate_measure(
     if estimate_normalizers:
         m1, mv1 = _poisson_b_moments(zeta1, p1.b, L1, rng, _ROLE_NORMALIZER_POS)
         m2, mv2 = _poisson_b_moments(zeta2, p2.b, L2, rng, _ROLE_NORMALIZER_NEG)
-        mass1, mass_var1 = scale1 * m1, math.exp(2.0 * zeta1) * mv1
-        mass2, mass_var2 = scale2 * m2, math.exp(2.0 * zeta2) * mv2
+        mass1, se1 = scale1 * m1, scale1 * _product_sd(m1, mv1, prop1, pv1)
+        mass2, se2 = scale2 * m2, scale2 * _product_sd(m2, mv2, prop2, pv2)
     else:
-        mass1, mass_var1 = p1.normalizer.value, 0.0
-        mass2, mass_var2 = p2.normalizer.value, 0.0
-    # variance of a product of independent estimates:
-    # Var(XY) = mx**2 vy + my**2 vx + vx vy
-    var1 = mass1 ** 2 * pv1 + prop1 ** 2 * mass_var1 + mass_var1 * pv1
-    var2 = mass2 ** 2 * pv2 + prop2 ** 2 * mass_var2 + mass_var2 * pv2
+        mass1, mass2 = p1.normalizer.value, p2.normalizer.value
+        se1, se2 = abs(mass1) * math.sqrt(pv1), abs(mass2) * math.sqrt(pv2)
     point = mass1 * prop1 - mass2 * prop2
+    stderr = math.hypot(se1, se2)
+    if not (math.isfinite(point) and math.isfinite(stderr)):
+        raise NonFiniteResult(
+            f"the estimate {point} with stderr {stderr} at zeta = {zeta1!r}, "
+            f"{zeta2!r} is not finite"
+        )
     return McEstimate(
         point=point,
-        stderr=math.sqrt(var1 + var2),
+        stderr=stderr,
         n_samples=L1 + L2,
         components={
             "mass_pos": mass1,
             "mass_neg": mass2,
             "prop_pos": prop1,
             "prop_neg": prop2,
-            "stderr_pos": math.sqrt(var1),
-            "stderr_neg": math.sqrt(var2),
+            "stderr_pos": se1,
+            "stderr_neg": se2,
         },
     )

@@ -9,7 +9,9 @@ import sys
 import pytest
 
 import taylormeasure
+from taylormeasure import kernel, montecarlo, serialize
 from taylormeasure.cli import main as cli_main
+from taylormeasure.montecarlo import RngSpec, estimate_measure
 
 ONES = json.dumps({
     "gamma": 1.0,
@@ -32,6 +34,7 @@ POISSON1 = json.dumps({
     "coefficients": {"prefix": [], "tail": {"kind": "constant", "M": 1.0}},
     "certificate": {"kind": "bounded", "M": 1.0},
 })
+ONES_SEQ = taylormeasure.constant_sequence(1.0)
 FIRST_THREE = '{"kind": "finite", "elements": [0, 1, 2]}'
 
 
@@ -210,6 +213,91 @@ class TestValues:
         code, out, _ = run_cli(["eval", str(path)])
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(math.e, rel=1e-12)
+
+
+class TestHandlerValues:
+    """Each subcommand's JSON against the library call it wraps, in-process."""
+
+    def _doc(self, argv):
+        code, out, err = run_cli(argv)
+        assert code == 0, err
+        return json.loads(out)
+
+    def test_tv(self):
+        doc = self._doc(["tv", SIGNED])
+        mv = taylormeasure.total_variation(
+            serialize.parse_measure(json.loads(SIGNED)), taylormeasure.NatSet.all(), 1e-12)
+        assert (doc["value"], doc["abs_error"]) == (mv.value, mv.abs_error)
+        assert doc["value"] == pytest.approx(4.5, abs=1e-13)
+
+    def test_norm(self):
+        doc = self._doc(["norm", ONES])
+        mv = taylormeasure.norm(
+            serialize.parse_measure(json.loads(ONES)), taylormeasure.NatSet.all(), 1e-12)
+        assert (doc["value"], doc["abs_error"]) == (mv.value, mv.abs_error)
+        assert doc["value"] == pytest.approx(math.sqrt(math.e), rel=1e-12)
+
+    def test_dist(self):
+        doc = self._doc(["dist", ONES, SIGNED])
+        T1 = serialize.parse_measure(json.loads(ONES))
+        T2 = serialize.parse_measure(json.loads(SIGNED))
+        mv = taylormeasure.distance(T1, T2, taylormeasure.NatSet.all(), 1e-12)
+        assert (doc["value"], doc["abs_error"]) == (mv.value, mv.abs_error)
+        assert doc["value"] > 0.0
+
+    def test_fn_mul(self):
+        poly = '{"kind": "polynomial", "coeffs": [1.0, 2.0]}'
+        doc = self._doc(["fn-mul", GRID_FN, poly, "--x", "0.5", "--terms", "4"])
+        product = taylormeasure.multiply(serialize.parse_function(json.loads(GRID_FN)),
+                                         serialize.parse_function(json.loads(poly)))
+        mv = taylormeasure.eval_rep(product, 0.5, 1e-12)
+        assert (doc["value"], doc["abs_error"]) == (mv.value, mv.abs_error)
+        assert doc["coefficients"] == [product.coefficients.a(n) for n in range(4)]
+        assert doc["center"] == product.center
+        assert doc["value"] == pytest.approx(2.0 * math.exp(0.5), rel=1e-12)
+
+    def test_fn_supdist(self):
+        doc = self._doc(["fn-supdist", GRID_FN, "--oracle", "exp", "--grid", "11"])
+        value = taylormeasure.sup_distance_on_grid(
+            serialize.parse_function(json.loads(GRID_FN)), math.exp, (0.0, 1.0), m=11, eps=1e-12)
+        assert doc["value"] == value
+        assert value <= 1e-12
+
+    def test_eval_on_a_finite_set_past_the_horizon(self):
+        # the tail of e at gamma = 1 falls below the normal range past
+        # n = 170, the horizon: the sum skips 171, 500 and 2000
+        elements = [0, 1, 2, 170, 171, 500, 2000]
+        B = json.dumps({"kind": "finite", "elements": elements})
+        doc = self._doc(["eval", ONES, "--set", B])
+        T = serialize.parse_measure(json.loads(ONES))
+        NB = taylormeasure.NatSet.finite(elements)
+        mv = taylormeasure.evaluate(T, NB)
+        assert (doc["value"], doc["abs_error"]) == (mv.value, mv.abs_error)
+        assert doc["value"] == 2.5
+        assert kernel.underflow_horizon(T.coefficients, T.gamma, 2000).last_index == 170
+        assert doc["abs_error"] >= 2.0 ** -1022
+
+    def test_mc_measure_at_zeta_400(self):
+        # e**400 is finite, its square is not: the stderr never forms it
+        big = json.dumps({**json.loads(POISSON2), "zeta": 400.0})
+        B = '{"kind": "finite", "elements": [400]}'
+        for extra in ([], ["--estimate-normalizers"]):
+            doc = self._doc(["mc-measure", big, POISSON1, "--set", B, "--L1", "100",
+                             "--L2", "100", "--seed", "1"] + extra)
+            est = estimate_measure(400.0, ONES_SEQ, 1.0, ONES_SEQ, taylormeasure.NatSet.finite([400]),
+                                   100, 100, RngSpec(seed=1),
+                                   estimate_normalizers=bool(extra))
+            assert (doc["value"], doc["stderr"]) == (est.point, est.stderr)
+            assert 0.0 < doc["stderr"] < math.inf
+
+    def test_non_finite_mc_estimate_exits_3(self, monkeypatch):
+        # a mean of b_N beyond 1.8e308 / e**700 makes the mass estimate overflow
+        monkeypatch.setattr(montecarlo, "_poisson_b_moments", lambda *a: (1e10, 0.0))
+        big = json.dumps({**json.loads(POISSON2), "zeta": 700.0})
+        code, _, err = run_cli(["mc-measure", big, POISSON1, "--L1", "100", "--L2", "100",
+                                "--seed", "1", "--estimate-normalizers"])
+        assert code == 3
+        assert "NonFiniteResult" in err
 
 
 class TestDeterminism:

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from taylormeasure import (
@@ -31,6 +31,7 @@ from taylormeasure import (
     term,
     term_value,
 )
+from taylormeasure import geometry, kernel
 from taylormeasure.kernel import _PLAN_CAP, _log_term_and_err, _term_and_err
 
 ONES = constant_sequence(1.0)
@@ -420,3 +421,100 @@ class TestSumTerms:
         pos, neg = sum_terms(seq, 2.3, range(80))
         oracle = math.fsum(term_value(seq, 2.3, n) for n in range(80))
         assert pos - neg == pytest.approx(oracle, abs=1e-13 * (pos + neg + 1.0))
+
+
+# ---------------------------------------------------------------------------
+# The log path forms each term once, with the bits of the term()-based path
+
+
+def _ref_term(seq, gamma, n):
+    """Test-only reference: term() as it formed (sign, log_mag) before the
+    shared signed-log form, with lgamma inline."""
+    sa, la = seq.log_a(n)
+    if sa == 0:
+        return 0, -math.inf
+    if n == 0:
+        return sa, la
+    if gamma == 0.0:
+        return 0, -math.inf
+    sign = -sa if (gamma < 0.0 and n % 2) else sa
+    return sign, la + n * math.log(abs(gamma)) - math.lgamma(n + 1)
+
+
+def _ref_log_term_and_err(seq, gamma, n):
+    """Test-only reference: _term_and_err for n > 170 and gamma != 0 off a
+    term-backed sequence's presentation gamma, through the log path as it
+    was built on a SignedLogTerm, which called lgamma twice per term."""
+    if seq.a(n) == 0.0:
+        return 0.0, 0.0
+    npow = n * math.log(abs(gamma))
+    sign, log_mag = _ref_term(seq, gamma, n)
+    v = kernel._exp_signed(sign, log_mag)
+    if v == 0.0:
+        return v, kernel._TINY
+    if not math.isfinite(v):
+        return v, 0.0
+    lg = math.lgamma(n + 1)
+    la = log_mag - npow + lg
+    units = (abs(log_mag) + 4.0 + 4.0 * abs(la) + 2.0 * abs(npow) + 3.0 * lg
+             + abs(la + npow))
+    return v, abs(v) * units * kernel._ULP + kernel._TINY
+
+
+def _ref_rho_summand(T1, T2, n):
+    """Test-only reference: geometry._rho_summand on n > 170, where it
+    reads both terms through term()."""
+    v1, e1 = _term_and_err(T1.coefficients, T1.gamma, n)
+    v2, e2 = _term_and_err(T2.coefficients, T2.gamma, n)
+    sg1, l1 = _ref_term(T1.coefficients, T1.gamma, n)
+    sg2, l2 = _ref_term(T2.coefficients, T2.gamma, n)
+    s = sg1 * sg2
+    lf = math.lgamma(n + 1)
+    if s == 0:
+        if e1 == 0.0 and e2 == 0.0:
+            return 0.0, 0.0
+        bound = 0.0
+        if e1 > 0.0:
+            bound += kernel._exp_signed(1, lf + math.log(e1) + max(l2, -745.0))
+        if e2 > 0.0:
+            bound += kernel._exp_signed(1, lf + math.log(e2) + max(l1, -745.0))
+        return 0.0, bound
+    v = kernel._exp_signed(s, lf + l1 + l2)
+    return v, abs(v) * (abs(l1) + abs(l2) + lf + 16.0) * 2.0 ** -50
+
+
+def _log_rule_sequence():
+    # a_n = (-1)**n n**3, read through its log rule on the log path
+    return rule_sequence(lambda n: (-1.0) ** n * float(n) ** 3, Bounded(1.0),
+                         log_rule=lambda n: (-1 if n % 2 else 1, 3.0 * math.log(n)))
+
+
+_LOG_PATH_SEQUENCES = {
+    "constant": lambda: constant_sequence(-1.75),
+    "geometric": lambda: geometric_sequence(1.5, -0.8),
+    "log_rule": _log_rule_sequence,
+    # term-backed at presentation 2, read at other gammas through a_n
+    "term_backed": lambda: TermBackedSequence(lambda n: 0.97 ** n, 2.0, GeometricEnvelope(1.0, 0.5)),
+}
+
+
+class TestSignedLogForm:
+    @given(st.sampled_from(sorted(_LOG_PATH_SEQUENCES)), st.integers(171, 20000),
+           st.floats(0.01, 800.0), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_term_and_err_matches_term_based_log_path(self, kind, n, g, negative):
+        seq = _LOG_PATH_SEQUENCES[kind]()
+        gamma = -g if negative else g
+        assume(kind != "term_backed" or gamma != 2.0)
+        assert _term_and_err(seq, gamma, n) == _ref_log_term_and_err(seq, gamma, n)
+        t = term(seq, gamma, n)
+        assert (t.sign, t.log_mag) == _ref_term(seq, gamma, n)
+
+    @given(st.sampled_from(sorted(_LOG_PATH_SEQUENCES)), st.sampled_from(sorted(_LOG_PATH_SEQUENCES)),
+           st.integers(171, 20000), st.floats(0.01, 60.0), st.floats(-60.0, 60.0))
+    @settings(max_examples=200, deadline=None)
+    def test_rho_summand_matches_term_based_log_path(self, k1, k2, n, g1, g2):
+        T1 = TaylorMeasure(_LOG_PATH_SEQUENCES[k1](), -g1 if n % 3 == 0 else g1)
+        T2 = TaylorMeasure(_LOG_PATH_SEQUENCES[k2](), g2)
+        assume(2.0 not in (T1.gamma, T2.gamma))
+        assert geometry._rho_summand(T1, T2, n) == _ref_rho_summand(T1, T2, n)

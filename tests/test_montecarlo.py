@@ -172,6 +172,52 @@ class TestEstimateMeasure:
         assert hits >= reps - 3
 
 
+class TestStderrAtLargeZeta:
+    """Each side's stderr is formed at its mass's scale: e**400 is a float,
+    its square is not."""
+
+    def test_exact_masses_at_zeta_400(self):
+        est = estimate_measure(400.0, ONES, 1.0, ONES, NatSet.finite([400]), 100, 100,
+                               RngSpec(seed=1))
+        c = est.components
+        assert math.isfinite(est.point) and 0.0 < est.stderr < math.inf
+        assert c["mass_pos"] == pytest.approx(math.exp(400.0), rel=1e-12)
+        pv = c["prop_pos"] * (1.0 - c["prop_pos"]) / 99
+        assert c["stderr_pos"] == pytest.approx(c["mass_pos"] * math.sqrt(pv), rel=1e-15)
+        assert est.stderr == math.hypot(c["stderr_pos"], c["stderr_neg"])
+
+    def test_estimated_masses_at_zeta_400(self):
+        b = rule_sequence(lambda n: float(n % 3), Bounded(2.0))
+        est = estimate_measure(400.0, b, 1.0, ONES, NatSet.finite(range(380, 420)), 1000, 1000,
+                               RngSpec(seed=2), estimate_normalizers=True)
+        assert math.isfinite(est.point) and 0.0 < est.stderr < math.inf
+        assert est.components["stderr_pos"] > 0.0
+
+    def test_same_stderr_law_where_squares_fit(self):
+        # the product-variance formula, as a plain sum of squared terms
+        b = rule_sequence(lambda n: float(n + 1), GeometricEnvelope(1.0, 2.0))
+        for normalizers in (False, True):
+            est = estimate_measure(2.0, b, 1.5, ONES, NatSet.finite([0, 1, 2, 3]), 5000, 5000,
+                                   RngSpec(seed=9), estimate_normalizers=normalizers)
+            c = est.components
+            var = 0.0
+            for side, L in (("pos", 5000), ("neg", 5000)):
+                prop, mass = c[f"prop_{side}"], c[f"mass_{side}"]
+                pv = prop * (1.0 - prop) / (L - 1)
+                sd = c[f"stderr_{side}"]
+                if not normalizers:
+                    assert sd == pytest.approx(abs(mass) * math.sqrt(pv), rel=1e-14)
+                var += sd * sd
+            assert est.stderr == pytest.approx(math.sqrt(var), rel=1e-14)
+
+    def test_non_finite_estimate_is_refused(self, monkeypatch):
+        # a mean of b_N beyond 1.8e308 / e**700 makes the mass estimate overflow
+        monkeypatch.setattr(mc, "_poisson_b_moments", lambda *a: (1e10, 0.0))
+        with pytest.raises(NonFiniteResult, match="not finite"):
+            estimate_measure(700.0, ONES, 1.0, ONES, NatSet.all(), 100, 100, RngSpec(seed=1),
+                             estimate_normalizers=True)
+
+
 class TestEstimateNormalizerPoisson:
     def test_constant_density_is_exact(self):
         est = estimate_normalizer_poisson(1.0, ONES, 10 ** 4, RngSpec(seed=1))
