@@ -33,6 +33,7 @@ from .kernel import (
     _MAX_FLOAT_FACTORIAL,
     _TermEnvelope,
     _ULP,
+    _sum_by_sign,
     _term_and_err,
     _term_bias,
     _term_from_coefficient,
@@ -41,7 +42,7 @@ from .kernel import (
     plan_truncation,
     rule_sequence,
 )
-from .measure import MeasureValue, _identity, _require_certificate, _sum_selected
+from .measure import MeasureValue, _require_certificate
 
 __all__ = [
     "AnalyticRep",
@@ -276,10 +277,10 @@ def _eval_points(rep: AnalyticRep, xs: Sequence[float], eps: float) -> list[Meas
             terms = map(partial(_term_and_err, seq, gamma), indices)
         else:
             terms = map(partial(_term_from_coefficient, seq), a, repeat(gamma), indices)
-        value, err = _sum_selected(terms, _identity)
+        pos, neg, err, _, _ = _sum_by_sign(terms)
         if bias is not None and gamma != presented:
             err += math.fsum(_term_bias(seq, gamma, n) for n in indices)
-        out.append(MeasureValue(value, err + plan.tail_bound))
+        out.append(MeasureValue(pos - neg, err + plan.tail_bound))
     return out
 
 

@@ -53,10 +53,11 @@ from .errors import (
 from .geometry import distance, hilbert_axiom_report, inner_product, norm
 from .kernel import finite_sequence
 from .measure import (
+    MeasureValue,
     NatSet,
     TaylorMeasure,
+    _eval_selected,
     evaluate,
-    jordan_decompose,
     total_variation,
 )
 from .probability import PowerSeriesPmf, normalizer, pmf_eval
@@ -150,23 +151,22 @@ def _cmd_eval(args):
 def _cmd_decompose(args):
     T = serialize.parse_measure(_load_doc(args.measure, "measure"))
     B = _load_set(args)
-    pair = jordan_decompose(T)
-    pos = pair.positive(B, args.eps)
-    neg = pair.negative(B, args.eps)
+    # one pass gives both parts; value and abs_error are evaluate's
+    s, tail = _eval_selected(T, B, args.eps)
+    mv = MeasureValue(s.pos - s.neg, s.error + tail)
     result = {
         "command": "decompose",
-        "value": pos.value - neg.value,
-        "abs_error": pos.abs_error + neg.abs_error,
-        "pos_mass": pos.value,
-        "neg_mass": neg.value,
-        "total_variation": pos.value + neg.value,
+        "value": mv.value,
+        "abs_error": mv.abs_error,
+        "pos_mass": s.pos,
+        "neg_mass": s.neg,
+        "total_variation": s.pos + s.neg,
         "inputs": {"measure": serialize.measure_to_doc(T),
                    "set": serialize.set_to_doc(B), "eps": args.eps},
         "seed": None,
     }
-    rows = [["positive", pos.value], ["negative", neg.value],
-            ["signed_total", pos.value - neg.value],
-            ["total_variation", pos.value + neg.value]]
+    rows = [["positive", s.pos], ["negative", s.neg],
+            ["signed_total", mv.value], ["total_variation", s.pos + s.neg]]
     return result, ["part", "value"], rows
 
 

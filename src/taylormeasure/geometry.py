@@ -48,6 +48,7 @@ from .measure import (
     MeasureValue,
     NatSet,
     TaylorMeasure,
+    _term_errors,
     linear_combination,
     total_variation,
 )
@@ -70,23 +71,37 @@ def _rho_envelope(T1: TaylorMeasure, T2: TaylorMeasure) -> _TermEnvelope:
 
 
 def _rho_summand(T1: TaylorMeasure, T2: TaylorMeasure, n: int) -> tuple[float, float]:
-    """n! * p_T1(n) * p_T2(n) with a roundoff estimate."""
-    v1, e1 = _term_and_err(T1.coefficients, T1.gamma, n)
-    v2, e2 = _term_and_err(T2.coefficients, T2.gamma, n)
-    if n <= _MAX_FLOAT_FACTORIAL and v1 != 0.0 and v2 != 0.0:
-        f = _FACT[n]
-        l1 = math.log(abs(v1))
-        l2 = math.log(abs(v2))
-        lf = math.log(f)
-        if abs(l1 + lf) < _LOG_SAFE and abs(l1 + l2 + lf) < _LOG_SAFE:
-            v = (f * v1) * v2
-            err = f * (abs(v1) * e2 + abs(v2) * e1 + e1 * e2) + 4.0 * _ULP * abs(v)
-            return v, err
+    """n! * p_T1(n) * p_T2(n) with a bound on its error: roundoff and the
+    operands' term errors.
+
+    Up to n = 170 the operands' terms are formed in linear space and their
+    product too while it stays in the normal range. Past that, and where
+    the product leaves that range, each operand is formed once in signed-log
+    form, with one lgamma(n + 1) shared by both.
+    """
+    terms = None
+    if n <= _MAX_FLOAT_FACTORIAL:
+        terms = (_term_and_err(T1.coefficients, T1.gamma, n),
+                 _term_and_err(T2.coefficients, T2.gamma, n))
+        (v1, e1), (v2, e2) = terms
+        if v1 != 0.0 and v2 != 0.0:
+            f = _FACT[n]
+            l1 = math.log(abs(v1))
+            l2 = math.log(abs(v2))
+            lf = math.log(f)
+            if abs(l1 + lf) < _LOG_SAFE and abs(l1 + l2 + lf) < _LOG_SAFE:
+                v = (f * v1) * v2
+                err = f * (abs(v1) * e2 + abs(v2) * e1 + e1 * e2) + 4.0 * _ULP * abs(v)
+                return v, err
     lf = math.lgamma(n + 1)
     s1, l1 = _signed_log(T1.coefficients, T1.gamma, n, lf)
     s2, l2 = _signed_log(T2.coefficients, T2.gamma, n, lf)
     s = s1 * s2
     if s == 0:
+        # a zero operand: its term and the other's carry the whole error
+        # (a nan coefficient reads as zero here and raises in _term_and_err)
+        (v1, e1), (v2, e2) = terms or (_term_and_err(T1.coefficients, T1.gamma, n),
+                                       _term_and_err(T2.coefficients, T2.gamma, n))
         if e1 == 0.0 and e2 == 0.0:
             return 0.0, 0.0
         bound = 0.0
@@ -98,6 +113,13 @@ def _rho_summand(T1: TaylorMeasure, T2: TaylorMeasure, n: int) -> tuple[float, f
     log_mag = lf + l1 + l2
     v = _exp_signed(s, log_mag)
     err = abs(v) * (abs(l1) + abs(l2) + lf + 16.0) * 2.0 ** -50
+    b1, b2 = (bias(n) if bias else 0.0 for bias in (_term_errors(T1), _term_errors(T2)))
+    if b1 or b2:
+        # n! (|p1| b2 + |p2| b1 + b1 b2), each product formed in logs
+        lb1 = math.log(b1) if b1 else -math.inf
+        lb2 = math.log(b2) if b2 else -math.inf
+        err += (_exp_signed(1, lf + l1 + lb2) + _exp_signed(1, lf + l2 + lb1)
+                + _exp_signed(1, lf + lb1 + lb2))
     return v, err
 
 

@@ -7,7 +7,8 @@ A signed Taylor measure assigns to each index n the term
 and set values are sums of these terms. This module owns the per-term
 arithmetic and everything needed to sum the terms safely: coefficient
 sequences with declared tails, growth certificates, certified tail
-bounds, truncation planning, and compensated summation split by sign.
+bounds, truncation planning, and one compensated summation pass split by
+sign (_sum_by_sign), which every set sum reads its values from.
 A truncation plan starts from a closed-form estimate of its index and
 confirms it with two tail bounds in the common case; the plan at half the
 smallest normal float is the underflow horizon where finite-set sums
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, NamedTuple, Union
 
 from .errors import DivergenceUnknown, OutOfDomain
 
@@ -794,7 +795,12 @@ class _TermEnvelope:
         if w == 0.0:
             return _TermEnvelope(last=-1)
         term = self.term
-        return _TermEnvelope(self.k, abs(w) * self.scale, self.ratio, self.start, self.last,
+        scale = abs(w) * self.scale
+        if 0.0 < self.scale and scale < _MIN_NORMAL:
+            # below the normal range the product rounds (even to 0) by up
+            # to half a subnormal unit; a bound must not round down
+            scale += _TINY
+        return _TermEnvelope(self.k, scale, self.ratio, self.start, self.last,
                              None if term is None else (lambda n: w * term(n)))
 
     def add(self, other: "_TermEnvelope") -> "_TermEnvelope":
@@ -949,6 +955,45 @@ class _NeumaierSum:
         return self.high + self.comp
 
 
+class _SignSplit(NamedTuple):
+    """One pass over a set's (value, roundoff) term pairs, split by sign.
+
+    pos sums the positive terms and neg the negated negative ones, so
+    T(B) = pos - neg and |T|(B) = pos + neg; error bounds the roundoff of
+    both. pos_error and neg_error bound that of pos and of neg: they count
+    the terms >= 0 and the terms <= 0, since a term that rounded to 0 may
+    have underflowed, and then its sign is unknown.
+    """
+
+    pos: float
+    neg: float
+    error: float
+    pos_error: float
+    neg_error: float
+
+
+def _sum_by_sign(terms: Iterable[tuple[float, float]]) -> _SignSplit:
+    """The one summation pass behind every set sum: compensated sums by
+    sign, and the terms' roundoff summed in index order."""
+    pos = _NeumaierSum()
+    neg = _NeumaierSum()
+    err = err_pos = err_neg = 0.0
+    for v, e in terms:
+        err += e
+        if v > 0.0:
+            pos.add(v)
+            err_pos += e
+        elif v < 0.0:
+            neg.add(-v)
+            err_neg += e
+        else:
+            err_pos += e
+            err_neg += e
+    p, m = pos.value, neg.value
+    return _SignSplit(p, m, err + 2.0 * _ULP * (p + m), err_pos + 2.0 * _ULP * p,
+                      err_neg + 2.0 * _ULP * m)
+
+
 def sum_terms(seq: SequenceLike, gamma: float, indices: Iterable[int]) -> tuple[float, float]:
     """Sum the terms at the given indices, split by sign.
 
@@ -956,27 +1001,7 @@ def sum_terms(seq: SequenceLike, gamma: float, indices: Iterable[int]) -> tuple[
     the sum of negative terms; both are >= 0 and the signed total is
     pos - neg. Each group uses compensated summation, so any
     permutation of ``indices`` changes the result by at most a few ulp.
+    The pass is the one behind evaluate and the Jordan parts.
     """
-    pos, neg, _ = sum_terms_detailed(seq, gamma, indices)
-    return pos, neg
-
-
-def sum_terms_detailed(
-    seq: SequenceLike, gamma: float, indices: Iterable[int]
-) -> tuple[float, float, float]:
-    """Like sum_terms but also returns an absolute roundoff estimate."""
-    pos = _NeumaierSum()
-    neg = _NeumaierSum()
-    err = 0.0
-    count = 0
-    for n in indices:
-        v, e = _term_and_err(seq, gamma, n)
-        err += e
-        count += 1
-        if v > 0.0:
-            pos.add(v)
-        elif v < 0.0:
-            neg.add(-v)
-    p, m = pos.value, neg.value
-    err += 2.0 * _ULP * (p + m)
-    return p, m, err
+    s = _sum_by_sign(_term_and_err(seq, gamma, n) for n in indices)
+    return s.pos, s.neg

@@ -9,6 +9,9 @@ below the normal float range (kernel.underflow_horizon); like an infinite
 sum, this trusts the certificate past the horizon. Every returned value
 carries an abs_error combining the tail bound with a roundoff estimate.
 
+One pass (kernel._sum_by_sign) sums a set's terms once, split by sign:
+T(B) is pos - neg, |T|(B) is pos + neg, and the Jordan parts are pos, neg.
+
 Measures are identified semantically with their term function
 p(n) = a_n * gamma**n / n!; the (gamma, a) pair is just a presentation.
 Algebraic results therefore come back in the canonical gamma = 1
@@ -29,13 +32,10 @@ from .kernel import (
     SequenceLike,
     SignedLogTerm,
     TermBackedSequence,
-    TruncationPlan,
     Unverified,
     _TermEnvelope,
     finite_sequence,
 )
-
-_ULP = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -158,50 +158,18 @@ def _terms(T: TaylorMeasure, indices: Iterable[int]) -> Iterator[tuple[float, fl
     return map(partial(kernel._term_and_err, T.coefficients, T.gamma), indices)
 
 
-def _sum_selected(
-    terms: Iterable[tuple[float, float]], select: Callable[[float], float]
-) -> tuple[float, float]:
-    """Sum select(v) over (v, roundoff) term pairs with compensated accumulation.
-
-    select maps a term to its contribution (identity, positive part,
-    negative part, or absolute value). Returns (value, roundoff_estimate).
-    A term that rounded to 0 keeps its roundoff: it may have underflowed,
-    and then its sign is unknown.
-    """
-    acc_pos = kernel._NeumaierSum()
-    acc_neg = kernel._NeumaierSum()
-    err = 0.0
-    for v, e in terms:
-        w = select(v)
-        if w == 0.0 and v != 0.0:
-            continue
-        err += e
-        if w > 0.0:
-            acc_pos.add(w)
-        else:
-            acc_neg.add(w)
-    value = acc_pos.value + acc_neg.value
-    err += 2.0 * _ULP * (acc_pos.value - acc_neg.value)
-    return value, err
-
-
-def _plan_for(T: TaylorMeasure, eps: float) -> TruncationPlan:
-    return kernel.plan_truncation(T.coefficients.certificate, T.gamma, eps)
-
-
-def _eval_selected(
-    T: TaylorMeasure, sets: NatSet, eps: float, select: Callable[[float], float]
-) -> MeasureValue:
-    """Shared engine for evaluate / jordan parts / total variation.
+def _eval_selected(T: TaylorMeasure, sets: NatSet, eps: float) -> tuple[kernel._SignSplit, float]:
+    """The sign-split pass over T's terms on B that evaluate,
+    total_variation and both Jordan parts read, and the tail it leaves out.
 
     Finite sets stop at the underflow horizon (kernel.underflow_horizon):
     their indices past the first M whose certified tail is at most half
-    the smallest normal float are not summed, and a bound on that tail,
-    2**-1022, joins abs_error. Smaller finite sets, and terms the
-    certificate does not bound, are summed in full. 'all' sums a
+    the smallest normal float are not summed, and that tail's bound,
+    2**-1022, is returned. Smaller finite sets, and terms the certificate
+    does not bound, are summed in full, with no tail. 'all' sums a
     certified plan. Cofinite sets are the 'all' value minus the excluded
-    finite part. Either tail bound certifies every selected variant
-    because it dominates sum |p(n)| over the tail.
+    finite part. Either tail bound serves the signed sum, the variation
+    and both parts because it dominates sum |p(n)| over the tail.
     """
     if sets.is_finite:
         indices, tail = sets.elements, 0.0
@@ -209,21 +177,15 @@ def _eval_selected(
         if horizon:
             indices = indices[:bisect_right(indices, horizon.last_index)]
             tail = horizon.tail_bound
-        value, err = _sum_selected(_terms(T, indices), select)
-        return MeasureValue(value, err + tail)
+        return kernel._sum_by_sign(_terms(T, indices)), tail
     _require_certificate(T.coefficients, "evaluation")
-    plan = _plan_for(T, eps)
+    plan = kernel.plan_truncation(T.coefficients.certificate, T.gamma, eps)
     if sets.kind == "all":
         indices: Iterable[int] = range(plan.last_index + 1)
     else:
         excluded = set(sets.elements)
         indices = (n for n in range(plan.last_index + 1) if n not in excluded)
-    value, err = _sum_selected(_terms(T, indices), select)
-    return MeasureValue(value, err + plan.tail_bound)
-
-
-def _identity(v: float) -> float:
-    return v
+    return kernel._sum_by_sign(_terms(T, indices)), plan.tail_bound
 
 
 def evaluate(T: TaylorMeasure, sets: NatSet, eps: float = 1e-12) -> MeasureValue:
@@ -231,7 +193,8 @@ def evaluate(T: TaylorMeasure, sets: NatSet, eps: float = 1e-12) -> MeasureValue
 
     A finite B stops at the underflow horizon; a bound on its tail,
     2**-1022, joins abs_error."""
-    return _eval_selected(T, sets, eps, _identity)
+    s, tail = _eval_selected(T, sets, eps)
+    return MeasureValue(s.pos - s.neg, s.error + tail)
 
 
 def taylor_derivative(T: TaylorMeasure, n: int) -> float:
@@ -240,9 +203,11 @@ def taylor_derivative(T: TaylorMeasure, n: int) -> float:
 
 
 def total_variation(T: TaylorMeasure, sets: NatSet, eps: float = 1e-12) -> MeasureValue:
-    """|T|(B) = sum_{n in B} |p(n)|, with finite sets cut at the underflow
+    """|T|(B) = sum_{n in B} |p(n)|, the sum of the Jordan parts, with
+    the abs_error of evaluate; finite sets are cut at the underflow
     horizon as in evaluate."""
-    return _eval_selected(T, sets, eps, abs)
+    s, tail = _eval_selected(T, sets, eps)
+    return MeasureValue(s.pos + s.neg, s.error + tail)
 
 
 @dataclass(frozen=True)
@@ -252,8 +217,9 @@ class JordanPair:
 
     positive(B) sums the terms of B that fall in A+, negative(B) sums
     the negated terms of B in A-; the two parts are mutually singular by
-    construction. On a finite set both stop at the underflow horizon, as
-    evaluate does, and the terms they sum are split exactly.
+    construction. Both read the pass behind evaluate, so evaluate(B) is
+    positive(B) - negative(B) bit for bit; on a finite set both stop at the
+    underflow horizon, and the terms they sum are split exactly.
     """
 
     measure: TaylorMeasure
@@ -262,12 +228,12 @@ class JordanPair:
         return self.measure.term(n) >= 0.0
 
     def positive(self, sets: NatSet, eps: float = 1e-12) -> MeasureValue:
-        out = _eval_selected(self.measure, sets, eps, lambda v: v if v > 0.0 else 0.0)
-        return MeasureValue(max(out.value, 0.0), out.abs_error)
+        s, tail = _eval_selected(self.measure, sets, eps)
+        return MeasureValue(s.pos, s.pos_error + tail)
 
     def negative(self, sets: NatSet, eps: float = 1e-12) -> MeasureValue:
-        out = _eval_selected(self.measure, sets, eps, lambda v: -v if v < 0.0 else 0.0)
-        return MeasureValue(max(out.value, 0.0), out.abs_error)
+        s, tail = _eval_selected(self.measure, sets, eps)
+        return MeasureValue(s.neg, s.neg_error + tail)
 
 
 def jordan_decompose(T: TaylorMeasure) -> JordanPair:

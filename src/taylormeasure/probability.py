@@ -43,15 +43,16 @@ from .kernel import (
     Unverified,
     ZeroTail,
     _TermEnvelope,
+    _sum_by_sign,
+    _term_and_err,
     plan_truncation,
-    sum_terms_detailed,
     term_value,
 )
 from .measure import (
     MeasureValue,
     NatSet,
     TaylorMeasure,
-    jordan_decompose,
+    _eval_selected,
     linear_combination,
 )
 
@@ -94,15 +95,15 @@ def normalizer(zeta: float, b, eps: float = 1e-12) -> MeasureValue:
             "normalizer sum cannot be certified"
         )
     plan = plan_truncation(cert, zeta, eps)
-    pos, neg, rerr = sum_terms_detailed(b, zeta, range(plan.last_index + 1))
-    if neg > 0.0:
+    s = _sum_by_sign(_term_and_err(b, zeta, n) for n in range(plan.last_index + 1))
+    if s.neg > 0.0:
         raise InvalidPmf("negative density weight b_n * zeta**n / n! encountered")
-    err = plan.tail_bound + rerr
-    if pos <= err:
+    err = plan.tail_bound + s.error
+    if s.pos <= err:
         raise DegenerateDistribution(
-            f"normalizer {pos} is zero within its error bound {err}"
+            f"normalizer {s.pos} is zero within its error bound {err}"
         )
-    return MeasureValue(pos, err)
+    return MeasureValue(s.pos, err)
 
 
 class _IncrementalPmf:
@@ -312,10 +313,9 @@ def probability_pair(T: TaylorMeasure, eps: float = 1e-12) -> TaylorProbabilityP
     measure carries no probability content), and DivergenceUnknown when the
     total masses cannot be certified.
     """
-    pair = jordan_decompose(T)
-    every = NatSet.all()
-    mp = pair.positive(every, eps)
-    mn = pair.negative(every, eps)
+    s, tail = _eval_selected(T, NatSet.all(), eps)
+    mp = MeasureValue(s.pos, s.pos_error + tail)
+    mn = MeasureValue(s.neg, s.neg_error + tail)
     pos_degenerate = mp.value <= mp.abs_error
     neg_degenerate = mn.value <= mn.abs_error
     if pos_degenerate and neg_degenerate:

@@ -34,6 +34,12 @@ POISSON1 = json.dumps({
     "coefficients": {"prefix": [], "tail": {"kind": "constant", "M": 1.0}},
     "certificate": {"kind": "bounded", "M": 1.0},
 })
+# e**-2: the terms (-2)**n / n! alternate in sign
+ALTERNATING = json.dumps({
+    "gamma": -2.0,
+    "coefficients": {"prefix": [], "tail": {"kind": "constant", "M": 1.0}},
+    "certificate": {"kind": "bounded", "M": 1.0},
+})
 ONES_SEQ = taylormeasure.constant_sequence(1.0)
 FIRST_THREE = '{"kind": "finite", "elements": [0, 1, 2]}'
 
@@ -276,6 +282,48 @@ class TestHandlerValues:
         assert doc["value"] == 2.5
         assert kernel.underflow_horizon(T.coefficients, T.gamma, 2000).last_index == 170
         assert doc["abs_error"] >= 2.0 ** -1022
+
+    @pytest.mark.parametrize("B", [
+        {"kind": "all"},
+        {"kind": "cofinite", "elements": [0, 3, 4]},
+        # the horizon of e**-2 is n = 196: 400 and 3000 are not summed
+        {"kind": "finite", "elements": [0, 1, 5, 170, 400, 3000]},
+    ], ids=["all", "cofinite", "finite_past_horizon"])
+    def test_decompose(self, B):
+        doc = self._doc(["decompose", ALTERNATING, "--set", json.dumps(B)])
+        T = serialize.parse_measure(json.loads(ALTERNATING))
+        NB = serialize.parse_set(B)
+        mv = taylormeasure.evaluate(T, NB, 1e-12)
+        pair = taylormeasure.jordan_decompose(T)
+        pos, neg = pair.positive(NB, 1e-12), pair.negative(NB, 1e-12)
+        # one tail and each roundoff counted once: the abs_error of eval
+        assert (doc["value"], doc["abs_error"]) == (mv.value, mv.abs_error)
+        assert (doc["pos_mass"], doc["neg_mass"]) == (pos.value, neg.value)
+        assert doc["total_variation"] == taylormeasure.total_variation(T, NB, 1e-12).value
+        assert doc["value"] == doc["pos_mass"] - doc["neg_mass"]
+        assert doc["abs_error"] <= pos.abs_error + neg.abs_error
+        if NB.is_finite:
+            assert kernel.underflow_horizon(T.coefficients, T.gamma, 3000).last_index == 196
+
+    @pytest.mark.parametrize("B", [{"kind": "all"}, {"kind": "finite", "elements": [0, 1, 5, 400]}])
+    def test_decompose_plans_and_sums_once(self, monkeypatch, B):
+        plans, terms = [], []
+        plan, term = kernel.plan_truncation, kernel._term_and_err
+
+        def counted_plan(*args):
+            plans.append(plan(*args))
+            return plans[-1]
+
+        def counted_term(seq, gamma, n):
+            terms.append(n)
+            return term(seq, gamma, n)
+
+        monkeypatch.setattr(kernel, "plan_truncation", counted_plan)
+        monkeypatch.setattr(kernel, "_term_and_err", counted_term)
+        self._doc(["decompose", ALTERNATING, "--set", json.dumps(B)])
+        assert len(plans) == 1
+        NB = serialize.parse_set(B)
+        assert terms == [n for n in range(plans[0].last_index + 1) if n in NB]
 
     def test_mc_measure_at_zeta_400(self):
         # e**400 is finite, its square is not: the stderr never forms it

@@ -2,15 +2,18 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 import taylormeasure.geometry as geometry
 from taylormeasure import (
     Bounded,
     DivergenceUnknown,
+    GeometricEnvelope,
     NatSet,
     NonFiniteResult,
     TaylorMeasure,
+    TermBackedSequence,
     Unverified,
     constant_sequence,
     distance,
@@ -151,6 +154,52 @@ class TestEarlyRefusal:
         got = [inner_product(a, b, B) for a, b in pairs for B in sets]
         monkeypatch.setattr(geometry, "_rho_sum", _reference_rho_sum)
         assert got == [inner_product(a, b, B) for a, b in pairs for B in sets]
+
+
+def _p14(n):
+    """14**n / n!, through logs where 14**n or n! leaves the float range."""
+    return math.exp(n * math.log(14.0) - math.lgamma(n + 1))
+
+
+class TestLogPathSummand:
+    def test_term_errors_past_the_linear_range(self):
+        # stored terms 1e-6 above p(n) = 14**n / n!, declared within
+        # 1.01e-6 p(n): rho(T, T)(N) sits 2e-6 above e**196, and the
+        # summands near the peak at n = 196 take the log path
+        seq = TermBackedSequence(lambda n: _p14(n) * (1.0 + 1e-6), 1.0,
+                                 GeometricEnvelope(1.0 + 1e-5, 14.0),
+                                 term_error=lambda n: 1.01e-6 * _p14(n))
+        T = TaylorMeasure(seq, 1.0)
+        mv = inner_product(T, T, ALL, 1e70)
+        with mp.workdps(40):
+            miss = abs(mp.mpf(mv.value) - mp.exp(196))
+        assert miss > 1e79
+        assert miss <= mv.abs_error
+
+    def test_each_operand_is_formed_once(self, monkeypatch):
+        reads, lgammas, logs = [], [], []
+        lgamma, signed_log = math.lgamma, geometry._signed_log
+
+        def rule(n):
+            reads.append(n)
+            return 1.5
+
+        monkeypatch.setattr(math, "lgamma", lambda x: lgammas.append(x) or lgamma(x))
+        monkeypatch.setattr(geometry, "_signed_log",
+                            lambda *args: logs.append(args) or signed_log(*args))
+        T1 = TaylorMeasure(rule_sequence(rule, Bounded(1.5)), 30.0)
+        T2 = TaylorMeasure(constant_sequence(-0.5), -20.0)
+        v, e = geometry._rho_summand(T1, T2, 500)
+        monkeypatch.undo()
+        assert (len(lgammas), len(logs), reads) == (1, 2, [500])
+        with mp.workdps(40):
+            exact = mp.mpf(1.5) * mp.mpf(-0.5) * mp.mpf(-600) ** 500 / mp.factorial(500)
+            assert 0.0 < abs(v - exact) <= e
+
+    def test_nan_coefficient_raises(self):
+        T = TaylorMeasure(rule_sequence(lambda n: math.nan if n > 200 else 1.0, Bounded(1.0)), 2.0)
+        with pytest.raises(ValueError, match="a_500 is nan"):
+            inner_product(T, ONES, NatSet.finite([3, 500]))
 
 
 class TestNorm:

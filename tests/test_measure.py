@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from taylormeasure import (
     Bounded,
     CoefficientSequence,
+    DegenerateDistribution,
     DivergenceUnknown,
     FactorialGeometric,
     FiniteSupport,
     GeometricEnvelope,
     GeometricTail,
+    InvalidPmf,
     MeasureValue,
     NatSet,
     NonFiniteResult,
@@ -23,14 +25,19 @@ from taylormeasure import (
     TermBackedSequence,
     Unverified,
     constant_sequence,
+    builtin,
     distance,
+    eval_rep,
     evaluate,
     finite_sequence,
     geometric_sequence,
     jordan_decompose,
     linear_combination,
     norm,
+    normalizer,
+    probability_pair,
     rule_sequence,
+    sum_terms,
     taylor_derivative,
     total_variation,
     zero_measure,
@@ -270,22 +277,55 @@ def _neg(v):
     return -v if v < 0.0 else 0.0
 
 
+def _sum_selected(terms, select):
+    """Test-only reference: the summation engine the four parts used before
+    they shared one sign-split pass. It sums select(v) over (v, roundoff)
+    term pairs with compensated accumulation and returns (value, roundoff
+    estimate); a term that rounded to 0 keeps its roundoff."""
+    acc_pos = kernel._NeumaierSum()
+    acc_neg = kernel._NeumaierSum()
+    err = 0.0
+    for v, e in terms:
+        w = select(v)
+        if w == 0.0 and v != 0.0:
+            continue
+        err += e
+        if w > 0.0:
+            acc_pos.add(w)
+        else:
+            acc_neg.add(w)
+    value = acc_pos.value + acc_neg.value
+    err += 2.0 * kernel._ULP * (acc_pos.value - acc_neg.value)
+    return value, err
+
+
+def _reference_sum(terms, part):
+    """Test-only reference: what the old engine returned for each part,
+    as (value, roundoff estimate)."""
+    _, select, clamp = _PARTS[part]
+    value, err = _sum_selected(terms, select)
+    return (max(value, 0.0) if clamp else value), err
+
+
 # part -> (the library call, the selector the reference sums, whether the
 # result is clamped at 0 as the Jordan parts are)
 _PARTS = {
     "evaluate": (evaluate, lambda v: v, False),
     "total_variation": (total_variation, abs, False),
-    "positive": (lambda T, B: jordan_decompose(T).positive(B), _pos, True),
-    "negative": (lambda T, B: jordan_decompose(T).negative(B), _neg, True),
+    "positive": (lambda T, B, eps=1e-12: jordan_decompose(T).positive(B, eps), _pos, True),
+    "negative": (lambda T, B, eps=1e-12: jordan_decompose(T).negative(B, eps), _neg, True),
 }
 
 
 def _full_sum(T, B, part):
     """Test-only reference: the same pass over every index of B, with no
-    horizon."""
-    _, select, clamp = _PARTS[part]
-    value, err = measure._sum_selected(measure._terms(T, B.elements), select)
-    return (max(value, 0.0) if clamp else value), err
+    horizon. total_variation is the sum of the Jordan parts, with the
+    abs_error of evaluate, as the one sign-split pass forms it."""
+    terms = list(measure._terms(T, B.elements))
+    if part == "total_variation":
+        return (_reference_sum(terms, "positive")[0] + _reference_sum(terms, "negative")[0],
+                _reference_sum(terms, "evaluate")[1])
+    return _reference_sum(terms, part)
 
 
 def _factorial_sequence(q):
@@ -373,6 +413,20 @@ class TestUnderflowHorizon:
         if abs(value) >= 1e-250:
             assert (cut.value, cut.abs_error) == (value, err)
 
+    def test_scaled_subnormal_envelope_still_bounds(self):
+        # 1e-7 times a subnormal scale rounds to 0; the combination's
+        # certificate must still bound its terms, or the horizon drops them
+        T1 = TaylorMeasure(CoefficientSequence((0.5,), GeometricTail(5e-324, 3.0),
+                                               GeometricEnvelope(5e-324, 3.0, 1)), 60.0)
+        T = linear_combination(1e-7, T1, 0.0, T1)
+        assert T.coefficients.certificate.scale > 0.0
+        B = NatSet.finite([16, 171])
+        mv = evaluate(T, B)
+        exact = sum(mp.mpf(1e-7) * mp.mpf(5e-324) * mp.mpf(180) ** n / mp.factorial(n) for n in B.elements)
+        # the log-path term at 171 carries more roundoff than the
+        # combination's 2 ulp credit (ROADMAP item 1), so compare loosely
+        assert mv.value == pytest.approx(float(exact), rel=1e-12)
+
     def test_no_horizon_without_a_bound(self):
         term_backed = TermBackedSequence(lambda n: 0.5 ** n, 1.0, GeometricEnvelope(1.0, 0.5),
                                          term_error=lambda n: 0.0)
@@ -435,3 +489,145 @@ class TestUnderflowHorizon:
         # the full sum spends about 4 us on each of the ~4,800 terms past
         # the horizon at n = 500
         assert best < 5e-3
+
+
+# ---------------------------------------------------------------------------
+# One sign-split pass behind every set sum
+
+
+def _reference_part(T, B, eps, part):
+    """Test-only reference: a part of T on B as the old per-part engine
+    summed it, with the same truncation and horizon."""
+    if B.is_finite:
+        indices, tail = B.elements, 0.0
+        horizon = indices and kernel.underflow_horizon(T.coefficients, T.gamma, indices[-1])
+        if horizon:
+            indices = [n for n in indices if n <= horizon.last_index]
+            tail = horizon.tail_bound
+    else:
+        if isinstance(T.coefficients.certificate, Unverified):
+            raise DivergenceUnknown("no certificate")
+        plan = kernel.plan_truncation(T.coefficients.certificate, T.gamma, eps)
+        indices = [n for n in range(plan.last_index + 1) if n in B]
+        tail = plan.tail_bound
+    value, err = _reference_sum(list(measure._terms(T, indices)), part)
+    return MeasureValue(value, err + tail)
+
+
+def _outcome(call):
+    """A call's MeasureValue, or the type of the package error it raised."""
+    try:
+        return call()
+    except (TaylorMeasureError, ValueError) as exc:
+        return type(exc)
+
+
+@st.composite
+def _any_sets(draw):
+    kind = draw(st.sampled_from(["all", "cofinite", "finite", "long"]))
+    if kind == "all":
+        return NatSet.all()
+    if kind == "cofinite":
+        return NatSet.cofinite(draw(st.lists(st.integers(0, 60), min_size=1, max_size=12)))
+    if kind == "finite":
+        return NatSet.finite(draw(st.lists(st.integers(0, 200), max_size=40)))
+    return draw(_long_sets())
+
+
+_eps = st.sampled_from([1e-15, 1e-12, 1e-8, 1e-3])
+
+
+class TestOneSignSplitPass:
+    @given(_measures(), _any_sets(), _eps)
+    @settings(max_examples=300, deadline=None)
+    def test_parts_match_the_old_engine(self, T, B, eps):
+        for part in ("evaluate", "positive", "negative"):
+            got = _outcome(lambda: _PARTS[part][0](T, B, eps))
+            assert got == _outcome(lambda: _reference_part(T, B, eps, part)), part
+        tv = _outcome(lambda: total_variation(T, B, eps))
+        ref = _outcome(lambda: _reference_part(T, B, eps, "total_variation"))
+        if isinstance(tv, MeasureValue) and isinstance(ref, MeasureValue):
+            assert abs(tv.value - ref.value) <= tv.abs_error
+            ev = evaluate(T, B, eps)
+            pair = jordan_decompose(T)
+            assert tv == MeasureValue(pair.positive(B, eps).value + pair.negative(B, eps).value,
+                                      ev.abs_error)
+        else:
+            assert tv == ref
+
+    @given(_measures(), _any_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_sum_terms_matches_the_old_engine(self, T, B):
+        indices = B.elements if B.is_finite else range(80)
+        pos, neg = sum_terms(T.coefficients, T.gamma, indices)
+        terms = list(measure._terms(T, indices))
+        assert pos == _reference_sum(terms, "positive")[0]
+        assert neg == _reference_sum(terms, "negative")[0]
+
+    @given(_certified(), _eps)
+    @settings(max_examples=200, deadline=None)
+    def test_normalizer_matches_the_old_engine(self, T, eps):
+        zeta = abs(T.gamma)
+
+        def reference():
+            plan = kernel.plan_truncation(T.coefficients.certificate, zeta, eps)
+            terms = [kernel._term_and_err(T.coefficients, zeta, n)
+                     for n in range(plan.last_index + 1)]
+            if _reference_sum(terms, "negative")[0] > 0.0:
+                raise InvalidPmf("negative weight")
+            value, err = _reference_sum(terms, "evaluate")
+            err = plan.tail_bound + err
+            if value <= err:
+                raise DegenerateDistribution("zero")
+            return MeasureValue(value, err)
+
+        assert _outcome(lambda: normalizer(zeta, T.coefficients, eps)) == _outcome(reference)
+
+    @given(st.sampled_from(["exp", "sin", "cos", "geometric", "polynomial"]),
+           st.floats(-0.5, 0.5), st.floats(-0.99, 0.99), st.floats(-40.0, 40.0), _eps)
+    @settings(max_examples=200, deadline=None)
+    def test_eval_rep_matches_the_old_engine(self, name, center, t, spread, eps):
+        rep = builtin(name, center, coeffs=[1.5, -2.0, 0.25, 3.0])
+        x = center + (t * rep.radius_hint if name == "geometric" else spread)
+        got = _outcome(lambda: eval_rep(rep, x, eps))
+        gamma = x - center
+        if gamma == 0.0:
+            return
+        assert got == _outcome(lambda: _reference_part(
+            TaylorMeasure(rep.coefficients, gamma), NatSet.all(), eps, "evaluate"))
+
+
+def _counted(monkeypatch):
+    """Record the plans and the term indices that callers make through
+    kernel."""
+    plans, terms = [], []
+    plan, term = kernel.plan_truncation, kernel._term_and_err
+
+    def counted_plan(*args):
+        plans.append(plan(*args))
+        return plans[-1]
+
+    def counted_term(seq, gamma, n):
+        terms.append(n)
+        return term(seq, gamma, n)
+
+    monkeypatch.setattr(kernel, "plan_truncation", counted_plan)
+    monkeypatch.setattr(kernel, "_term_and_err", counted_term)
+    return plans, terms
+
+
+class TestOnePassPerCaller:
+    # the alternating exponential e**-2: signed terms (-2)**n / n!
+    T = TaylorMeasure(constant_sequence(1.0), -2.0)
+
+    def test_probability_pair_plans_and_sums_once(self, monkeypatch):
+        plans, terms = _counted(monkeypatch)
+        pair = probability_pair(self.T, 1e-12)
+        assert len(plans) == 1
+        assert terms == list(range(plans[0].last_index + 1))
+        monkeypatch.undo()
+        jp = jordan_decompose(self.T)
+        assert (pair.mass_pos, pair.mass_neg) == (jp.positive(NatSet.all()).value,
+                                                  jp.negative(NatSet.all()).value)
+        assert pair.q_pos.normalizer == jp.positive(NatSet.all())
+        assert pair.q_neg.normalizer == jp.negative(NatSet.all())
