@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
 from typing import Callable, Sequence
 
 from .errors import CenterMismatch, DivergenceUnknown, OutOfDomain, QuadratureStall
@@ -33,13 +32,13 @@ from .kernel import (
     _MAX_FLOAT_FACTORIAL,
     _TermEnvelope,
     _ULP,
-    _sum_by_sign,
+    _coefficients,
+    _plan_from,
+    _sum_terms,
     _term_and_err,
     _term_bias,
-    _term_from_coefficient,
     constant_sequence,
     finite_sequence,
-    plan_truncation,
     rule_sequence,
 )
 from .measure import MeasureValue, _require_certificate
@@ -247,26 +246,36 @@ def _eval_points(rep: AnalyticRep, xs: Sequence[float], eps: float) -> list[Meas
     """eval_rep(rep, x, eps) for every x, bit for bit, sharing one
     coefficient fetch.
 
-    Each point is validated and planned in order. Then a_n is fetched once,
-    up to the largest plan, and each point sums its own plan's terms in the
-    same order and with the same operations as evaluate on the whole of N.
-    A point at the presentation gamma of a term-backed sequence reads the
-    term function directly, as evaluate does.
+    Each point is validated in order and planned once per distinct
+    |x - center|, on which a plan depends alone; each new plan's search
+    starts from the previous plan's index (kernel._plan_from), which finds
+    the same index as plan_truncation. Then a_n is fetched once, up to the
+    largest plan, and each point sums its own plan's terms in one fused
+    pass (kernel._sum_terms) with the same operations, in the same order,
+    as evaluate on the whole of N. A point at the presentation gamma of a
+    term-backed sequence reads the term function directly, as evaluate
+    does; elsewhere the term errors are summed apart and added.
     """
     seq = rep.coefficients
     points = []
+    plans = {}
+    near = None
     for x in xs:
         gamma = _require_inside(rep, x)
         if gamma == 0.0:
             points.append((gamma, None))
             continue
         _require_certificate(seq, "evaluation")
-        points.append((gamma, plan_truncation(seq.certificate, gamma, eps)))
+        plan = plans.get(abs(gamma))
+        if plan is None:
+            plan = plans[abs(gamma)] = _plan_from(seq.certificate, gamma, eps, near)
+            near = plan.last_index
+        points.append((gamma, plan))
     presented = seq.presentation_gamma if isinstance(seq, TermBackedSequence) else None
     bias = _d_error(seq)
     last = max((plan.last_index for gamma, plan in points
                 if plan is not None and gamma != presented), default=-1)
-    a = [seq.a(n) for n in range(last + 1)]
+    a = _coefficients(seq, range(last + 1))
     out = []
     for gamma, plan in points:
         if plan is None:
@@ -274,13 +283,13 @@ def _eval_points(rep: AnalyticRep, xs: Sequence[float], eps: float) -> list[Meas
             continue
         indices = range(plan.last_index + 1)
         if gamma == presented:
-            terms = map(partial(_term_and_err, seq, gamma), indices)
+            s = _sum_terms(seq, gamma, indices)
         else:
-            terms = map(partial(_term_from_coefficient, seq), a, repeat(gamma), indices)
-        pos, neg, err, _, _ = _sum_by_sign(terms)
+            s = _sum_terms(seq, gamma, indices, a[:plan.last_index + 1])
+        err = s.error
         if bias is not None and gamma != presented:
             err += math.fsum(_term_bias(seq, gamma, n) for n in indices)
-        out.append(MeasureValue(pos - neg, err + plan.tail_bound))
+        out.append(MeasureValue(s.pos - s.neg, err + plan.tail_bound))
     return out
 
 

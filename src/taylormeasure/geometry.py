@@ -98,29 +98,29 @@ def _rho_summand(T1: TaylorMeasure, T2: TaylorMeasure, n: int) -> tuple[float, f
     s2, l2 = _signed_log(T2.coefficients, T2.gamma, n, lf)
     s = s1 * s2
     if s == 0:
-        # a zero operand: its term and the other's carry the whole error
-        # (a nan coefficient reads as zero here and raises in _term_and_err)
+        # a zero operand is exact but for its term error: the operands'
+        # whole errors bound the product (a nan coefficient reads as zero
+        # here and raises in _term_and_err)
         (v1, e1), (v2, e2) = terms or (_term_and_err(T1.coefficients, T1.gamma, n),
                                        _term_and_err(T2.coefficients, T2.gamma, n))
-        if e1 == 0.0 and e2 == 0.0:
-            return 0.0, 0.0
-        bound = 0.0
-        if e1 > 0.0:
-            bound += _exp_signed(1, lf + math.log(e1) + max(l2, -745.0))
-        if e2 > 0.0:
-            bound += _exp_signed(1, lf + math.log(e2) + max(l1, -745.0))
-        return 0.0, bound
+        return 0.0, _cross_error(lf, l1, l2, e1, e2)
     log_mag = lf + l1 + l2
     v = _exp_signed(s, log_mag)
     err = abs(v) * (abs(l1) + abs(l2) + lf + 16.0) * 2.0 ** -50
     b1, b2 = (bias(n) if bias else 0.0 for bias in (_term_errors(T1), _term_errors(T2)))
     if b1 or b2:
-        # n! (|p1| b2 + |p2| b1 + b1 b2), each product formed in logs
-        lb1 = math.log(b1) if b1 else -math.inf
-        lb2 = math.log(b2) if b2 else -math.inf
-        err += (_exp_signed(1, lf + l1 + lb2) + _exp_signed(1, lf + l2 + lb1)
-                + _exp_signed(1, lf + lb1 + lb2))
+        err += _cross_error(lf, l1, l2, b1, b2)
     return v, err
+
+
+def _cross_error(lf: float, l1: float, l2: float, e1: float, e2: float) -> float:
+    """n! (|p1| e2 + |p2| e1 + e1 e2), each product formed in logs: how far
+    n! p1 p2 may move when each term p moves by at most its e, given
+    lf = log n! and l = log|p| (-inf for a zero term)."""
+    le1 = math.log(e1) if e1 else -math.inf
+    le2 = math.log(e2) if e2 else -math.inf
+    return (_exp_signed(1, lf + l1 + le2) + _exp_signed(1, lf + l2 + le1)
+            + _exp_signed(1, lf + le1 + le2))
 
 
 def _rho_sum(T1, T2, indices) -> tuple[float, float]:

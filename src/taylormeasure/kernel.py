@@ -7,8 +7,11 @@ A signed Taylor measure assigns to each index n the term
 and set values are sums of these terms. This module owns the per-term
 arithmetic and everything needed to sum the terms safely: coefficient
 sequences with declared tails, growth certificates, certified tail
-bounds, truncation planning, and one compensated summation pass split by
-sign (_sum_by_sign), which every set sum reads its values from.
+bounds, truncation planning, and one summation pass (_sum_terms), which
+every set sum reads its values from. That pass fetches a set's
+coefficients as one block and forms each term and adds it to compensated
+sums split by sign in one loop, with the operations of _term_and_err,
+which forms single terms, so its results are the same bit for bit.
 A truncation plan starts from a closed-form estimate of its index and
 confirms it with two tail bounds in the common case; the plan at half the
 smallest normal float is the underflow horizon where finite-set sums
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Union
 
@@ -281,8 +285,9 @@ class TermBackedSequence:
 
     ``term_error``, when given, bounds |q(n) - p(n)|, how far each stored
     term may sit from the exact term p(n) of the function it stands for
-    (say, a truncated Taylor shift). Term errors (_term_and_err) include
-    it, so every sum over these terms reports it in its abs_error.
+    (say, a truncated Taylor shift). Term errors (_term_and_err and the
+    summation pass _sum_terms) include it, so every sum over these terms
+    reports it in its abs_error.
     """
 
     term_rule: Callable[[int], float]
@@ -591,6 +596,15 @@ def plan_truncation(cert: GrowthCertificate, gamma: float, eps: float) -> Trunca
     index would exceed the largest max(1, start) * 2**k that is at most
     _PLAN_CAP.
     """
+    return _plan_from(cert, gamma, eps, None)
+
+
+def _plan_from(cert: GrowthCertificate, gamma: float, eps: float, near: int | None) -> TruncationPlan:
+    """plan_truncation, whose search starts from the index ``near`` when it
+    is given, instead of from the closed-form estimate. The search finds the
+    smallest index that meets eps from any start, so the plan is the same;
+    a start near the answer costs fewer tail bounds, as when the points of
+    a grid are planned in turn."""
     if eps <= 0.0:
         raise ValueError(f"eps must be > 0, got {eps}")
     env = _TermEnvelope.of(cert, gamma)
@@ -607,10 +621,12 @@ def plan_truncation(cert: GrowthCertificate, gamma: float, eps: float) -> Trunca
         )
     first = max(1, env.start)
     cap = first if first > _PLAN_CAP else first << ((_PLAN_CAP // first).bit_length() - 1)
-    if math.isfinite(gamma) and math.isfinite(eps):
-        n = min(_index_estimate(env, eps), cap)
-    else:
+    if not (math.isfinite(gamma) and math.isfinite(eps)):
         n = first
+    elif near is not None:
+        n = min(near, cap)
+    else:
+        n = min(_index_estimate(env, eps), cap)
     t = env.tail(n)
     if t > eps:
         # gallop up: tail_bound(lo) > eps, and hi is the first probe that meets eps
@@ -956,7 +972,8 @@ class _NeumaierSum:
 
 
 class _SignSplit(NamedTuple):
-    """One pass over a set's (value, roundoff) term pairs, split by sign.
+    """What the summation pass (_sum_terms) returns for a set's terms,
+    split by sign.
 
     pos sums the positive terms and neg the negated negative ones, so
     T(B) = pos - neg and |T|(B) = pos + neg; error bounds the roundoff of
@@ -972,26 +989,111 @@ class _SignSplit(NamedTuple):
     neg_error: float
 
 
-def _sum_by_sign(terms: Iterable[tuple[float, float]]) -> _SignSplit:
-    """The one summation pass behind every set sum: compensated sums by
-    sign, and the terms' roundoff summed in index order."""
-    pos = _NeumaierSum()
-    neg = _NeumaierSum()
-    err = err_pos = err_neg = 0.0
-    for v, e in terms:
+def _coefficients(seq: SequenceLike, indices: Union[range, list, tuple]) -> list[float]:
+    """seq.a(n) for every natural n in indices, in order, fetched as one
+    block: the prefix is read by slice or subscript and a constant or rule
+    tail directly. seq.a(n) itself is called only for a geometric tail, for
+    its closed form in logs, and for a term-backed sequence."""
+    if isinstance(seq, TermBackedSequence):
+        return list(map(seq.a, indices))
+    prefix, t = seq.prefix, seq.tail
+    size = len(prefix)
+    if isinstance(t, (ZeroTail, ConstantTail)):
+        c = t.value if isinstance(t, ConstantTail) else 0.0
+        if isinstance(indices, range) and indices.step == 1:
+            lo, hi = indices.start, indices.stop
+            return list(prefix[lo:hi]) + [c] * (hi - max(lo, size))
+        return [prefix[n] if n < size else c for n in indices]
+    rule = t.rule if isinstance(t, CustomTail) else seq.a
+    return [prefix[n] if n < size else rule(n) for n in indices]
+
+
+def _sum_terms(seq: SequenceLike, gamma: float, indices: Iterable[int],
+               coeffs: list[float] | None = None) -> _SignSplit:
+    """The one summation pass behind every set sum: seq's terms at gamma
+    over indices, compensated sums by sign and the terms' errors summed in
+    index order, each term exactly as _term_and_err forms it.
+
+    The terms are formed and summed in one loop. The coefficients are
+    fetched as one block (_coefficients; a term-backed sequence reads
+    seq.a(n), or its term function at its presentation gamma), log|gamma|
+    is taken once and log|a| once per distinct coefficient. Terms on the
+    linear path are formed inline; every other term (n = 0, gamma = 0, a
+    coefficient that is not finite, the log path) goes through
+    _term_from_coefficient. A term-backed sequence's term_error is added to
+    each term's error, as _term_and_err adds it.
+
+    ``coeffs``, when given, holds a_n for each index in turn, fetched by the
+    caller; the terms are then formed from it alone, as
+    _term_from_coefficient forms them, with no term_error.
+    """
+    if not isinstance(indices, (range, list, tuple)):
+        indices = list(indices)
+    if indices and min(indices) < 0:
+        raise ValueError("index must be a natural number")
+    presented, bias = False, None
+    if coeffs is None:
+        if isinstance(seq, TermBackedSequence):
+            if seq.term_error is not None:
+                bias = partial(_term_bias, seq, gamma)
+            if gamma == seq.presentation_gamma:
+                presented = True
+                coeffs = list(map(seq.term_rule, indices))
+        if coeffs is None:
+            coeffs = _coefficients(seq, indices)
+    lg = math.log(abs(gamma)) if gamma != 0.0 else -math.inf
+    logs: dict[float, float] = {}
+    log, isfinite, fact = math.log, math.isfinite, _FACT
+    hp = cp = hn = cn = err = ep = en = 0.0
+    for n, a in zip(indices, coeffs):
+        if presented:
+            v = a
+            e = abs(a) * 2.0 * _ULP
+        elif a == 0.0:
+            if bias is None:
+                continue  # a zero term with no error adds nothing to any sum
+            v = e = 0.0
+        else:
+            v = None  # stays None off the linear path
+            if 0 < n <= _MAX_FLOAT_FACTORIAL:
+                npow = n * lg
+                la = logs.get(a)
+                if la is None:
+                    la = logs[a] = log(abs(a))
+                if abs(npow) < _LOG_SAFE and abs(la + npow) < _LOG_SAFE:
+                    v = a * gamma ** n / fact[n]
+                    if isfinite(v):
+                        e = abs(v) * 4.0 * _ULP + _TINY
+                    else:
+                        v = None
+            if v is None:
+                v, e = _term_from_coefficient(seq, a, gamma, n)
+        if bias is not None:
+            e = e + bias(n)
         err += e
         if v > 0.0:
-            pos.add(v)
-            err_pos += e
+            t = hp + v
+            if hp >= v:
+                cp += (hp - t) + v
+            else:
+                cp += (v - t) + hp
+            hp = t
+            ep += e
         elif v < 0.0:
-            neg.add(-v)
-            err_neg += e
+            x = -v
+            t = hn + x
+            if hn >= x:
+                cn += (hn - t) + x
+            else:
+                cn += (x - t) + hn
+            hn = t
+            en += e
         else:
-            err_pos += e
-            err_neg += e
-    p, m = pos.value, neg.value
-    return _SignSplit(p, m, err + 2.0 * _ULP * (p + m), err_pos + 2.0 * _ULP * p,
-                      err_neg + 2.0 * _ULP * m)
+            ep += e
+            en += e
+    p, m = hp + cp, hn + cn
+    return _SignSplit(p, m, err + 2.0 * _ULP * (p + m), ep + 2.0 * _ULP * p,
+                      en + 2.0 * _ULP * m)
 
 
 def sum_terms(seq: SequenceLike, gamma: float, indices: Iterable[int]) -> tuple[float, float]:
@@ -1003,5 +1105,5 @@ def sum_terms(seq: SequenceLike, gamma: float, indices: Iterable[int]) -> tuple[
     permutation of ``indices`` changes the result by at most a few ulp.
     The pass is the one behind evaluate and the Jordan parts.
     """
-    s = _sum_by_sign(_term_and_err(seq, gamma, n) for n in indices)
+    s = _sum_terms(seq, gamma, indices)
     return s.pos, s.neg

@@ -9,8 +9,9 @@ below the normal float range (kernel.underflow_horizon); like an infinite
 sum, this trusts the certificate past the horizon. Every returned value
 carries an abs_error combining the tail bound with a roundoff estimate.
 
-One pass (kernel._sum_by_sign) sums a set's terms once, split by sign:
-T(B) is pos - neg, |T|(B) is pos + neg, and the Jordan parts are pos, neg.
+One pass (kernel._sum_terms) forms and sums a set's terms once, in one
+loop, split by sign: T(B) is pos - neg, |T|(B) is pos + neg, and the
+Jordan parts are pos, neg.
 
 Measures are identified semantically with their term function
 p(n) = a_n * gamma**n / n!; the (gamma, a) pair is just a presentation.
@@ -153,11 +154,6 @@ def _require_certificate(seq: SequenceLike, what: str) -> None:
         )
 
 
-def _terms(T: TaylorMeasure, indices: Iterable[int]) -> Iterator[tuple[float, float]]:
-    """(value, roundoff) of T's terms at the given indices, in order."""
-    return map(partial(kernel._term_and_err, T.coefficients, T.gamma), indices)
-
-
 def _eval_selected(T: TaylorMeasure, sets: NatSet, eps: float) -> tuple[kernel._SignSplit, float]:
     """The sign-split pass over T's terms on B that evaluate,
     total_variation and both Jordan parts read, and the tail it leaves out.
@@ -177,15 +173,14 @@ def _eval_selected(T: TaylorMeasure, sets: NatSet, eps: float) -> tuple[kernel._
         if horizon:
             indices = indices[:bisect_right(indices, horizon.last_index)]
             tail = horizon.tail_bound
-        return kernel._sum_by_sign(_terms(T, indices)), tail
+        return kernel._sum_terms(T.coefficients, T.gamma, indices), tail
     _require_certificate(T.coefficients, "evaluation")
     plan = kernel.plan_truncation(T.coefficients.certificate, T.gamma, eps)
-    if sets.kind == "all":
-        indices: Iterable[int] = range(plan.last_index + 1)
-    else:
+    indices = range(plan.last_index + 1)
+    if sets.kind == "cofinite":
         excluded = set(sets.elements)
-        indices = (n for n in range(plan.last_index + 1) if n not in excluded)
-    return kernel._sum_by_sign(_terms(T, indices)), plan.tail_bound
+        indices = [n for n in indices if n not in excluded]
+    return kernel._sum_terms(T.coefficients, T.gamma, indices), plan.tail_bound
 
 
 def evaluate(T: TaylorMeasure, sets: NatSet, eps: float = 1e-12) -> MeasureValue:

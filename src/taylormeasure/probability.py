@@ -43,8 +43,7 @@ from .kernel import (
     Unverified,
     ZeroTail,
     _TermEnvelope,
-    _sum_by_sign,
-    _term_and_err,
+    _sum_terms,
     plan_truncation,
     term_value,
 )
@@ -95,7 +94,7 @@ def normalizer(zeta: float, b, eps: float = 1e-12) -> MeasureValue:
             "normalizer sum cannot be certified"
         )
     plan = plan_truncation(cert, zeta, eps)
-    s = _sum_by_sign(_term_and_err(b, zeta, n) for n in range(plan.last_index + 1))
+    s = _sum_terms(b, zeta, range(plan.last_index + 1))
     if s.neg > 0.0:
         raise InvalidPmf("negative density weight b_n * zeta**n / n! encountered")
     err = plan.tail_bound + s.error

@@ -30,6 +30,7 @@ from taylormeasure import (
     sup_distance_on_grid,
     truncate_rep,
 )
+from taylormeasure import analytic
 from taylormeasure.analytic import AnalyticRep, _eval_points
 
 
@@ -393,6 +394,19 @@ class TestGridBatch:
             prev = cur
         expected = max(cur + (cur - prev) / 15.0, 0.0) ** (1.0 / p)
         assert lp_norm_on_interval(rep, p, (lo, hi), eps) == expected
+
+    def test_plans_once_per_distance_from_center(self, monkeypatch):
+        # symmetric about the center: x and 2c - x share |x - c| and a plan
+        rep = exp_rep(0.25)
+        xs = [0.25 + k / 8 for k in range(-8, 9)]
+        plans, plan_from = [], analytic._plan_from
+        monkeypatch.setattr(analytic, "_plan_from",
+                            lambda *args: plans.append(args) or plan_from(*args))
+        batch = _eval_points(rep, xs, 1e-12)
+        monkeypatch.undo()
+        assert sorted(abs(args[1]) for args in plans) == [k / 8 for k in range(1, 9)]
+        for x, got in zip(xs, batch):
+            assert self.bits(got) == self.bits(self.one_point(rep, x, 1e-12))
 
     def test_geometric_grid_inside_radius(self):
         rep = geometric_rep()

@@ -308,18 +308,19 @@ class TestHandlerValues:
     @pytest.mark.parametrize("B", [{"kind": "all"}, {"kind": "finite", "elements": [0, 1, 5, 400]}])
     def test_decompose_plans_and_sums_once(self, monkeypatch, B):
         plans, terms = [], []
-        plan, term = kernel.plan_truncation, kernel._term_and_err
+        plan, fused = kernel.plan_truncation, kernel._sum_terms
 
         def counted_plan(*args):
             plans.append(plan(*args))
             return plans[-1]
 
-        def counted_term(seq, gamma, n):
-            terms.append(n)
-            return term(seq, gamma, n)
+        def counted_sum(seq, gamma, indices, coeffs=None):
+            indices = list(indices)
+            terms.extend(indices)
+            return fused(seq, gamma, indices, coeffs)
 
         monkeypatch.setattr(kernel, "plan_truncation", counted_plan)
-        monkeypatch.setattr(kernel, "_term_and_err", counted_term)
+        monkeypatch.setattr(kernel, "_sum_terms", counted_sum)
         self._doc(["decompose", ALTERNATING, "--set", json.dumps(B)])
         assert len(plans) == 1
         NB = serialize.parse_set(B)

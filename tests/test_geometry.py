@@ -196,6 +196,25 @@ class TestLogPathSummand:
             exact = mp.mpf(1.5) * mp.mpf(-0.5) * mp.mpf(-600) ** 500 / mp.factorial(500)
             assert 0.0 < abs(v - exact) <= e
 
+    def test_zero_operands_carry_their_term_errors(self):
+        # stored terms 0, each within 1e-3 of the exact one: at n = 5 the
+        # summand n! p(n)**2 may be as large as 5! * 1e-3 * 1e-3 = 1.2e-4
+        T = TaylorMeasure(TermBackedSequence(lambda n: 0.0, 1.0, Bounded(1.0),
+                                             term_error=lambda n: 1e-3), 1.0)
+        mv = inner_product(T, T, NatSet.finite([5]))
+        assert mv.value == 0.0
+        assert 1.2e-4 <= mv.abs_error <= 1.21e-4
+        # against the exact term 2 / 5! the summand may reach 5! (2 / 5!) 1e-3
+        U = TaylorMeasure(finite_sequence([0.0] * 5 + [2.0]), 1.0)
+        mv = inner_product(T, U, NatSet.finite([5]))
+        assert mv.value == 0.0
+        assert 2e-3 <= mv.abs_error <= 2.01e-3
+        # with no term errors an exact zero operand makes the summand exactly 0
+        zero_at_0 = TaylorMeasure(constant_sequence(1.0), 0.0)
+        mv = inner_product(zero_at_0, TaylorMeasure(constant_sequence(1.0), 50.0),
+                           NatSet.finite([171, 400]))
+        assert (mv.value, mv.abs_error) == (0.0, 0.0)
+
     def test_nan_coefficient_raises(self):
         T = TaylorMeasure(rule_sequence(lambda n: math.nan if n > 200 else 1.0, Bounded(1.0)), 2.0)
         with pytest.raises(ValueError, match="a_500 is nan"):

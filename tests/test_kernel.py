@@ -21,15 +21,26 @@ from taylormeasure import (
     TruncationPlan,
     Unverified,
     constant_sequence,
+    cos_rep,
+    eval_rep,
     evaluate,
+    exp_rep,
     finite_sequence,
     geometric_sequence,
+    jordan_decompose,
+    linear_combination,
+    lp_norm_on_interval,
+    normalizer,
     plan_truncation,
+    recenter,
     rule_sequence,
+    sin_rep,
     sum_terms,
+    sup_distance_on_grid,
     tail_bound,
     term,
     term_value,
+    total_variation,
 )
 from taylormeasure import geometry, kernel
 from taylormeasure.kernel import _PLAN_CAP, _log_term_and_err, _term_and_err
@@ -315,15 +326,23 @@ class TestPlanTruncation:
         return TruncationPlan(lo, tail_bound(cert, gamma, lo))
 
     def assert_same_as_doubling(self, cert, gamma, eps):
+        """Also from searches that start elsewhere (kernel._plan_from), as
+        a grid's points are planned from the previous point's index."""
         try:
             expected = self.doubling_plan(cert, gamma, eps)
         except DivergenceUnknown:
             with pytest.raises(DivergenceUnknown):
                 plan_truncation(cert, gamma, eps)
+            for near in (0, 1, 1000):
+                with pytest.raises(DivergenceUnknown):
+                    kernel._plan_from(cert, gamma, eps, near)
             return
         got = plan_truncation(cert, gamma, eps)
         assert got.last_index == expected.last_index
         assert repr(got.tail_bound) == repr(expected.tail_bound)
+        n = expected.last_index
+        for near in (0, max(n - 1, 0), n + 1, 2 * n + 7):
+            assert repr(kernel._plan_from(cert, gamma, eps, near)) == repr(got)
 
     @given(
         kind=st.sampled_from(["bounded", "geometric", "factorial"]),
@@ -463,7 +482,8 @@ def _ref_log_term_and_err(seq, gamma, n):
 
 def _ref_rho_summand(T1, T2, n):
     """Test-only reference: geometry._rho_summand on n > 170, where it
-    reads both terms through term()."""
+    reads both terms through term(). A zero operand gives 0 with the bound
+    n! (|p1| e2 + |p2| e1 + e1 e2) on the terms' errors e, in logs."""
     v1, e1 = _term_and_err(T1.coefficients, T1.gamma, n)
     v2, e2 = _term_and_err(T2.coefficients, T2.gamma, n)
     sg1, l1 = _ref_term(T1.coefficients, T1.gamma, n)
@@ -471,14 +491,10 @@ def _ref_rho_summand(T1, T2, n):
     s = sg1 * sg2
     lf = math.lgamma(n + 1)
     if s == 0:
-        if e1 == 0.0 and e2 == 0.0:
-            return 0.0, 0.0
-        bound = 0.0
-        if e1 > 0.0:
-            bound += kernel._exp_signed(1, lf + math.log(e1) + max(l2, -745.0))
-        if e2 > 0.0:
-            bound += kernel._exp_signed(1, lf + math.log(e2) + max(l1, -745.0))
-        return 0.0, bound
+        le1 = math.log(e1) if e1 else -math.inf
+        le2 = math.log(e2) if e2 else -math.inf
+        return 0.0, (kernel._exp_signed(1, lf + l1 + le2) + kernel._exp_signed(1, lf + l2 + le1)
+                     + kernel._exp_signed(1, lf + le1 + le2))
     v = kernel._exp_signed(s, lf + l1 + l2)
     return v, abs(v) * (abs(l1) + abs(l2) + lf + 16.0) * 2.0 ** -50
 
@@ -518,3 +534,172 @@ class TestSignedLogForm:
         T2 = TaylorMeasure(_LOG_PATH_SEQUENCES[k2](), g2)
         assume(2.0 not in (T1.gamma, T2.gamma))
         assert geometry._rho_summand(T1, T2, n) == _ref_rho_summand(T1, T2, n)
+
+
+# ---------------------------------------------------------------------------
+# The fused summation pass forms and sums each term as _term_and_err does
+
+
+def _ref_sum_by_sign(terms):
+    """Test-only reference: the pass over (value, roundoff) term pairs that
+    every set sum made before the fused loop; each pair came from one
+    _term_and_err call."""
+    pos, neg = kernel._NeumaierSum(), kernel._NeumaierSum()
+    err = err_pos = err_neg = 0.0
+    for v, e in terms:
+        err += e
+        if v > 0.0:
+            pos.add(v)
+            err_pos += e
+        elif v < 0.0:
+            neg.add(-v)
+            err_neg += e
+        else:
+            err_pos += e
+            err_neg += e
+    p, m = pos.value, neg.value
+    u = 2.0 * kernel._ULP
+    return kernel._SignSplit(p, m, err + u * (p + m), err_pos + u * p, err_neg + u * m)
+
+
+def _bits(call):
+    """A call's result as hex strings (nan compares equal to nan), or the
+    type and message of the error it raised."""
+    try:
+        return tuple(float(x).hex() for x in call())
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_coeffs = st.one_of(st.just(0.0), st.floats(-1e3, 1e3),
+                    st.sampled_from([1e300, -1e-300, 5e-324, 7.0]))
+
+
+@st.composite
+def _fused_sequences(draw):
+    """Every tail kind behind a prefix, and term-backed sequences with and
+    without term errors; rule and term-backed ones may hold a nan."""
+    kind = draw(st.sampled_from(["zero", "constant", "geometric", "rule", "log_rule",
+                                 "term", "term_error"]))
+    prefix = tuple(draw(st.lists(_coeffs, max_size=8)))
+    nan_at = draw(st.none() | st.integers(0, 300))
+    c = draw(_coeffs)
+    if kind == "zero":
+        return CoefficientSequence(prefix, kernel.ZeroTail())
+    if kind == "constant":
+        return CoefficientSequence(prefix, ConstantTail(c))
+    if kind == "geometric":
+        return CoefficientSequence(prefix, GeometricTail(c, draw(st.floats(-3.0, 3.0))))
+    if kind in ("rule", "log_rule"):
+        def rule(n):
+            return math.nan if n == nan_at else c * (-1.0) ** n * (1 + n % 3)
+
+        def log_rule(n):
+            if c == 0.0:
+                return 0, -math.inf
+            return (-1 if (c < 0.0) != (n % 2 == 1) else 1), math.log(abs(c)) + math.log(1 + n % 3)
+
+        return rule_sequence(rule, Unverified(), prefix, log_rule if kind == "log_rule" else None)
+    q = draw(st.floats(0.1, 0.99))
+
+    def term_rule(n):
+        return math.nan if n == nan_at else c * q ** n
+
+    term_error = (lambda n: 1e-9 * q ** n) if kind == "term_error" else None
+    return TermBackedSequence(term_rule, draw(st.sampled_from([1.0, 2.0, -0.5])),
+                              Unverified(), term_error)
+
+
+_fused_gammas = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 5.0, -5.0]),
+                          st.floats(-1000.0, 1000.0))
+_fused_indices = st.one_of(
+    st.builds(range, st.integers(0, 20), st.integers(0, 260)),
+    st.lists(st.integers(0, 1200), max_size=30).map(sorted),
+    st.lists(st.integers(0, 400), max_size=30).map(tuple),
+)
+
+
+class TestFusedPass:
+    @given(_fused_sequences(), _fused_gammas, st.booleans(), _fused_indices)
+    @settings(max_examples=500, deadline=None)
+    def test_matches_term_by_term_pass(self, seq, gamma, presented, indices):
+        if presented and isinstance(seq, TermBackedSequence):
+            gamma = seq.presentation_gamma
+        ref = _bits(lambda: _ref_sum_by_sign(_term_and_err(seq, gamma, n) for n in indices))
+        assert _bits(lambda: kernel._sum_terms(seq, gamma, indices)) == ref
+
+    @given(_fused_sequences(), _fused_gammas, _fused_indices)
+    @settings(max_examples=300, deadline=None)
+    def test_given_coefficients_match_term_from_coefficient(self, seq, gamma, indices):
+        def coeffs():
+            return [seq.a(n) for n in indices]
+
+        ref = _bits(lambda: _ref_sum_by_sign(
+            kernel._term_from_coefficient(seq, a, gamma, n) for n, a in zip(indices, coeffs())))
+        assert _bits(lambda: kernel._sum_terms(seq, gamma, indices, coeffs())) == ref
+
+    def test_nan_coefficient_raises_as_term_and_err_does(self):
+        seq = rule_sequence(lambda n: math.nan if n == 4 else 1.0, Bounded(1.0))
+        with pytest.raises(ValueError, match="coefficient a_4 is nan"):
+            kernel._sum_terms(seq, 1.5, range(10))
+
+    def test_negative_index_is_refused(self):
+        with pytest.raises(ValueError, match="natural number"):
+            sum_terms(finite_sequence([1.0, 2.0]), 1.0, [1, -1])
+
+
+# value and abs_error of calls across the layers, as hex strings recorded with
+# the term-by-term summation pass that the fused one replaced: any bit that
+# moves fails
+_PINNED = {
+    "finite_support_all": ("0x1.d5e353f7ced8cp-1", "0x1.4e73b645a1cabp-48"),
+    "bounded_cofinite": ("0x1.dfeaaa734fa88p-2", "0x1.0e10f643ec73dp-41"),
+    "geometric_finite_variation": ("0x1.0d1da9d5ebc38p+4", "0x1.93ac7ec0e1a54p-47"),
+    "factorial_all_positive": ("0x1.3ffffffffff5bp+1", "0x1.50294582f9442p-44"),
+    "bounded_cofinite_negative": ("0x1.a079ec76d76b2p+0", "0x1.9288f7ae320e4p-35"),
+    "unverified_finite": ("0x1.a43a83a83a83ap+3", "0x1.5ed41d41d41d4p-47"),
+    "past_horizon_finite": ("-0x1.5555555555555p+0", "0x1.0000000000000p-50"),
+    "linear_combination_all": ("-0x1.623453554b966p+2", "0x1.d6baebe1aa159p-41"),
+    "recentered_eval_rep": ("0x1.1ed3fe64fc341p+2", "0x1.10464576931cdp-41"),
+    "eval_rep_log_path": ("0x1.c05c0a71669c3p+432", "0x1.08efd58487b4ap+393"),
+    "normalizer": ("0x1.39d6fd931df7cp+3", "0x1.430025670427bp-41"),
+    "sup_distance_on_grid": ("0x1.dfc0000000000p-41",),
+    "lp_norm_on_interval": ("0x1.c5b6cc1a292a2p-1",),
+}
+
+
+def _pinned_call(name):
+    alt = TaylorMeasure(constant_sequence(1.0), -2.0)
+    factorial = rule_sequence(lambda n: math.inf if n > 170 else math.factorial(n) * 0.5 ** n,
+                              FactorialGeometric(1.0, 0.5),
+                              log_rule=lambda n: (1, math.lgamma(n + 1) + n * math.log(0.5)))
+    calls = {
+        "finite_support_all": lambda: evaluate(
+            TaylorMeasure(finite_sequence([1.5, -2.0, 0.25, 3.0]), 1.7), NatSet.all()),
+        "bounded_cofinite": lambda: evaluate(alt, NatSet.cofinite([0, 3])),
+        "geometric_finite_variation": lambda: total_variation(
+            TaylorMeasure(geometric_sequence(1.5, -0.8), 4.0), NatSet.finite([1, 2, 5, 9])),
+        "factorial_all_positive": lambda: jordan_decompose(
+            TaylorMeasure(factorial, 1.2)).positive(NatSet.all(), 1e-13),
+        "bounded_cofinite_negative": lambda: jordan_decompose(alt).negative(
+            NatSet.cofinite([1, 2]), 1e-10),
+        "unverified_finite": lambda: evaluate(TaylorMeasure(
+            rule_sequence(lambda n: (-1.0) ** n * (1 + n % 3), Unverified(), [0.5, 2.0]), 3.0),
+            NatSet.finite([0, 2, 7, 40])),
+        # past the underflow horizon: 400 and 1000 are not summed
+        "past_horizon_finite": lambda: evaluate(alt, NatSet.finite([3, 50, 400, 1000])),
+        "linear_combination_all": lambda: evaluate(linear_combination(
+            0.5, alt, -1.25, TaylorMeasure(geometric_sequence(1.0, 0.5), 3.0)), NatSet.all()),
+        "recentered_eval_rep": lambda: eval_rep(recenter(exp_rep(0.0), 0.75), 1.5),
+        "eval_rep_log_path": lambda: eval_rep(exp_rep(0.0), 300.0),
+        "normalizer": lambda: normalizer(2.5, constant_sequence(1.0, [0.5, 0.25])),
+        "sup_distance_on_grid": lambda: sup_distance_on_grid(sin_rep(0.0), math.sin, (-2.0, 2.0), 41),
+        "lp_norm_on_interval": lambda: lp_norm_on_interval(cos_rep(0.0), 2.0, (0.0, 1.5)),
+    }
+    out = calls[name]()
+    return (out.hex(),) if isinstance(out, float) else (out.value.hex(), out.abs_error.hex())
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_pinned_bits(name):
+    assert _pinned_call(name) == _PINNED[name]

@@ -42,7 +42,7 @@ from taylormeasure import (
     total_variation,
     zero_measure,
 )
-from taylormeasure import kernel, measure
+from taylormeasure import kernel
 
 E_MEASURE = TaylorMeasure(constant_sequence(1.0), 1.0)
 
@@ -277,6 +277,12 @@ def _neg(v):
     return -v if v < 0.0 else 0.0
 
 
+def _terms(T, indices):
+    """Test-only reference: (value, roundoff) of T's terms at the given
+    indices, one kernel._term_and_err call per term."""
+    return [kernel._term_and_err(T.coefficients, T.gamma, n) for n in indices]
+
+
 def _sum_selected(terms, select):
     """Test-only reference: the summation engine the four parts used before
     they shared one sign-split pass. It sums select(v) over (v, roundoff)
@@ -321,7 +327,7 @@ def _full_sum(T, B, part):
     """Test-only reference: the same pass over every index of B, with no
     horizon. total_variation is the sum of the Jordan parts, with the
     abs_error of evaluate, as the one sign-split pass forms it."""
-    terms = list(measure._terms(T, B.elements))
+    terms = _terms(T, B.elements)
     if part == "total_variation":
         return (_reference_sum(terms, "positive")[0] + _reference_sum(terms, "negative")[0],
                 _reference_sum(terms, "evaluate")[1])
@@ -510,7 +516,7 @@ def _reference_part(T, B, eps, part):
         plan = kernel.plan_truncation(T.coefficients.certificate, T.gamma, eps)
         indices = [n for n in range(plan.last_index + 1) if n in B]
         tail = plan.tail_bound
-    value, err = _reference_sum(list(measure._terms(T, indices)), part)
+    value, err = _reference_sum(_terms(T, indices), part)
     return MeasureValue(value, err + tail)
 
 
@@ -560,7 +566,7 @@ class TestOneSignSplitPass:
     def test_sum_terms_matches_the_old_engine(self, T, B):
         indices = B.elements if B.is_finite else range(80)
         pos, neg = sum_terms(T.coefficients, T.gamma, indices)
-        terms = list(measure._terms(T, indices))
+        terms = _terms(T, indices)
         assert pos == _reference_sum(terms, "positive")[0]
         assert neg == _reference_sum(terms, "negative")[0]
 
@@ -598,21 +604,22 @@ class TestOneSignSplitPass:
 
 
 def _counted(monkeypatch):
-    """Record the plans and the term indices that callers make through
-    kernel."""
+    """Record the plans that callers make through kernel and the indices
+    each fused summation pass (kernel._sum_terms) receives."""
     plans, terms = [], []
-    plan, term = kernel.plan_truncation, kernel._term_and_err
+    plan, fused = kernel.plan_truncation, kernel._sum_terms
 
     def counted_plan(*args):
         plans.append(plan(*args))
         return plans[-1]
 
-    def counted_term(seq, gamma, n):
-        terms.append(n)
-        return term(seq, gamma, n)
+    def counted_sum(seq, gamma, indices, coeffs=None):
+        indices = list(indices)
+        terms.extend(indices)
+        return fused(seq, gamma, indices, coeffs)
 
     monkeypatch.setattr(kernel, "plan_truncation", counted_plan)
-    monkeypatch.setattr(kernel, "_term_and_err", counted_term)
+    monkeypatch.setattr(kernel, "_sum_terms", counted_sum)
     return plans, terms
 
 
