@@ -44,6 +44,7 @@ _LOG_HUGE = 709.0           # above this, exp overflows
 _ULP = 2.0 ** -53
 _TINY = 2.0 ** -1074        # one subnormal unit: the absolute rounding floor
 _MIN_NORMAL = 2.0 ** -1022  # smallest normal float
+_LOG_MIN_NORMAL = -708.0     # above log(_MIN_NORMAL) = -708.40
 
 
 def _sign(x: float) -> int:
@@ -929,6 +930,33 @@ class _TermEnvelope:
         if self.k:
             log_v -= math.lgamma(n + 1)
         return math.exp(min(log_v, 700.0))
+
+    def pulled_in(self, n: int, v: float) -> float:
+        """A computed p(n) = v below the normal range, moved toward 0 to
+        the largest multiple of _TINY within the bound on |p(n)| if it lies
+        beyond it.
+
+        Rounding there is absolute, so a composed term can exceed an exact
+        bound below one subnormal unit. The exact term lies within the
+        bound, so the result is no farther from it than v or one _TINY. A
+        bound within the subnormal range is taken in exact arithmetic."""
+        if self.k is None or (self.last is None and n < self.start):
+            return v
+        if self.last is not None:
+            return v if n <= self.last else 0.0
+        if self.scale == 0.0 or (self.ratio == 0.0 and n > 0):
+            return 0.0
+        log_b = math.log(self.scale) + (n * math.log(self.ratio) if n else 0.0)
+        if self.k:
+            log_b -= math.lgamma(n + 1)
+        if not log_b <= _LOG_MIN_NORMAL:
+            return v
+        if log_b < _LOG_TINY:
+            return 0.0
+        units = Fraction(self.scale) * Fraction(self.ratio) ** n * 2 ** 1074
+        if self.k:
+            units /= math.factorial(n)
+        return math.copysign(min(abs(v), math.ldexp(math.floor(units), -1074)), v)
 
     def to_certificate(self, gamma: float) -> GrowthCertificate:
         """The certificate of the coefficients a_n = n! * p(n) / gamma**n:

@@ -34,6 +34,7 @@ from .kernel import (
     SignedLogTerm,
     TermBackedSequence,
     Unverified,
+    _MIN_NORMAL,
     _TermEnvelope,
     finite_sequence,
 )
@@ -249,7 +250,9 @@ def linear_combination(
     The result's term function is exactly the pointwise combination of
     the operands' term functions; no presentation merging is attempted
     (coefficient sequences with different gamma cannot be merged at the
-    coefficient level in general). Operand term errors carry over as
+    coefficient level in general), except that a term below the normal
+    range is pulled back within the certificate it would round past
+    (_TermEnvelope.pulled_in). Operand term errors carry over as
     |alpha| * e1 + |beta| * e2.
     """
     alpha = float(alpha)
@@ -259,11 +262,11 @@ def linear_combination(
     t1 = T1.term
     t2 = T2.term
     if beta == 0.0:
-        rule = (lambda n: alpha * t1(n)) if alpha != 1.0 else t1
+        combined = (lambda n: alpha * t1(n)) if alpha != 1.0 else t1
     elif alpha == 0.0:
-        rule = (lambda n: beta * t2(n)) if beta != 1.0 else t2
+        combined = (lambda n: beta * t2(n)) if beta != 1.0 else t2
     else:
-        rule = lambda n: alpha * t1(n) + beta * t2(n)
+        combined = lambda n: alpha * t1(n) + beta * t2(n)
 
     term_error = None
     b1, b2 = _term_errors(T1), _term_errors(T2)
@@ -275,7 +278,14 @@ def linear_combination(
 
     e1 = _TermEnvelope.of(T1.coefficients.certificate, T1.gamma, T1.term).scaled(alpha)
     e2 = _TermEnvelope.of(T2.coefficients.certificate, T2.gamma, T2.term).scaled(beta)
-    cert = e1.add(e2).to_certificate(1.0)
+    envelope = e1.add(e2)
+
+    def rule(n: int) -> float:
+        # a term below the normal range may round past the envelope
+        v = combined(n)
+        return envelope.pulled_in(n, v) if 0.0 < abs(v) < _MIN_NORMAL else v
+
+    cert = envelope.to_certificate(1.0)
     return TaylorMeasure(TermBackedSequence(rule, 1.0, cert, term_error), 1.0)
 
 

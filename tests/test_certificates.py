@@ -145,6 +145,27 @@ class TestDerivedCertificatesHold:
         T = linear_combination(alpha, TaylorMeasure(s1, g1), beta, TaylorMeasure(s2, g2))
         _assert_bounded(T.coefficients)
 
+    def test_linear_combination_subnormal_terms(self):
+        # the term at n = 169 rounds to -2**-1074, past a bound of 0.96 units
+        s1 = _operand("bounded", 0, 1.0, 1.0, 0, 0)
+        s2 = _operand("geometric", 0, 6.5, 1.380859375, 0, 0)
+        T = linear_combination(1.0, TaylorMeasure(s1, 0.5), 0.75,
+                               TaylorMeasure(s2, 0.555521583009404))
+        _assert_bounded(T.coefficients)
+
+    def test_pulled_in_keeps_terms_within_the_bound(self):
+        env = _TermEnvelope(1, 5.875, 0.7670971859133763)
+        tiny = 2.0 ** -1074
+        units = Fraction(env.scale) * Fraction(env.ratio) ** 165 / math.factorial(165) / Fraction(tiny)
+        assert 1 < units < 2 ** 52
+        inside = math.floor(units) * tiny
+        assert env.pulled_in(165, -5 * inside) == -inside
+        assert env.pulled_in(165, inside / 2) == inside / 2
+        assert env.pulled_in(169, tiny) == 0.0  # bound below one unit
+        assert env.pulled_in(100, tiny) == tiny  # bound in the normal range
+        assert _TermEnvelope(1, 1.0, 1.0, start=200).pulled_in(169, tiny) == tiny
+        assert _TermEnvelope(last=3).pulled_in(4, tiny) == 0.0
+
     @given(_operands, _operands)
     @settings(max_examples=40, deadline=None)
     def test_multiply(self, s1, s2):
