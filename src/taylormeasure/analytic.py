@@ -11,7 +11,10 @@ norms give measurable density diagnostics on compact intervals.
 Internally the arithmetic runs on the normalized values d_n = a_n / n!
 (the terms at gamma = 1), which stay representable even when the raw
 derivatives grow factorially; results are stored as term-backed
-sequences so the factorials never round-trip through floats.
+sequences so the factorials never round-trip through floats. A linear
+combination is measure.linear_combination of the operands' measures at
+gamma = 1; a product sums each d_l once, over the indices that both
+operands' supports reach.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .kernel import (
     finite_sequence,
     rule_sequence,
 )
-from .measure import MeasureValue, _require_certificate
+from .measure import MeasureValue, TaylorMeasure, _require_certificate, linear_combination
 
 __all__ = [
     "AnalyticRep",
@@ -293,33 +296,6 @@ def _eval_points(rep: AnalyticRep, xs: Sequence[float], eps: float) -> list[Meas
     return out
 
 
-def _both_finite(r1: AnalyticRep, r2: AnalyticRep) -> bool:
-    return isinstance(r1.coefficients.certificate, FiniteSupport) and isinstance(
-        r2.coefficients.certificate, FiniteSupport
-    )
-
-
-def _finite_d_list(rep: AnalyticRep) -> list[float]:
-    last = rep.coefficients.certificate.last
-    return [_d_value(rep.coefficients, n) for n in range(last + 1)]
-
-
-def _finite_e_list(rep: AnalyticRep) -> list[float] | None:
-    """The term errors of _finite_d_list(rep), or None when there are none."""
-    e = _d_error(rep.coefficients)
-    if e is None:
-        return None
-    return [e(n) for n in range(rep.coefficients.certificate.last + 1)]
-
-
-def _convolve(x: Sequence[float], y: Sequence[float]) -> list[float]:
-    out = [0.0] * max(len(x) + len(y) - 1, 0)
-    for i, u in enumerate(x):
-        for j, v in enumerate(y):
-            out[i + j] += u * v
-    return out
-
-
 def _rep_from_d_list(
     center: float, d: list[float], radius: float, errors: list[float] | None = None
 ) -> AnalyticRep:
@@ -345,36 +321,34 @@ def multiply(r1: AnalyticRep, r2: AnalyticRep) -> AnalyticRep:
     """Pointwise product: the binomial convolution of the derivative
     sequences, computed as a plain convolution of the d_n = a_n/n!.
 
-    Operand term errors e carry over as |d1| * e2 + e1 * (|d2| + e2),
-    convolved the same way.
+    Each d_l is the correctly rounded sum (math.fsum) of the products
+    d1_n * d2_(l-n) that both supports reach, so a finite product costs
+    nothing past its support. Operand term errors e carry over as
+    |d1| * e2 + e1 * (|d2| + e2), convolved the same way.
     """
     if r1.center != r2.center:
         raise CenterMismatch(
             f"centers differ: {r1.center} vs {r2.center}; recenter first"
         )
-    radius = min(r1.radius_hint, r2.radius_hint)
-    if _both_finite(r1, r2):
-        d1, d2 = _finite_d_list(r1), _finite_d_list(r2)
-        e1, e2 = _finite_e_list(r1), _finite_e_list(r2)
-        errors = None
-        if e1 is not None or e2 is not None:
-            e1, e2 = e1 or [0.0] * len(d1), e2 or [0.0] * len(d2)
-            errors = [u + v for u, v in zip(
-                _convolve([abs(u) for u in d1], e2),
-                _convolve(e1, [abs(v) + e for v, e in zip(d2, e2)]))]
-        return _rep_from_d_list(r1.center, _convolve(d1, d2), radius, errors)
+    e1, e2 = _d_envelope(r1), _d_envelope(r2)
+    last1, last2 = (math.inf if e.last is None else e.last for e in (e1, e2))
+
+    def reach(l: int) -> range:
+        """The n with n <= last1 and l - n <= last2."""
+        return range(max(0, l - last2), min(l, last1) + 1)
 
     da, db = _memo_d(r1.coefficients), _memo_d(r2.coefficients)
-    d_rule = _memo(lambda l: math.fsum(da(n) * db(l - n) for n in range(l + 1)))
+    d_rule = _memo(lambda l: math.fsum(da(n) * db(l - n) for n in reach(l)))
     ea, eb = _d_error(r1.coefficients), _d_error(r2.coefficients)
     term_error = None
     if ea is not None or eb is not None:
         ea, eb = ea or _no_error, eb or _no_error
         term_error = _memo(lambda l: math.fsum(
             abs(da(n)) * eb(l - n) + ea(n) * (abs(db(l - n)) + eb(l - n))
-            for n in range(l + 1)))
+            for n in reach(l)))
 
-    cert = _d_envelope(r1).cauchy(_d_envelope(r2)).to_certificate(1.0)
+    cert = e1.cauchy(e2).to_certificate(1.0)
+    radius = min(r1.radius_hint, r2.radius_hint)
     return AnalyticRep(r1.center, TermBackedSequence(d_rule, 1.0, cert, term_error), radius)
 
 
@@ -399,46 +373,15 @@ def power(rep: AnalyticRep, n: int) -> AnalyticRep:
 
 
 def linear_combine(alpha: float, r1: AnalyticRep, beta: float, r2: AnalyticRep) -> AnalyticRep:
-    """alpha*f + beta*g at a common center; operand term errors carry
-    over as |alpha| * e1 + |beta| * e2."""
+    """alpha*f + beta*g at a common center: measure.linear_combination of
+    the two Taylor measures at gamma = 1, whose terms are the d_n."""
     if r1.center != r2.center:
         raise CenterMismatch(
             f"centers differ: {r1.center} vs {r2.center}; recenter first"
         )
-    radius = min(r1.radius_hint, r2.radius_hint)
-    if _both_finite(r1, r2):
-        d1, d2 = _finite_d_list(r1), _finite_d_list(r2)
-        out = [0.0] * max(len(d1), len(d2))
-        for i, u in enumerate(d1):
-            out[i] += alpha * u
-        for i, v in enumerate(d2):
-            out[i] += beta * v
-        e1, e2 = _finite_e_list(r1), _finite_e_list(r2)
-        errors = None
-        if e1 is not None or e2 is not None:
-            errors = [0.0] * len(out)
-            for w, e in ((alpha, e1 or ()), (beta, e2 or ())):
-                for i, v in enumerate(e):
-                    errors[i] += abs(w) * v
-        return _rep_from_d_list(r1.center, out, radius, errors)
-
-    da, db = _memo_d(r1.coefficients), _memo_d(r2.coefficients)
-
-    def d_rule(n: int) -> float:
-        return alpha * da(n) + beta * db(n)
-
-    ea, eb = _d_error(r1.coefficients), _d_error(r2.coefficients)
-    term_error = None
-    if ea is not None or eb is not None:
-        ea, eb = ea or _no_error, eb or _no_error
-
-        def term_error(n: int) -> float:
-            return abs(alpha) * ea(n) + abs(beta) * eb(n)
-
-    e1 = _d_envelope(r1).widened().scaled(alpha)
-    e2 = _d_envelope(r2).widened().scaled(beta)
-    cert = e1.add(e2).to_certificate(1.0)
-    return AnalyticRep(r1.center, TermBackedSequence(d_rule, 1.0, cert, term_error), radius)
+    T = linear_combination(alpha, TaylorMeasure(r1.coefficients, 1.0),
+                           beta, TaylorMeasure(r2.coefficients, 1.0))
+    return AnalyticRep(r1.center, T.coefficients, min(r1.radius_hint, r2.radius_hint))
 
 
 def truncate_rep(rep: AnalyticRep, N: int) -> AnalyticRep:

@@ -133,19 +133,23 @@ def _scalar_rows(command: str, value: float, err_name: str,
 # measure commands
 
 
-def _cmd_eval(args):
+def _one_measure_cmd(args, name, fn):
     T = serialize.parse_measure(_load_doc(args.measure, "measure"))
     B = _load_set(args)
-    mv = evaluate(T, B, args.eps)
+    mv = fn(T, B, args.eps)
     result = {
-        "command": "eval",
+        "command": name,
         "value": mv.value,
         "abs_error": mv.abs_error,
         "inputs": {"measure": serialize.measure_to_doc(T),
                    "set": serialize.set_to_doc(B), "eps": args.eps},
         "seed": None,
     }
-    return result, *_scalar_rows("eval", mv.value, "abs_error", mv.abs_error)
+    return result, *_scalar_rows(name, mv.value, "abs_error", mv.abs_error)
+
+
+def _cmd_eval(args):
+    return _one_measure_cmd(args, "eval", evaluate)
 
 
 def _cmd_decompose(args):
@@ -171,18 +175,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_tv(args):
-    T = serialize.parse_measure(_load_doc(args.measure, "measure"))
-    B = _load_set(args)
-    mv = total_variation(T, B, args.eps)
-    result = {
-        "command": "tv",
-        "value": mv.value,
-        "abs_error": mv.abs_error,
-        "inputs": {"measure": serialize.measure_to_doc(T),
-                   "set": serialize.set_to_doc(B), "eps": args.eps},
-        "seed": None,
-    }
-    return result, *_scalar_rows("tv", mv.value, "abs_error", mv.abs_error)
+    return _one_measure_cmd(args, "tv", total_variation)
 
 
 def _two_measure_cmd(args, name, fn):
@@ -211,18 +204,7 @@ def _cmd_dist(args):
 
 
 def _cmd_norm(args):
-    T = serialize.parse_measure(_load_doc(args.measure, "measure"))
-    B = _load_set(args)
-    mv = norm(T, B, args.eps)
-    result = {
-        "command": "norm",
-        "value": mv.value,
-        "abs_error": mv.abs_error,
-        "inputs": {"measure": serialize.measure_to_doc(T),
-                   "set": serialize.set_to_doc(B), "eps": args.eps},
-        "seed": None,
-    }
-    return result, *_scalar_rows("norm", mv.value, "abs_error", mv.abs_error)
+    return _one_measure_cmd(args, "norm", norm)
 
 
 # ---------------------------------------------------------------------------

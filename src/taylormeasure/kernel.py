@@ -841,9 +841,13 @@ class _TermEnvelope:
 
     def cauchy(self, other: "_TermEnvelope") -> "_TermEnvelope":
         """The envelope of the Cauchy product l -> sum_n p(n) q(l - n),
-        where other bounds q; both are widened first."""
+        where other bounds q. Two finite supports give the support of the
+        product; otherwise both are widened first."""
         if self.k is None or other.k is None:
             return _TermEnvelope(None)
+        if self.last is not None and other.last is not None:
+            return _TermEnvelope(last=-1 if -1 in (self.last, other.last)
+                                 else self.last + other.last)
         a, b = self.widened(), other.widened()
         if a.k == b.k == 1:
             # sum_n S1 R1^n/n! S2 R2^(l-n)/(l-n)! = S1 S2 (R1+R2)^l / l!
@@ -957,6 +961,17 @@ class _TermEnvelope:
         if self.k:
             units /= math.factorial(n)
         return math.copysign(min(abs(v), math.ldexp(math.floor(units), -1074)), v)
+
+    def within(self, term: Callable[[int], float]) -> Callable[[int], float]:
+        """The term function ``term``, bounded by this envelope, with each
+        value below the normal range pulled in (pulled_in): such a value
+        may round past an exact bound."""
+
+        def rule(n: int) -> float:
+            v = term(n)
+            return self.pulled_in(n, v) if 0.0 < abs(v) < _MIN_NORMAL else v
+
+        return rule
 
     def to_certificate(self, gamma: float) -> GrowthCertificate:
         """The certificate of the coefficients a_n = n! * p(n) / gamma**n:

@@ -34,7 +34,6 @@ from .kernel import (
     SignedLogTerm,
     TermBackedSequence,
     Unverified,
-    _MIN_NORMAL,
     _TermEnvelope,
     finite_sequence,
 )
@@ -252,7 +251,7 @@ def linear_combination(
     (coefficient sequences with different gamma cannot be merged at the
     coefficient level in general), except that a term below the normal
     range is pulled back within the certificate it would round past
-    (_TermEnvelope.pulled_in). Operand term errors carry over as
+    (_TermEnvelope.within). Operand term errors carry over as
     |alpha| * e1 + |beta| * e2.
     """
     alpha = float(alpha)
@@ -279,14 +278,8 @@ def linear_combination(
     e1 = _TermEnvelope.of(T1.coefficients.certificate, T1.gamma, T1.term).scaled(alpha)
     e2 = _TermEnvelope.of(T2.coefficients.certificate, T2.gamma, T2.term).scaled(beta)
     envelope = e1.add(e2)
-
-    def rule(n: int) -> float:
-        # a term below the normal range may round past the envelope
-        v = combined(n)
-        return envelope.pulled_in(n, v) if 0.0 < abs(v) < _MIN_NORMAL else v
-
-    cert = envelope.to_certificate(1.0)
-    return TaylorMeasure(TermBackedSequence(rule, 1.0, cert, term_error), 1.0)
+    return TaylorMeasure(TermBackedSequence(envelope.within(combined), 1.0,
+                                            envelope.to_certificate(1.0), term_error), 1.0)
 
 
 def _term_errors(T: TaylorMeasure) -> Callable[[int], float] | None:

@@ -382,15 +382,16 @@ def _measure_from_prob_sequence(p: CoefficientSequence, gamma: float) -> TaylorM
     if abs(total - 1.0) > 1e-12:
         raise InvalidPmf(f"probabilities sum to {total}, not 1")
     env = _TermEnvelope(k=0, scale=s, ratio=r, start=L) if s > 0.0 else _TermEnvelope(last=L - 1)
-    seq = TermBackedSequence(lambda n, q=p: q.a(n), gamma, env.to_certificate(gamma))
+    seq = TermBackedSequence(env.within(p.a), gamma, env.to_certificate(gamma))
     return TaylorMeasure(seq, gamma)
 
 
 def _measure_from_power_series(p: PowerSeriesPmf, gamma: float) -> TaylorMeasure:
-    # the pmf is the density's terms over the smallest certified normalizer
+    # the pmf is the density's terms over the smallest certified normalizer;
+    # a pmf below the normal range is pulled in within that bound
     norm_lo = p.normalizer.value - p.normalizer.abs_error
     env = _TermEnvelope.of(p.b.certificate, p.zeta).scaled(1.0 / norm_lo)
-    seq = TermBackedSequence(lambda n, q=p: q.pmf(n), gamma, env.to_certificate(gamma))
+    seq = TermBackedSequence(env.within(p.pmf), gamma, env.to_certificate(gamma))
     return TaylorMeasure(seq, gamma)
 
 

@@ -524,6 +524,20 @@ def sample_stm_batch(
     raise UnsupportedSpec(f"unknown spec type {type(spec).__name__}")
 
 
+def _path_steps(spec, rng, t: int) -> np.ndarray:
+    """The t per-step draws of one path-spec realization: the walk's steps
+    X_n, the AR(1) innovations sigma eps_n, or the Brownian increments
+    X_{n/N} - X_{(n-1)/N}. Every single-path routine reads these."""
+    if t == 0:
+        return np.zeros(0)
+    if isinstance(spec, RandomWalk):
+        return spec.step.draw(generator(rng, ROLE_WALK, 0), t)
+    if isinstance(spec, Ar1):
+        return math.sqrt(spec.sigma2) * generator(rng, ROLE_STM, 0).standard_normal(t)
+    raw = NormalStep(spec.mu, spec.sigma).draw(generator(rng, ROLE_BROWNIAN, 0), t)
+    return (raw - spec.mu) / (spec.sigma * math.sqrt(spec.n))
+
+
 def _path_measure_value(spec, B, rng) -> float:
     """One path-spec realization, summed sequentially in index order.
 
@@ -532,20 +546,9 @@ def _path_measure_value(spec, B, rng) -> float:
     the last bit.
     """
     w = _walk_coefficient_weights(spec, B)
-    t = w.size
-    if t == 0:
-        return 0.0
-    if isinstance(spec, RandomWalk):
-        steps = spec.step.draw(generator(rng, ROLE_WALK, 0), t)
-        contrib = steps
-    elif isinstance(spec, Ar1):
-        sigma = math.sqrt(spec.sigma2)
-        contrib = sigma * generator(rng, ROLE_STM, 0).standard_normal(t)
-    else:
-        raw = NormalStep(spec.mu, spec.sigma).draw(generator(rng, ROLE_BROWNIAN, 0), t)
-        contrib = (raw - spec.mu) / (spec.sigma * math.sqrt(spec.n))
+    contrib = _path_steps(spec, rng, w.size)
     acc = 0.0
-    for n in range(t):
+    for n in range(w.size):
         if w[n] != 0.0:
             acc += w[n] * contrib[n]
     return acc
@@ -632,12 +635,10 @@ def simulate_random_walk(spec: RandomWalk, rng: RngSpec) -> SamplePath:
     the embedding a_n = n! X_n at gamma = 1 reproduces S_t exactly.
     """
     values = [0.0]
-    if spec.t > 0:
-        steps = spec.step.draw(generator(rng, ROLE_WALK, 0), spec.t)
-        acc = 0.0
-        for s in steps:
-            acc += s
-            values.append(acc)
+    acc = 0.0
+    for s in _path_steps(spec, rng, spec.t):
+        acc += s
+        values.append(acc)
     return SamplePath(tuple(range(spec.t + 1)), tuple(values), rng)
 
 
@@ -657,12 +658,10 @@ def simulate_random_walk_batch(spec: RandomWalk, rng: RngSpec, R: int) -> np.nda
 
 def simulate_brownian(spec: BrownianApprox, rng: RngSpec) -> SamplePath:
     """One path X_{k/n} = (S_k - k mu) / (sigma sqrt(n)) on the grid k/n."""
-    raw = NormalStep(spec.mu, spec.sigma).draw(generator(rng, ROLE_BROWNIAN, 0), spec.n)
-    scale = spec.sigma * math.sqrt(spec.n)
     values = [0.0]
     acc = 0.0
-    for k in range(spec.n):
-        acc += (raw[k] - spec.mu) / scale
+    for step in _path_steps(spec, rng, spec.n):
+        acc += step
         values.append(acc)
     times = tuple(k / spec.n for k in range(spec.n + 1))
     return SamplePath(times, tuple(values), rng)
@@ -695,17 +694,7 @@ def stm_coefficients(spec: StmSpec, rng: RngSpec) -> TaylorMeasure:
         )
     t = spec.t if not isinstance(spec, BrownianApprox) else spec.n
     w = _walk_coefficient_weights(spec, NatSet.all())
-    if isinstance(spec, RandomWalk):
-        contrib = spec.step.draw(generator(rng, ROLE_WALK, 0), t) if t else np.zeros(0)
-    elif isinstance(spec, Ar1):
-        contrib = (
-            math.sqrt(spec.sigma2) * generator(rng, ROLE_STM, 0).standard_normal(t)
-            if t
-            else np.zeros(0)
-        )
-    else:
-        raw = NormalStep(spec.mu, spec.sigma).draw(generator(rng, ROLE_BROWNIAN, 0), t)
-        contrib = (raw - spec.mu) / (spec.sigma * math.sqrt(spec.n))
+    contrib = _path_steps(spec, rng, t)
     terms = {n + 1: float(w[n] * contrib[n]) for n in range(t)}
 
     def term_rule(n: int) -> float:

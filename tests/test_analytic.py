@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from taylormeasure import (
     OutOfDomain,
     QuadratureStall,
     TaylorMeasure,
+    TermBackedSequence,
     Unverified,
     builtin,
     cos_rep,
@@ -141,6 +143,47 @@ class TestMultiply:
         prod = multiply(polynomial_rep([1.0, 1.0]), polynomial_rep([1.0, -1.0]))
         assert [prod.coefficients.a(k) for k in range(4)] == [1.0, 0.0, -2.0, 0.0]
         assert prod.coefficients.certificate == FiniteSupport(2)
+
+    def test_finite_coefficients_are_correctly_rounded(self):
+        # each d_l is the float products d1_n * d2_(l-n), summed exactly and
+        # rounded once
+        rnd = random.Random(3)
+        for _ in range(20):
+            f = polynomial_rep([rnd.uniform(-9, 9) * 10.0 ** rnd.randint(-8, 8)
+                                for _ in range(rnd.randint(1, 9))])
+            g = polynomial_rep([rnd.uniform(-9, 9) * 10.0 ** rnd.randint(-8, 8)
+                                for _ in range(rnd.randint(1, 9))])
+            d1 = [analytic._d_value(f.coefficients, n) for n in range(9)]
+            d2 = [analytic._d_value(g.coefficients, n) for n in range(9)]
+            prod = multiply(f, g).coefficients
+            last = f.coefficients.certificate.last + g.coefficients.certificate.last
+            assert prod.certificate == FiniteSupport(last)
+            for l in range(last + 3):
+                exact = sum(Fraction(d1[n] * d2[l - n]) for n in range(max(0, l - 8), min(l, 8) + 1))
+                assert prod.term_rule(l) == float(exact), l
+
+    def test_constant_factor_scales_each_term(self):
+        for f in (exp_rep(0.5), sin_rep(0.3), geometric_rep(0.2), polynomial_rep([0.1, 1.3, -0.7])):
+            prod = multiply(polynomial_rep([2.0], f.center), f)
+            for l in range(40):
+                assert prod.coefficients.term_rule(l) == 2.0 * analytic._d_value(f.coefficients, l)
+
+    def test_finite_product_reads_only_its_support(self):
+        asked = []
+        table = {0: 0.5, 1: -1.5, 2: 0.25, 3: 2.0}
+
+        def rule(n):
+            asked.append(n)
+            return table.get(n, 0.0)
+
+        f = AnalyticRep(0.0, TermBackedSequence(rule, 1.0, FiniteSupport(3), lambda n: 1e-17),
+                        math.inf)
+        prod = multiply(f, f)
+        # term errors keep the whole set summed: no underflow horizon cuts it
+        out = evaluate(TaylorMeasure(prod.coefficients, 0.5), NatSet.finite([5, 10 ** 5]))
+        assert max(asked) == 3
+        want = math.fsum(table[n] * table[5 - n] for n in range(2, 4)) * 0.5 ** 5
+        assert abs(out.value - want) <= out.abs_error
 
     def test_multiplicative_identity(self):
         one = polynomial_rep([1.0])

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 import mpmath
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pytest
@@ -138,6 +138,12 @@ def _rep(seq):
     return AnalyticRep(0.0, seq, math.inf)
 
 
+def _rep_at_one(seq, gamma):
+    """The representation whose d_n are the terms of seq at gamma."""
+    cert = _TermEnvelope.of(seq.certificate, gamma).to_certificate(1.0)
+    return _rep(TermBackedSequence(TaylorMeasure(seq, gamma).term, 1.0, cert))
+
+
 class TestDerivedCertificatesHold:
     @given(_operands, _operands, _weights, _weights, _gammas, _gammas)
     @settings(max_examples=40, deadline=None)
@@ -152,6 +158,14 @@ class TestDerivedCertificatesHold:
         T = linear_combination(1.0, TaylorMeasure(s1, 0.5), 0.75,
                                TaylorMeasure(s2, 0.555521583009404))
         _assert_bounded(T.coefficients)
+
+    def test_linear_combine_subnormal_terms(self):
+        # the operands of test_linear_combination_subnormal_terms, presented
+        # at gamma = 1; linear_combine kept a_169 = -2.109e-19 against a
+        # bound of 2.036e-19 while it combined the terms itself
+        R1 = _rep_at_one(_operand("bounded", 0, 1.0, 1.0, 0, 0), 0.5)
+        R2 = _rep_at_one(_operand("geometric", 0, 6.5, 1.380859375, 0, 0), 0.555521583009404)
+        _assert_bounded(linear_combine(1.0, R1, 0.75, R2).coefficients)
 
     def test_pulled_in_keeps_terms_within_the_bound(self):
         env = _TermEnvelope(1, 5.875, 0.7670971859133763)
@@ -199,6 +213,12 @@ class TestDerivedCertificatesHold:
         st.floats(0.1, 3.0),
     )
     @settings(max_examples=40, deadline=None)
+    # pmf(167) = 7.43e-24 rounds to one subnormal unit where its bound is
+    # 0.79 units; the second fails the same way at n = 162
+    @example(kind="bounded", seed=0, scale=2.0, ratio=1.0, start=0, big=0,
+             zeta=0.724609375, gamma=1.0)
+    @example(kind="factorial", seed=789, scale=6.0, ratio=0.1, start=0, big=0,
+             zeta=0.1, gamma=1.0)
     def test_from_pmf(self, kind, seed, scale, ratio, start, big, zeta, gamma):
         if kind == "factorial":
             zeta = min(zeta, 0.5 / ratio)  # inside the normalizer's radius
