@@ -39,7 +39,7 @@ from .kernel import (
     _plan_from,
     _sum_terms,
     _term_and_err,
-    _term_bias,
+    _term_errors,
     constant_sequence,
     finite_sequence,
     rule_sequence,
@@ -108,14 +108,6 @@ def _memo(f: Callable[[int], float]) -> Callable[[int], float]:
 
 def _memo_d(seq: SequenceLike) -> Callable[[int], float]:
     return _memo(partial(_d_value, seq))
-
-
-def _d_error(seq: SequenceLike) -> Callable[[int], float] | None:
-    """The term errors of d_n (TermBackedSequence.term_error at gamma = 1),
-    memoised, or None when the terms carry none."""
-    if isinstance(seq, TermBackedSequence) and seq.term_error is not None:
-        return _memo(partial(_term_bias, seq, 1.0))
-    return None
 
 
 def _no_error(n: int) -> float:
@@ -275,12 +267,12 @@ def _eval_points(rep: AnalyticRep, xs: Sequence[float], eps: float) -> list[Meas
             near = plan.last_index
         points.append((gamma, plan))
     presented = seq.presentation_gamma if isinstance(seq, TermBackedSequence) else None
-    bias = _d_error(seq)
     last = max((plan.last_index for gamma, plan in points
                 if plan is not None and gamma != presented), default=-1)
     a = _coefficients(seq, range(last + 1))
     out = []
     for gamma, plan in points:
+        bias = _term_errors(seq, gamma)
         if plan is None:
             out.append(MeasureValue(_d_value(seq, 0), 0.0 if bias is None else bias(0)))
             continue
@@ -291,7 +283,7 @@ def _eval_points(rep: AnalyticRep, xs: Sequence[float], eps: float) -> list[Meas
             s = _sum_terms(seq, gamma, indices, a[:plan.last_index + 1])
         err = s.error
         if bias is not None and gamma != presented:
-            err += math.fsum(_term_bias(seq, gamma, n) for n in indices)
+            err += math.fsum(map(bias, indices))
         out.append(MeasureValue(s.pos - s.neg, err + plan.tail_bound))
     return out
 
@@ -339,7 +331,7 @@ def multiply(r1: AnalyticRep, r2: AnalyticRep) -> AnalyticRep:
 
     da, db = _memo_d(r1.coefficients), _memo_d(r2.coefficients)
     d_rule = _memo(lambda l: math.fsum(da(n) * db(l - n) for n in reach(l)))
-    ea, eb = _d_error(r1.coefficients), _d_error(r2.coefficients)
+    ea, eb = (e and _memo(e) for e in (_term_errors(r.coefficients, 1.0) for r in (r1, r2)))
     term_error = None
     if ea is not None or eb is not None:
         ea, eb = ea or _no_error, eb or _no_error
@@ -390,7 +382,7 @@ def truncate_rep(rep: AnalyticRep, N: int) -> AnalyticRep:
     if N < 0:
         raise ValueError("truncation degree must be >= 0")
     d = [_d_value(rep.coefficients, n) for n in range(N + 1)]
-    e = _d_error(rep.coefficients)
+    e = _term_errors(rep.coefficients, 1.0)
     errors = None if e is None else [e(n) for n in range(N + 1)]
     return _rep_from_d_list(rep.center, d, math.inf, errors)
 
@@ -420,7 +412,7 @@ def recenter(rep: AnalyticRep, new_center: float, eps: float = 1e-12) -> Analyti
             f"new center {new_center} outside |x - {rep.center}| < {rep.radius_hint}"
         )
     d = _memo_d(rep.coefficients)
-    d_err = _d_error(rep.coefficients) or _no_error
+    d_err = _term_errors(rep.coefficients, 1.0) or _no_error
     cert = rep.coefficients.certificate
 
     def shift_sum(k: int, M: int) -> tuple[float, float, float]:

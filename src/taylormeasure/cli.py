@@ -9,7 +9,11 @@ Inputs are JSON documents (see serialize for the schemas) given as a
 file path, ``-`` for stdin, or an inline JSON string. Every run writes
 a single JSON result document to stdout containing the value, its
 abs_error or stderr, a normalized echo of the inputs, and the seed;
-``--csv PATH`` additionally writes a small RFC-4180 table. Exit codes:
+``--csv PATH`` additionally writes a small RFC-4180 table. A handler
+returns only what its command computed: main adds the envelope
+("command" and "seed") to every result, and writes the scalar table
+(command, value, and abs_error or stderr when there is one) for every
+handler that returns no table of its own. Exit codes:
 0 on success, 2 on input errors (the diagnostic names the offending
 field), 3 on numerical errors such as a divergence that no certificate
 resolves or an evaluation outside a function's domain.
@@ -92,7 +96,7 @@ def _load_set(args: argparse.Namespace) -> NatSet:
     return serialize.parse_set(_load_doc(args.set, "set"), "set")
 
 
-def _measure_arg(p: argparse.ArgumentParser, name: str = "measure") -> None:
+def _measure_arg(p: argparse.ArgumentParser, name: str) -> None:
     p.add_argument(name, help="measure document (path, '-', or inline JSON)")
 
 
@@ -124,32 +128,44 @@ def _csv_opt(p: argparse.ArgumentParser) -> None:
                    help="also write an RFC-4180 table to PATH")
 
 
-def _scalar_rows(command: str, value: float, err_name: str,
-                 err: float) -> tuple[list[str], list[list[Any]]]:
-    return ["command", "value", err_name], [[command, value, err]]
+def _terms_opt(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--terms", type=_count, default=8,
+                   help="coefficients to report (default 8)")
+
+
+def _count(text: str) -> int:
+    """An int >= 0; anything else is refused as argparse refuses an int."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
 
 
 # ---------------------------------------------------------------------------
 # measure commands
+#
+# A handler returns its result without "command" and "seed", which main
+# adds, or (result, header, rows) when its CSV table is not main's scalar
+# table.
 
 
-def _one_measure_cmd(args, name, fn):
-    T = serialize.parse_measure(_load_doc(args.measure, "measure"))
-    B = _load_set(args)
-    mv = fn(T, B, args.eps)
-    result = {
-        "command": name,
-        "value": mv.value,
-        "abs_error": mv.abs_error,
-        "inputs": {"measure": serialize.measure_to_doc(T),
-                   "set": serialize.set_to_doc(B), "eps": args.eps},
-        "seed": None,
-    }
-    return result, *_scalar_rows(name, mv.value, "abs_error", mv.abs_error)
+def _measure_cmd(fn, *names):
+    """The handler of fn(*measures, set, eps), reading one measure document
+    from each of the arguments names."""
 
+    def handler(args):
+        measures = [serialize.parse_measure(_load_doc(getattr(args, name), name), name)
+                    for name in names]
+        B = _load_set(args)
+        mv = fn(*measures, B, args.eps)
+        inputs = {name: serialize.measure_to_doc(T) for name, T in zip(names, measures)}
+        return {"value": mv.value, "abs_error": mv.abs_error,
+                "inputs": {**inputs, "set": serialize.set_to_doc(B), "eps": args.eps}}
 
-def _cmd_eval(args):
-    return _one_measure_cmd(args, "eval", evaluate)
+    return handler
 
 
 def _cmd_decompose(args):
@@ -159,7 +175,6 @@ def _cmd_decompose(args):
     s, tail = _eval_selected(T, B, args.eps)
     mv = MeasureValue(s.pos - s.neg, s.error + tail)
     result = {
-        "command": "decompose",
         "value": mv.value,
         "abs_error": mv.abs_error,
         "pos_mass": s.pos,
@@ -167,44 +182,10 @@ def _cmd_decompose(args):
         "total_variation": s.pos + s.neg,
         "inputs": {"measure": serialize.measure_to_doc(T),
                    "set": serialize.set_to_doc(B), "eps": args.eps},
-        "seed": None,
     }
     rows = [["positive", s.pos], ["negative", s.neg],
             ["signed_total", mv.value], ["total_variation", s.pos + s.neg]]
     return result, ["part", "value"], rows
-
-
-def _cmd_tv(args):
-    return _one_measure_cmd(args, "tv", total_variation)
-
-
-def _two_measure_cmd(args, name, fn):
-    T1 = serialize.parse_measure(_load_doc(args.measure1, "measure1"), "measure1")
-    T2 = serialize.parse_measure(_load_doc(args.measure2, "measure2"), "measure2")
-    B = _load_set(args)
-    mv = fn(T1, T2, B, args.eps)
-    result = {
-        "command": name,
-        "value": mv.value,
-        "abs_error": mv.abs_error,
-        "inputs": {"measure1": serialize.measure_to_doc(T1),
-                   "measure2": serialize.measure_to_doc(T2),
-                   "set": serialize.set_to_doc(B), "eps": args.eps},
-        "seed": None,
-    }
-    return result, *_scalar_rows(name, mv.value, "abs_error", mv.abs_error)
-
-
-def _cmd_inner(args):
-    return _two_measure_cmd(args, "inner", inner_product)
-
-
-def _cmd_dist(args):
-    return _two_measure_cmd(args, "dist", distance)
-
-
-def _cmd_norm(args):
-    return _one_measure_cmd(args, "norm", norm)
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +198,11 @@ def _cmd_pmf(args):
     series = normalizer(zeta, b, args.eps)
     masses = [pmf_eval(p, n) for n in range(args.upto + 1)]
     result = {
-        "command": "pmf",
         "value": series.value,
         "abs_error": series.abs_error,
         "masses": masses,
         "inputs": {"pmf": serialize.pmf_to_doc(zeta, b), "upto": args.upto,
                    "eps": args.eps},
-        "seed": None,
     }
     return result, ["n", "mass"], [[n, m] for n, m in enumerate(masses)]
 
@@ -236,12 +215,10 @@ def _cmd_sample(args):
     draws = sample_pmf(p, RngSpec(args.seed), args.L, args.method)
     mean = sum(draws) / len(draws)
     result = {
-        "command": "sample",
         "value": mean,
         "samples": draws,
         "inputs": {"pmf": serialize.pmf_to_doc(zeta, b), "L": args.L,
                    "method": args.method, "eps": args.eps},
-        "seed": args.seed,
     }
     return result, ["index", "value"], [[i, v] for i, v in enumerate(draws)]
 
@@ -258,8 +235,7 @@ def _cmd_mc_measure(args):
         z1, b1, z2, b2, B, args.L1, args.L2, RngSpec(args.seed),
         eps=args.eps, estimate_normalizers=args.estimate_normalizers,
     )
-    result = {
-        "command": "mc-measure",
+    return {
         "value": est.point,
         "stderr": est.stderr,
         "n_samples": est.n_samples,
@@ -269,9 +245,7 @@ def _cmd_mc_measure(args):
                    "L1": args.L1, "L2": args.L2,
                    "estimate_normalizers": args.estimate_normalizers,
                    "eps": args.eps},
-        "seed": args.seed,
     }
-    return result, *_scalar_rows("mc-measure", est.point, "stderr", est.stderr)
 
 
 def _cmd_mc_normalizer(args):
@@ -279,15 +253,12 @@ def _cmd_mc_normalizer(args):
 
     zeta, b = serialize.parse_pmf_inputs(_load_doc(args.pmf, "pmf"))
     est = estimate_normalizer_poisson(zeta, b, args.L, RngSpec(args.seed))
-    result = {
-        "command": "mc-normalizer",
+    return {
         "value": est.point,
         "stderr": est.stderr,
         "n_samples": est.n_samples,
         "inputs": {"pmf": serialize.pmf_to_doc(zeta, b), "L": args.L},
-        "seed": args.seed,
     }
-    return result, *_scalar_rows("mc-normalizer", est.point, "stderr", est.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +272,10 @@ def _cmd_stm_moments(args):
     B = _load_set(args)
     mean, var = stm_moments(spec, B, args.eps)
     result = {
-        "command": "stm-moments",
         "value": mean,
         "variance": var,
         "inputs": {"spec": serialize.stm_spec_to_doc(spec),
                    "set": serialize.set_to_doc(B), "eps": args.eps},
-        "seed": None,
     }
     return result, ["moment", "value"], [["mean", mean], ["variance", var]]
 
@@ -331,17 +300,14 @@ def _cmd_stm_sim(args):
     else:
         var = 0.0
         stderr = 0.0
-    result = {
-        "command": "stm-sim",
+    return {
         "value": mean,
         "stderr": stderr,
         "empirical_variance": var,
         "inputs": {"spec": serialize.stm_spec_to_doc(spec),
                    "set": serialize.set_to_doc(B), "L": args.L,
                    "eps": args.eps},
-        "seed": args.seed,
     }
-    return result, *_scalar_rows("stm-sim", mean, "stderr", stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +323,11 @@ def _parse_fn(arg: str, field: str):
 def _cmd_fn_eval(args):
     rep, echo = _parse_fn(args.function, "function")
     mv = eval_rep(rep, args.x, args.eps)
-    result = {
-        "command": "fn-eval",
+    return {
         "value": mv.value,
         "abs_error": mv.abs_error,
         "inputs": {"function": echo, "x": args.x, "eps": args.eps},
-        "seed": None,
     }
-    return result, *_scalar_rows("fn-eval", mv.value, "abs_error", mv.abs_error)
 
 
 def _cmd_fn_mul(args):
@@ -375,14 +338,12 @@ def _cmd_fn_mul(args):
     mv = eval_rep(product, x, args.eps)
     coeffs = [product.coefficients.a(n) for n in range(args.terms)]
     result = {
-        "command": "fn-mul",
         "value": mv.value,
         "abs_error": mv.abs_error,
         "center": product.center,
         "coefficients": coeffs,
         "inputs": {"function1": echo1, "function2": echo2, "x": args.x,
                    "terms": args.terms, "eps": args.eps},
-        "seed": None,
     }
     return result, ["n", "coefficient"], [[n, c] for n, c in enumerate(coeffs)]
 
@@ -392,13 +353,11 @@ def _cmd_fn_recenter(args):
     moved = recenter(rep, args.center, args.eps)
     coeffs = [moved.coefficients.a(n) for n in range(args.terms)]
     result = {
-        "command": "fn-recenter",
-        "value": coeffs[0],
+        "value": moved.coefficients.a(0),
         "center": moved.center,
         "coefficients": coeffs,
         "inputs": {"function": echo, "center": args.center,
                    "terms": args.terms, "eps": args.eps},
-        "seed": None,
     }
     return result, ["n", "coefficient"], [[n, c] for n, c in enumerate(coeffs)]
 
@@ -408,28 +367,22 @@ def _cmd_fn_supdist(args):
     lo, hi = args.K
     value = sup_distance_on_grid(rep, _ORACLES[args.oracle], (lo, hi),
                                  m=args.grid, eps=args.eps)
-    result = {
-        "command": "fn-supdist",
+    return {
         "value": value,
         "inputs": {"function": echo, "oracle": args.oracle, "K": [lo, hi],
                    "grid": args.grid, "eps": args.eps},
-        "seed": None,
     }
-    return result, ["command", "value"], [["fn-supdist", value]]
 
 
 def _cmd_fn_lpnorm(args):
     rep, echo = _parse_fn(args.function, "function")
     lo, hi = args.K
     value = lp_norm_on_interval(rep, args.p, (lo, hi), args.eps)
-    result = {
-        "command": "fn-lpnorm",
+    return {
         "value": value,
         "inputs": {"function": echo, "p": args.p, "K": [lo, hi],
                    "eps": args.eps},
-        "seed": None,
     }
-    return result, ["command", "value"], [["fn-lpnorm", value]]
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +406,12 @@ def _cmd_axioms(args):
         "parallelogram_tv_max": report.parallelogram_tv_max,
     }
     result = {
-        "command": "axioms",
         "value": max(report.symmetry_max, report.bilinearity_max,
                      report.parallelogram_rho_max),
         "pairs_checked": report.pairs_checked,
         **checks,
         "inputs": {"count": args.count, "set": serialize.set_to_doc(B),
                    "eps": args.eps},
-        "seed": args.seed,
     }
     return result, ["check", "value"], [[k, v] for k, v in checks.items()]
 
@@ -483,26 +434,21 @@ def _build_parser() -> argparse.ArgumentParser:
         _csv_opt(p)
         return p
 
-    p = add("eval", _cmd_eval, "evaluate a measure on a set")
-    _measure_arg(p); _set_opt(p); _eps_opt(p)
-
-    p = add("decompose", _cmd_decompose,
-            "Jordan decomposition: positive and negative masses")
-    _measure_arg(p); _set_opt(p); _eps_opt(p)
-
-    p = add("tv", _cmd_tv, "total variation on a set")
-    _measure_arg(p); _set_opt(p); _eps_opt(p)
-
-    p = add("inner", _cmd_inner, "inner product of two measures on a set")
-    _measure_arg(p, "measure1"); _measure_arg(p, "measure2")
-    _set_opt(p); _eps_opt(p)
-
-    p = add("norm", _cmd_norm, "Hilbert norm of a measure on a set")
-    _measure_arg(p); _set_opt(p); _eps_opt(p)
-
-    p = add("dist", _cmd_dist, "Hilbert distance between two measures")
-    _measure_arg(p, "measure1"); _measure_arg(p, "measure2")
-    _set_opt(p); _eps_opt(p)
+    one, two = ("measure",), ("measure1", "measure2")
+    for name, handler, names, help_text in (
+        ("eval", _measure_cmd(evaluate, *one), one, "evaluate a measure on a set"),
+        ("decompose", _cmd_decompose, one,
+         "Jordan decomposition: positive and negative masses"),
+        ("tv", _measure_cmd(total_variation, *one), one, "total variation on a set"),
+        ("inner", _measure_cmd(inner_product, *two), two,
+         "inner product of two measures on a set"),
+        ("norm", _measure_cmd(norm, *one), one, "Hilbert norm of a measure on a set"),
+        ("dist", _measure_cmd(distance, *two), two, "Hilbert distance between two measures"),
+    ):
+        p = add(name, handler, help_text)
+        for measure in names:
+            _measure_arg(p, measure)
+        _set_opt(p); _eps_opt(p)
 
     p = add("pmf", _cmd_pmf, "power-series pmf: series mass and point masses")
     p.add_argument("pmf", help="pmf document (path, '-', or inline JSON)")
@@ -560,17 +506,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("function2", help="function document")
     p.add_argument("--x", type=float, default=None,
                    help="evaluation point (default: the common center)")
-    p.add_argument("--terms", type=int, default=8,
-                   help="coefficients to report (default 8)")
-    _eps_opt(p)
+    _terms_opt(p); _eps_opt(p)
 
     p = add("fn-recenter", _cmd_fn_recenter,
             "move a representation to a new expansion center")
     p.add_argument("function", help="function document")
     p.add_argument("--center", type=float, required=True)
-    p.add_argument("--terms", type=int, default=8,
-                   help="coefficients to report (default 8)")
-    _eps_opt(p)
+    _terms_opt(p); _eps_opt(p)
 
     p = add("fn-supdist", _cmd_fn_supdist,
             "sup distance to a reference function on an interval grid")
@@ -609,7 +551,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        result, header, rows = args.handler(args)
+        result = args.handler(args)
     except InvalidDocument as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -619,9 +561,18 @@ def main(argv: list[str] | None = None) -> int:
     except TaylorMeasureError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    table = None
+    if isinstance(result, tuple):
+        result, *table = result
+    result["command"] = args.command
+    result["seed"] = getattr(args, "seed", None)
     sys.stdout.write(json.dumps(result, sort_keys=True) + "\n")
     if args.csv is not None:
-        _write_csv(args.csv, header, rows)
+        if table is None:
+            err = [k for k in ("abs_error", "stderr") if k in result]
+            table = (["command", "value", *err],
+                     [[args.command, result["value"], *(result[k] for k in err)]])
+        _write_csv(args.csv, *table)
     return 0
 
 

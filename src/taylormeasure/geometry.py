@@ -41,6 +41,7 @@ from .kernel import (
     _exp_signed,
     _signed_log,
     _term_and_err,
+    _term_errors,
     finite_sequence,
     plan_truncation,
 )
@@ -48,7 +49,6 @@ from .measure import (
     MeasureValue,
     NatSet,
     TaylorMeasure,
-    _term_errors,
     linear_combination,
     total_variation,
 )
@@ -107,7 +107,8 @@ def _rho_summand(T1: TaylorMeasure, T2: TaylorMeasure, n: int) -> tuple[float, f
     log_mag = lf + l1 + l2
     v = _exp_signed(s, log_mag)
     err = abs(v) * (abs(l1) + abs(l2) + lf + 16.0) * 2.0 ** -50
-    b1, b2 = (bias(n) if bias else 0.0 for bias in (_term_errors(T1), _term_errors(T2)))
+    b1, b2 = (bias(n) if bias else 0.0
+              for bias in (_term_errors(T.coefficients, T.gamma) for T in (T1, T2)))
     if b1 or b2:
         err += _cross_error(lf, l1, l2, b1, b2)
     return v, err

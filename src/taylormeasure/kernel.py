@@ -412,6 +412,14 @@ def _term_and_err(seq: SequenceLike, gamma: float, n: int) -> tuple[float, float
     return _term_from_coefficient(seq, seq.a(n), gamma, n)
 
 
+def _term_errors(seq: SequenceLike, gamma: float) -> Callable[[int], float] | None:
+    """n -> the error seq's term at gamma carries (_term_bias), or None when
+    its terms carry none."""
+    if isinstance(seq, TermBackedSequence) and seq.term_error is not None:
+        return partial(_term_bias, seq, gamma)
+    return None
+
+
 def _term_bias(seq: TermBackedSequence, gamma: float, n: int) -> float:
     """seq.term_error(n) carried to the term at gamma: the stored term is
     scaled by (gamma / presentation_gamma)**n, and so is its error."""
@@ -685,9 +693,7 @@ def underflow_horizon(seq: SequenceLike, gamma: float, last: int) -> TruncationP
     (Unverified, or a k = 0 envelope at ratio >= 1) or the terms carry a
     term_error, which the certificate does not bound.
     """
-    if last <= _MAX_FLOAT_FACTORIAL:
-        return None
-    if isinstance(seq, TermBackedSequence) and seq.term_error is not None:
+    if last <= _MAX_FLOAT_FACTORIAL or _term_errors(seq, gamma) is not None:
         return None
     cert = seq.certificate
     env = _TermEnvelope.of(cert, gamma)
@@ -1076,13 +1082,11 @@ def _sum_terms(seq: SequenceLike, gamma: float, indices: Iterable[int],
         raise ValueError("index must be a natural number")
     presented, bias = False, None
     if coeffs is None:
-        if isinstance(seq, TermBackedSequence):
-            if seq.term_error is not None:
-                bias = partial(_term_bias, seq, gamma)
-            if gamma == seq.presentation_gamma:
-                presented = True
-                coeffs = list(map(seq.term_rule, indices))
-        if coeffs is None:
+        bias = _term_errors(seq, gamma)
+        if isinstance(seq, TermBackedSequence) and gamma == seq.presentation_gamma:
+            presented = True
+            coeffs = list(map(seq.term_rule, indices))
+        else:
             coeffs = _coefficients(seq, indices)
     lg = math.log(abs(gamma)) if gamma != 0.0 else -math.inf
     logs: dict[float, float] = {}

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Iterable, Iterator
 
 from . import kernel
@@ -268,7 +267,7 @@ def linear_combination(
         combined = lambda n: alpha * t1(n) + beta * t2(n)
 
     term_error = None
-    b1, b2 = _term_errors(T1), _term_errors(T2)
+    b1, b2 = (kernel._term_errors(T.coefficients, T.gamma) for T in (T1, T2))
     if b1 is not None or b2 is not None:
         weighted = [(abs(w), b) for w, b in ((alpha, b1), (beta, b2)) if b is not None]
 
@@ -280,14 +279,6 @@ def linear_combination(
     envelope = e1.add(e2)
     return TaylorMeasure(TermBackedSequence(envelope.within(combined), 1.0,
                                             envelope.to_certificate(1.0), term_error), 1.0)
-
-
-def _term_errors(T: TaylorMeasure) -> Callable[[int], float] | None:
-    """The term errors of T's terms, or None when they carry none."""
-    seq = T.coefficients
-    if isinstance(seq, TermBackedSequence) and seq.term_error is not None:
-        return partial(kernel._term_bias, seq, T.gamma)
-    return None
 
 
 def from_term_function(

@@ -7,6 +7,13 @@ dotted path (for example "measure.coefficients.tail.M"). The matching
 to_doc helpers emit a normalized copy of what was parsed, so a result
 document always echoes inputs that re-parse to the same values.
 
+The kinded documents come in four families: tails, certificates, steps
+and specs. Each family is one table that maps a kind to its class and to
+its entries: the key, the attribute it fills, how it is read and written,
+and its default. One parser (_parse_kind) and one writer (_kind_to_doc)
+serve every family, so a kind's parser and its echo cannot disagree.
+Function documents are built by factories and keep their own parser.
+
 Measure document:
 
     {"gamma": 1.0,
@@ -54,8 +61,9 @@ measure document and STEP is {"kind": "normal", "mu": 0.0, "sigma": 1.0},
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from .analytic import AnalyticRep, builtin, polynomial_rep
 from .errors import InvalidDocument
@@ -124,66 +132,101 @@ def _reject_unknown(doc: Mapping[str, Any], field: str, allowed: set[str]) -> No
             raise InvalidDocument(f"{field}.{key}", "unknown entry")
 
 
-def _parse_tail(doc: Any, field: str) -> TailModel:
+def _at_least_zero(read: Callable[[Any, str], Any]) -> Callable[[Any, str], Any]:
+    """read, refusing a negative value."""
+
+    def checked(value: Any, field: str) -> Any:
+        out = read(value, field)
+        if out < 0:
+            raise InvalidDocument(field, "must be >= 0")
+        return out
+
+    return checked
+
+
+def _same(value: Any) -> Any:
+    return value
+
+
+# A document family maps each kind to (class, entries). Each entry maps a
+# document key to (attribute, (read, write), default): read(value, field)
+# parses the entry into the class's attribute of that name, write echoes
+# the attribute, and default is the raw entry read when the key is absent
+# (_REQUIRED: the key must be present).
+_REQUIRED = object()
+_natural = _at_least_zero(_integer)
+_NUMBER = (_number, _same)
+_INTEGER = (_integer, _same)
+_NONNEGATIVE = (_at_least_zero(_number), _same)
+_NUMBERS = (lambda value, field: tuple(_number_list(value, field)), list)
+
+_TAILS = {
+    "zero": (ZeroTail, {}),
+    "constant": (ConstantTail, {"M": ("value", _NUMBER, _REQUIRED)}),
+    "geometric": (GeometricTail, {"M": ("scale", _NUMBER, _REQUIRED),
+                                  "b": ("ratio", _NUMBER, _REQUIRED)}),
+}
+_CERTIFICATES = {
+    # read by _parse_certificate, whose default last depends on the prefix
+    "finite_support": (FiniteSupport, {"last": ("last", _INTEGER, _REQUIRED)}),
+    "bounded": (Bounded, {"M": ("bound", _NONNEGATIVE, _REQUIRED)}),
+    "geometric_equiv": (GeometricEnvelope, {
+        "M": ("scale", _NONNEGATIVE, _REQUIRED),
+        "b": ("ratio", _NONNEGATIVE, _REQUIRED),
+        "start": ("start", (_natural, _same), 0)}),
+    "unverified": (Unverified, {}),
+}
+
+
+def _parse_kind(table: Mapping[str, Any], family: str, doc: Any, field: str) -> Any:
+    """Parse a document of one family by its kind's table entry. A value
+    the class refuses with ValueError is refused as the whole document."""
     doc = _require_object(doc, field)
     kind = _string(_get(doc, field, "kind"), f"{field}.kind")
-    if kind == "zero":
-        _reject_unknown(doc, field, {"kind"})
-        return ZeroTail()
-    if kind == "constant":
-        _reject_unknown(doc, field, {"kind", "M"})
-        return ConstantTail(_number(_get(doc, field, "M"), f"{field}.M"))
-    if kind == "geometric":
-        _reject_unknown(doc, field, {"kind", "M", "b"})
-        return GeometricTail(
-            _number(_get(doc, field, "M"), f"{field}.M"),
-            _number(_get(doc, field, "b"), f"{field}.b"),
-        )
-    raise InvalidDocument(f"{field}.kind", f"unknown tail kind {kind!r}")
+    if kind not in table:
+        raise InvalidDocument(f"{field}.kind", f"unknown {family} kind {kind!r}")
+    cls, entries = table[kind]
+    _reject_unknown(doc, field, {"kind", *entries})
+    try:
+        values = {}
+        for key, (attr, (read, _), default) in entries.items():
+            raw = doc.get(key, default)
+            if raw is _REQUIRED:
+                raise InvalidDocument(f"{field}.{key}", "missing required entry")
+            values[attr] = read(raw, f"{field}.{key}")
+        return cls(**values)
+    except ValueError as exc:
+        raise InvalidDocument(field, str(exc)) from exc
+
+
+def _kind_to_doc(table: Mapping[str, Any], family: str, obj: Any) -> dict[str, Any]:
+    """The document of obj, written by the table entry of its class."""
+    for kind, (cls, entries) in table.items():
+        if isinstance(obj, cls):
+            return {"kind": kind, **{key: codec[1](getattr(obj, attr))
+                                     for key, (attr, codec, _) in entries.items()}}
+    raise ValueError(f"{family} {obj!r} has no document form")
+
+
+def _parse_tail(doc: Any, field: str) -> TailModel:
+    return _parse_kind(_TAILS, "tail", doc, field)
 
 
 def _parse_certificate(
     doc: Any, field: str, prefix_len: int, tail: TailModel
 ) -> GrowthCertificate:
     doc = _require_object(doc, field)
-    kind = _string(_get(doc, field, "kind"), f"{field}.kind")
-    if kind == "finite_support":
-        _reject_unknown(doc, field, {"kind", "last"})
-        if not isinstance(tail, ZeroTail):
-            raise InvalidDocument(
-                f"{field}.kind", "finite_support requires a zero tail"
-            )
-        if "last" in doc:
-            last = _integer(doc["last"], f"{field}.last")
-            if last < -1:
-                raise InvalidDocument(f"{field}.last", "must be >= -1")
-        else:
-            last = prefix_len - 1
-        return FiniteSupport(last)
-    if kind == "bounded":
-        _reject_unknown(doc, field, {"kind", "M"})
-        bound = _number(_get(doc, field, "M"), f"{field}.M")
-        if bound < 0.0:
-            raise InvalidDocument(f"{field}.M", "must be >= 0")
-        return Bounded(bound)
-    if kind == "geometric_equiv":
-        _reject_unknown(doc, field, {"kind", "M", "b", "start"})
-        scale = _number(_get(doc, field, "M"), f"{field}.M")
-        ratio = _number(_get(doc, field, "b"), f"{field}.b")
-        if scale < 0.0:
-            raise InvalidDocument(f"{field}.M", "must be >= 0")
-        if ratio < 0.0:
-            raise InvalidDocument(f"{field}.b", "must be >= 0")
-        start = 0
-        if "start" in doc:
-            start = _integer(doc["start"], f"{field}.start")
-            if start < 0:
-                raise InvalidDocument(f"{field}.start", "must be >= 0")
-        return GeometricEnvelope(scale, ratio, start)
-    if kind == "unverified":
-        _reject_unknown(doc, field, {"kind"})
-        return Unverified()
-    raise InvalidDocument(f"{field}.kind", f"unknown certificate kind {kind!r}")
+    if doc.get("kind") != "finite_support":
+        return _parse_kind(_CERTIFICATES, "certificate", doc, field)
+    _reject_unknown(doc, field, {"kind", "last"})
+    if not isinstance(tail, ZeroTail):
+        raise InvalidDocument(f"{field}.kind", "finite_support requires a zero tail")
+    last = prefix_len - 1
+    if "last" in doc:
+        last = _integer(doc["last"], f"{field}.last")
+        if last < -1:
+            raise InvalidDocument(f"{field}.last", "must be >= -1")
+    return FiniteSupport(last)
 
 
 def parse_sequence(doc: Any, field: str) -> CoefficientSequence:
@@ -242,7 +285,7 @@ def parse_set(doc: Any, field: str = "set") -> NatSet:
     _reject_unknown(doc, field, {"kind", "elements"})
     kind = _string(_get(doc, field, "kind"), f"{field}.kind")
     if kind == "all":
-        if doc.get("elements"):
+        if doc.get("elements", []) != []:
             raise InvalidDocument(
                 f"{field}.elements", "must be absent or empty for kind 'all'"
             )
@@ -252,12 +295,7 @@ def parse_set(doc: Any, field: str = "set") -> NatSet:
     raw = _get(doc, field, "elements")
     if not isinstance(raw, list):
         raise InvalidDocument(f"{field}.elements", "expected a list of naturals")
-    elements = []
-    for i, v in enumerate(raw):
-        n = _integer(v, f"{field}.elements[{i}]")
-        if n < 0:
-            raise InvalidDocument(f"{field}.elements[{i}]", "must be >= 0")
-        elements.append(n)
+    elements = [_natural(v, f"{field}.elements[{i}]") for i, v in enumerate(raw)]
     if kind == "finite":
         return NatSet.finite(elements)
     return NatSet.cofinite(elements)
@@ -290,127 +328,61 @@ def parse_function(doc: Any, field: str = "function") -> AnalyticRep:
     raise InvalidDocument(f"{field}.kind", f"unknown function kind {kind!r}")
 
 
-# The stochastic-spec functions import their classes when called, so that
-# parsing the other documents never loads numpy.
+@functools.cache
+def _stochastic_tables() -> tuple[dict[str, Any], dict[str, Any]]:
+    """The step and spec families. They are built on first use, so that
+    parsing the other documents never loads numpy."""
+    from . import stochastic as st
+
+    seq = (parse_sequence, sequence_to_doc)
+    steps = {
+        "normal": (st.NormalStep, {"mu": ("mu", _NUMBER, 0.0),
+                                   "sigma": ("sigma", _NUMBER, 1.0)}),
+        "uniform": (st.UniformStep, {"low": ("low", _NUMBER, -1.0),
+                                     "high": ("high", _NUMBER, 1.0)}),
+        "bernoulli": (st.BernoulliStep, {"p": ("p", _NUMBER, 0.5),
+                                         "up": ("up", _NUMBER, 1.0),
+                                         "down": ("down", _NUMBER, -1.0)}),
+    }
+    specs = {
+        "gaussian_iid": (st.GaussianIID, {"mu": ("mu_a", _NUMBER, _REQUIRED),
+                                          "sigma": ("sigma_a", _NUMBER, _REQUIRED),
+                                          "gamma": ("gamma", _NUMBER, _REQUIRED)}),
+        "gaussian_indep": (st.GaussianIndep, {"mu": ("mu", seq, _REQUIRED),
+                                              "sigma": ("sigma", seq, _REQUIRED),
+                                              "gamma": ("gamma", _NUMBER, _REQUIRED)}),
+        "indicator_gamma": (st.IndicatorGamma, {"p": ("p_a", _NUMBER, _REQUIRED),
+                                                "mu": ("mu", seq, _REQUIRED),
+                                                "sigma": ("sigma", seq, _REQUIRED)}),
+        "simple": (st.SimpleFunction, {"values": ("c", _NUMBERS, _REQUIRED),
+                                       "probs": ("probs", _NUMBERS, _REQUIRED)}),
+        "random_walk": (st.RandomWalk, {"t": ("t", _INTEGER, _REQUIRED),
+                                        "step": ("step", (_parse_step, step_to_doc),
+                                                 {"kind": "normal"})}),
+        "ar1": (st.Ar1, {"phi": ("phi", _NUMBER, _REQUIRED),
+                         "sigma2": ("sigma2", _NUMBER, _REQUIRED),
+                         "t": ("t", _INTEGER, _REQUIRED)}),
+        "brownian": (st.BrownianApprox, {"n": ("n", _INTEGER, _REQUIRED),
+                                         "mu": ("mu", _NUMBER, 0.0),
+                                         "sigma": ("sigma", _NUMBER, 1.0)}),
+    }
+    return steps, specs
 
 
 def _parse_step(doc: Any, field: str) -> StepDistribution:
-    from .stochastic import BernoulliStep, NormalStep, UniformStep
-
-    doc = _require_object(doc, field)
-    kind = _string(_get(doc, field, "kind"), f"{field}.kind")
-    try:
-        if kind == "normal":
-            _reject_unknown(doc, field, {"kind", "mu", "sigma"})
-            return NormalStep(
-                _number(doc.get("mu", 0.0), f"{field}.mu"),
-                _number(doc.get("sigma", 1.0), f"{field}.sigma"),
-            )
-        if kind == "uniform":
-            _reject_unknown(doc, field, {"kind", "low", "high"})
-            return UniformStep(
-                _number(doc.get("low", -1.0), f"{field}.low"),
-                _number(doc.get("high", 1.0), f"{field}.high"),
-            )
-        if kind == "bernoulli":
-            _reject_unknown(doc, field, {"kind", "p", "up", "down"})
-            return BernoulliStep(
-                _number(doc.get("p", 0.5), f"{field}.p"),
-                _number(doc.get("up", 1.0), f"{field}.up"),
-                _number(doc.get("down", -1.0), f"{field}.down"),
-            )
-    except ValueError as exc:
-        raise InvalidDocument(field, str(exc)) from exc
-    raise InvalidDocument(f"{field}.kind", f"unknown step kind {kind!r}")
+    return _parse_kind(_stochastic_tables()[0], "step", doc, field)
 
 
 def parse_stm_spec(doc: Any, field: str = "spec") -> StmSpec:
-    from .stochastic import (
-        Ar1,
-        BrownianApprox,
-        GaussianIID,
-        GaussianIndep,
-        IndicatorGamma,
-        RandomWalk,
-        SimpleFunction,
-    )
-
-    doc = _require_object(doc, field)
-    kind = _string(_get(doc, field, "kind"), f"{field}.kind")
-    try:
-        if kind == "gaussian_iid":
-            _reject_unknown(doc, field, {"kind", "mu", "sigma", "gamma"})
-            return GaussianIID(
-                _number(_get(doc, field, "mu"), f"{field}.mu"),
-                _number(_get(doc, field, "sigma"), f"{field}.sigma"),
-                _number(_get(doc, field, "gamma"), f"{field}.gamma"),
-            )
-        if kind == "gaussian_indep":
-            _reject_unknown(doc, field, {"kind", "mu", "sigma", "gamma"})
-            return GaussianIndep(
-                parse_sequence(_get(doc, field, "mu"), f"{field}.mu"),
-                parse_sequence(_get(doc, field, "sigma"), f"{field}.sigma"),
-                _number(_get(doc, field, "gamma"), f"{field}.gamma"),
-            )
-        if kind == "indicator_gamma":
-            _reject_unknown(doc, field, {"kind", "p", "mu", "sigma"})
-            return IndicatorGamma(
-                _number(_get(doc, field, "p"), f"{field}.p"),
-                parse_sequence(_get(doc, field, "mu"), f"{field}.mu"),
-                parse_sequence(_get(doc, field, "sigma"), f"{field}.sigma"),
-            )
-        if kind == "simple":
-            _reject_unknown(doc, field, {"kind", "values", "probs"})
-            values = _number_list(_get(doc, field, "values"), f"{field}.values")
-            probs = _number_list(_get(doc, field, "probs"), f"{field}.probs")
-            return SimpleFunction(tuple(values), tuple(probs))
-        if kind == "random_walk":
-            _reject_unknown(doc, field, {"kind", "t", "step"})
-            t = _integer(_get(doc, field, "t"), f"{field}.t")
-            step = _parse_step(
-                doc.get("step", {"kind": "normal"}), f"{field}.step"
-            )
-            return RandomWalk(step, t)
-        if kind == "ar1":
-            _reject_unknown(doc, field, {"kind", "phi", "sigma2", "t"})
-            return Ar1(
-                _number(_get(doc, field, "phi"), f"{field}.phi"),
-                _number(_get(doc, field, "sigma2"), f"{field}.sigma2"),
-                _integer(_get(doc, field, "t"), f"{field}.t"),
-            )
-        if kind == "brownian":
-            _reject_unknown(doc, field, {"kind", "n", "mu", "sigma"})
-            return BrownianApprox(
-                _integer(_get(doc, field, "n"), f"{field}.n"),
-                _number(doc.get("mu", 0.0), f"{field}.mu"),
-                _number(doc.get("sigma", 1.0), f"{field}.sigma"),
-            )
-    except ValueError as exc:
-        raise InvalidDocument(field, str(exc)) from exc
-    raise InvalidDocument(f"{field}.kind", f"unknown spec kind {kind!r}")
+    return _parse_kind(_stochastic_tables()[1], "spec", doc, field)
 
 
 def tail_to_doc(tail: TailModel) -> dict[str, Any]:
-    if isinstance(tail, ZeroTail):
-        return {"kind": "zero"}
-    if isinstance(tail, ConstantTail):
-        return {"kind": "constant", "M": tail.value}
-    if isinstance(tail, GeometricTail):
-        return {"kind": "geometric", "M": tail.scale, "b": tail.ratio}
-    raise ValueError(f"tail {tail!r} has no document form")
+    return _kind_to_doc(_TAILS, "tail", tail)
 
 
 def certificate_to_doc(cert: GrowthCertificate) -> dict[str, Any]:
-    if isinstance(cert, FiniteSupport):
-        return {"kind": "finite_support", "last": cert.last}
-    if isinstance(cert, Bounded):
-        return {"kind": "bounded", "M": cert.bound}
-    if isinstance(cert, GeometricEnvelope):
-        return {"kind": "geometric_equiv", "M": cert.scale, "b": cert.ratio,
-                "start": cert.start}
-    if isinstance(cert, Unverified):
-        return {"kind": "unverified"}
-    raise ValueError(f"certificate {cert!r} has no document form")
+    return _kind_to_doc(_CERTIFICATES, "certificate", cert)
 
 
 def sequence_to_doc(seq: CoefficientSequence) -> dict[str, Any]:
@@ -424,17 +396,14 @@ def sequence_to_doc(seq: CoefficientSequence) -> dict[str, Any]:
 
 
 def measure_to_doc(T: TaylorMeasure) -> dict[str, Any]:
-    doc = {"gamma": T.gamma}
-    doc.update(sequence_to_doc(T.coefficients))
+    doc = {"gamma": T.gamma, **sequence_to_doc(T.coefficients)}
     if T.label is not None:
         doc["label"] = T.label
     return doc
 
 
 def pmf_to_doc(zeta: float, b: CoefficientSequence) -> dict[str, Any]:
-    doc = {"zeta": zeta}
-    doc.update(sequence_to_doc(b))
-    return doc
+    return {"zeta": zeta, **sequence_to_doc(b)}
 
 
 def set_to_doc(B: NatSet) -> dict[str, Any]:
@@ -444,46 +413,11 @@ def set_to_doc(B: NatSet) -> dict[str, Any]:
 
 
 def step_to_doc(step: StepDistribution) -> dict[str, Any]:
-    from .stochastic import BernoulliStep, NormalStep, UniformStep
-
-    if isinstance(step, NormalStep):
-        return {"kind": "normal", "mu": step.mu, "sigma": step.sigma}
-    if isinstance(step, UniformStep):
-        return {"kind": "uniform", "low": step.low, "high": step.high}
-    if isinstance(step, BernoulliStep):
-        return {"kind": "bernoulli", "p": step.p, "up": step.up, "down": step.down}
-    raise ValueError(f"step {step!r} has no document form")
+    return _kind_to_doc(_stochastic_tables()[0], "step", step)
 
 
 def stm_spec_to_doc(spec: StmSpec) -> dict[str, Any]:
-    from .stochastic import (
-        Ar1,
-        BrownianApprox,
-        GaussianIID,
-        GaussianIndep,
-        IndicatorGamma,
-        RandomWalk,
-        SimpleFunction,
-    )
-
-    if isinstance(spec, GaussianIID):
-        return {"kind": "gaussian_iid", "mu": spec.mu_a, "sigma": spec.sigma_a,
-                "gamma": spec.gamma}
-    if isinstance(spec, GaussianIndep):
-        return {"kind": "gaussian_indep", "mu": sequence_to_doc(spec.mu),
-                "sigma": sequence_to_doc(spec.sigma), "gamma": spec.gamma}
-    if isinstance(spec, IndicatorGamma):
-        return {"kind": "indicator_gamma", "p": spec.p_a,
-                "mu": sequence_to_doc(spec.mu), "sigma": sequence_to_doc(spec.sigma)}
-    if isinstance(spec, SimpleFunction):
-        return {"kind": "simple", "values": list(spec.c), "probs": list(spec.probs)}
-    if isinstance(spec, RandomWalk):
-        return {"kind": "random_walk", "t": spec.t, "step": step_to_doc(spec.step)}
-    if isinstance(spec, Ar1):
-        return {"kind": "ar1", "phi": spec.phi, "sigma2": spec.sigma2, "t": spec.t}
-    if isinstance(spec, BrownianApprox):
-        return {"kind": "brownian", "n": spec.n, "mu": spec.mu, "sigma": spec.sigma}
-    raise ValueError(f"spec {spec!r} has no document form")
+    return _kind_to_doc(_stochastic_tables()[1], "spec", spec)
 
 
 def function_to_doc(doc: Any, field: str = "function") -> dict[str, Any]:

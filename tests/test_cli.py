@@ -114,6 +114,29 @@ class TestParsing:
         code, _, _ = run_cli(["sample", POISSON2, "--L", "5"])
         assert code == 2
 
+    @pytest.mark.parametrize("elements", [0, False, "", {}, None, [0]])
+    def test_all_set_refuses_any_elements_but_empty(self, elements):
+        with pytest.raises(taylormeasure.InvalidDocument) as info:
+            serialize.parse_set({"kind": "all", "elements": elements})
+        assert str(info.value) == "set.elements: must be absent or empty for kind 'all'"
+        B = json.dumps({"kind": "all", "elements": elements})
+        code, _, err = run_cli(["eval", ONES, "--set", B])
+        assert (code, err) == (2, f"error: {info.value}\n")
+
+    def test_all_set_accepts_empty_or_absent_elements(self):
+        for doc in ({"kind": "all"}, {"kind": "all", "elements": []}):
+            assert serialize.parse_set(doc) == taylormeasure.NatSet.all()
+
+    @pytest.mark.parametrize("command", [
+        ["fn-mul", '{"kind": "builtin", "name": "exp"}', '{"kind": "builtin", "name": "sin"}'],
+        ["fn-recenter", '{"kind": "builtin", "name": "exp"}', "--center", "0.5"],
+    ], ids=["fn-mul", "fn-recenter"])
+    @pytest.mark.parametrize("terms", ["-1", "-3"])
+    def test_negative_terms_exit_2(self, command, terms):
+        code, out, err = run_cli(command + ["--terms", terms])
+        assert (code, out) == (2, "")
+        assert f"argument --terms: must be >= 0, got {terms}" in err
+
     def test_missing_file_is_input_error(self):
         code, _, err = run_cli(["eval", "/no/such/file.json"])
         assert code == 2
@@ -190,6 +213,18 @@ class TestValues:
         doc = json.loads(out)
         assert doc["coefficients"] == [4.0, 6.0, 6.0]
         assert doc["value"] == 4.0
+
+    def test_fn_recenter_zero_terms(self):
+        code, out, err = run_cli(
+            ["fn-recenter", '{"kind": "builtin", "name": "exp"}', "--center", "0.5",
+             "--terms", "0"]
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["coefficients"] == []
+        moved = taylormeasure.recenter(taylormeasure.exp_rep(), 0.5)
+        assert doc["value"] == moved.coefficients.a(0)
+        assert doc["value"] == pytest.approx(math.exp(0.5), rel=1e-12)
 
     def test_fn_lpnorm_identity(self):
         code, out, _ = run_cli(
