@@ -22,6 +22,7 @@ from .errors import (
     NoSamplerAvailable,
     NonFiniteResult,
     OutOfDomain,
+    PrecisionUnattainable,
     QuadratureStall,
     QuantileTailUnresolved,
     TaylorMeasureError,
@@ -156,7 +157,8 @@ __all__ = [
     # errors
     "CenterMismatch", "DegenerateDistribution", "DivergenceUnknown",
     "InvalidDocument", "InvalidPmf", "NegativeRadicand", "NoSamplerAvailable",
-    "NonFiniteResult", "OutOfDomain", "QuadratureStall", "QuantileTailUnresolved",
+    "NonFiniteResult", "OutOfDomain", "PrecisionUnattainable", "QuadratureStall",
+    "QuantileTailUnresolved",
     "TaylorMeasureError", "UnsupportedSpec",
     # kernel
     "Bounded", "CoefficientSequence", "ConstantTail", "CustomTail",

@@ -36,8 +36,10 @@ from .kernel import (
     _TermEnvelope,
     _ULP,
     _coefficients,
+    _exact_terms,
     _plan_from,
     _sum_terms,
+    _sum_within,
     _term_and_err,
     _term_errors,
     constant_sequence,
@@ -231,25 +233,39 @@ def _require_inside(rep: AnalyticRep, x: float) -> float:
 def eval_rep(rep: AnalyticRep, x: float, eps: float = 1e-12) -> MeasureValue:
     """f(x) as the total measure mass at gamma = x - center, within eps.
 
+    The contract is evaluate's on all of N. Derivatives that are exact by
+    definition (exp_rep, polynomial_rep, or any prefix with a zero,
+    constant or geometric tail) give exact terms, summed exactly and
+    rounded once where evaluate sums them so (a long run at a gamma with a
+    short numerator, or a float sum whose bound misses eps), with abs_error
+    the tail bound plus half an ulp; abs_error <= eps holds, or
+    PrecisionUnattainable is raised when half an ulp of f(x) alone reaches
+    eps. Elsewhere (sin, cos, geometric and every composite) abs_error may
+    still exceed eps.
+
     x = center returns a_0 with zero reported error, or with a_0's term
     error when the coefficients carry one (a recentred representation).
     """
     return _eval_points(rep, (x,), eps)[0]
 
 
-def _eval_points(rep: AnalyticRep, xs: Sequence[float], eps: float) -> list[MeasureValue]:
+def _eval_points(rep: AnalyticRep, xs: Sequence[float], eps: float,
+                 strict: bool = True) -> list[MeasureValue]:
     """eval_rep(rep, x, eps) for every x, bit for bit, sharing one
-    coefficient fetch.
+    coefficient fetch; with eps as a truncation target only, and no
+    PrecisionUnattainable, when not ``strict`` (kernel._sum_within).
 
     Each point is validated in order and planned once per distinct
     |x - center|, on which a plan depends alone; each new plan's search
     starts from the previous plan's index (kernel._plan_from), which finds
     the same index as plan_truncation. Then a_n is fetched once, up to the
-    largest plan, and each point sums its own plan's terms in one fused
-    pass (kernel._sum_terms) with the same operations, in the same order,
-    as evaluate on the whole of N. A point at the presentation gamma of a
-    term-backed sequence reads the term function directly, as evaluate
-    does; elsewhere the term errors are summed apart and added.
+    largest plan, and each point sums its own plan's terms
+    under the eps contract of kernel._sum_within: in one fused float pass
+    (kernel._sum_terms) with the same operations, in the same order, as
+    evaluate on the whole of N, or in the exact run evaluate takes. A point
+    at the presentation gamma of a term-backed sequence reads the term
+    function directly, as evaluate does; elsewhere the term errors are
+    summed apart and added.
     """
     seq = rep.coefficients
     points = []
@@ -276,15 +292,20 @@ def _eval_points(rep: AnalyticRep, xs: Sequence[float], eps: float) -> list[Meas
         if plan is None:
             out.append(MeasureValue(_d_value(seq, 0), 0.0 if bias is None else bias(0)))
             continue
-        indices = range(plan.last_index + 1)
-        if gamma == presented:
-            s = _sum_terms(seq, gamma, indices)
-        else:
-            s = _sum_terms(seq, gamma, indices, a[:plan.last_index + 1])
-        err = s.error
-        if bias is not None and gamma != presented:
-            err += math.fsum(map(bias, indices))
-        out.append(MeasureValue(s.pos - s.neg, err + plan.tail_bound))
+
+        def float_pass(last: int, gamma: float = gamma, bias=bias):
+            indices = range(last + 1)
+            if gamma == presented:
+                return _sum_terms(seq, gamma, indices)
+            s = _sum_terms(seq, gamma, indices, a[:last + 1])
+            if bias is not None:
+                s = s._replace(error=s.error + math.fsum(map(bias, indices)))
+            return s
+
+        s, tail = _sum_within(plan, partial(_plan_from, seq.certificate, gamma, near=plan.last_index),
+                              eps, "signed", float_pass, partial(_exact_terms, seq, gamma),
+                              strict=strict)
+        out.append(MeasureValue(*s.part("signed", tail)))
     return out
 
 
@@ -487,15 +508,16 @@ def sup_distance_on_grid(
     """max_i |f(x_i) - oracle(x_i)| over m uniform grid points on K.
 
     All points are evaluated in one batch; each f(x_i) equals
-    eval_rep(rep, x_i, eps) bit for bit. The oracle is called after the
-    batch.
+    eval_rep(rep, x_i, eps) bit for bit where that call returns, with eps
+    as a truncation target only: no PrecisionUnattainable is raised. The
+    oracle is called after the batch.
     """
     lo, hi = _require_interval(rep, K)
     if m < 2:
         raise ValueError("need at least 2 grid points")
     xs = [lo + (hi - lo) * i / (m - 1) for i in range(m)]
     worst = 0.0
-    for x, f in zip(xs, _eval_points(rep, xs, eps)):
+    for x, f in zip(xs, _eval_points(rep, xs, eps, False)):
         worst = max(worst, abs(f.value - oracle(x)))
     return worst
 
@@ -513,8 +535,9 @@ def lp_norm_on_interval(
     final value gets one Richardson correction. Raises QuadratureStall
     if depth_cap doublings cannot reach eps. The new points of each level
     are evaluated in one batch, and each f(x) equals
-    eval_rep(rep, x, eval_eps) bit for bit, with
-    eval_eps = min(eps / (100 (hi - lo)), 1e-12).
+    eval_rep(rep, x, eval_eps) bit for bit where that call returns, with
+    eval_eps = min(eps / (100 (hi - lo)), 1e-12) as a truncation target
+    only: no PrecisionUnattainable is raised.
     """
     if p < 1.0:
         raise ValueError("p must be >= 1")
@@ -528,7 +551,7 @@ def lp_norm_on_interval(
         h = (hi - lo) / panels
         inner = [lo + i * h for i in range(1, panels)]
         new = [x for x in dict.fromkeys([lo, hi, *inner]) if x not in cache]
-        for x, f in zip(new, _eval_points(rep, new, eval_eps)):
+        for x, f in zip(new, _eval_points(rep, new, eval_eps, False)):
             cache[x] = abs(f.value) ** p
         acc = cache[lo] + cache[hi]
         for i, x in enumerate(inner, 1):

@@ -173,18 +173,19 @@ def _cmd_decompose(args):
     B = _load_set(args)
     # one pass gives both parts; value and abs_error are evaluate's
     s, tail = _eval_selected(T, B, args.eps)
-    mv = MeasureValue(s.pos - s.neg, s.error + tail)
+    mv = MeasureValue(*s.part("signed", tail))
+    pos, neg, tv = (s.part(name, tail)[0] for name in ("pos", "neg", "variation"))
     result = {
         "value": mv.value,
         "abs_error": mv.abs_error,
-        "pos_mass": s.pos,
-        "neg_mass": s.neg,
-        "total_variation": s.pos + s.neg,
+        "pos_mass": pos,
+        "neg_mass": neg,
+        "total_variation": tv,
         "inputs": {"measure": serialize.measure_to_doc(T),
                    "set": serialize.set_to_doc(B), "eps": args.eps},
     }
-    rows = [["positive", s.pos], ["negative", s.neg],
-            ["signed_total", mv.value], ["total_variation", s.pos + s.neg]]
+    rows = [["positive", pos], ["negative", neg],
+            ["signed_total", mv.value], ["total_variation", tv]]
     return result, ["part", "value"], rows
 
 

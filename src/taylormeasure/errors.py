@@ -54,6 +54,11 @@ class NonFiniteResult(TaylorMeasureError):
     sum beyond the float range."""
 
 
+class PrecisionUnattainable(TaylorMeasureError):
+    """The requested eps is below what the result can carry: half an ulp
+    of the correctly rounded sum alone reaches it."""
+
+
 class UnsupportedSpec(TaylorMeasureError):
     """The requested operation is not defined for this specification."""
 

@@ -27,6 +27,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from typing import NamedTuple
 
 from .errors import NegativeRadicand
 from .kernel import (
@@ -37,9 +39,13 @@ from .kernel import (
     _ULP,
     FiniteSupport,
     TermBackedSequence,
+    TruncationPlan,
     _TermEnvelope,
+    _exact_over,
+    _exact_terms,
     _exp_signed,
     _signed_log,
+    _sum_within,
     _term_and_err,
     _term_errors,
     finite_sequence,
@@ -49,8 +55,8 @@ from .measure import (
     MeasureValue,
     NatSet,
     TaylorMeasure,
+    _part_value,
     linear_combination,
-    total_variation,
 )
 
 __all__ = [
@@ -124,7 +130,19 @@ def _cross_error(lf: float, l1: float, l2: float, e1: float, e2: float) -> float
             + _exp_signed(1, lf + le1 + le2))
 
 
-def _rho_sum(T1, T2, indices) -> tuple[float, float]:
+class _RhoSum(NamedTuple):
+    """A float sum of rho summands and its error bound."""
+
+    value: float
+    error: float
+
+    def part(self, name: str, tail: float) -> tuple[float, float]:
+        """The signed sum, the one part an inner product has, with ``tail``
+        added to its bound (as kernel._SignSplit.part)."""
+        return self.value, self.error + tail
+
+
+def _rho_sum(T1, T2, indices) -> _RhoSum:
     acc = _NeumaierSum()
     err = _NeumaierSum()
     for n in indices:
@@ -132,10 +150,19 @@ def _rho_sum(T1, T2, indices) -> tuple[float, float]:
         if not (math.isfinite(v) and math.isfinite(e)):
             # no later summand makes the sum or its bound finite again, and
             # MeasureValue refuses the pair: stop before summing the rest
-            return v, e
+            return _RhoSum(v, e)
         acc.add(v)
         err.add(e + _ULP * abs(v))
-    return acc.value, err.value
+    return _RhoSum(acc.value, err.value)
+
+
+def _rho_exact(T1: TaylorMeasure, T2: TaylorMeasure) -> exact._ExactTerms | None:
+    """The rho summands exactly, when both operands' terms are exact by
+    definition: the product of two constant or geometric tails is the
+    constant scale1 * scale2 at gamma1 * gamma2 * ratio1 * ratio2."""
+    e1 = _exact_terms(T1.coefficients, T1.gamma)
+    e2 = None if e1 is None else _exact_terms(T2.coefficients, T2.gamma)
+    return None if e2 is None else e1.times(e2)
 
 
 def inner_product(
@@ -143,36 +170,63 @@ def inner_product(
 ) -> MeasureValue:
     """Evaluate rho(T1, T2)(B) = sum_{n in B} n! * p_T1(n) * p_T2(n).
 
-    Finite sets sum exactly over the listed indices.  Infinite sets use both
+    Finite sets sum over the listed indices.  Infinite sets use both
     certificates to plan a truncation whose tail is below eps; the returned
     abs_error covers that tail plus the summation roundoff estimate.
+
+    When both operands' coefficients are exact by definition (a prefix,
+    then a zero, constant or geometric tail) the summands are exact, the
+    terms of gamma1 * gamma2 (times both ratios on the tail), and are summed
+    exactly and rounded once where evaluate sums its terms so (a long, dense
+    run with short numerators, or a float sum whose bound misses eps on an
+    infinite set), with abs_error the tail bound plus half an ulp. On an
+    infinite set eps is then a contract: abs_error <= eps, or
+    PrecisionUnattainable is raised when half an ulp of the result alone
+    reaches eps. Elsewhere abs_error may still exceed eps.
 
     Raises DivergenceUnknown on an infinite set when either operand lacks a
     convergence-certifying growth certificate.
     """
+    return _inner_product(T1, T2, B, eps, True)
+
+
+def _inner_product(T1: TaylorMeasure, T2: TaylorMeasure, B: NatSet, eps: float,
+                   strict: bool) -> MeasureValue:
+    """inner_product, holding its eps contract when ``strict``; norm, distance
+    and the axiom report read values at eps and are not."""
     if B.is_finite:
-        value, err = _rho_sum(T1, T2, B.elements)
-        return MeasureValue(value, err)
+        s = _exact_over(B.elements, _rho_exact, T1, T2) or _rho_sum(T1, T2, B.elements)
+        return MeasureValue(*s.part("signed", 0.0))
     pair = _rho_envelope(T1, T2)
-    excluded = set(B.elements)
+    excluded = B.elements
     if pair.last is not None:
-        indices = (n for n in range(pair.last + 1) if n not in excluded)
-        value, err = _rho_sum(T1, T2, indices)
-        return MeasureValue(value, err)
-    plan = plan_truncation(pair.to_certificate(1.0), 1.0, eps)
-    indices = (n for n in range(plan.last_index + 1) if n not in excluded)
-    value, err = _rho_sum(T1, T2, indices)
-    return MeasureValue(value, err + plan.tail_bound)
+        plan = TruncationPlan(pair.last, 0.0)
+        replan = lambda _: plan
+    else:
+        replan = partial(plan_truncation, pair.to_certificate(1.0), 1.0)
+        plan = replan(eps)
+
+    def float_pass(last: int) -> _RhoSum:
+        skip = set(excluded)
+        return _rho_sum(T1, T2, (n for n in range(last + 1) if n not in skip))
+
+    s, tail = _sum_within(plan, replan, eps, "signed", float_pass, partial(_rho_exact, T1, T2),
+                          excluded, strict)
+    return MeasureValue(*s.part("signed", tail))
 
 
 def norm(T: TaylorMeasure, B: NatSet, eps: float = 1e-12) -> MeasureValue:
     """The induced norm sqrt(rho(T, T)(B)).
 
+    The radicand is inner_product(T, T, B, eps), summed exactly where that
+    sum is, with eps as its truncation target but not as a contract: its
+    abs_error may exceed eps, and no PrecisionUnattainable is raised.
+
     The radicand is a sum of squares, so a negative value can only come from
     accumulated roundoff; within abs_error of zero it is treated as zero, and
     beyond that NegativeRadicand is raised.
     """
-    q = inner_product(T, T, B, eps)
+    q = _inner_product(T, T, B, eps, False)
     v, e = q.value, q.abs_error
     if v < 0.0:
         if -v <= e:
@@ -297,13 +351,17 @@ def hilbert_axiom_report(
     For each unordered pair the report accumulates: the symmetry residual
     |rho(T1,T2) - rho(T2,T1)|, a bilinearity residual against random weights,
     the Cauchy-Schwarz slack, the parallelogram residual for the rho norm,
-    and the parallelogram residual for the total-variation norm on B.
+    and the parallelogram residual for the total-variation norm on B. The
+    values are read at eps as norm reads its radicand: eps is not a
+    contract here.
     """
     if len(samples) < 2:
         raise ValueError("need at least two sample measures")
     rng = random.Random(seed)
-    rho_self = [inner_product(T, T, B, eps).value for T in samples]
-    tv_self = [total_variation(T, B, eps).value for T in samples]
+    rho = partial(_inner_product, B=B, eps=eps, strict=False)
+    tv = partial(_part_value, sets=B, eps=eps, part="variation", strict=False)
+    rho_self = [rho(T, T).value for T in samples]
+    tv_self = [tv(T).value for T in samples]
     sym = 0.0
     bil = 0.0
     cs_slack = math.inf
@@ -314,14 +372,14 @@ def hilbert_axiom_report(
         for j in range(i + 1, len(samples)):
             Ti, Tj = samples[i], samples[j]
             pairs += 1
-            r_ij = inner_product(Ti, Tj, B, eps).value
-            r_ji = inner_product(Tj, Ti, B, eps).value
+            r_ij = rho(Ti, Tj).value
+            r_ji = rho(Tj, Ti).value
             sym = max(sym, _rel(r_ij, r_ji))
 
             alpha = rng.uniform(-2.0, 2.0)
             beta = rng.uniform(-2.0, 2.0)
             mixed = linear_combination(alpha, Ti, beta, Tj)
-            lhs = inner_product(mixed, Tj, B, eps).value
+            lhs = rho(mixed, Tj).value
             rhs = alpha * r_ij + beta * rho_self[j]
             bil = max(bil, _rel(lhs, rhs))
 
@@ -330,17 +388,11 @@ def hilbert_axiom_report(
 
             plus = linear_combination(1.0, Ti, 1.0, Tj)
             minus = linear_combination(1.0, Ti, -1.0, Tj)
-            lhs = (
-                inner_product(plus, plus, B, eps).value
-                + inner_product(minus, minus, B, eps).value
-            )
+            lhs = rho(plus, plus).value + rho(minus, minus).value
             rhs = 2.0 * (rho_self[i] + rho_self[j])
             par_rho = max(par_rho, _rel(lhs, rhs))
 
-            tv_lhs = (
-                total_variation(plus, B, eps).value ** 2
-                + total_variation(minus, B, eps).value ** 2
-            )
+            tv_lhs = tv(plus).value ** 2 + tv(minus).value ** 2
             tv_rhs = 2.0 * (tv_self[i] ** 2 + tv_self[j] ** 2)
             par_tv = max(par_tv, abs(tv_lhs - tv_rhs))
     return HilbertAxiomReport(

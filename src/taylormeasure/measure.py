@@ -11,7 +11,10 @@ carries an abs_error combining the tail bound with a roundoff estimate.
 
 One pass (kernel._sum_terms) forms and sums a set's terms once, in one
 loop, split by sign: T(B) is pos - neg, |T|(B) is pos + neg, and the
-Jordan parts are pos, neg.
+Jordan parts are pos, neg. A long run of terms that are exact by
+definition, with short numerators (kernel._exact_first), is summed exactly
+in integers instead and each of these is rounded once (exact._ExactSum); on infinite sets such terms make eps a
+contract (kernel._sum_within).
 
 Measures are identified semantically with their term function
 p(n) = a_n * gamma**n / n!; the (gamma, a) pair is just a presentation.
@@ -24,6 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Iterator
 
 from . import kernel
@@ -153,7 +157,8 @@ def _require_certificate(seq: SequenceLike, what: str) -> None:
         )
 
 
-def _eval_selected(T: TaylorMeasure, sets: NatSet, eps: float) -> tuple[kernel._SignSplit, float]:
+def _eval_selected(T: TaylorMeasure, sets: NatSet, eps: float, part: str = "signed",
+                   strict: bool = True) -> tuple[kernel._SignSplit | exact._ExactSum, float]:
     """The sign-split pass over T's terms on B that evaluate,
     total_variation and both Jordan parts read, and the tail it leaves out.
 
@@ -162,33 +167,62 @@ def _eval_selected(T: TaylorMeasure, sets: NatSet, eps: float) -> tuple[kernel._
     the smallest normal float are not summed, and that tail's bound,
     2**-1022, is returned. Smaller finite sets, and terms the certificate
     does not bound, are summed in full, with no tail. 'all' sums a
-    certified plan. Cofinite sets are the 'all' value minus the excluded
-    finite part. Either tail bound serves the signed sum, the variation
+    certified plan. Cofinite sets sum the same plan less the excluded
+    indices. Either tail bound serves the signed sum, the variation
     and both parts because it dominates sum |p(n)| over the tail.
+
+    On an infinite set the sum holds the eps contract of kernel._sum_within
+    for ``part`` (its plan may then reach past the one at eps), when
+    ``strict``.
     """
+    seq, gamma = T.coefficients, T.gamma
     if sets.is_finite:
         indices, tail = sets.elements, 0.0
-        horizon = indices and kernel.underflow_horizon(T.coefficients, T.gamma, indices[-1])
+        horizon = indices and kernel.underflow_horizon(seq, gamma, indices[-1])
         if horizon:
             indices = indices[:bisect_right(indices, horizon.last_index)]
             tail = horizon.tail_bound
-        return kernel._sum_terms(T.coefficients, T.gamma, indices), tail
-    _require_certificate(T.coefficients, "evaluation")
-    plan = kernel.plan_truncation(T.coefficients.certificate, T.gamma, eps)
-    indices = range(plan.last_index + 1)
-    if sets.kind == "cofinite":
-        excluded = set(sets.elements)
-        indices = [n for n in indices if n not in excluded]
-    return kernel._sum_terms(T.coefficients, T.gamma, indices), plan.tail_bound
+        exact = kernel._exact_over(indices, kernel._exact_terms, seq, gamma)
+        return exact or kernel._sum_terms(seq, gamma, indices), tail
+    _require_certificate(seq, "evaluation")
+    excluded = sets.elements
+
+    def float_pass(last: int) -> kernel._SignSplit:
+        indices = range(last + 1)
+        if excluded:
+            skip = set(excluded)
+            indices = [n for n in indices if n not in skip]
+        return kernel._sum_terms(seq, gamma, indices)
+
+    replan = partial(kernel.plan_truncation, seq.certificate, gamma)
+    return kernel._sum_within(replan(eps), replan, eps, part, float_pass,
+                              partial(kernel._exact_terms, seq, gamma), excluded, strict)
+
+
+def _part_value(T: TaylorMeasure, sets: NatSet, eps: float, part: str,
+                strict: bool = True) -> MeasureValue:
+    s, tail = _eval_selected(T, sets, eps, part, strict)
+    return MeasureValue(*s.part(part, tail))
 
 
 def evaluate(T: TaylorMeasure, sets: NatSet, eps: float = 1e-12) -> MeasureValue:
     """T(B) with |returned - exact| <= abs_error (tail bound + roundoff).
 
+    Coefficients that are exact by definition (a prefix, then a zero,
+    constant or geometric tail) give exact terms. A run of them is summed
+    exactly and rounded once, so abs_error is the tail bound plus half an
+    ulp, where its last index passes 170 and gamma, and gamma times a
+    geometric tail's ratio, have numerators of at most 24 bits over their
+    power of two (kernel._exact_first), and on an infinite B wherever the
+    float sum's bound misses eps. On an infinite B with such terms eps is
+    a contract: abs_error <= eps, or PrecisionUnattainable is raised
+    when half an ulp of the result alone reaches eps. Elsewhere (rule and
+    term-backed sequences, log-only coefficients, composites) the float
+    sum's abs_error may still exceed eps.
+
     A finite B stops at the underflow horizon; a bound on its tail,
-    2**-1022, joins abs_error."""
-    s, tail = _eval_selected(T, sets, eps)
-    return MeasureValue(s.pos - s.neg, s.error + tail)
+    2**-1022, joins abs_error. eps does not apply to it."""
+    return _part_value(T, sets, eps, "signed")
 
 
 def taylor_derivative(T: TaylorMeasure, n: int) -> float:
@@ -198,10 +232,9 @@ def taylor_derivative(T: TaylorMeasure, n: int) -> float:
 
 def total_variation(T: TaylorMeasure, sets: NatSet, eps: float = 1e-12) -> MeasureValue:
     """|T|(B) = sum_{n in B} |p(n)|, the sum of the Jordan parts, with
-    the abs_error of evaluate; finite sets are cut at the underflow
-    horizon as in evaluate."""
-    s, tail = _eval_selected(T, sets, eps)
-    return MeasureValue(s.pos + s.neg, s.error + tail)
+    the abs_error and the eps contract of evaluate; finite sets are cut
+    at the underflow horizon as in evaluate."""
+    return _part_value(T, sets, eps, "variation")
 
 
 @dataclass(frozen=True)
@@ -211,9 +244,11 @@ class JordanPair:
 
     positive(B) sums the terms of B that fall in A+, negative(B) sums
     the negated terms of B in A-; the two parts are mutually singular by
-    construction. Both read the pass behind evaluate, so evaluate(B) is
-    positive(B) - negative(B) bit for bit; on a finite set both stop at the
-    underflow horizon, and the terms they sum are split exactly.
+    construction. Both read the pass behind evaluate, with its eps
+    contract, so on the float path evaluate(B) is positive(B) - negative(B)
+    bit for bit; on an exact run (see evaluate) each of the three is the
+    correctly rounded value of the same exact sums. On a finite set both
+    stop at the underflow horizon, and the terms they sum are split exactly.
     """
 
     measure: TaylorMeasure
@@ -222,12 +257,10 @@ class JordanPair:
         return self.measure.term(n) >= 0.0
 
     def positive(self, sets: NatSet, eps: float = 1e-12) -> MeasureValue:
-        s, tail = _eval_selected(self.measure, sets, eps)
-        return MeasureValue(s.pos, s.pos_error + tail)
+        return _part_value(self.measure, sets, eps, "pos")
 
     def negative(self, sets: NatSet, eps: float = 1e-12) -> MeasureValue:
-        s, tail = _eval_selected(self.measure, sets, eps)
-        return MeasureValue(s.neg, s.neg_error + tail)
+        return _part_value(self.measure, sets, eps, "neg")
 
 
 def jordan_decompose(T: TaylorMeasure) -> JordanPair:

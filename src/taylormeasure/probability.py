@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import (
     DegenerateDistribution,
@@ -43,7 +44,9 @@ from .kernel import (
     Unverified,
     ZeroTail,
     _TermEnvelope,
+    _exact_terms,
     _sum_terms,
+    _sum_within,
     plan_truncation,
     term_value,
 )
@@ -80,10 +83,23 @@ def _as_sequence(b) -> CoefficientSequence:
 def normalizer(zeta: float, b, eps: float = 1e-12) -> MeasureValue:
     """The reciprocal normalizing constant sum_n b_n * zeta**n / n!.
 
+    The contract is evaluate's on all of N: weights b that are exact by
+    definition (a prefix, then a zero, constant or geometric tail) are
+    summed exactly and rounded once where evaluate sums them so, with
+    abs_error the tail bound plus half an ulp, and abs_error <= eps holds
+    or PrecisionUnattainable is raised when half an ulp of the sum alone
+    reaches eps. For other weights abs_error may still exceed eps.
+
     Raises InvalidPmf when a negative weight shows up among the summed
     indices, DegenerateDistribution when the sum is zero within its error
     bound, and DivergenceUnknown when b carries no usable certificate.
     """
+    return _normalizer(zeta, b, eps, True)
+
+
+def _normalizer(zeta: float, b, eps: float, strict: bool) -> MeasureValue:
+    """normalizer, holding its eps contract when ``strict``; a pmf's own
+    normalizer is not, since its eps only sets the truncation."""
     if zeta < 0.0:
         raise ValueError("zeta must be nonnegative")
     b = _as_sequence(b)
@@ -93,16 +109,18 @@ def normalizer(zeta: float, b, eps: float = 1e-12) -> MeasureValue:
             "the density sequence carries no growth certificate, so the "
             "normalizer sum cannot be certified"
         )
-    plan = plan_truncation(cert, zeta, eps)
-    s = _sum_terms(b, zeta, range(plan.last_index + 1))
-    if s.neg > 0.0:
+    replan = partial(plan_truncation, cert, zeta)
+    s, tail = _sum_within(replan(eps), replan, eps, "signed",
+                          lambda last: _sum_terms(b, zeta, range(last + 1)),
+                          partial(_exact_terms, b, zeta), strict=strict)
+    if s.part("neg", 0.0)[0] > 0.0:
         raise InvalidPmf("negative density weight b_n * zeta**n / n! encountered")
-    err = plan.tail_bound + s.error
-    if s.pos <= err:
+    value, err = s.part("signed", tail)
+    if value <= err:
         raise DegenerateDistribution(
-            f"normalizer {s.pos} is zero within its error bound {err}"
+            f"normalizer {value} is zero within its error bound {err}"
         )
-    return MeasureValue(s.pos, err)
+    return MeasureValue(value, err)
 
 
 class _IncrementalPmf:
@@ -228,7 +246,7 @@ class PowerSeriesPmf(_IncrementalPmf):
     def __init__(self, zeta: float, b, eps: float = 1e-12):
         self.zeta = float(zeta)
         self.b = _as_sequence(b)
-        self.normalizer = normalizer(self.zeta, self.b, eps)
+        self.normalizer = _normalizer(self.zeta, self.b, eps, False)
         self._init_cache(eps)
 
     def __repr__(self):
@@ -312,9 +330,9 @@ def probability_pair(T: TaylorMeasure, eps: float = 1e-12) -> TaylorProbabilityP
     measure carries no probability content), and DivergenceUnknown when the
     total masses cannot be certified.
     """
-    s, tail = _eval_selected(T, NatSet.all(), eps)
-    mp = MeasureValue(s.pos, s.pos_error + tail)
-    mn = MeasureValue(s.neg, s.neg_error + tail)
+    s, tail = _eval_selected(T, NatSet.all(), eps, strict=False)
+    mp = MeasureValue(*s.part("pos", tail))
+    mn = MeasureValue(*s.part("neg", tail))
     pos_degenerate = mp.value <= mp.abs_error
     neg_degenerate = mn.value <= mn.abs_error
     if pos_degenerate and neg_degenerate:

@@ -102,7 +102,10 @@ def _get(doc: Mapping[str, Any], field: str, key: str) -> Any:
 def _number(value: Any, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidDocument(field, "expected a number")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond the float range
+        out = math.inf
     if not math.isfinite(out):
         raise InvalidDocument(field, "must be finite")
     return out
@@ -232,6 +235,7 @@ def _parse_certificate(
 def parse_sequence(doc: Any, field: str) -> CoefficientSequence:
     """Parse a {"coefficients": ..., "certificate": ...} pair."""
     doc = _require_object(doc, field)
+    _reject_unknown(doc, field, {"coefficients", "certificate"})
     coeffs = _require_object(
         _get(doc, field, "coefficients"), f"{field}.coefficients"
     )

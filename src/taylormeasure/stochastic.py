@@ -40,7 +40,7 @@ from .kernel import (
     rule_sequence,
     term_value,
 )
-from .measure import NatSet, TaylorMeasure, evaluate
+from .measure import NatSet, TaylorMeasure, _part_value
 from .montecarlo import CHUNK, ROLE_BROWNIAN, ROLE_STM, ROLE_WALK, RngSpec, generator
 
 __all__ = [
@@ -575,26 +575,35 @@ def sample_stm(
 # moments
 
 
+def _series_value(T: TaylorMeasure, B: NatSet, eps: float) -> float:
+    """T(B) as evaluate sums it, with eps as a truncation target only: the
+    value is all a moment keeps, so no PrecisionUnattainable is raised."""
+    return _part_value(T, B, eps, "signed", strict=False).value
+
+
 def stm_moments(spec: StmSpec, B: NatSet, eps: float = 1e-12) -> tuple[float, float]:
     """Closed-form (mean, variance) of X(B).
 
     The walk-family specs report the moments of their terminal value
     (the measure of {0..t}), which do not depend on B. BrownianApprox
     has per-time moments instead: see brownian_marginal_moments.
+
+    The series are summed with eps as a truncation target only
+    (_series_value): no PrecisionUnattainable is raised.
     """
     if isinstance(spec, GaussianIID):
-        mean_series = evaluate(TaylorMeasure(constant_sequence(1.0), spec.gamma), B, eps)
+        mean_series = _series_value(TaylorMeasure(constant_sequence(1.0), spec.gamma), B, eps)
         var_seq = _squared_over_factorial(constant_sequence(spec.sigma_a))
-        var_series = evaluate(TaylorMeasure(var_seq, spec.gamma ** 2), B, eps)
-        return spec.mu_a * mean_series.value, var_series.value
+        var_series = _series_value(TaylorMeasure(var_seq, spec.gamma ** 2), B, eps)
+        return spec.mu_a * mean_series, var_series
     if isinstance(spec, GaussianIndep):
-        mean_series = evaluate(TaylorMeasure(spec.mu, spec.gamma), B, eps)
+        mean_series = _series_value(TaylorMeasure(spec.mu, spec.gamma), B, eps)
         var_seq = _squared_over_factorial(spec.sigma)
-        var_series = evaluate(TaylorMeasure(var_seq, spec.gamma ** 2), B, eps)
-        return mean_series.value, var_series.value
+        var_series = _series_value(TaylorMeasure(var_seq, spec.gamma ** 2), B, eps)
+        return mean_series, var_series
     if isinstance(spec, IndicatorGamma):
-        m = evaluate(TaylorMeasure(spec.mu, 1.0), B, eps).value
-        s2 = evaluate(TaylorMeasure(_squared_over_factorial(spec.sigma), 1.0), B, eps).value
+        m = _series_value(TaylorMeasure(spec.mu, 1.0), B, eps)
+        s2 = _series_value(TaylorMeasure(_squared_over_factorial(spec.sigma), 1.0), B, eps)
         p = spec.p_a
         return p * m, p * s2 + p * (1.0 - p) * m * m
     if isinstance(spec, SimpleFunction):

@@ -310,6 +310,12 @@ class TestSupDistance:
         assert all(b <= a for a, b in zip(dists, dists[1:]))
         assert dists[-1] <= 1e-12
 
+    def test_values_past_half_an_ulp_of_eps(self):
+        # e**10 carries half an ulp of 1.8e-12, above the default eps 1e-12:
+        # the grid keeps its values, as eval_rep's contract would refuse them
+        d = sup_distance_on_grid(exp_rep(), math.exp, (0.0, 10.0))
+        assert d <= 4.0 * math.ulp(math.exp(10.0))
+
     def test_domain_and_grid_validation(self):
         with pytest.raises(OutOfDomain):
             sup_distance_on_grid(geometric_rep(0.0), lambda x: 0.0, (0.0, 2.0), 11)
@@ -328,6 +334,11 @@ class TestLpNorm:
     def test_identity_l2(self):
         got = lp_norm_on_interval(polynomial_rep([0.0, 1.0]), 2.0, (0.0, 1.0), 1e-9)
         assert got == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-9)
+
+    def test_exp_l1_past_half_an_ulp_of_eps(self):
+        # the points near 10 carry half an ulp above eval_eps = 1e-12
+        got = lp_norm_on_interval(exp_rep(), 1.0, (0.0, 10.0))
+        assert got == pytest.approx(math.exp(10.0) - 1.0, rel=1e-12)
 
     def test_p_validation(self):
         with pytest.raises(ValueError):

@@ -308,6 +308,14 @@ INVALID = {
                                f"{CERT}.M", "unknown entry"),
     "certificate/unknown": (_in_measure(ONE, {"kind": "sure"}), f"{CERT}.kind",
                             "unknown certificate kind 'sure'"),
+    # a JSON integer beyond the float range, as json.loads reads it
+    "number/beyond_float": (
+        lambda: serialize.parse_measure(json.loads(_measure(1.0, [], ONE, BOUNDED).replace(
+            '"gamma": 1.0', '"gamma": 1' + "0" * 400))),
+        "measure.gamma", "must be finite"),
+    "sequence/unknown": (
+        _in_spec({**SPECS["indicator_gamma"], "mu": {**_seq([], ONE, BOUNDED), "x": 1}}),
+        "spec.mu.x", "unknown entry"),
     "step/normal": (_in_spec({"kind": "random_walk", "t": 3,
                               "step": {"kind": "normal", "sigma": -1.0}}),
                     "spec.step", "step sigma must be >= 0"),

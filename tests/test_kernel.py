@@ -16,6 +16,7 @@ from taylormeasure import (
     GeometricEnvelope,
     GeometricTail,
     NatSet,
+    PrecisionUnattainable,
     TaylorMeasure,
     TermBackedSequence,
     TruncationPlan,
@@ -44,6 +45,8 @@ from taylormeasure import (
 )
 from taylormeasure import geometry, kernel
 from taylormeasure.kernel import _PLAN_CAP, _log_term_and_err, _term_and_err
+
+import exact_reference
 
 ONES = constant_sequence(1.0)
 
@@ -150,11 +153,23 @@ class TestTerm:
     @pytest.mark.parametrize("gamma", [150.0, 170.0, 190.0, 200.0, 210.0, 230.0, 250.0,
                                        270.0, 290.0, 310.0, 330.0])
     def test_log_path_sum_meets_its_bound(self, gamma):
-        # e**gamma = sum gamma**n / n! needs terms beyond n = 170, which take
-        # the log path; eps is 1e-16 of the value, so abs_error is roundoff
-        exact = math.exp(gamma)
-        out = evaluate(TaylorMeasure(ONES, gamma), NatSet.all(), 1e-16 * exact)
-        assert abs(out.value - exact) <= out.abs_error + 2.0 * math.ulp(exact)
+        # e**gamma = sum gamma**n / n! needs terms beyond n = 170, an exact
+        # run; eps is 1e-16 of the value, about half an ulp of it, so the
+        # result is correctly rounded from the Fraction sum, within eps, or
+        # the call refuses an eps that half an ulp alone reaches
+        eps = 1e-16 * math.exp(gamma)
+        want, plan = exact_reference.within_eps(
+            lambda n: exact_reference.term(ONES, gamma, n), lambda n: True,
+            lambda e: plan_truncation(ONES.certificate, gamma, e), eps, "signed", None,
+            exact_reference.bits(ONES, gamma))
+        assert plan is not None
+        try:
+            got = evaluate(TaylorMeasure(ONES, gamma), NatSet.all(), eps)
+        except PrecisionUnattainable:
+            assert want is PrecisionUnattainable
+            return
+        assert got == want
+        assert got.abs_error <= eps
 
 
 def _exact_term(a, gamma, n):
@@ -247,6 +262,18 @@ class TestTailBound:
         assert b == pytest.approx(9.030435149334086e-14, rel=1e-12)
         direct = math.fsum(2.0 ** n / math.factorial(n) for n in range(21, 81))
         assert b >= direct
+
+    def test_rounds_upward_below_the_normal_range(self):
+        # the exact tail is 1.549 * 2**-1074 (terms past n = 600 add less
+        # than 2**-1200); exp and the division rounded it down to one
+        # subnormal unit
+        b = tail_bound(Bounded(1.3), 45.0, 514)
+        head = sum(Fraction(1.3) * 45 ** n / math.factorial(n) for n in range(515, 601))
+        assert 1.549 <= head * 2 ** 1074 < 1.55
+        assert b == 2 * 2.0 ** -1074
+        # a tail far below one unit still reads one unit, not 0
+        assert tail_bound(Bounded(1.0), 1.0, 400) == 2.0 ** -1074
+        assert tail_bound(GeometricEnvelope(1.0, 0.5), 1.0, 2000) == 2.0 ** -1074
 
     def test_finite_support_tail_is_zero(self):
         assert tail_bound(FiniteSupport(4), 3.0, 4) == 0.0
@@ -668,7 +695,9 @@ _PINNED = {
     "past_horizon_finite": ("-0x1.5555555555555p+0", "0x1.0000000000000p-50"),
     "linear_combination_all": ("-0x1.623453554b966p+2", "0x1.d6baebe1aa159p-41"),
     "recentered_eval_rep": ("0x1.1ed3fe64fc341p+2", "0x1.10464576931cdp-41"),
-    "eval_rep_log_path": ("0x1.c05c0a71669c3p+432", "0x1.08efd58487b4ap+393"),
+    # an exact run since it passes n = 170: e**300 summed to eps 1e120 and
+    # rounded once (1e-12, the default, is below half an ulp of it)
+    "eval_rep_log_path": ("0x1.c05c0a711fc55p+432", "0x1.1fad6d505f75ap+398"),
     "normalizer": ("0x1.39d6fd931df7cp+3", "0x1.430025670427bp-41"),
     "sup_distance_on_grid": ("0x1.dfc0000000000p-41",),
     "lp_norm_on_interval": ("0x1.c5b6cc1a292a2p-1",),
@@ -698,7 +727,7 @@ def _pinned_call(name):
         "linear_combination_all": lambda: evaluate(linear_combination(
             0.5, alt, -1.25, TaylorMeasure(geometric_sequence(1.0, 0.5), 3.0)), NatSet.all()),
         "recentered_eval_rep": lambda: eval_rep(recenter(exp_rep(0.0), 0.75), 1.5),
-        "eval_rep_log_path": lambda: eval_rep(exp_rep(0.0), 300.0),
+        "eval_rep_log_path": lambda: eval_rep(exp_rep(0.0), 300.0, 1e120),
         "normalizer": lambda: normalizer(2.5, constant_sequence(1.0, [0.5, 0.25])),
         "sup_distance_on_grid": lambda: sup_distance_on_grid(sin_rep(0.0), math.sin, (-2.0, 2.0), 41),
         "lp_norm_on_interval": lambda: lp_norm_on_interval(cos_rep(0.0), 2.0, (0.0, 1.5)),

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from functools import partial
 
 import mpmath as mp
 import pytest
@@ -20,6 +21,7 @@ from taylormeasure import (
     MeasureValue,
     NatSet,
     NonFiniteResult,
+    PrecisionUnattainable,
     TaylorMeasure,
     TaylorMeasureError,
     TermBackedSequence,
@@ -43,6 +45,8 @@ from taylormeasure import (
     zero_measure,
 )
 from taylormeasure import kernel
+
+import exact_reference
 
 E_MEASURE = TaylorMeasure(constant_sequence(1.0), 1.0)
 
@@ -501,23 +505,63 @@ class TestUnderflowHorizon:
 # One sign-split pass behind every set sum
 
 
-def _reference_part(T, B, eps, part):
-    """Test-only reference: a part of T on B as the old per-part engine
-    summed it, with the same truncation and horizon."""
+def _reference_indices(T, B, eps):
+    """The indices a set sum of T on B covers at eps, and its tail bound."""
     if B.is_finite:
         indices, tail = B.elements, 0.0
         horizon = indices and kernel.underflow_horizon(T.coefficients, T.gamma, indices[-1])
         if horizon:
             indices = [n for n in indices if n <= horizon.last_index]
             tail = horizon.tail_bound
-    else:
-        if isinstance(T.coefficients.certificate, Unverified):
-            raise DivergenceUnknown("no certificate")
-        plan = kernel.plan_truncation(T.coefficients.certificate, T.gamma, eps)
-        indices = [n for n in range(plan.last_index + 1) if n in B]
-        tail = plan.tail_bound
+        return indices, tail
+    if isinstance(T.coefficients.certificate, Unverified):
+        raise DivergenceUnknown("no certificate")
+    plan = kernel.plan_truncation(T.coefficients.certificate, T.gamma, eps)
+    return [n for n in range(plan.last_index + 1) if n in B], plan.tail_bound
+
+
+def _reference_raw(T, B, eps, part):
+    """A part of T on B as the old per-part engine summed it, with the same
+    truncation and horizon, as (value, abs_error) before validation."""
+    indices, tail = _reference_indices(T, B, eps)
     value, err = _reference_sum(_terms(T, indices), part)
-    return MeasureValue(value, err + tail)
+    return value, err + tail
+
+
+def _reference_part(T, B, eps, part):
+    """Test-only reference: a part of T on B as the old per-part engine
+    summed it, with the same truncation and horizon."""
+    return MeasureValue(*_reference_raw(T, B, eps, part))
+
+
+_NAMES = {"evaluate": "signed", "total_variation": "variation", "positive": "pos",
+          "negative": "neg"}
+
+
+def _contract_part(T, B, eps, part):
+    """(outcome, exact): what a part of T on B must give, and whether an
+    exact run gives it. Terms that are exact by definition take an exact
+    run on a long, dense finite set, and on an infinite set where the run
+    is long or the float bound misses eps (exact_reference.within_eps);
+    the rest is the old engine's float sum."""
+    seq, gamma = T.coefficients, T.gamma
+    float_sum = _outcome(lambda: _reference_part(T, B, eps, part))
+    if not exact_reference.is_exact(seq):
+        return float_sum, False
+    term_at = partial(exact_reference.term, seq, gamma)
+    if B.is_finite:
+        indices, tail = _reference_indices(T, B, eps)
+        if not exact_reference.dense_run(indices, exact_reference.bits(seq, gamma)):
+            return float_sum, False
+        x = exact_reference.part_sum([term_at(n) for n in indices], _NAMES[part])
+        return exact_reference.rounded(x, tail), True
+    if isinstance(float_sum, type) and not issubclass(float_sum, NonFiniteResult):
+        return float_sum, False
+    out, plan = exact_reference.within_eps(
+        term_at, B.__contains__, partial(kernel.plan_truncation, seq.certificate, gamma),
+        eps, _NAMES[part], lambda plan: _reference_raw(T, B, eps, part),
+        exact_reference.bits(seq, gamma))
+    return out, plan is not None
 
 
 def _outcome(call):
@@ -547,12 +591,16 @@ class TestOneSignSplitPass:
     @given(_measures(), _any_sets(), _eps)
     @settings(max_examples=300, deadline=None)
     def test_parts_match_the_old_engine(self, T, B, eps):
+        # an exact run is held to the Fraction reference instead, within
+        # half an ulp (exact_reference)
         for part in ("evaluate", "positive", "negative"):
             got = _outcome(lambda: _PARTS[part][0](T, B, eps))
-            assert got == _outcome(lambda: _reference_part(T, B, eps, part)), part
+            assert got == _contract_part(T, B, eps, part)[0], part
         tv = _outcome(lambda: total_variation(T, B, eps))
-        ref = _outcome(lambda: _reference_part(T, B, eps, "total_variation"))
-        if isinstance(tv, MeasureValue) and isinstance(ref, MeasureValue):
+        ref, exact = _contract_part(T, B, eps, "total_variation")
+        if exact:
+            assert tv == ref
+        elif isinstance(tv, MeasureValue) and isinstance(ref, MeasureValue):
             assert abs(tv.value - ref.value) <= tv.abs_error
             ev = evaluate(T, B, eps)
             pair = jordan_decompose(T)
@@ -566,6 +614,12 @@ class TestOneSignSplitPass:
     def test_sum_terms_matches_the_old_engine(self, T, B):
         indices = B.elements if B.is_finite else range(80)
         pos, neg = sum_terms(T.coefficients, T.gamma, indices)
+        if exact_reference.is_exact(T.coefficients) and exact_reference.dense_run(
+                indices, exact_reference.bits(T.coefficients, T.gamma)):
+            want = exact_reference.exact_parts(
+                [exact_reference.term(T.coefficients, T.gamma, n) for n in indices])
+            assert (pos, neg) == (want[2][0], want[3][0])
+            return
         terms = _terms(T, indices)
         assert pos == _reference_sum(terms, "positive")[0]
         assert neg == _reference_sum(terms, "negative")[0]
@@ -574,11 +628,11 @@ class TestOneSignSplitPass:
     @settings(max_examples=200, deadline=None)
     def test_normalizer_matches_the_old_engine(self, T, eps):
         zeta = abs(T.gamma)
+        seq = T.coefficients
 
         def reference():
-            plan = kernel.plan_truncation(T.coefficients.certificate, zeta, eps)
-            terms = [kernel._term_and_err(T.coefficients, zeta, n)
-                     for n in range(plan.last_index + 1)]
+            plan = kernel.plan_truncation(seq.certificate, zeta, eps)
+            terms = [kernel._term_and_err(seq, zeta, n) for n in range(plan.last_index + 1)]
             if _reference_sum(terms, "negative")[0] > 0.0:
                 raise InvalidPmf("negative weight")
             value, err = _reference_sum(terms, "evaluate")
@@ -587,7 +641,28 @@ class TestOneSignSplitPass:
                 raise DegenerateDistribution("zero")
             return MeasureValue(value, err)
 
-        assert _outcome(lambda: normalizer(zeta, T.coefficients, eps)) == _outcome(reference)
+        want = _outcome(reference)
+        if exact_reference.is_exact(seq):
+            # the contract of evaluate on N; an exact run is held to the
+            # Fraction reference, within half an ulp
+            def float_sum(plan):
+                terms = [kernel._term_and_err(seq, zeta, n) for n in range(plan.last_index + 1)]
+                value, err = _reference_sum(terms, "evaluate")
+                return value, err + plan.tail_bound
+
+            out, plan = exact_reference.within_eps(
+                partial(exact_reference.term, seq, zeta), lambda n: True,
+                partial(kernel.plan_truncation, seq.certificate, zeta), eps, "signed", float_sum,
+                exact_reference.bits(seq, zeta))
+            if out is PrecisionUnattainable:
+                want = out
+            elif plan is not None:
+                want = out
+                if any(exact_reference.term(seq, zeta, n) < 0 for n in range(plan.last_index + 1)):
+                    want = InvalidPmf
+                elif isinstance(out, MeasureValue) and out.value <= out.abs_error:
+                    want = DegenerateDistribution
+        assert _outcome(lambda: normalizer(zeta, seq, eps)) == want
 
     @given(st.sampled_from(["exp", "sin", "cos", "geometric", "polynomial"]),
            st.floats(-0.5, 0.5), st.floats(-0.99, 0.99), st.floats(-40.0, 40.0), _eps)
@@ -599,8 +674,8 @@ class TestOneSignSplitPass:
         gamma = x - center
         if gamma == 0.0:
             return
-        assert got == _outcome(lambda: _reference_part(
-            TaylorMeasure(rep.coefficients, gamma), NatSet.all(), eps, "evaluate"))
+        assert got == _contract_part(TaylorMeasure(rep.coefficients, gamma), NatSet.all(), eps,
+                                     "evaluate")[0]
 
 
 def _counted(monkeypatch):

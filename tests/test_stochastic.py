@@ -124,6 +124,13 @@ class TestGaussianMoments:
         assert mean == pytest.approx(2.0 * (1.0 + 0.5 + 0.125), rel=1e-14)
         assert var == pytest.approx(9.0 * (1.0 + 0.25 + 0.25 ** 2 / 4.0), rel=1e-14)
 
+    def test_iid_mean_past_half_an_ulp_of_eps(self):
+        # the mean series e**10 carries half an ulp of 1.8e-12, above eps
+        mean, var = stm_moments(GaussianIID(mu_a=1.0, sigma_a=1.0, gamma=10.0), ALL)
+        assert mean == pytest.approx(math.exp(10.0), rel=1e-14)
+        exact = math.fsum(100.0 ** n / math.factorial(n) ** 2 for n in range(80))
+        assert var == pytest.approx(exact, rel=1e-13)
+
     def test_indep(self):
         spec = GaussianIndep(finite_sequence([1.0, 2.0]), finite_sequence([3.0]), 1.0)
         mean, var = stm_moments(spec, ALL)
