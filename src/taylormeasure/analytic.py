@@ -35,18 +35,17 @@ from .kernel import (
     _MAX_FLOAT_FACTORIAL,
     _TermEnvelope,
     _ULP,
+    _Terms,
     _coefficients,
-    _exact_terms,
     _plan_from,
-    _sum_terms,
-    _sum_within,
+    _require_certificate,
     _term_and_err,
     _term_errors,
     constant_sequence,
     finite_sequence,
     rule_sequence,
 )
-from .measure import MeasureValue, TaylorMeasure, _require_certificate, linear_combination
+from .measure import _ALL, MeasureValue, TaylorMeasure, _set_sum, linear_combination
 
 __all__ = [
     "AnalyticRep",
@@ -253,19 +252,15 @@ def _eval_points(rep: AnalyticRep, xs: Sequence[float], eps: float,
                  strict: bool = True) -> list[MeasureValue]:
     """eval_rep(rep, x, eps) for every x, bit for bit, sharing one
     coefficient fetch; with eps as a truncation target only, and no
-    PrecisionUnattainable, when not ``strict`` (kernel._sum_within).
+    PrecisionUnattainable, when not ``strict``.
 
     Each point is validated in order and planned once per distinct
     |x - center|, on which a plan depends alone; each new plan's search
     starts from the previous plan's index (kernel._plan_from), which finds
     the same index as plan_truncation. Then a_n is fetched once, up to the
-    largest plan, and each point sums its own plan's terms
-    under the eps contract of kernel._sum_within: in one fused float pass
-    (kernel._sum_terms) with the same operations, in the same order, as
-    evaluate on the whole of N, or in the exact run evaluate takes. A point
-    at the presentation gamma of a term-backed sequence reads the term
-    function directly, as evaluate does; elsewhere the term errors are
-    summed apart and added.
+    largest plan, and each point is summed from its plan and that block as
+    evaluate sums all of N (measure._set_sum); a point at the presentation
+    gamma of a term-backed sequence reads the term function, as evaluate does.
     """
     seq = rep.coefficients
     points = []
@@ -288,23 +283,12 @@ def _eval_points(rep: AnalyticRep, xs: Sequence[float], eps: float,
     a = _coefficients(seq, range(last + 1))
     out = []
     for gamma, plan in points:
-        bias = _term_errors(seq, gamma)
         if plan is None:
+            bias = _term_errors(seq, gamma)
             out.append(MeasureValue(_d_value(seq, 0), 0.0 if bias is None else bias(0)))
             continue
-
-        def float_pass(last: int, gamma: float = gamma, bias=bias):
-            indices = range(last + 1)
-            if gamma == presented:
-                return _sum_terms(seq, gamma, indices)
-            s = _sum_terms(seq, gamma, indices, a[:last + 1])
-            if bias is not None:
-                s = s._replace(error=s.error + math.fsum(map(bias, indices)))
-            return s
-
-        s, tail = _sum_within(plan, partial(_plan_from, seq.certificate, gamma, near=plan.last_index),
-                              eps, "signed", float_pass, partial(_exact_terms, seq, gamma),
-                              strict=strict)
+        terms = _Terms(seq, gamma, None if gamma == presented else a, plan)
+        s, tail = _set_sum(terms, _ALL, eps, "signed", strict)
         out.append(MeasureValue(*s.part("signed", tail)))
     return out
 

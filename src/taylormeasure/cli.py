@@ -55,12 +55,12 @@ from .errors import (
     UnsupportedSpec,
 )
 from .geometry import distance, hilbert_axiom_report, inner_product, norm
-from .kernel import finite_sequence
+from .kernel import _Terms, finite_sequence
 from .measure import (
     MeasureValue,
     NatSet,
     TaylorMeasure,
-    _eval_selected,
+    _set_sum,
     evaluate,
     total_variation,
 )
@@ -172,7 +172,7 @@ def _cmd_decompose(args):
     T = serialize.parse_measure(_load_doc(args.measure, "measure"))
     B = _load_set(args)
     # one pass gives both parts; value and abs_error are evaluate's
-    s, tail = _eval_selected(T, B, args.eps)
+    s, tail = _set_sum(_Terms(T.coefficients, T.gamma), B, args.eps)
     mv = MeasureValue(*s.part("signed", tail))
     pos, neg, tv = (s.part(name, tail)[0] for name in ("pos", "neg", "variation"))
     result = {

@@ -27,7 +27,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from typing import NamedTuple
 
 from .errors import NegativeRadicand
@@ -41,11 +41,9 @@ from .kernel import (
     TermBackedSequence,
     TruncationPlan,
     _TermEnvelope,
-    _exact_over,
-    _exact_terms,
+    _Terms,
     _exp_signed,
     _signed_log,
-    _sum_within,
     _term_and_err,
     _term_errors,
     finite_sequence,
@@ -56,6 +54,7 @@ from .measure import (
     NatSet,
     TaylorMeasure,
     _part_value,
+    _set_sum,
     linear_combination,
 )
 
@@ -156,13 +155,32 @@ def _rho_sum(T1, T2, indices) -> _RhoSum:
     return _RhoSum(acc.value, err.value)
 
 
-def _rho_exact(T1: TaylorMeasure, T2: TaylorMeasure) -> exact._ExactTerms | None:
-    """The rho summands exactly, when both operands' terms are exact by
-    definition: the product of two constant or geometric tails is the
-    constant scale1 * scale2 at gamma1 * gamma2 * ratio1 * ratio2."""
-    e1 = _exact_terms(T1.coefficients, T1.gamma)
-    e2 = None if e1 is None else _exact_terms(T2.coefficients, T2.gamma)
-    return None if e2 is None else e1.times(e2)
+class _RhoTerms:
+    """The rho summands n! * p_T1(n) * p_T2(n), summed as kernel._Terms.
+    They are exact when both operands' terms are: the product of two
+    constant or geometric tails is the constant scale1 * scale2 at
+    gamma1 * gamma2 * ratio1 * ratio2."""
+
+    def __init__(self, T1: TaylorMeasure, T2: TaylorMeasure):
+        self.T1, self.T2 = T1, T2
+
+    def plan(self, eps: float) -> TruncationPlan:
+        pair = _rho_envelope(self.T1, self.T2)
+        if pair.last is not None:
+            return TruncationPlan(pair.last, 0.0)
+        return plan_truncation(pair.to_certificate(1.0), 1.0, eps)
+
+    def horizon(self, last: int) -> None:
+        return None
+
+    def sum(self, indices) -> _RhoSum:
+        return _rho_sum(self.T1, self.T2, indices)
+
+    @cached_property
+    def exact(self) -> exact._ExactTerms | None:
+        e1 = _Terms(self.T1.coefficients, self.T1.gamma).exact
+        e2 = None if e1 is None else _Terms(self.T2.coefficients, self.T2.gamma).exact
+        return None if e2 is None else e1.times(e2)
 
 
 def inner_product(
@@ -187,31 +205,7 @@ def inner_product(
     Raises DivergenceUnknown on an infinite set when either operand lacks a
     convergence-certifying growth certificate.
     """
-    return _inner_product(T1, T2, B, eps, True)
-
-
-def _inner_product(T1: TaylorMeasure, T2: TaylorMeasure, B: NatSet, eps: float,
-                   strict: bool) -> MeasureValue:
-    """inner_product, holding its eps contract when ``strict``; norm, distance
-    and the axiom report read values at eps and are not."""
-    if B.is_finite:
-        s = _exact_over(B.elements, _rho_exact, T1, T2) or _rho_sum(T1, T2, B.elements)
-        return MeasureValue(*s.part("signed", 0.0))
-    pair = _rho_envelope(T1, T2)
-    excluded = B.elements
-    if pair.last is not None:
-        plan = TruncationPlan(pair.last, 0.0)
-        replan = lambda _: plan
-    else:
-        replan = partial(plan_truncation, pair.to_certificate(1.0), 1.0)
-        plan = replan(eps)
-
-    def float_pass(last: int) -> _RhoSum:
-        skip = set(excluded)
-        return _rho_sum(T1, T2, (n for n in range(last + 1) if n not in skip))
-
-    s, tail = _sum_within(plan, replan, eps, "signed", float_pass, partial(_rho_exact, T1, T2),
-                          excluded, strict)
+    s, tail = _set_sum(_RhoTerms(T1, T2), B, eps)
     return MeasureValue(*s.part("signed", tail))
 
 
@@ -226,7 +220,8 @@ def norm(T: TaylorMeasure, B: NatSet, eps: float = 1e-12) -> MeasureValue:
     accumulated roundoff; within abs_error of zero it is treated as zero, and
     beyond that NegativeRadicand is raised.
     """
-    q = _inner_product(T, T, B, eps, False)
+    s, tail = _set_sum(_RhoTerms(T, T), B, eps, "signed", False)
+    q = MeasureValue(*s.part("signed", tail))
     v, e = q.value, q.abs_error
     if v < 0.0:
         if -v <= e:
@@ -358,8 +353,12 @@ def hilbert_axiom_report(
     if len(samples) < 2:
         raise ValueError("need at least two sample measures")
     rng = random.Random(seed)
-    rho = partial(_inner_product, B=B, eps=eps, strict=False)
     tv = partial(_part_value, sets=B, eps=eps, part="variation", strict=False)
+
+    def rho(T1: TaylorMeasure, T2: TaylorMeasure) -> MeasureValue:
+        s, tail = _set_sum(_RhoTerms(T1, T2), B, eps, "signed", False)
+        return MeasureValue(*s.part("signed", tail))
+
     rho_self = [rho(T, T).value for T in samples]
     tv_self = [tv(T).value for T in samples]
     sym = 0.0

@@ -22,8 +22,11 @@ Coefficients that are exact by definition (an explicit prefix, then a
 zero, constant or geometric tail) make every term an exact dyadic
 rational. A long run of such terms with short numerators (_exact_first),
 and any run whose float bound misses the requested eps, is summed exactly
-in integers and rounded once (the exact module, loaded on first use); _sum_within holds the eps contract of
-infinite sums on top of it.
+in integers and rounded once (the exact module, loaded on first use).
+A set sum (measure._set_sum) reads a summand, _Terms for a measure, which
+plans its truncation, runs the float pass and gives its exact terms, and
+passes it to _exact_over on a finite set or to _sum_within, which holds
+the eps contract, on an infinite one.
 
 Terms are kept in sign + log-magnitude form (via lgamma) so that a_n,
 gamma**n, and n! never have to be represented separately; a linear-space
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Union
 
@@ -1191,11 +1194,61 @@ def sum_terms(seq: SequenceLike, gamma: float, indices: Iterable[int]) -> tuple[
     permutation of ``indices`` changes the result by at most a few ulp.
     The pass is the one behind evaluate and the Jordan parts, so a long
     run of exact terms (_exact_over) gives each part correctly rounded.
+    Raises ValueError for a gamma that is not finite.
     """
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
     if not isinstance(indices, (range, list, tuple)):
         indices = list(indices)
-    s = _exact_over(indices, _exact_terms, seq, gamma) or _sum_terms(seq, gamma, indices)
+    terms = _Terms(seq, gamma)
+    s = _exact_over(indices, terms) or terms.sum(indices)
     return s.part("pos", 0.0)[0], s.part("neg", 0.0)[0]
+
+
+def _require_certificate(seq: SequenceLike, what: str) -> None:
+    if isinstance(seq.certificate, Unverified):
+        raise DivergenceUnknown(
+            f"{what} over an infinite set requires a growth certificate; "
+            "this measure's coefficient sequence is Unverified"
+        )
+
+
+class _Terms:
+    """seq's terms at gamma as measure._set_sum sums them: plan() plans a
+    truncation, horizon() gives the underflow horizon, sum() is the float
+    pass (_sum_terms) and ``exact`` the terms exactly (exact._exact_terms)
+    or None, formed on first use. A grid point passes the grid's block of
+    a_0, a_1, ... (``coeffs``; the term errors are then added apart) and its
+    plan at the sum's eps (``near``), from whose index re-plans search."""
+
+    def __init__(self, seq: SequenceLike, gamma: float, coeffs: list[float] | None = None,
+                 near: TruncationPlan | None = None):
+        self.seq, self.gamma, self.coeffs, self.near = seq, gamma, coeffs, near
+
+    def plan(self, eps: float) -> TruncationPlan:
+        near, cert = self.near, self.seq.certificate
+        if near is None:
+            _require_certificate(self.seq, "evaluation")
+            return plan_truncation(cert, self.gamma, eps)
+        # _sum_within re-plans only below the eps near was made at, and
+        # near is the plan at every such eps that its tail bound meets
+        return near if near.tail_bound <= eps else _plan_from(cert, self.gamma, eps, near.last_index)
+
+    def horizon(self, last: int) -> TruncationPlan | None:
+        return underflow_horizon(self.seq, self.gamma, last)
+
+    def sum(self, indices: Union[range, list, tuple]) -> _SignSplit:
+        if self.coeffs is None:
+            return _sum_terms(self.seq, self.gamma, indices)
+        s = _sum_terms(self.seq, self.gamma, indices, self.coeffs[:len(indices)])
+        bias = _term_errors(self.seq, self.gamma)
+        return s if bias is None else s._replace(error=s.error + math.fsum(map(bias, indices)))
+
+    @cached_property
+    def exact(self) -> "exact._ExactTerms | None":
+        from .exact import _exact_terms
+
+        return _exact_terms(self.seq, self.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -1216,39 +1269,29 @@ _EXACT_CAP = 5000
 _EXACT_BITS = 24
 
 
-def _exact_terms(seq: SequenceLike, gamma: float) -> "exact._ExactTerms | None":
-    """seq's terms at gamma, exactly (exact._exact_terms), or None when its
-    coefficients are not exact by definition."""
-    from .exact import _exact_terms
-
-    return _exact_terms(seq, gamma)
-
-
-def _exact_first(last: int, size: int,
-                 exact: Callable[[], "exact._ExactTerms | None"]) -> "exact._ExactTerms | None":
+def _exact_first(last: int, size: int, terms) -> "exact._ExactTerms | None":
     """The terms of a run over 0..last that holds ``size`` of those indices,
     when the run is summed exactly from the start: its last index lies past
     _EXACT_FROM and not past _EXACT_CAP, it holds more than half of 0..last,
-    exact() gives its terms exactly, and their numerators are at most
+    terms.exact gives its terms exactly, and their numerators are at most
     _EXACT_BITS long (exact._ExactTerms.bits). None otherwise: sparser runs
     keep the float path, since each index an exact run skips still costs a
     subtraction the size of the run, and so do longer numerators, past
     which the exact run costs more than the float pass."""
     if not (_EXACT_FROM < last <= _EXACT_CAP and 2 * size > last + 1):
         return None
-    terms = exact()
-    return terms if terms is not None and terms.bits <= _EXACT_BITS else None
+    found = terms.exact
+    return found if found is not None and found.bits <= _EXACT_BITS else None
 
 
-def _exact_over(indices: Union[range, list, tuple],
-                terms: Callable[..., "exact._ExactTerms | None"], *args) -> "exact._ExactSum | None":
-    """The exact sum (exact._ExactSum) over increasing natural indices when
-    their run is summed exactly from the start (_exact_first, with
-    terms(*args) giving the terms); None otherwise."""
+def _exact_over(indices: Union[range, list, tuple], terms) -> "exact._ExactSum | None":
+    """The exact sum (exact._ExactSum) of terms (_Terms, or geometry's rho
+    summands) over increasing natural indices when their run is summed
+    exactly from the start (_exact_first); None otherwise."""
     if not indices:
         return None
     last = indices[-1]
-    found = _exact_first(last, len(indices), lambda: terms(*args))
+    found = _exact_first(last, len(indices), terms)
     if found is None or indices[0] < 0:
         return None
     if isinstance(indices, range):
@@ -1262,40 +1305,42 @@ def _exact_over(indices: Union[range, list, tuple],
     return _ExactSum(found, last, [n for n in range(last + 1) if n not in present])
 
 
-def _sum_within(plan: TruncationPlan, replan: Callable[[float], TruncationPlan], eps: float,
-                part: str, float_pass: Callable[[int], object],
-                exact: Callable[[], "exact._ExactTerms | None"],
-                excluded: tuple[int, ...] = (), strict: bool = True) -> tuple[object, float]:
-    """The sum of an infinite set's terms over 0..plan.last_index less
-    ``excluded``, and the tail bound it leaves out: the eps contract of
-    evaluate, total_variation, the Jordan parts, eval_rep, inner_product
-    and normalizer.
+def _sum_within(terms, eps: float, part: str, excluded: tuple[int, ...] = (),
+                strict: bool = True) -> tuple[object, float]:
+    """The sum of terms (_Terms, or geometry's rho summands) over
+    0..terms.plan(eps).last_index less ``excluded``, and the tail bound it
+    leaves out: the eps contract of a set sum over an infinite set.
 
     The run is summed exactly (exact._ExactSum) from the start where
-    _exact_first takes it, and otherwise by float_pass(last), a float-only
-    pass. Where the bound of ``part`` (tail plus roundoff) exceeds eps and
-    exact() gives the terms exactly, the run is summed exactly, the tail
-    re-planned (replan) to eps minus half an ulp of the result, and the run
-    extended from where it stopped, until the bound meets eps. Raises
+    _exact_first takes it, and otherwise by terms.sum, the float pass.
+    Where the bound of ``part`` (tail plus roundoff) exceeds eps and
+    terms.exact gives the terms exactly, the run is summed exactly, the tail
+    re-planned to eps minus half an ulp of the result, and the run extended
+    from where it stopped, until the bound meets eps. Raises
     PrecisionUnattainable when half an ulp of the result alone reaches eps.
     Elsewhere (terms that are not exact, runs past _EXACT_CAP) the bound may
     still exceed eps. A caller that is not ``strict`` uses eps as a
     truncation target only, as a pmf does for its normalizer: its run is
     summed once, exactly or not, and never re-planned.
     """
+    plan = terms.plan(eps)
     last = plan.last_index
     skipped = sum(n <= last for n in excluded) if excluded else 0
-    terms = _exact_first(last, last + 1 - skipped, exact)
-    if terms is None:
-        s = float_pass(last)
+    found = _exact_first(last, last + 1 - skipped, terms)
+    if found is None:
+        indices = range(last + 1)
+        if excluded:
+            skip = set(excluded)
+            indices = [n for n in indices if n not in skip]
+        s = terms.sum(indices)
         if not (strict and s.part(part, plan.tail_bound)[1] > eps) or last > _EXACT_CAP:
             return s, plan.tail_bound
-        terms = exact()
-        if terms is None:
+        found = terms.exact
+        if found is None:
             return s, plan.tail_bound
     from .exact import _ExactSum, _add_up, _sub_down
 
-    s = _ExactSum(terms, last, excluded)
+    s = _ExactSum(found, last, excluded)
     while strict:
         v, half = s.rounded(part)
         if not (math.isfinite(v) and _add_up(half, plan.tail_bound) > eps):
@@ -1305,6 +1350,6 @@ def _sum_within(plan: TruncationPlan, replan: Callable[[float], TruncationPlan],
                 f"half an ulp of the correctly rounded result {v} is {half}, "
                 f"not below eps={eps}"
             )
-        plan = replan(_sub_down(eps, half))
+        plan = terms.plan(_sub_down(eps, half))
         s.extend(plan.last_index)
     return s, plan.tail_bound

@@ -9,12 +9,15 @@ below the normal float range (kernel.underflow_horizon); like an infinite
 sum, this trusts the certificate past the horizon. Every returned value
 carries an abs_error combining the tail bound with a roundoff estimate.
 
-One pass (kernel._sum_terms) forms and sums a set's terms once, in one
-loop, split by sign: T(B) is pos - neg, |T|(B) is pos + neg, and the
-Jordan parts are pos, neg. A long run of terms that are exact by
-definition, with short numerators (kernel._exact_first), is summed exactly
-in integers instead and each of these is rounded once (exact._ExactSum); on infinite sets such terms make eps a
-contract (kernel._sum_within).
+Every set sum, the inner products and normalizers of the other modules
+included, goes through _set_sum, which reads a summand (kernel._Terms for
+a measure) and sums it once: a finite set by kernel._exact_over or the
+float pass, an infinite set by kernel._sum_within, which holds the eps
+contract. The float pass (kernel._sum_terms) is split by sign: T(B) is
+pos - neg, |T|(B) is pos + neg, and the Jordan parts are pos, neg. A long
+run of terms that are exact by definition, with short numerators
+(kernel._exact_first), is summed exactly in integers instead and each of
+these is rounded once (exact._ExactSum).
 
 Measures are identified semantically with their term function
 p(n) = a_n * gamma**n / n!; the (gamma, a) pair is just a presentation.
@@ -26,17 +29,15 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from . import kernel
-from .errors import DivergenceUnknown, NonFiniteResult
+from .errors import NonFiniteResult
 from .kernel import (
     SequenceLike,
     SignedLogTerm,
     TermBackedSequence,
-    Unverified,
     _TermEnvelope,
     finite_sequence,
 )
@@ -95,6 +96,9 @@ class NatSet:
         return iter(self.elements)
 
 
+_ALL = NatSet.all()  # built once for the sums over all of N that take no set
+
+
 @dataclass(frozen=True)
 class MeasureValue:
     """A computed set value together with a certified absolute error.
@@ -149,59 +153,32 @@ def zero_measure() -> TaylorMeasure:
     return TaylorMeasure(finite_sequence(()), 1.0)
 
 
-def _require_certificate(seq: SequenceLike, what: str) -> None:
-    if isinstance(seq.certificate, Unverified):
-        raise DivergenceUnknown(
-            f"{what} over an infinite set requires a growth certificate; "
-            "this measure's coefficient sequence is Unverified"
-        )
+def _set_sum(terms, sets: NatSet, eps: float, part: str = "signed",
+             strict: bool = True) -> tuple[kernel._SignSplit | exact._ExactSum, float]:
+    """The one set sum: terms (kernel._Terms, or geometry's rho summands)
+    summed on B, and the tail bound left out, which serves every part.
 
-
-def _eval_selected(T: TaylorMeasure, sets: NatSet, eps: float, part: str = "signed",
-                   strict: bool = True) -> tuple[kernel._SignSplit | exact._ExactSum, float]:
-    """The sign-split pass over T's terms on B that evaluate,
-    total_variation and both Jordan parts read, and the tail it leaves out.
-
-    Finite sets stop at the underflow horizon (kernel.underflow_horizon):
-    their indices past the first M whose certified tail is at most half
-    the smallest normal float are not summed, and that tail's bound,
-    2**-1022, is returned. Smaller finite sets, and terms the certificate
-    does not bound, are summed in full, with no tail. 'all' sums a
-    certified plan. Cofinite sets sum the same plan less the excluded
-    indices. Either tail bound serves the signed sum, the variation
-    and both parts because it dominates sum |p(n)| over the tail.
-
-    On an infinite set the sum holds the eps contract of kernel._sum_within
-    for ``part`` (its plan may then reach past the one at eps), when
-    ``strict``.
+    A finite set stops at the terms' underflow horizon, past which their
+    certified tail is below the normal range, and returns that tail's bound,
+    2**-1022 (kernel.underflow_horizon); where there is no horizon it is
+    summed in full, with no tail, and a long dense run of exact terms is
+    summed exactly (kernel._exact_over). An infinite set sums a certified
+    plan less the excluded indices under the eps contract of
+    kernel._sum_within for ``part``, when ``strict``.
     """
-    seq, gamma = T.coefficients, T.gamma
     if sets.is_finite:
         indices, tail = sets.elements, 0.0
-        horizon = indices and kernel.underflow_horizon(seq, gamma, indices[-1])
+        horizon = indices and terms.horizon(indices[-1])
         if horizon:
             indices = indices[:bisect_right(indices, horizon.last_index)]
             tail = horizon.tail_bound
-        exact = kernel._exact_over(indices, kernel._exact_terms, seq, gamma)
-        return exact or kernel._sum_terms(seq, gamma, indices), tail
-    _require_certificate(seq, "evaluation")
-    excluded = sets.elements
-
-    def float_pass(last: int) -> kernel._SignSplit:
-        indices = range(last + 1)
-        if excluded:
-            skip = set(excluded)
-            indices = [n for n in indices if n not in skip]
-        return kernel._sum_terms(seq, gamma, indices)
-
-    replan = partial(kernel.plan_truncation, seq.certificate, gamma)
-    return kernel._sum_within(replan(eps), replan, eps, part, float_pass,
-                              partial(kernel._exact_terms, seq, gamma), excluded, strict)
+        return kernel._exact_over(indices, terms) or terms.sum(indices), tail
+    return kernel._sum_within(terms, eps, part, sets.elements, strict)
 
 
 def _part_value(T: TaylorMeasure, sets: NatSet, eps: float, part: str,
                 strict: bool = True) -> MeasureValue:
-    s, tail = _eval_selected(T, sets, eps, part, strict)
+    s, tail = _set_sum(kernel._Terms(T.coefficients, T.gamma), sets, eps, part, strict)
     return MeasureValue(*s.part(part, tail))
 
 

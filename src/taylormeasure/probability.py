@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 from .errors import (
     DegenerateDistribution,
@@ -44,17 +43,16 @@ from .kernel import (
     Unverified,
     ZeroTail,
     _TermEnvelope,
-    _exact_terms,
-    _sum_terms,
-    _sum_within,
+    _Terms,
     plan_truncation,
     term_value,
 )
 from .measure import (
+    _ALL,
     MeasureValue,
     NatSet,
     TaylorMeasure,
-    _eval_selected,
+    _set_sum,
     linear_combination,
 )
 
@@ -100,19 +98,15 @@ def normalizer(zeta: float, b, eps: float = 1e-12) -> MeasureValue:
 def _normalizer(zeta: float, b, eps: float, strict: bool) -> MeasureValue:
     """normalizer, holding its eps contract when ``strict``; a pmf's own
     normalizer is not, since its eps only sets the truncation."""
-    if zeta < 0.0:
-        raise ValueError("zeta must be nonnegative")
+    if not 0.0 <= zeta < math.inf:
+        raise ValueError(f"zeta must be finite and nonnegative, got {zeta}")
     b = _as_sequence(b)
-    cert = b.certificate
-    if isinstance(cert, Unverified):
+    if isinstance(b.certificate, Unverified):
         raise DivergenceUnknown(
             "the density sequence carries no growth certificate, so the "
             "normalizer sum cannot be certified"
         )
-    replan = partial(plan_truncation, cert, zeta)
-    s, tail = _sum_within(replan(eps), replan, eps, "signed",
-                          lambda last: _sum_terms(b, zeta, range(last + 1)),
-                          partial(_exact_terms, b, zeta), strict=strict)
+    s, tail = _set_sum(_Terms(b, zeta), _ALL, eps, "signed", strict)
     if s.part("neg", 0.0)[0] > 0.0:
         raise InvalidPmf("negative density weight b_n * zeta**n / n! encountered")
     value, err = s.part("signed", tail)
@@ -133,8 +127,7 @@ class _IncrementalPmf:
 
     normalizer: MeasureValue
 
-    def _init_cache(self, eps: float) -> None:
-        self._eps = eps
+    def _init_cache(self) -> None:
         self._cum: list[float] = []
         self._acc = _NeumaierSum()
         self._plan_cache = None
@@ -247,7 +240,7 @@ class PowerSeriesPmf(_IncrementalPmf):
         self.zeta = float(zeta)
         self.b = _as_sequence(b)
         self.normalizer = _normalizer(self.zeta, self.b, eps, False)
-        self._init_cache(eps)
+        self._init_cache()
 
     def __repr__(self):
         return f"PowerSeriesPmf(zeta={self.zeta}, normalizer={self.normalizer.value})"
@@ -273,7 +266,7 @@ class JordanPmf(_IncrementalPmf):
         self._measure = measure
         self._sign = 1 if sign >= 0 else -1
         self.normalizer = mass
-        self._init_cache(eps)
+        self._init_cache()
 
     def __repr__(self):
         side = "positive" if self._sign > 0 else "negative"
@@ -330,7 +323,7 @@ def probability_pair(T: TaylorMeasure, eps: float = 1e-12) -> TaylorProbabilityP
     measure carries no probability content), and DivergenceUnknown when the
     total masses cannot be certified.
     """
-    s, tail = _eval_selected(T, NatSet.all(), eps, strict=False)
+    s, tail = _set_sum(_Terms(T.coefficients, T.gamma), _ALL, eps, "signed", False)
     mp = MeasureValue(*s.part("pos", tail))
     mn = MeasureValue(*s.part("neg", tail))
     pos_degenerate = mp.value <= mp.abs_error

@@ -10,6 +10,9 @@ its abs_error to mpmath at 50 digits.
 
 import json
 import math
+import os
+import subprocess
+import sys
 from functools import partial
 
 import mpmath as mp
@@ -29,16 +32,20 @@ from taylormeasure import (
     TaylorMeasureError,
     TermBackedSequence,
     constant_sequence,
+    distance,
     eval_rep,
     evaluate,
     exp_rep,
     finite_sequence,
     geometric_sequence,
+    hilbert_axiom_report,
     inner_product,
     jordan_decompose,
     linear_combination,
+    norm,
     normalizer,
     plan_truncation,
+    probability_pair,
     rule_sequence,
     sin_rep,
     total_variation,
@@ -393,12 +400,93 @@ class TestPrecisionUnattainable:
             assert cli.main(argv) == 0, argv
         capsys.readouterr()
 
+    def test_contract_callers_raise_on_constant_one_at_12(self):
+        # the counterpart of TestTruncationTargetCallers: at eps 1e-12 these
+        # hold the contract, which half an ulp of each result breaks
+        T = TaylorMeasure(constant_sequence(1.0), 12.0)
+        with pytest.raises(PrecisionUnattainable):
+            inner_product(T, T, NatSet.all())
+        with pytest.raises(PrecisionUnattainable):
+            jordan_decompose(T).positive(NatSet.all())
+        with pytest.raises(PrecisionUnattainable):
+            jordan_decompose(TaylorMeasure(constant_sequence(1.0), -12.0)).positive(NatSet.all())
+
     def test_a_pmf_uses_eps_as_a_truncation_target(self):
         # its normalizer is summed once, exactly, and not re-planned
         from taylormeasure import PowerSeriesPmf
 
         pmf = PowerSeriesPmf(200.0, constant_sequence(1.0), 1e-12)
         assert pmf.normalizer.abs_error > 1e-12
+
+
+def _hex(mv):
+    return mv.value.hex(), mv.abs_error.hex()
+
+
+class TestTruncationTargetCallers:
+    """norm, distance, the axiom report and probability_pair read eps 1e-12
+    as a truncation target: they return values, bit for bit, where the
+    contract of inner_product and the Jordan parts raises."""
+
+    T = TaylorMeasure(constant_sequence(1.0), 12.0)
+
+    def test_norm(self):
+        # sqrt(e**144) = 1.8586717452841279e+31
+        assert _hex(norm(self.T, NatSet.all())) == ("0x1.d531d8a7ee79cp+103",
+                                                    "0x1.175af0cf60ec6p+49")
+
+    def test_distance(self):
+        d = distance(self.T, TaylorMeasure(constant_sequence(1.0), 11.0), NatSet.all())
+        assert _hex(d) == ("0x1.d5311bba4ae7fp+103", "0x1.406c40f7dbd38p+57")
+
+    def test_probability_pair(self):
+        # cosh(12) = 81377.39571257407 and sinh(12)
+        pair = probability_pair(TaylorMeasure(constant_sequence(1.0), -12.0))
+        assert (pair.mass_pos.hex(), pair.mass_neg.hex()) == ("0x1.3de1654d6b544p+16",
+                                                              "0x1.3de1654d043f0p+16")
+        assert _hex(pair.q_pos.normalizer) == ("0x1.3de1654d6b544p+16", "0x1.e0fa5bfbc6dc0p-35")
+        assert _hex(pair.q_neg.normalizer) == ("0x1.3de1654d043f0p+16", "0x1.e0fb1bfb2c3c0p-35")
+
+    def test_axiom_report(self):
+        samples = [self.T, TaylorMeasure(constant_sequence(1.0), 11.0),
+                   TaylorMeasure(geometric_sequence(1.0, 0.5), 12.0)]
+        r = hilbert_axiom_report(samples, NatSet.all(), 1e-12, 1)
+        assert r.pairs_checked == 3
+        assert [x.hex() for x in (r.symmetry_max, r.bilinearity_max, r.cauchy_schwarz_min_slack,
+                                  r.parallelogram_rho_max, r.parallelogram_tv_max)] == [
+            "0x0.0p+0", "0x1.78b6ad80a0df3p-53", "0x1.43a54e4e98864p-1",
+            "0x1.7d0d2f7ec7febp-51", "0x1.0000000000000p-17"]
+
+
+_SHORT_SUMS = """
+import json, math, sys
+import taylormeasure as tm
+T = tm.TaylorMeasure(tm.constant_sequence(1.0), 1.5)
+ALL = tm.NatSet.all()
+for B in (ALL, tm.NatSet.cofinite([1, 4]), tm.NatSet.finite([0, 2, 5, 9])):
+    tm.evaluate(T, B)
+tm.eval_rep(tm.exp_rep(), 0.7)
+tm.eval_rep(tm.sin_rep(), 0.7)
+tm.inner_product(T, T, ALL)
+tm.norm(T, ALL)
+tm.normalizer(1.5, tm.constant_sequence(1.0))
+tm.PowerSeriesPmf(1.5, tm.constant_sequence(1.0))
+tm.sup_distance_on_grid(tm.exp_rep(), math.exp, (-1.0, 1.0), 41)
+short = "taylormeasure.exact" in sys.modules
+tm.evaluate(tm.TaylorMeasure(tm.constant_sequence(1.0), 200.0), ALL, 1e-10 * math.exp(200.0))
+print(json.dumps([short, "taylormeasure.exact" in sys.modules]))
+"""
+
+
+def test_short_sums_never_load_the_exact_module():
+    # a summand forms its exact terms only when a run may be summed exactly
+    src = os.path.dirname(os.path.dirname(exact.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    r = subprocess.run([sys.executable, "-c", _SHORT_SUMS], capture_output=True, text=True,
+                       env=env, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == [False, True]
 
 
 # value and abs_error as the float path gave them before exact runs: rule

@@ -455,6 +455,12 @@ class TestSumTerms:
     def test_empty_sum(self):
         assert sum_terms(ONES, 1.0, []) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gamma_refused(self, gamma):
+        # a nan term is filed under neither sign: nan once read as (1.0, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            sum_terms(ONES, gamma, range(5))
+
     def test_permutation_invariance(self):
         rng = random.Random(7)
         coeffs = [rng.uniform(-5.0, 5.0) for _ in range(60)]

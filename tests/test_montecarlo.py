@@ -106,6 +106,16 @@ class TestSamplePmf:
 
 
 class TestEstimateMeasure:
+    @pytest.mark.parametrize("zeta", [math.nan, math.inf])
+    def test_non_finite_zeta_refused(self, zeta):
+        # a nan zeta once gave point -0.5 with stderr 0.0
+        with pytest.raises(ValueError, match="finite"):
+            estimate_measure(zeta, [0.5, 0.5], 1.0, [1.0], NatSet.all(), 10, 10, RngSpec(1))
+        with pytest.raises(ValueError, match="finite"):
+            estimate_measure(1.0, [0.5, 0.5], zeta, [1.0], NatSet.all(), 10, 10, RngSpec(1))
+        with pytest.raises(ValueError, match="finite"):
+            estimate_normalizer_poisson(zeta, [0.5, 0.5], 10, RngSpec(1))
+
     def test_poisson_taylor_small_set(self):
         est = estimate_measure(
             2.0, ONES, 1.0, ONES, NatSet.finite([0, 1, 2]),

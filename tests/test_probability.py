@@ -58,12 +58,25 @@ class TestNormalizer:
         with pytest.raises(DegenerateDistribution):
             normalizer(1.0, finite_sequence([0.0, 0.0]))
 
+    @pytest.mark.parametrize("zeta", [math.nan, math.inf])
+    def test_non_finite_zeta_refused(self, zeta):
+        # a nan zeta once read as NonFiniteResult, an infinite one as
+        # DivergenceUnknown: both are bad input
+        with pytest.raises(ValueError, match="finite"):
+            normalizer(zeta, ONES)
+
     def test_unverified_rejected(self):
         with pytest.raises(DivergenceUnknown):
             normalizer(1.0, rule_sequence(lambda n: 1.0, Unverified()))
 
 
 class TestPowerSeriesPmf:
+    @pytest.mark.parametrize("zeta", [math.nan, math.inf])
+    def test_non_finite_zeta_refused(self, zeta):
+        # a nan zeta once built a pmf with normalizer 0.5 and pmf(1) nan
+        with pytest.raises(ValueError, match="finite"):
+            PowerSeriesPmf(zeta, [0.5, 0.5])
+
     def test_poisson_pmf_at_zero(self):
         p = PowerSeriesPmf(1.0, ONES, eps=1e-14)
         assert pmf_eval(p, 0) == pytest.approx(math.exp(-1.0), rel=1e-12)
