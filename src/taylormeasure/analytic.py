@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Sequence
 
 from .errors import CenterMismatch, DivergenceUnknown, OutOfDomain, QuadratureStall
@@ -37,6 +37,7 @@ from .kernel import (
     _ULP,
     _Terms,
     _coefficients,
+    _finite_terms,
     _plan_from,
     _require_certificate,
     _term_and_err,
@@ -45,7 +46,7 @@ from .kernel import (
     finite_sequence,
     rule_sequence,
 )
-from .measure import _ALL, MeasureValue, TaylorMeasure, _set_sum, linear_combination
+from .measure import MeasureValue, NatSet, TaylorMeasure, _set_sum, linear_combination
 
 __all__ = [
     "AnalyticRep",
@@ -96,19 +97,8 @@ def _d_envelope(rep: AnalyticRep) -> _TermEnvelope:
     return _TermEnvelope.of(seq.certificate, 1.0, partial(_d_value, seq))
 
 
-def _memo(f: Callable[[int], float]) -> Callable[[int], float]:
-    cache: dict[int, float] = {}
-
-    def memo(n: int) -> float:
-        if n not in cache:
-            cache[n] = f(n)
-        return cache[n]
-
-    return memo
-
-
 def _memo_d(seq: SequenceLike) -> Callable[[int], float]:
-    return _memo(partial(_d_value, seq))
+    return cache(partial(_d_value, seq))
 
 
 def _no_error(n: int) -> float:
@@ -164,8 +154,7 @@ def polynomial_rep(coeffs: Sequence[float], center: float = 0.0) -> AnalyticRep:
             [_FACT[k] * shifted[k] for k in range(deg + 1)]
         )
     else:
-        table = {k: shifted[k] for k in range(deg + 1)}
-        seq = TermBackedSequence(lambda n: table.get(n, 0.0), 1.0, FiniteSupport(deg))
+        seq = _finite_terms(shifted)
     return AnalyticRep(center, seq, math.inf)
 
 
@@ -288,7 +277,7 @@ def _eval_points(rep: AnalyticRep, xs: Sequence[float], eps: float,
             out.append(MeasureValue(_d_value(seq, 0), 0.0 if bias is None else bias(0)))
             continue
         terms = _Terms(seq, gamma, None if gamma == presented else a, plan)
-        s, tail = _set_sum(terms, _ALL, eps, "signed", strict)
+        s, tail = _set_sum(terms, NatSet.all(), eps, "signed", strict)
         out.append(MeasureValue(*s.part("signed", tail)))
     return out
 
@@ -300,13 +289,7 @@ def _rep_from_d_list(
     term errors ``errors`` when given."""
     while d and d[-1] == 0.0 and not (errors and errors[len(d) - 1]):
         d.pop()
-    table = {n: d[n] for n in range(len(d))}
-    term_error = None
-    if errors is not None:
-        e_table = {n: errors[n] for n in range(len(d))}
-        term_error = lambda n: e_table.get(n, 0.0)
-    seq = TermBackedSequence(lambda n: table.get(n, 0.0), 1.0, FiniteSupport(len(d) - 1),
-                             term_error)
+    seq = _finite_terms(d, 1.0, None if errors is None else errors[:len(d)])
     return AnalyticRep(center, seq, radius)
 
 
@@ -335,12 +318,12 @@ def multiply(r1: AnalyticRep, r2: AnalyticRep) -> AnalyticRep:
         return range(max(0, l - last2), min(l, last1) + 1)
 
     da, db = _memo_d(r1.coefficients), _memo_d(r2.coefficients)
-    d_rule = _memo(lambda l: math.fsum(da(n) * db(l - n) for n in reach(l)))
-    ea, eb = (e and _memo(e) for e in (_term_errors(r.coefficients, 1.0) for r in (r1, r2)))
+    d_rule = cache(lambda l: math.fsum(da(n) * db(l - n) for n in reach(l)))
+    ea, eb = (e and cache(e) for e in (_term_errors(r.coefficients, 1.0) for r in (r1, r2)))
     term_error = None
     if ea is not None or eb is not None:
         ea, eb = ea or _no_error, eb or _no_error
-        term_error = _memo(lambda l: math.fsum(
+        term_error = cache(lambda l: math.fsum(
             abs(da(n)) * eb(l - n) + ea(n) * (abs(db(l - n)) + eb(l - n))
             for n in reach(l)))
 
@@ -441,11 +424,9 @@ def recenter(rep: AnalyticRep, new_center: float, eps: float = 1e-12) -> Analyti
     env = _d_envelope(rep)
     new_env = env.widened().shifted(dist)
     new_radius = rep.radius_hint if math.isinf(rep.radius_hint) else rep.radius_hint - dist
-    cache: dict[int, tuple[float, float]] = {}
 
+    @cache
     def shifted(k: int) -> tuple[float, float]:
-        if k in cache:
-            return cache[k]
         budget = max(eps * new_env.at(k), 5e-324)
         M = 4
         while (tail := env.shift_tail(k, dist, M)) > budget:
@@ -458,8 +439,7 @@ def recenter(rep: AnalyticRep, new_center: float, eps: float = 1e-12) -> Analyti
         value, carried, magnitude = shift_sum(k, M)
         # each product rounds at most 3m + 1 times: 3 per step of coef, 1 more
         rounding = (3 * M + 4) * _ULP * magnitude
-        cache[k] = value, tail + carried + rounding
-        return cache[k]
+        return value, tail + carried + rounding
 
     seq = TermBackedSequence(lambda k: shifted(k)[0], 1.0, new_env.to_certificate(1.0),
                              lambda k: shifted(k)[1])

@@ -37,12 +37,11 @@ from .kernel import (
     _MAX_FLOAT_FACTORIAL,
     _NeumaierSum,
     _ULP,
-    FiniteSupport,
-    TermBackedSequence,
     TruncationPlan,
     _TermEnvelope,
     _Terms,
     _exp_signed,
+    _finite_terms,
     _signed_log,
     _term_and_err,
     _term_errors,
@@ -302,11 +301,10 @@ def rational_approximation(
         return TaylorMeasure(finite_sequence(()), 1.0, label=T.label)
     top = max(rounded)
     if overflow:
-        table = {n: float(q_n) for n, q_n in rounded.items()}
-        seq = TermBackedSequence(
-            lambda n, t=table: t.get(n, 0.0), 1.0, FiniteSupport(top)
-        )
-        return TaylorMeasure(seq, 1.0, label=T.label)
+        terms = [0.0] * (top + 1)
+        for n, q_n in rounded.items():
+            terms[n] = float(q_n)
+        return TaylorMeasure(_finite_terms(terms), 1.0, label=T.label)
     prefix = [0.0] * (top + 1)
     for n, q_n in rounded.items():
         prefix[n] = float(q_n * math.factorial(n))

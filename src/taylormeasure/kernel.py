@@ -93,6 +93,17 @@ class Bounded:
             raise ValueError(f"Bounded.bound must be finite and >= 0, got {self.bound}")
 
 
+def _check_envelope(cert) -> None:
+    """The __post_init__ of GeometricEnvelope and FactorialGeometric."""
+    name = type(cert).__name__
+    for field_name in ("scale", "ratio"):
+        v = getattr(cert, field_name)
+        if not (v >= 0.0 and math.isfinite(v)):
+            raise ValueError(f"{name}.{field_name} must be finite and >= 0, got {v}")
+    if cert.start < 0:
+        raise ValueError(f"{name}.start must be >= 0")
+
+
 @dataclass(frozen=True)
 class GeometricEnvelope:
     """|a_n| <= scale * ratio**n for all n >= start.
@@ -106,13 +117,7 @@ class GeometricEnvelope:
     ratio: float
     start: int = 0
 
-    def __post_init__(self):
-        if not (self.scale >= 0.0 and math.isfinite(self.scale)):
-            raise ValueError(f"GeometricEnvelope.scale must be finite and >= 0, got {self.scale}")
-        if not (self.ratio >= 0.0 and math.isfinite(self.ratio)):
-            raise ValueError(f"GeometricEnvelope.ratio must be finite and >= 0, got {self.ratio}")
-        if self.start < 0:
-            raise ValueError("GeometricEnvelope.start must be >= 0")
+    __post_init__ = _check_envelope
 
     @classmethod
     def from_asymptotic(cls, scale: float, ratio: float, start: int = 0) -> "GeometricEnvelope":
@@ -137,13 +142,7 @@ class FactorialGeometric:
     ratio: float
     start: int = 0
 
-    def __post_init__(self):
-        if not (self.scale >= 0.0 and math.isfinite(self.scale)):
-            raise ValueError(f"FactorialGeometric.scale must be finite and >= 0, got {self.scale}")
-        if not (self.ratio >= 0.0 and math.isfinite(self.ratio)):
-            raise ValueError(f"FactorialGeometric.ratio must be finite and >= 0, got {self.ratio}")
-        if self.start < 0:
-            raise ValueError("FactorialGeometric.start must be >= 0")
+    __post_init__ = _check_envelope
 
 
 @dataclass(frozen=True)
@@ -336,6 +335,21 @@ class TermBackedSequence:
                 s = -s
             lg -= n * math.log(abs(g))
         return s, lg
+
+
+def _finite_terms(terms: Iterable[float], gamma: float = 1.0,
+                  errors: Iterable[float] | None = None) -> TermBackedSequence:
+    """The sequence whose terms at the presentation ``gamma`` are ``terms``
+    and 0 past them, supported up to the last entry; its terms carry the
+    term errors ``errors``, one per entry, when given."""
+    terms = tuple(terms)
+    last = len(terms) - 1
+    term_error = None
+    if errors is not None:
+        errors = tuple(errors)
+        term_error = lambda n: errors[n] if 0 <= n <= last else 0.0
+    return TermBackedSequence(lambda n: terms[n] if 0 <= n <= last else 0.0, gamma,
+                              FiniteSupport(last), term_error)
 
 
 SequenceLike = Union[CoefficientSequence, TermBackedSequence]
@@ -1190,16 +1204,16 @@ def sum_terms(seq: SequenceLike, gamma: float, indices: Iterable[int]) -> tuple[
 
     Returns (pos, neg) with pos = sum of positive terms and neg = minus
     the sum of negative terms; both are >= 0 and the signed total is
-    pos - neg. Each group uses compensated summation, so any
-    permutation of ``indices`` changes the result by at most a few ulp.
-    The pass is the one behind evaluate and the Jordan parts, so a long
-    run of exact terms (_exact_over) gives each part correctly rounded.
+    pos - neg. The indices are summed in increasing order, so any
+    permutation of them gives the same result. The pass is the one behind
+    evaluate and the Jordan parts, so a long run of exact terms
+    (_exact_over) gives each part correctly rounded.
     Raises ValueError for a gamma that is not finite.
     """
     if not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
-    if not isinstance(indices, (range, list, tuple)):
-        indices = list(indices)
+    if not (isinstance(indices, range) and indices.step > 0):
+        indices = sorted(indices)
     terms = _Terms(seq, gamma)
     s = _exact_over(indices, terms) or terms.sum(indices)
     return s.part("pos", 0.0)[0], s.part("neg", 0.0)[0]

@@ -27,6 +27,7 @@ presentation backed directly by the combined term function.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -58,6 +59,10 @@ class NatSet:
     def __post_init__(self):
         if self.kind not in ("finite", "cofinite", "all"):
             raise ValueError(f"NatSet.kind must be finite|cofinite|all, got {self.kind!r}")
+        if isinstance(self.elements, tuple) and not self.elements:
+            if self.kind == "cofinite":
+                object.__setattr__(self, "kind", "all")
+            return
         elems = tuple(sorted(set(int(n) for n in self.elements)))
         if any(n < 0 for n in elems):
             raise ValueError("NatSet elements must be naturals")
@@ -76,7 +81,9 @@ class NatSet:
         return cls("cofinite", tuple(excluded))
 
     @classmethod
+    @functools.cache
     def all(cls) -> "NatSet":
+        """All of N: one shared instance, since a NatSet is immutable."""
         return cls("all")
 
     def __contains__(self, n: int) -> bool:
@@ -94,9 +101,6 @@ class NatSet:
         if not self.is_finite:
             raise ValueError("cannot enumerate an infinite set")
         return iter(self.elements)
-
-
-_ALL = NatSet.all()  # built once for the sums over all of N that take no set
 
 
 @dataclass(frozen=True)

@@ -37,18 +37,17 @@ from .kernel import (
     _ULP,
     CoefficientSequence,
     ConstantTail,
-    FiniteSupport,
     GeometricTail,
     TermBackedSequence,
     Unverified,
     ZeroTail,
     _TermEnvelope,
     _Terms,
+    _finite_terms,
     plan_truncation,
     term_value,
 )
 from .measure import (
-    _ALL,
     MeasureValue,
     NatSet,
     TaylorMeasure,
@@ -106,7 +105,7 @@ def _normalizer(zeta: float, b, eps: float, strict: bool) -> MeasureValue:
             "the density sequence carries no growth certificate, so the "
             "normalizer sum cannot be certified"
         )
-    s, tail = _set_sum(_Terms(b, zeta), _ALL, eps, "signed", strict)
+    s, tail = _set_sum(_Terms(b, zeta), NatSet.all(), eps, "signed", strict)
     if s.part("neg", 0.0)[0] > 0.0:
         raise InvalidPmf("negative density weight b_n * zeta**n / n! encountered")
     value, err = s.part("signed", tail)
@@ -118,25 +117,27 @@ def _normalizer(zeta: float, b, eps: float, strict: bool) -> MeasureValue:
 
 
 class _IncrementalPmf:
-    """Shared engine: lazy cumulative sums over nonnegative weights.
-
-    Subclasses provide _weight(n) >= 0 (the unnormalized mass at n), the
-    cached ``normalizer`` MeasureValue, and _horizon_plan(eps_weight) giving
-    a truncation plan for the weights.
+    """The pmf engine: the pmf of one sign part of a Taylor measure,
+    f(n) = max(sign * p(n), 0) / mass, with lazy cumulative sums over
+    those weights and truncation plans from the measure's certificate.
+    PowerSeriesPmf is its positive part, with negative weights refused.
     """
 
-    normalizer: MeasureValue
-
-    def _init_cache(self) -> None:
+    def __init__(self, measure: TaylorMeasure, sign: int, mass: MeasureValue):
+        self._measure = measure
+        self._sign = 1 if sign >= 0 else -1
+        self.normalizer = mass
         self._cum: list[float] = []
         self._acc = _NeumaierSum()
         self._plan_cache = None
 
     def _weight(self, n: int) -> float:
-        raise NotImplementedError
+        w = self._sign * self._measure.term(n)
+        return w if w > 0.0 else 0.0
 
     def _horizon_plan(self, eps_weight: float):
-        raise NotImplementedError
+        T = self._measure
+        return plan_truncation(T.coefficients.certificate, T.gamma, eps_weight)
 
     def _plan(self):
         if self._plan_cache is None:
@@ -239,8 +240,8 @@ class PowerSeriesPmf(_IncrementalPmf):
     def __init__(self, zeta: float, b, eps: float = 1e-12):
         self.zeta = float(zeta)
         self.b = _as_sequence(b)
-        self.normalizer = _normalizer(self.zeta, self.b, eps, False)
-        self._init_cache()
+        norm = _normalizer(self.zeta, self.b, eps, False)
+        super().__init__(TaylorMeasure(self.b, self.zeta), 1, norm)
 
     def __repr__(self):
         return f"PowerSeriesPmf(zeta={self.zeta}, normalizer={self.normalizer.value})"
@@ -251,36 +252,21 @@ class PowerSeriesPmf(_IncrementalPmf):
             raise InvalidPmf(f"negative density weight at index {n}")
         return w
 
-    def _horizon_plan(self, eps_weight: float):
-        return plan_truncation(self.b.certificate, self.zeta, eps_weight)
-
 
 class JordanPmf(_IncrementalPmf):
     """Pmf of one sign-part of a Taylor measure: f(n) = p_side(n) / mass.
 
     Defined on all of the naturals, with zeros off the side's support, so
-    both parts of a pair live on the same sample space.
+    both parts of a pair live on the same sample space. ``eps`` is
+    accepted but unused: the mass comes in already summed.
     """
 
     def __init__(self, measure: TaylorMeasure, sign: int, mass: MeasureValue, eps: float = 1e-12):
-        self._measure = measure
-        self._sign = 1 if sign >= 0 else -1
-        self.normalizer = mass
-        self._init_cache()
+        super().__init__(measure, sign, mass)
 
     def __repr__(self):
         side = "positive" if self._sign > 0 else "negative"
         return f"JordanPmf({side}, mass={self.normalizer.value})"
-
-    def _weight(self, n: int) -> float:
-        t = self._measure.term(n)
-        w = t if self._sign > 0 else -t
-        return w if w > 0.0 else 0.0
-
-    def _horizon_plan(self, eps_weight: float):
-        return plan_truncation(
-            self._measure.coefficients.certificate, self._measure.gamma, eps_weight
-        )
 
 
 @dataclass(frozen=True)
@@ -323,7 +309,7 @@ def probability_pair(T: TaylorMeasure, eps: float = 1e-12) -> TaylorProbabilityP
     measure carries no probability content), and DivergenceUnknown when the
     total masses cannot be certified.
     """
-    s, tail = _set_sum(_Terms(T.coefficients, T.gamma), _ALL, eps, "signed", False)
+    s, tail = _set_sum(_Terms(T.coefficients, T.gamma), NatSet.all(), eps, "signed", False)
     mp = MeasureValue(*s.part("pos", tail))
     mn = MeasureValue(*s.part("neg", tail))
     pos_degenerate = mp.value <= mp.abs_error
@@ -332,8 +318,8 @@ def probability_pair(T: TaylorMeasure, eps: float = 1e-12) -> TaylorProbabilityP
         raise DegenerateDistribution(
             "both sign-parts have zero total mass within tolerance"
         )
-    q_pos = None if pos_degenerate else JordanPmf(T, 1, mp, eps)
-    q_neg = None if neg_degenerate else JordanPmf(T, -1, mn, eps)
+    q_pos = None if pos_degenerate else JordanPmf(T, 1, mp)
+    q_neg = None if neg_degenerate else JordanPmf(T, -1, mn)
     return TaylorProbabilityPair(
         mass_pos=mp.value, mass_neg=mn.value, q_pos=q_pos, q_neg=q_neg
     )
@@ -363,12 +349,7 @@ def _measure_from_probs(probs: tuple[float, ...], gamma: float) -> TaylorMeasure
     if abs(total - 1.0) > 1e-12:
         raise InvalidPmf(f"probabilities sum to {total}, not 1")
     last = max((n for n, q in enumerate(probs) if q != 0.0), default=0)
-    seq = TermBackedSequence(
-        lambda n, t=probs: t[n] if n < len(t) else 0.0,
-        gamma,
-        FiniteSupport(last),
-    )
-    return TaylorMeasure(seq, gamma)
+    return TaylorMeasure(_finite_terms(probs[:last + 1], gamma), gamma)
 
 
 def _measure_from_prob_sequence(p: CoefficientSequence, gamma: float) -> TaylorMeasure:

@@ -31,10 +31,9 @@ from .errors import DivergenceUnknown, UnsupportedSpec
 from .kernel import (
     Bounded,
     CoefficientSequence,
-    FiniteSupport,
-    TermBackedSequence,
     TruncationPlan,
     _TermEnvelope,
+    _finite_terms,
     constant_sequence,
     plan_truncation,
     rule_sequence,
@@ -704,10 +703,5 @@ def stm_coefficients(spec: StmSpec, rng: RngSpec) -> TaylorMeasure:
     t = spec.t if not isinstance(spec, BrownianApprox) else spec.n
     w = _walk_coefficient_weights(spec, NatSet.all())
     contrib = _path_steps(spec, rng, t)
-    terms = {n + 1: float(w[n] * contrib[n]) for n in range(t)}
-
-    def term_rule(n: int) -> float:
-        return terms.get(n, 0.0)
-
-    seq = TermBackedSequence(term_rule, 1.0, FiniteSupport(t))
-    return TaylorMeasure(seq, 1.0)
+    terms = [0.0] + [float(w[n] * contrib[n]) for n in range(t)]
+    return TaylorMeasure(_finite_terms(terms), 1.0)

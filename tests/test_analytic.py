@@ -52,6 +52,15 @@ class TestBuiltins:
         assert [rep.coefficients.a(k) for k in range(4)] == [4.0, 6.0, 6.0, 0.0]
         assert rep.coefficients.certificate == FiniteSupport(2)
 
+    def test_polynomial_past_the_last_float_factorial(self):
+        # degree 180 has no float factorial, so the rep stores its terms at
+        # gamma = 1; pinned bit for bit
+        rep = polynomial_rep([0.0] * 180 + [1.0])
+        assert rep.coefficients.certificate == FiniteSupport(180)
+        v = eval_rep(rep, 0.5)
+        assert (v.value.hex(), v.abs_error.hex()) == (
+            "0x1.0000000000019p-180", "0x1.8b184946a90e5p-221")
+
     def test_geometric_coefficients(self):
         rep = geometric_rep(0.5)
         # a_n = n! * 2^(n+1)

@@ -20,6 +20,7 @@ import pytest
 
 from taylormeasure import (
     Bounded,
+    DivergenceUnknown,
     FactorialGeometric,
     FiniteSupport,
     GeometricEnvelope,
@@ -27,7 +28,9 @@ from taylormeasure import (
     PowerSeriesPmf,
     TaylorMeasure,
     TermBackedSequence,
+    constant_sequence,
     eval_rep,
+    evaluate,
     exp_rep,
     finite_sequence,
     from_pmf,
@@ -379,3 +382,29 @@ class TestEnvelopeSum:
         summed = finite.add(_TermEnvelope(1, 1.0, 0.5))
         assert (summed.k, summed.ratio) == (1, 1.0)
         assert summed == _TermEnvelope(1, 1.0, 0.5).add(finite)
+
+
+class TestCompositeBoundsStillOpen:
+    """Probes of ROADMAP item 1 that fail today; a fix shows as XPASS."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 1: a combination term is credited 2 ulp of "
+                              "the difference, not of each operand's term")
+    def test_cancelling_linear_combination(self):
+        g = 1.0 + 1e-9
+        T = linear_combination(1.0, TaylorMeasure(constant_sequence(1.0), 1.0),
+                               -1.0, TaylorMeasure(constant_sequence(1.0), g))
+        out = evaluate(T, NatSet.finite(range(20)))
+        with mpmath.workdps(50):
+            exact = mpmath.fsum((1 - mpmath.mpf(g) ** n) / mpmath.factorial(n)
+                                for n in range(20))
+            assert abs(mpmath.mpf(out.value) - exact) <= out.abs_error
+
+    @pytest.mark.xfail(strict=True, raises=DivergenceUnknown,
+                       reason="ROADMAP item 1: the product of two k = 0 envelopes "
+                              "widens to ratio 1.25, past x = 0.9")
+    def test_product_of_geometric_series(self):
+        out = eval_rep(multiply(geometric_rep(), geometric_rep()), 0.9)
+        with mpmath.workdps(50):
+            exact = 1 / (1 - mpmath.mpf(0.9)) ** 2
+            assert abs(mpmath.mpf(out.value) - exact) <= out.abs_error

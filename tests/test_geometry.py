@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ import taylormeasure.geometry as geometry
 from taylormeasure import (
     Bounded,
     DivergenceUnknown,
+    FiniteSupport,
     GeometricEnvelope,
     NatSet,
     NonFiniteResult,
@@ -331,6 +333,17 @@ class TestRationalApproximation:
             tol = 10.0 ** rng.uniform(-9, -2)
             out = rational_approximation(T, tol)
             assert distance(T, out, ALL).value <= tol
+
+    def test_overflowing_coefficients_keep_their_terms(self):
+        # at gamma = 60 the coefficients n! q_n pass the float range, so the
+        # result stores its terms q_n; pinned bit for bit
+        out = rational_approximation(TaylorMeasure(constant_sequence(1.0), 60.0), 1e-3)
+        assert out.coefficients.certificate == FiniteSupport(582)
+        terms = [out.term(n) for n in range(585)]
+        assert terms[:3] == [1.0, 60.0, 1800.0]
+        assert terms[580:] == [0x5a * 2.0 ** -1074, 9 * 2.0 ** -1074, 2.0 ** -1074, 0.0, 0.0]
+        digest = hashlib.sha256(" ".join(t.hex() for t in terms).encode()).hexdigest()
+        assert digest == "1f54b42560b4f8e2a568a990274a4ad104c540c0eddd6a4a5b3218ffeb1814ad"
 
     def test_support_cap_too_small(self):
         with pytest.raises(ValueError):

@@ -464,14 +464,19 @@ class TestSumTerms:
     def test_permutation_invariance(self):
         rng = random.Random(7)
         coeffs = [rng.uniform(-5.0, 5.0) for _ in range(60)]
-        seq = finite_sequence(coeffs)
-        idx = list(range(60))
-        base = sum_terms(seq, 1.7, idx)
-        for _ in range(25):
-            rng.shuffle(idx)
-            pos, neg = sum_terms(seq, 1.7, idx)
-            assert ulps_apart(pos, base[0]) <= 8.0
-            assert ulps_apart(neg, base[1]) <= 8.0
+        # the second input is an exact run past n = 170: in any order but
+        # increasing it once took the float pass, 573 ulp from the run
+        for seq, gamma, count in ((finite_sequence(coeffs), 1.7, 60), (ONES, 200.0, 400)):
+            idx = list(range(count))
+            base = sum_terms(seq, gamma, idx)
+            orders = [idx[::-1]]
+            for _ in range(25):
+                rng.shuffle(idx)
+                orders.append(list(idx))
+            for order in orders:
+                pos, neg = sum_terms(seq, gamma, order)
+                assert ulps_apart(pos, base[0]) <= 8.0
+                assert ulps_apart(neg, base[1]) <= 8.0
 
     def test_total_matches_fsum_oracle(self):
         rng = random.Random(99)

@@ -72,6 +72,13 @@ class TestNatSet:
         with pytest.raises(ValueError):
             NatSet.finite([-1])
 
+    def test_all_is_one_shared_instance(self):
+        assert NatSet.all() is NatSet.all()
+        assert NatSet.cofinite([]).kind == "all"
+        assert NatSet.cofinite([]).elements == ()
+        assert NatSet.finite([]).elements == ()
+        assert NatSet.finite([]).kind == "finite"
+
 
 class TestEvaluate:
     def test_exponential_on_all(self):

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taylormeasure import (
     Bounded,
@@ -21,6 +23,7 @@ from taylormeasure import (
     evaluate,
     finite_sequence,
     from_pmf,
+    geometric_sequence,
     measure_from_densities,
     normalizer,
     pmf_eval,
@@ -32,6 +35,21 @@ from taylormeasure import (
 
 ONES = constant_sequence(1.0)
 ALL = NatSet.all()
+
+# nonnegative densities of each tail kind
+_densities = st.one_of(
+    st.lists(st.floats(0.0, 10.0), min_size=1, max_size=30).map(finite_sequence),
+    st.floats(0.0, 5.0).map(constant_sequence),
+    st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 2.0)).map(lambda t: geometric_sequence(*t)),
+)
+
+
+def _outcome(call):
+    """A call's result, or the type of the package error it raised."""
+    try:
+        return call()
+    except (DegenerateDistribution, QuantileTailUnresolved) as exc:
+        return type(exc)
 
 
 class TestNormalizer:
@@ -162,6 +180,23 @@ class TestProbabilityPair:
     def test_zero_measure_degenerate(self):
         with pytest.raises(DegenerateDistribution):
             probability_pair(zero_measure())
+
+    @given(_densities, st.floats(0.0, 20.0))
+    @settings(max_examples=100, deadline=None)
+    def test_positive_side_is_the_power_series_pmf(self, b, zeta):
+        p = _outcome(lambda: PowerSeriesPmf(zeta, b))
+        pair = _outcome(lambda: probability_pair(TaylorMeasure(b, zeta)))
+        if p is DegenerateDistribution or pair is DegenerateDistribution:
+            assert p is pair
+            return
+        q = pair.q_pos
+        assert p.normalizer.value == q.normalizer.value
+        for n in range(40):
+            assert (p.pmf(n), p.cdf(n)) == (q.pmf(n), q.cdf(n))
+        for u in (0.0, 0.1, 0.5, 0.9, 0.999999, 1.0):
+            assert _outcome(lambda: p.quantile(u)) == _outcome(lambda: q.quantile(u))
+        for tail_eps in (1e-16, 1e-6):
+            assert p.cumulative_table(tail_eps) == q.cumulative_table(tail_eps)
 
     def test_pmf_sides_sum_to_one_and_disjoint(self):
         rng = random.Random(133)
