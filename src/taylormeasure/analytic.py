@@ -509,17 +509,17 @@ def lp_norm_on_interval(
         raise ValueError("depth_cap must be >= 1")
     lo, hi = _require_interval(rep, K)
     eval_eps = min(eps / (100.0 * (hi - lo)), 1e-12)
-    cache: dict[float, float] = {}
+    fx: dict[float, float] = {}
 
     def simpson(panels: int) -> float:
         h = (hi - lo) / panels
         inner = [lo + i * h for i in range(1, panels)]
-        new = [x for x in dict.fromkeys([lo, hi, *inner]) if x not in cache]
+        new = [x for x in dict.fromkeys([lo, hi, *inner]) if x not in fx]
         for x, f in zip(new, _eval_points(rep, new, eval_eps, False)):
-            cache[x] = abs(f.value) ** p
-        acc = cache[lo] + cache[hi]
+            fx[x] = abs(f.value) ** p
+        acc = fx[lo] + fx[hi]
         for i, x in enumerate(inner, 1):
-            acc += (4.0 if i % 2 else 2.0) * cache[x]
+            acc += (4.0 if i % 2 else 2.0) * fx[x]
         return acc * h / 3.0
 
     panels = 8

@@ -59,10 +59,6 @@ class NatSet:
     def __post_init__(self):
         if self.kind not in ("finite", "cofinite", "all"):
             raise ValueError(f"NatSet.kind must be finite|cofinite|all, got {self.kind!r}")
-        if isinstance(self.elements, tuple) and not self.elements:
-            if self.kind == "cofinite":
-                object.__setattr__(self, "kind", "all")
-            return
         elems = tuple(sorted(set(int(n) for n in self.elements)))
         if any(n < 0 for n in elems):
             raise ValueError("NatSet elements must be naturals")
