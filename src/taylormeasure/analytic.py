@@ -6,7 +6,14 @@ gamma = x - center. This module builds such representations for a small
 set of builtins, evaluates them with certified truncation error, and
 closes them under multiplication, powers, linear combination, and
 recentering (the Taylor shift). Grid sup-distance and interval L^p
-norms give measurable density diagnostics on compact intervals.
+norms give measurable density diagnostics on compact intervals. A grid
+call makes one truncation plan, at the interval's reach (its largest
+|x - center|), fetches each term at that reach once and sums every point
+by Horner's rule to the degree that point needs, with a certified bound
+per point (_horner_grid), so its values are not bit-equal to eval_rep's;
+the bounds are not yet reported, but a point whose bound exceeds both eps
+and 1e-6 of its value is summed again as eval_rep sums it, and refused
+(PrecisionUnattainable) if that sum's bound does too.
 
 Internally the arithmetic runs on the normalized values d_n = a_n / n!
 (the terms at gamma = 1), which stay representable even when the raw
@@ -20,11 +27,19 @@ operands' supports reach.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, partial
 from typing import Callable, Sequence
 
-from .errors import CenterMismatch, DivergenceUnknown, OutOfDomain, QuadratureStall
+from .errors import (
+    CenterMismatch,
+    DivergenceUnknown,
+    NonFiniteResult,
+    OutOfDomain,
+    PrecisionUnattainable,
+    QuadratureStall,
+)
 from .kernel import (
     Bounded,
     FactorialGeometric,
@@ -33,17 +48,18 @@ from .kernel import (
     TermBackedSequence,
     _FACT,
     _MAX_FLOAT_FACTORIAL,
+    _MIN_NORMAL,
+    _TINY,
     _TermEnvelope,
     _ULP,
     _Terms,
-    _coefficients,
     _finite_terms,
-    _plan_from,
     _require_certificate,
     _term_and_err,
     _term_errors,
     constant_sequence,
     finite_sequence,
+    plan_truncation,
     rule_sequence,
 )
 from .measure import MeasureValue, NatSet, TaylorMeasure, _set_sum, linear_combination
@@ -67,6 +83,8 @@ __all__ = [
 ]
 
 _SHIFT_CAP = 10 ** 6
+# a grid point's certified error may exceed eps up to this share of |f(x)|
+_GRID_SHARE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -229,57 +247,22 @@ def eval_rep(rep: AnalyticRep, x: float, eps: float = 1e-12) -> MeasureValue:
     the tail bound plus half an ulp; abs_error <= eps holds, or
     PrecisionUnattainable is raised when half an ulp of f(x) alone reaches
     eps. Elsewhere (sin, cos, geometric and every composite) abs_error may
-    still exceed eps.
+    still exceed eps. The sum is evaluate's, bit for bit.
 
     x = center returns a_0 with zero reported error, or with a_0's term
     error when the coefficients carry one (a recentred representation).
     """
-    return _eval_points(rep, (x,), eps)[0]
+    return _sum_at(rep.coefficients, _require_inside(rep, x), eps)
 
 
-def _eval_points(rep: AnalyticRep, xs: Sequence[float], eps: float,
-                 strict: bool = True) -> list[MeasureValue]:
-    """eval_rep(rep, x, eps) for every x, bit for bit, sharing one
-    coefficient fetch; with eps as a truncation target only, and no
-    PrecisionUnattainable, when not ``strict``.
-
-    Each point is validated in order and planned once per distinct
-    |x - center|, on which a plan depends alone; each new plan's search
-    starts from the previous plan's index (kernel._plan_from), which finds
-    the same index as plan_truncation. Then a_n is fetched once, up to the
-    largest plan, and each point is summed from its plan and that block as
-    evaluate sums all of N (measure._set_sum); a point at the presentation
-    gamma of a term-backed sequence reads the term function, as evaluate does.
-    """
-    seq = rep.coefficients
-    points = []
-    plans = {}
-    near = None
-    for x in xs:
-        gamma = _require_inside(rep, x)
-        if gamma == 0.0:
-            points.append((gamma, None))
-            continue
-        _require_certificate(seq, "evaluation")
-        plan = plans.get(abs(gamma))
-        if plan is None:
-            plan = plans[abs(gamma)] = _plan_from(seq.certificate, gamma, eps, near)
-            near = plan.last_index
-        points.append((gamma, plan))
-    presented = seq.presentation_gamma if isinstance(seq, TermBackedSequence) else None
-    last = max((plan.last_index for gamma, plan in points
-                if plan is not None and gamma != presented), default=-1)
-    a = _coefficients(seq, range(last + 1))
-    out = []
-    for gamma, plan in points:
-        if plan is None:
-            bias = _term_errors(seq, gamma)
-            out.append(MeasureValue(_d_value(seq, 0), 0.0 if bias is None else bias(0)))
-            continue
-        terms = _Terms(seq, gamma, None if gamma == presented else a, plan)
-        s, tail = _set_sum(terms, NatSet.all(), eps, "signed", strict)
-        out.append(MeasureValue(*s.part("signed", tail)))
-    return out
+def _sum_at(seq: SequenceLike, gamma: float, eps: float, strict: bool = True) -> MeasureValue:
+    """eval_rep's sum at gamma = x - center; with eps as a truncation
+    target only, and no PrecisionUnattainable, when not ``strict``."""
+    if gamma == 0.0:
+        bias = _term_errors(seq, gamma)
+        return MeasureValue(_d_value(seq, 0), 0.0 if bias is None else bias(0))
+    s, tail = _set_sum(_Terms(seq, gamma), NatSet.all(), eps, "signed", strict)
+    return MeasureValue(*s.part("signed", tail))
 
 
 def _rep_from_d_list(
@@ -450,16 +433,109 @@ def recenter(rep: AnalyticRep, new_center: float, eps: float = 1e-12) -> Analyti
 # density and quadrature diagnostics
 
 
-def _require_interval(rep: AnalyticRep, K: tuple[float, float]) -> tuple[float, float]:
+def _require_interval(K: tuple[float, float]) -> tuple[float, float]:
     lo, hi = float(K[0]), float(K[1])
     if not lo < hi:
         raise ValueError(f"interval must satisfy lo < hi, got [{lo}, {hi}]")
-    reach = max(abs(lo - rep.center), abs(hi - rep.center))
-    if not reach < rep.radius_hint:
-        raise OutOfDomain(
-            f"[{lo}, {hi}] leaves |x - {rep.center}| < {rep.radius_hint}"
-        )
     return lo, hi
+
+
+def _require_eps(eps: float) -> None:
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
+
+
+def _horner_grid(rep: AnalyticRep, lo: float, hi: float,
+                 eps: float) -> Callable[[float], tuple[float, float]]:
+    """x -> (f(x), bound) for the points lo <= x <= hi, with
+    |f(x) - exact| <= bound, from one truncation plan and one coefficient
+    fetch for all of them.
+
+    R = max(|lo - c|, |hi - c|) bounds every |x - c| (x - c rounds
+    monotonically), and every certificate's envelope grows with |gamma|,
+    so the plan at R (plan_truncation, to eps) bounds the tail T past its
+    last index N at every point. The terms at R, d_n = a_n R**n / n!, and
+    their certified errors delta_n are fetched once (kernel._term_and_err,
+    which adds a term-backed sequence's term_error). They stay near the
+    size of the terms being summed wherever the a_n / n! alone would
+    under- or overflow. A point is sum d_n t**n at t = (x - c) / R,
+    |t| <= 1, by Horner's rule in floats; it is not bit-equal to eval_rep
+    at x.
+
+    Each point stops at its own degree M: everything past M is at most
+    |t|**(M+1) S_M, with S_M = sum_{M < n <= N} (|d_n| + delta_n) + T, and
+    M is the least degree at which that meets eps / 2 (a bisection on the
+    nondecreasing thresholds (eps / 2 / S_M)**(1/(M+1))), or N; so a point
+    near the center sums a few terms and one near the reach all N + 1. The
+    truncation is then at most min(eps / 2, S_M) below N and T at N.
+
+    The bound follows Higham (Accuracy and Stability of Numerical
+    Algorithms, ch. 5). With u = 2**-53 and k = 4(N+1)u, Horner and the
+    rounding of t leave at most k * sum |d_n| |t|**n, the d_n at most
+    sum delta_n |t|**n, and each product that underflows half a subnormal
+    unit; a second Horner pass at |t| on b_n = k |d_n| + delta_n, each
+    rounded up, sums the first two. That sum and the truncation, times
+    F = 1 + 8(N+2)u for the rounding of the pass, of t, of the thresholds
+    and of the bound itself (every part is nonnegative), plus 4(M+1)
+    subnormal units for the underflows, is the point's bound. A t below
+    the normal range is off by up to half a subnormal unit, which moves
+    the sum by at most 2**-1074 (|d_1| + delta_1 + 16) more.
+
+    A point whose value is not finite, or whose bound exceeds both eps and
+    _GRID_SHARE |f(x)|, is summed again as eval_rep sums it, with eps as a
+    truncation target only, and takes that sum's abs_error as its bound;
+    if that bound still exceeds both, PrecisionUnattainable is raised
+    (sin at x = 45 from center 0 cancels terms near e**45, past either
+    sum's reach), and NonFiniteResult when that value or bound is not
+    finite. Raises OutOfDomain when R is not inside the radius hint.
+    """
+    c, seq = rep.center, rep.coefficients
+    reach = max(abs(lo - c), abs(hi - c))
+    if not reach < rep.radius_hint:
+        raise OutOfDomain(f"[{lo}, {hi}] leaves |x - {c}| < {rep.radius_hint}")
+    _require_certificate(seq, "evaluation")
+    plan = plan_truncation(seq.certificate, reach, eps)
+    N = plan.last_index
+    d, delta = zip(*(_term_and_err(seq, reach, n) for n in range(N + 1)))
+    up, inf, half = math.nextafter, math.inf, eps / 2.0
+    S = [plan.tail_bound] * (N + 1)
+    for n in range(N, 0, -1):
+        S[n - 1] = up(up(S[n] + abs(d[n]), inf) + delta[n], inf)
+    tau = [inf] * (N + 1)
+    for M in range(N - 1, -1, -1):
+        tau[M] = min(tau[M + 1], (half / S[M]) ** (1.0 / (M + 1)) if S[M] else inf)
+    k, F = 4.0 * (N + 1) * _ULP, 1.0 + 8.0 * (N + 2) * _ULP
+    # C[M]: the truncation past degree M and the underflows, times F
+    C = [up(up(min(half, S[M]) * F, inf) + 4.0 * (M + 1) * _TINY, inf) for M in range(N)]
+    C.append(up(up(S[N] * F, inf) + 4.0 * (N + 1) * _TINY, inf))
+    b = [up(up(k * abs(dn), inf) + en, inf) for dn, en in zip(d, delta)]
+    rev = list(zip(d[::-1], b[::-1]))
+    shift = up(_TINY * (abs(d[1]) + delta[1] + 16.0), inf) if N else _TINY
+
+    def at(x: float) -> tuple[float, float]:
+        t = (x - c) / reach
+        r = abs(t)
+        M = bisect_left(tau, r)
+        v, e = rev[N - M]
+        for dn, bn in rev[N - M + 1:]:
+            v = v * t + dn
+            e = e * r + bn
+        bound = up(e * F + C[M], inf)
+        if r < _MIN_NORMAL:
+            bound = up(bound + shift, inf)
+        if not (bound <= eps or bound <= _GRID_SHARE * abs(v) < inf):
+            one = _sum_at(seq, x - c, eps, strict=False)
+            v, bound = one.value, one.abs_error
+            if not (math.isfinite(v) and bound < inf):
+                raise NonFiniteResult(f"f({x}) = {v} with error bound {bound} is not finite")
+            if not bound <= max(eps, _GRID_SHARE * abs(v)):
+                raise PrecisionUnattainable(
+                    f"f({x}) = {v} carries an error bound of {bound}, above "
+                    f"eps = {eps} and {_GRID_SHARE} |f({x})|"
+                )
+        return v, bound
+
+    return at
 
 
 def sup_distance_on_grid(
@@ -471,18 +547,29 @@ def sup_distance_on_grid(
 ) -> float:
     """max_i |f(x_i) - oracle(x_i)| over m uniform grid points on K.
 
-    All points are evaluated in one batch; each f(x_i) equals
-    eval_rep(rep, x_i, eps) bit for bit where that call returns, with eps
-    as a truncation target only: no PrecisionUnattainable is raised. The
-    oracle is called after the batch.
+    The points share one truncation plan, at the grid's largest |x - center|
+    with tail bound eps, and one fetch of the coefficients, and each f(x_i)
+    is summed by Horner's rule to its own degree with a certified bound
+    (_horner_grid); it is not bit-equal to eval_rep at x_i, and the bounds
+    are not reported. A point whose bound exceeds both eps and 1e-6 |f(x_i)|
+    is summed again as eval_rep sums it. Raises ValueError for eps that is
+    not finite and positive, PrecisionUnattainable at the first x_i whose
+    bound still exceeds both, and NonFiniteResult at the first x_i where f
+    or the oracle is not finite.
     """
-    lo, hi = _require_interval(rep, K)
+    lo, hi = _require_interval(K)
     if m < 2:
         raise ValueError("need at least 2 grid points")
+    _require_eps(eps)
     xs = [lo + (hi - lo) * i / (m - 1) for i in range(m)]
+    at = _horner_grid(rep, xs[0], xs[-1], eps)
     worst = 0.0
-    for x, f in zip(xs, _eval_points(rep, xs, eps, False)):
-        worst = max(worst, abs(f.value - oracle(x)))
+    for x in xs:
+        f, _ = at(x)
+        o = oracle(x)
+        if not math.isfinite(o):
+            raise NonFiniteResult(f"the oracle returned {o} at x = {x}")
+        worst = max(worst, abs(f - o))
     return worst
 
 
@@ -497,29 +584,43 @@ def lp_norm_on_interval(
 
     Panels double until two successive estimates agree within eps; the
     final value gets one Richardson correction. Raises QuadratureStall
-    if depth_cap doublings cannot reach eps. The new points of each level
-    are evaluated in one batch, and each f(x) equals
-    eval_rep(rep, x, eval_eps) bit for bit where that call returns, with
-    eval_eps = min(eps / (100 (hi - lo)), 1e-12) as a truncation target
-    only: no PrecisionUnattainable is raised.
+    if depth_cap doublings cannot reach eps. Every point shares one
+    truncation plan, at K's largest |x - center| with tail bound
+    eval_eps = min(eps / (100 (hi - lo)), 1e-12), and one fetch of the
+    coefficients, and each f(x) is summed by Horner's rule to its own
+    degree with a certified bound (_horner_grid); it is not bit-equal to
+    eval_rep at x, and the bounds are not reported. A point whose bound
+    exceeds both eval_eps and 1e-6 |f(x)| is summed again as eval_rep sums
+    it. Raises ValueError for p that is not finite and >= 1 or eps that is
+    not finite and positive, PrecisionUnattainable at the first point whose
+    bound still exceeds both, and NonFiniteResult when f, |f|^p or a Simpson
+    sum is not finite.
     """
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"p must be finite and >= 1, got {p}")
     if depth_cap < 1:
         raise ValueError("depth_cap must be >= 1")
-    lo, hi = _require_interval(rep, K)
+    _require_eps(eps)
+    lo, hi = _require_interval(K)
     eval_eps = min(eps / (100.0 * (hi - lo)), 1e-12)
+    at = _horner_grid(rep, lo, hi, eval_eps)
     fx: dict[float, float] = {}
+
+    def g(x: float) -> float:
+        if x not in fx:
+            try:
+                fx[x] = abs(at(x)[0]) ** p
+            except OverflowError:
+                raise NonFiniteResult(f"|f({x})|^{p} overflows") from None
+        return fx[x]
 
     def simpson(panels: int) -> float:
         h = (hi - lo) / panels
-        inner = [lo + i * h for i in range(1, panels)]
-        new = [x for x in dict.fromkeys([lo, hi, *inner]) if x not in fx]
-        for x, f in zip(new, _eval_points(rep, new, eval_eps, False)):
-            fx[x] = abs(f.value) ** p
-        acc = fx[lo] + fx[hi]
-        for i, x in enumerate(inner, 1):
-            acc += (4.0 if i % 2 else 2.0) * fx[x]
+        acc = g(lo) + g(hi)
+        for i in range(1, panels):
+            acc += (4.0 if i % 2 else 2.0) * g(lo + i * h)
+        if not math.isfinite(acc):
+            raise NonFiniteResult(f"the Simpson sum over {panels} panels is {acc}")
         return acc * h / 3.0
 
     panels = 8

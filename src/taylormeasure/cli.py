@@ -109,7 +109,7 @@ def _set_opt(p: argparse.ArgumentParser) -> None:
 
 
 def _eps_opt(p: argparse.ArgumentParser, default: float = 1e-12) -> None:
-    p.add_argument("--eps", type=float, default=default,
+    p.add_argument("--eps", type=_finite, default=default,
                    help=f"error budget (default {default})")
 
 
@@ -131,6 +131,18 @@ def _csv_opt(p: argparse.ArgumentParser) -> None:
 def _terms_opt(p: argparse.ArgumentParser) -> None:
     p.add_argument("--terms", type=_count, default=8,
                    help="coefficients to report (default 8)")
+
+
+def _finite(text: str) -> float:
+    """A finite float; nan and +-inf are refused as argparse refuses text
+    that is not a float."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return x
 
 
 def _count(text: str) -> int:
@@ -499,27 +511,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("fn-eval", _cmd_fn_eval, "evaluate an analytic representation")
     p.add_argument("function", help="function document")
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--x", type=_finite, required=True)
     _eps_opt(p)
 
     p = add("fn-mul", _cmd_fn_mul, "multiply two representations")
     p.add_argument("function1", help="function document")
     p.add_argument("function2", help="function document")
-    p.add_argument("--x", type=float, default=None,
+    p.add_argument("--x", type=_finite, default=None,
                    help="evaluation point (default: the common center)")
     _terms_opt(p); _eps_opt(p)
 
     p = add("fn-recenter", _cmd_fn_recenter,
             "move a representation to a new expansion center")
     p.add_argument("function", help="function document")
-    p.add_argument("--center", type=float, required=True)
+    p.add_argument("--center", type=_finite, required=True)
     _terms_opt(p); _eps_opt(p)
 
     p = add("fn-supdist", _cmd_fn_supdist,
             "sup distance to a reference function on an interval grid")
     p.add_argument("function", help="function document")
     p.add_argument("--oracle", choices=sorted(_ORACLES), required=True)
-    p.add_argument("--K", nargs=2, type=float, default=[0.0, 1.0],
+    p.add_argument("--K", nargs=2, type=_finite, default=[0.0, 1.0],
                    metavar=("LO", "HI"))
     p.add_argument("--grid", type=int, default=1001,
                    help="number of grid points (default 1001)")
@@ -527,8 +539,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("fn-lpnorm", _cmd_fn_lpnorm, "L^p norm on an interval")
     p.add_argument("function", help="function document")
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--K", nargs=2, type=float, default=[0.0, 1.0],
+    p.add_argument("--p", type=_finite, required=True)
+    p.add_argument("--K", nargs=2, type=_finite, default=[0.0, 1.0],
                    metavar=("LO", "HI"))
     _eps_opt(p, default=1e-9)
 

@@ -56,7 +56,8 @@ class NonFiniteResult(TaylorMeasureError):
 
 class PrecisionUnattainable(TaylorMeasureError):
     """The requested eps is below what the result can carry: half an ulp
-    of the correctly rounded sum alone reaches it."""
+    of the correctly rounded sum alone reaches it, or a grid point's
+    certified error exceeds both eps and 1e-6 of its value."""
 
 
 class UnsupportedSpec(TaylorMeasureError):

@@ -460,9 +460,9 @@ def _term_bias(seq: TermBackedSequence, gamma: float, n: int) -> float:
 def _term_from_coefficient(seq: SequenceLike, a: float, gamma: float, n: int) -> tuple[float, float]:
     """The arithmetic of _term_and_err, given the coefficient a = seq.a(n).
 
-    Callers that evaluate one sequence at several gammas fetch each a_n
-    once and pass it in. ``seq`` still feeds the log path, which reads
-    log|a_n| from the sequence itself.
+    The summation pass (_sum_terms) fetches its a_n as one block and
+    passes each in. ``seq`` still feeds the log path, which reads log|a_n|
+    from the sequence itself.
 
     Every nonzero coefficient's roundoff estimate includes one subnormal
     unit (_TINY), the absolute rounding of a term that underflows; a
@@ -646,15 +646,6 @@ def plan_truncation(cert: GrowthCertificate, gamma: float, eps: float) -> Trunca
     index would exceed the largest max(1, start) * 2**k that is at most
     _PLAN_CAP.
     """
-    return _plan_from(cert, gamma, eps, None)
-
-
-def _plan_from(cert: GrowthCertificate, gamma: float, eps: float, near: int | None) -> TruncationPlan:
-    """plan_truncation, whose search starts from the index ``near`` when it
-    is given, instead of from the closed-form estimate. The search finds the
-    smallest index that meets eps from any start, so the plan is the same;
-    a start near the answer costs fewer tail bounds, as when the points of
-    a grid are planned in turn."""
     if eps <= 0.0:
         raise ValueError(f"eps must be > 0, got {eps}")
     env = _TermEnvelope.of(cert, gamma)
@@ -673,8 +664,6 @@ def _plan_from(cert: GrowthCertificate, gamma: float, eps: float, near: int | No
     cap = first if first > _PLAN_CAP else first << ((_PLAN_CAP // first).bit_length() - 1)
     if not (math.isfinite(gamma) and math.isfinite(eps)):
         n = first
-    elif near is not None:
-        n = min(near, cap)
     else:
         n = min(_index_estimate(env, eps), cap)
     t = env.tail(n)
@@ -1111,8 +1100,7 @@ def _coefficients(seq: SequenceLike, indices: Union[range, list, tuple]) -> list
     return [prefix[n] if n < size else rule(n) for n in indices]
 
 
-def _sum_terms(seq: SequenceLike, gamma: float, indices: Iterable[int],
-               coeffs: list[float] | None = None) -> _SignSplit:
+def _sum_terms(seq: SequenceLike, gamma: float, indices: Iterable[int]) -> _SignSplit:
     """The one float summation pass behind every set sum: seq's terms at
     gamma over indices, compensated sums by sign and the terms' errors
     summed in index order, each term exactly as _term_and_err forms it.
@@ -1127,23 +1115,14 @@ def _sum_terms(seq: SequenceLike, gamma: float, indices: Iterable[int],
     coefficient that is not finite, the log path) goes through
     _term_from_coefficient. A term-backed sequence's term_error is added to
     each term's error, as _term_and_err adds it.
-
-    ``coeffs``, when given, holds a_n for each index in turn, fetched by the
-    caller; the terms are then formed from it alone, as
-    _term_from_coefficient forms them, with no term_error.
     """
     if not isinstance(indices, (range, list, tuple)):
         indices = list(indices)
     if indices and min(indices) < 0:
         raise ValueError("index must be a natural number")
-    presented, bias = False, None
-    if coeffs is None:
-        bias = _term_errors(seq, gamma)
-        if isinstance(seq, TermBackedSequence) and gamma == seq.presentation_gamma:
-            presented = True
-            coeffs = list(map(seq.term_rule, indices))
-        else:
-            coeffs = _coefficients(seq, indices)
+    bias = _term_errors(seq, gamma)
+    presented = isinstance(seq, TermBackedSequence) and gamma == seq.presentation_gamma
+    coeffs = list(map(seq.term_rule, indices)) if presented else _coefficients(seq, indices)
     lg = math.log(abs(gamma)) if gamma != 0.0 else -math.inf
     logs: dict[float, float] = {}
     log, isfinite, fact = math.log, math.isfinite, _FACT
@@ -1231,32 +1210,20 @@ class _Terms:
     """seq's terms at gamma as measure._set_sum sums them: plan() plans a
     truncation, horizon() gives the underflow horizon, sum() is the float
     pass (_sum_terms) and ``exact`` the terms exactly (exact._exact_terms)
-    or None, formed on first use. A grid point passes the grid's block of
-    a_0, a_1, ... (``coeffs``; the term errors are then added apart) and its
-    plan at the sum's eps (``near``), from whose index re-plans search."""
+    or None, formed on first use."""
 
-    def __init__(self, seq: SequenceLike, gamma: float, coeffs: list[float] | None = None,
-                 near: TruncationPlan | None = None):
-        self.seq, self.gamma, self.coeffs, self.near = seq, gamma, coeffs, near
+    def __init__(self, seq: SequenceLike, gamma: float):
+        self.seq, self.gamma = seq, gamma
 
     def plan(self, eps: float) -> TruncationPlan:
-        near, cert = self.near, self.seq.certificate
-        if near is None:
-            _require_certificate(self.seq, "evaluation")
-            return plan_truncation(cert, self.gamma, eps)
-        # _sum_within re-plans only below the eps near was made at, and
-        # near is the plan at every such eps that its tail bound meets
-        return near if near.tail_bound <= eps else _plan_from(cert, self.gamma, eps, near.last_index)
+        _require_certificate(self.seq, "evaluation")
+        return plan_truncation(self.seq.certificate, self.gamma, eps)
 
     def horizon(self, last: int) -> TruncationPlan | None:
         return underflow_horizon(self.seq, self.gamma, last)
 
     def sum(self, indices: Union[range, list, tuple]) -> _SignSplit:
-        if self.coeffs is None:
-            return _sum_terms(self.seq, self.gamma, indices)
-        s = _sum_terms(self.seq, self.gamma, indices, self.coeffs[:len(indices)])
-        bias = _term_errors(self.seq, self.gamma)
-        return s if bias is None else s._replace(error=s.error + math.fsum(map(bias, indices)))
+        return _sum_terms(self.seq, self.gamma, indices)
 
     @cached_property
     def exact(self) -> "exact._ExactTerms | None":

@@ -655,12 +655,13 @@ def simulate_random_walk_batch(spec: RandomWalk, rng: RngSpec, R: int) -> np.nda
     simulate_random_walk draw-for-draw."""
     if R < 1:
         raise ValueError("R must be at least 1")
-    out = np.zeros((R, spec.t + 1))
+    out = np.empty((R, spec.t + 1))
+    out[:, 0] = 0.0
     if spec.t == 0:
         return out
     for chunk, start, take in _chunk_spans(R):
         steps = spec.step.draw(generator(rng, ROLE_WALK, chunk), (take, spec.t))
-        out[start : start + take, 1:] = np.cumsum(steps, axis=1)
+        np.cumsum(steps, axis=1, out=out[start : start + take, 1:])
     return out
 
 
@@ -679,13 +680,16 @@ def simulate_brownian_batch(spec: BrownianApprox, rng: RngSpec, R: int) -> np.nd
     """R Brownian-approximation paths as an (R, n+1) array."""
     if R < 1:
         raise ValueError("R must be at least 1")
-    out = np.zeros((R, spec.n + 1))
+    out = np.empty((R, spec.n + 1))
+    out[:, 0] = 0.0
     scale = spec.sigma * math.sqrt(spec.n)
     for chunk, start, take in _chunk_spans(R):
         raw = NormalStep(spec.mu, spec.sigma).draw(
             generator(rng, ROLE_BROWNIAN, chunk), (take, spec.n)
         )
-        out[start : start + take, 1:] = np.cumsum((raw - spec.mu) / scale, axis=1)
+        raw -= spec.mu
+        raw /= scale
+        np.cumsum(raw, axis=1, out=out[start : start + take, 1:])
     return out
 
 

@@ -2,7 +2,10 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taylormeasure import (
     Bounded,
@@ -10,7 +13,9 @@ from taylormeasure import (
     DivergenceUnknown,
     FiniteSupport,
     NatSet,
+    NonFiniteResult,
     OutOfDomain,
+    PrecisionUnattainable,
     QuadratureStall,
     TaylorMeasure,
     TermBackedSequence,
@@ -33,7 +38,7 @@ from taylormeasure import (
     truncate_rep,
 )
 from taylormeasure import analytic
-from taylormeasure.analytic import AnalyticRep, _eval_points
+from taylormeasure.analytic import AnalyticRep, _horner_grid
 
 
 class TestBuiltins:
@@ -296,6 +301,21 @@ class TestRecenter:
         rep = exp_rep(0.0)
         assert recenter(rep, 0.0) is rep
 
+    @pytest.mark.parametrize("base, new", [(exp_rep, 0.25), (sin_rep, 0.5), (geometric_rep, 0.25)],
+                             ids=["exp", "sin", "geometric"])
+    def test_eval_rep_is_evaluate_bit_for_bit(self, base, new):
+        # the recentred coefficients carry term errors; eval_rep adds them
+        # to abs_error as evaluate does, to the last bit
+        rep = recenter(base(), new)
+        for i in range(-20, 21):
+            x = new + i / 40
+            if x == new:
+                continue
+            got = eval_rep(rep, x)
+            want = evaluate(TaylorMeasure(rep.coefficients, x - new), NatSet.all(), 1e-12)
+            assert (got.value.hex(), got.abs_error.hex()) == \
+                (want.value.hex(), want.abs_error.hex()), x
+
 
 class TestSupDistance:
     def test_degree20_truncation(self):
@@ -307,9 +327,15 @@ class TestSupDistance:
         assert d == pytest.approx(math.e - 2.5, rel=1e-12)
 
     def test_self_distance_is_noise(self):
+        # the grid's Horner values and eval_rep's sums differ by no more than
+        # their two certified bounds (the difference rounds once)
         rep = exp_rep()
+        at = _horner_grid(rep, 0.0, 1.0, 1e-12)
+        xs = [i / 100 for i in range(101)]
+        noise = max(at(x)[1] + eval_rep(rep, x, 1e-12).abs_error for x in xs)
         d = sup_distance_on_grid(rep, lambda x: eval_rep(rep, x, 1e-12).value, (0.0, 1.0), 101)
-        assert d == 0.0
+        assert d <= noise * (1.0 + 2.0 ** -52)
+        assert noise < 1e-11
 
     def test_density_proxy_monotone(self):
         dists = [
@@ -381,9 +407,11 @@ class TestTruncate:
 
 
 class TestGridBatch:
-    """Grid diagnostics evaluate all their points in one batch that fetches
-    each coefficient once. Every point must equal, bit for bit, the
-    whole-N evaluate that eval_rep performs for it alone."""
+    """Grid diagnostics plan once, at the largest |x - center| of their
+    points, fetch each term once and sum every point by Horner's rule with a
+    certified bound (analytic._horner_grid). eval_rep stays the whole-N
+    evaluate of one point, bit for bit, and each grid value lies within its
+    bound plus eval_rep's abs_error of it."""
 
     REPS = {
         "multiply": lambda: multiply(exp_rep(), sin_rep()),
@@ -413,32 +441,49 @@ class TestGridBatch:
         assert xs[-1] - rep.center == 1.0 and rep.center in xs
         return lo, hi, xs
 
+    def assert_within(self, rep, at, x, eps):
+        one = eval_rep(rep, x, eps)
+        assert self.bits(one) == self.bits(self.one_point(rep, x, eps))
+        v, bound = at(x)
+        assert abs(v - one.value) <= (bound + one.abs_error) * (1.0 + 2.0 ** -52), (x, v, bound, one)
+        return v, bound, one
+
     @pytest.mark.parametrize("name", sorted(REPS))
     def test_points_equal_one_point_evaluation(self, name):
         rep = self.REPS[name]()
         lo, hi, xs = self.grid(rep)
-        batch = _eval_points(rep, xs, 1e-12)
-        for x, got in zip(xs, batch):
-            assert self.bits(got) == self.bits(self.one_point(rep, x, 1e-12))
-            assert self.bits(got) == self.bits(eval_rep(rep, x, 1e-12))
+        at = _horner_grid(rep, lo, hi, 1e-12)
+        for x in xs:
+            self.assert_within(rep, at, x, 1e-12)
 
     @pytest.mark.parametrize("name", sorted(REPS))
     def test_sup_distance_against_one_point_values_is_zero(self, name):
+        # zero against the grid's own point values; within the certified
+        # bounds against eval_rep's
         rep = self.REPS[name]()
         lo, hi, xs = self.grid(rep)
+        at = _horner_grid(rep, lo, hi, 1e-12)
+        own = lambda x: at(x)[0]
+        assert sup_distance_on_grid(rep, own, (lo, hi), len(xs), 1e-12) == 0.0
+        slack = 0.0
+        for x in xs:
+            _, bound, one = self.assert_within(rep, at, x, 1e-12)
+            slack = max(slack, bound + one.abs_error)
         oracle = lambda x: self.one_point(rep, x, 1e-12).value
-        assert sup_distance_on_grid(rep, oracle, (lo, hi), len(xs), 1e-12) == 0.0
+        d = sup_distance_on_grid(rep, oracle, (lo, hi), len(xs), 1e-12)
+        assert d <= slack * (1.0 + 2.0 ** -52)
 
     @pytest.mark.parametrize("name", ["multiply", "recenter", "polynomial"])
     def test_lp_norm_equals_point_by_point_simpson(self, name):
         rep = self.REPS[name]()
         lo, hi, p, eps = rep.center - 0.5, rep.center + 1.0, 2.0, 1e-7
         eval_eps = min(eps / (100.0 * (hi - lo)), 1e-12)
+        at = _horner_grid(rep, lo, hi, eval_eps)
         cache = {}
 
         def g(x):
             if x not in cache:
-                cache[x] = abs(self.one_point(rep, x, eval_eps).value) ** p
+                cache[x] = abs(at(x)[0]) ** p
             return cache[x]
 
         def simpson(panels):
@@ -458,21 +503,220 @@ class TestGridBatch:
         expected = max(cur + (cur - prev) / 15.0, 0.0) ** (1.0 / p)
         assert lp_norm_on_interval(rep, p, (lo, hi), eps) == expected
 
-    def test_plans_once_per_distance_from_center(self, monkeypatch):
-        # symmetric about the center: x and 2c - x share |x - c| and a plan
-        rep = exp_rep(0.25)
-        xs = [0.25 + k / 8 for k in range(-8, 9)]
-        plans, plan_from = [], analytic._plan_from
-        monkeypatch.setattr(analytic, "_plan_from",
-                            lambda *args: plans.append(args) or plan_from(*args))
-        batch = _eval_points(rep, xs, 1e-12)
-        monkeypatch.undo()
-        assert sorted(abs(args[1]) for args in plans) == [k / 8 for k in range(1, 9)]
-        for x, got in zip(xs, batch):
-            assert self.bits(got) == self.bits(self.one_point(rep, x, 1e-12))
+    @pytest.mark.parametrize("rep", [exp_rep(0.25), recenter(exp_rep(), 0.25)],
+                             ids=["exp", "recenter"])
+    def test_one_plan_and_one_fetch_per_grid_call(self, rep, monkeypatch):
+        # symmetric about the center: one plan at the reach, one fetch of
+        # each term at it, however many points and Simpson levels
+        seq = rep.coefficients
+        plans, fetched = [], []
+        plan, term = analytic.plan_truncation, analytic._term_and_err
+        monkeypatch.setattr(analytic, "plan_truncation",
+                            lambda *a: plans.append(a) or plan(*a))
+        monkeypatch.setattr(analytic, "_term_and_err",
+                            lambda s, g, n: (fetched.append((g, n)) if s is seq else None)
+                            or term(s, g, n))
+        sup_distance_on_grid(rep, math.exp, (-0.75, 1.25), 17)
+        assert [(abs(a[1]), a[2]) for a in plans] == [(1.0, 1e-12)]
+        last = plan(seq.certificate, 1.0, 1e-12).last_index
+        assert fetched == [(1.0, n) for n in range(last + 1)]
+        plans.clear()
+        fetched.clear()
+        lp_norm_on_interval(rep, 2.0, (-0.75, 1.25), 1e-9)
+        assert [abs(a[1]) for a in plans] == [1.0]
+        last = plan(*plans[0]).last_index
+        assert fetched == [(1.0, n) for n in range(last + 1)]
 
     def test_geometric_grid_inside_radius(self):
         rep = geometric_rep()
-        xs = [-0.5 + i / 20 for i in range(21)]
-        for x, got in zip(xs, _eval_points(rep, xs, 1e-12)):
-            assert self.bits(got) == self.bits(self.one_point(rep, x, 1e-12))
+        at = _horner_grid(rep, -0.5, 0.5, 1e-12)
+        for x in [-0.5 + i / 20 for i in range(21)]:
+            self.assert_within(rep, at, x, 1e-12)
+
+
+class TestGridDegreeAndRefusal:
+    """Each grid point sums to its own degree, and a point whose certified
+    bound exceeds both eps and 1e-6 of its value is summed again as
+    eval_rep sums it, or refused."""
+
+    def test_points_sum_to_their_own_degree(self, monkeypatch):
+        # near its radius the geometric series plans tens of thousands of
+        # terms at the reach; a point near the center sums a few of them
+        steps = []
+
+        class Counted(float):
+            def __radd__(self, other):
+                steps.append(1)
+                return other + float(self)
+
+        term = analytic._term_and_err
+        monkeypatch.setattr(analytic, "_term_and_err",
+                            lambda s, g, n: (lambda v, e: (Counted(v), e))(*term(s, g, n)))
+        rep = geometric_rep(0.9)
+        lo, hi = 0.8001, 0.9999
+        reach = max(abs(lo - 0.9), abs(hi - 0.9))
+        N = analytic.plan_truncation(rep.coefficients.certificate, reach, 1e-12).last_index
+        assert N > 30000
+        at = _horner_grid(rep, lo, hi, 1e-12)
+        far = lo if abs(lo - 0.9) == reach else hi
+        exact = lambda x: 1.0 / (1.0 - mpmath.mpf(x))
+        for x, most in ((far, N), (0.9, 0), (0.91, 40), (0.95, 600)):
+            steps.clear()
+            v, bound = at(x)
+            assert len(steps) <= most and (x != far or len(steps) == N), (x, len(steps))
+            with mpmath.workdps(50):
+                assert abs(mpmath.mpf(v) - exact(x)) <= bound
+
+    def test_cancelling_grid_is_refused(self):
+        # sin at 45 cancels terms near e**45: neither Horner's sum nor
+        # eval_rep's carries a digit of it
+        with pytest.raises(PrecisionUnattainable, match=r"f\(-45\.0\)"):
+            sup_distance_on_grid(sin_rep(), math.sin, (-45.0, 45.0), 11)
+        with pytest.raises(PrecisionUnattainable):
+            lp_norm_on_interval(sin_rep(), 2.0, (0.0, 45.0))
+
+    def test_ill_conditioned_point_is_summed_as_eval_rep(self):
+        # at 20 Horner's bound exceeds 1e-6 of sin(20); eval_rep's sum
+        # stays inside it and is taken, with its abs_error as the bound
+        at = _horner_grid(sin_rep(), 0.0, 20.0, 1e-12)
+        one = eval_rep(sin_rep(), 20.0)
+        assert at(20.0) == (one.value, one.abs_error)
+        assert abs(one.value - math.sin(20.0)) <= one.abs_error
+        assert sup_distance_on_grid(sin_rep(), math.sin, (0.0, 20.0), 11) <= one.abs_error
+
+
+class TestGridInputs:
+    """Grid inputs are checked before any point is evaluated."""
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_lp_norm_refuses_p(self, p):
+        with pytest.raises(ValueError, match="p must be finite"):
+            lp_norm_on_interval(exp_rep(), p, (0.0, 1.0), depth_cap=2)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_lp_norm_refuses_eps(self, eps):
+        with pytest.raises(ValueError, match="eps must be finite"):
+            lp_norm_on_interval(exp_rep(), 2.0, (0.0, 1.0), eps, depth_cap=2)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_sup_distance_refuses_eps(self, eps):
+        with pytest.raises(ValueError, match="eps must be finite"):
+            sup_distance_on_grid(exp_rep(), math.exp, (0.0, 1.0), 11, eps)
+
+    def test_lp_norm_overflow_is_not_finite(self):
+        with pytest.raises(NonFiniteResult, match="overflows"):
+            lp_norm_on_interval(exp_rep(), 1e308, (0.0, 1.0))
+
+    def test_sup_distance_names_the_first_nan_oracle_value(self):
+        with pytest.raises(NonFiniteResult, match=r"x = 0\.0$"):
+            sup_distance_on_grid(exp_rep(), lambda x: math.nan, (0.0, 1.0), 11)
+        oracle = lambda x: math.exp(x) if x < 0.5 else math.inf
+        with pytest.raises(NonFiniteResult, match=r"x = 0\.5$"):
+            sup_distance_on_grid(exp_rep(), oracle, (0.0, 1.0), 11)
+
+
+# ---------------------------------------------------------------------------
+# grid bounds against mpmath
+
+
+def _stored(seq, gamma, last):
+    """sum_{n <= last} p_n gamma**n in mpmath, p_n the terms at gamma = 1
+    that seq stores: its term function, or a_n / n!."""
+    if isinstance(seq, TermBackedSequence):
+        assert seq.presentation_gamma == 1.0 and seq.term_error is None
+        p = lambda n: mpmath.mpf(seq.term_rule(n))
+    else:
+        p = lambda n: mpmath.mpf(seq.a(n)) / mpmath.factorial(n)
+    return mpmath.fsum(p(n) * gamma ** n for n in range(last + 1))
+
+
+def _builtin_exact(rep, name):
+    """gamma -> the function a builtin rep stands for, at center + gamma.
+    exp, sin and cos store their derivatives exactly; the geometric
+    coefficients n! base**(n+1) round (a few ulp each, far inside every
+    grid bound), and base/(1 - base gamma) is the series they round."""
+    a0, a1 = (mpmath.mpf(rep.coefficients.a(n)) for n in (0, 1))
+    if name == "exp":
+        return lambda g: a0 * mpmath.exp(g)
+    if name == "geometric":
+        return lambda g: a0 / (1 - a0 * g)
+    return lambda g: a0 * mpmath.cos(g) + a1 * mpmath.sin(g)
+
+
+def _exact(rep):
+    """gamma -> the exact value at center + gamma of what the stored terms
+    sum to, summed past a tail of 1e-40 when they are infinite."""
+    seq = rep.coefficients
+
+    def f(g):
+        cert = seq.certificate
+        last = cert.last if isinstance(cert, FiniteSupport) else \
+            analytic.plan_truncation(cert, float(abs(g)) or 1.0, 1e-40).last_index
+        return _stored(seq, g, last)
+
+    return f
+
+
+_BUILTIN_NAMES = ["exp", "sin", "cos", "geometric"]
+
+
+@st.composite
+def _grid_case(draw):
+    """(rep, exact, reach) over the builtins and every composite."""
+    kind = draw(st.sampled_from(["builtin", "polynomial", "multiply", "power", "recenter",
+                                 "linear_combine", "truncate_rep"]))
+    c = draw(st.sampled_from([0.0, 0.25, -0.375, 1.5]))
+    name = draw(st.sampled_from(_BUILTIN_NAMES[:3]))
+    coeffs = draw(st.lists(st.integers(-32, 32).map(lambda k: k / 16.0), min_size=1, max_size=6))
+    if kind == "builtin":
+        name = draw(st.sampled_from(_BUILTIN_NAMES))
+        if name == "geometric":
+            c = draw(st.sampled_from([0.0, 0.25, -0.375]))
+        rep = builtin(name, c)
+        return rep, _builtin_exact(rep, name), min(2.0, 0.7 * rep.radius_hint)
+    if kind == "polynomial":
+        rep = polynomial_rep(coeffs, c)
+    elif kind == "multiply":
+        other = draw(st.sampled_from(_BUILTIN_NAMES[:3] + ["polynomial"]))
+        rhs = polynomial_rep(coeffs, c) if other == "polynomial" else builtin(other, c)
+        rep = multiply(builtin(name, c), rhs)
+    elif kind == "power":
+        rep = power(builtin(name, c), draw(st.integers(0, 3)))
+    elif kind == "linear_combine":
+        alpha, beta = draw(st.sampled_from([(2.0, -0.5), (1.5, 0.25), (-1.0, 1.0), (0.0, 3.0)]))
+        rep = linear_combine(alpha, builtin(name, c), beta, polynomial_rep(coeffs, c))
+    elif kind == "truncate_rep":
+        rep = truncate_rep(builtin(name, c), draw(st.integers(0, 30)))
+    else:
+        new = c + draw(st.sampled_from([0.5, -0.25, 1.0]))
+        if draw(st.booleans()):
+            rep = recenter(polynomial_rep(coeffs, c), new)
+        else:
+            base = builtin(name, c)
+            rep = recenter(base, new)
+            ref = _builtin_exact(base, name)
+            shift = mpmath.mpf(new) - mpmath.mpf(c)
+            return rep, lambda g: ref(shift + g), 2.0
+    return rep, _exact(rep), 2.0
+
+
+class TestGridBoundsAgainstMpmath:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_grid_case(), s=st.floats(-1.0, 1.0), w=st.floats(0.01, 2.0),
+           m=st.integers(2, 25), eps=st.sampled_from([1e-12, 1e-9, 1e-6]))
+    def test_values_within_their_bounds(self, case, s, w, m, eps):
+        rep, exact, reach = case
+        c = rep.center
+        lo = c + s * reach
+        hi = min(lo + w * reach, c + reach)
+        if not lo < hi:
+            lo, hi = c - reach, c + reach
+        xs = [lo + (hi - lo) * i / (m - 1) for i in range(m)]
+        at = _horner_grid(rep, xs[0], xs[-1], eps)
+        with mpmath.workdps(50):
+            for x in xs:
+                v, bound = at(x)
+                want = exact(mpmath.mpf(x - c))
+                assert abs(mpmath.mpf(v) - want) <= bound, (x, v, bound, want)
+                one = eval_rep(rep, x, eps)
+                assert abs(mpmath.mpf(v) - mpmath.mpf(one.value)) <= bound + mpmath.mpf(one.abs_error)

@@ -137,6 +137,19 @@ class TestParsing:
         assert (code, out) == (2, "")
         assert f"argument --terms: must be >= 0, got {terms}" in err
 
+    @pytest.mark.parametrize("command, option", [
+        (["eval", ONES], ["--eps"]),
+        (["fn-eval", '{"kind": "builtin", "name": "exp"}'], ["--x"]),
+        (["fn-recenter", '{"kind": "builtin", "name": "exp"}'], ["--center"]),
+        (["fn-supdist", '{"kind": "builtin", "name": "exp"}', "--oracle", "exp"], ["--K", "0"]),
+        (["fn-lpnorm", '{"kind": "builtin", "name": "exp"}', "--K", "0", "1"], ["--p"]),
+    ], ids=["eps", "x", "center", "K", "p"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_float_options_refuse_non_finite_values(self, command, option, value):
+        code, out, err = run_cli(command + option + [value])
+        assert (code, out) == (2, "")
+        assert f"argument {option[0]}: must be finite, got '{value}'" in err
+
     def test_missing_file_is_input_error(self):
         code, _, err = run_cli(["eval", "/no/such/file.json"])
         assert code == 2
@@ -349,10 +362,10 @@ class TestHandlerValues:
             plans.append(plan(*args))
             return plans[-1]
 
-        def counted_sum(seq, gamma, indices, coeffs=None):
+        def counted_sum(seq, gamma, indices):
             indices = list(indices)
             terms.extend(indices)
-            return fused(seq, gamma, indices, coeffs)
+            return fused(seq, gamma, indices)
 
         monkeypatch.setattr(kernel, "plan_truncation", counted_plan)
         monkeypatch.setattr(kernel, "_sum_terms", counted_sum)

@@ -360,23 +360,15 @@ class TestPlanTruncation:
         return TruncationPlan(lo, tail_bound(cert, gamma, lo))
 
     def assert_same_as_doubling(self, cert, gamma, eps):
-        """Also from searches that start elsewhere (kernel._plan_from), as
-        a grid's points are planned from the previous point's index."""
         try:
             expected = self.doubling_plan(cert, gamma, eps)
         except DivergenceUnknown:
             with pytest.raises(DivergenceUnknown):
                 plan_truncation(cert, gamma, eps)
-            for near in (0, 1, 1000):
-                with pytest.raises(DivergenceUnknown):
-                    kernel._plan_from(cert, gamma, eps, near)
             return
         got = plan_truncation(cert, gamma, eps)
         assert got.last_index == expected.last_index
         assert repr(got.tail_bound) == repr(expected.tail_bound)
-        n = expected.last_index
-        for near in (0, max(n - 1, 0), n + 1, 2 * n + 7):
-            assert repr(kernel._plan_from(cert, gamma, eps, near)) == repr(got)
 
     @given(
         kind=st.sampled_from(["bounded", "geometric", "factorial"]),
@@ -673,16 +665,6 @@ class TestFusedPass:
         ref = _bits(lambda: _ref_sum_by_sign(_term_and_err(seq, gamma, n) for n in indices))
         assert _bits(lambda: kernel._sum_terms(seq, gamma, indices)) == ref
 
-    @given(_fused_sequences(), _fused_gammas, _fused_indices)
-    @settings(max_examples=300, deadline=None)
-    def test_given_coefficients_match_term_from_coefficient(self, seq, gamma, indices):
-        def coeffs():
-            return [seq.a(n) for n in indices]
-
-        ref = _bits(lambda: _ref_sum_by_sign(
-            kernel._term_from_coefficient(seq, a, gamma, n) for n, a in zip(indices, coeffs())))
-        assert _bits(lambda: kernel._sum_terms(seq, gamma, indices, coeffs())) == ref
-
     def test_nan_coefficient_raises_as_term_and_err_does(self):
         seq = rule_sequence(lambda n: math.nan if n == 4 else 1.0, Bounded(1.0))
         with pytest.raises(ValueError, match="coefficient a_4 is nan"):
@@ -710,8 +692,11 @@ _PINNED = {
     # rounded once (1e-12, the default, is below half an ulp of it)
     "eval_rep_log_path": ("0x1.c05c0a711fc55p+432", "0x1.1fad6d505f75ap+398"),
     "normalizer": ("0x1.39d6fd931df7cp+3", "0x1.430025670427bp-41"),
-    "sup_distance_on_grid": ("0x1.dfc0000000000p-41",),
-    "lp_norm_on_interval": ("0x1.c5b6cc1a292a2p-1",),
+    # grid points are summed by Horner's rule (analytic._horner_grid); these
+    # two were re-derived from it and checked against mpmath: the distance
+    # within the largest point bound, the norm within its quadrature eps
+    "sup_distance_on_grid": ("0x1.1080000000000p-42",),
+    "lp_norm_on_interval": ("0x1.c5b6cc1a29273p-1",),
 }
 
 

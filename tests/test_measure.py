@@ -695,10 +695,10 @@ def _counted(monkeypatch):
         plans.append(plan(*args))
         return plans[-1]
 
-    def counted_sum(seq, gamma, indices, coeffs=None):
+    def counted_sum(seq, gamma, indices):
         indices = list(indices)
         terms.extend(indices)
-        return fused(seq, gamma, indices, coeffs)
+        return fused(seq, gamma, indices)
 
     monkeypatch.setattr(kernel, "plan_truncation", counted_plan)
     monkeypatch.setattr(kernel, "_sum_terms", counted_sum)
