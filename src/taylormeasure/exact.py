@@ -6,8 +6,8 @@ of them over 0 <= n <= last is summed here as integers over the one
 denominator last! * 2**(k last + e), by binary splitting, and each sum is
 rounded once by an int / int division, which CPython rounds correctly.
 
-The kernel decides which runs come here (kernel._exact_first and
-kernel._sum_within) and loads this module on first use, so short sums
+measure._set_sum decides which runs come here, through
+kernel._exact_first, and loads this module on first use, so short sums
 never compile it.
 """
 

@@ -23,10 +23,11 @@ zero, constant or geometric tail) make every term an exact dyadic
 rational. A long run of such terms with short numerators (_exact_first),
 and any run whose float bound misses the requested eps, is summed exactly
 in integers and rounded once (the exact module, loaded on first use).
-A set sum (measure._set_sum) reads a summand, _Terms for a measure, which
-plans its truncation, runs the float pass and gives its exact terms, and
-passes it to _exact_over on a finite set or to _sum_within, which holds
-the eps contract, on an infinite one.
+This module keeps the primitives; measure._set_sum chooses between them.
+It reads a summand, _Terms for a measure, which plans its truncation,
+runs the float pass and gives its exact terms, asks _exact_first whether
+a run is summed exactly from the start, and holds the eps contract of an
+infinite set.
 
 Terms are kept in sign + log-magnitude form (via lgamma) so that a_n,
 gamma**n, and n! never have to be represented separately; a linear-space
@@ -44,7 +45,7 @@ from functools import cached_property, partial
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Union
 
-from .errors import DivergenceUnknown, OutOfDomain, PrecisionUnattainable
+from .errors import DivergenceUnknown, OutOfDomain
 
 _MAX_FLOAT_FACTORIAL = 170  # largest n with n! below float overflow
 _FACT = tuple(float(math.factorial(n)) for n in range(_MAX_FLOAT_FACTORIAL + 1))
@@ -1104,8 +1105,8 @@ def _sum_terms(seq: SequenceLike, gamma: float, indices: Iterable[int]) -> _Sign
     """The one float summation pass behind every set sum: seq's terms at
     gamma over indices, compensated sums by sign and the terms' errors
     summed in index order, each term exactly as _term_and_err forms it.
-    Callers take an exact run instead where one applies (_exact_over,
-    _sum_within).
+    measure._set_sum takes an exact run instead where one applies
+    (_exact_first); sum_terms does so through _exact_over.
 
     The terms are formed and summed in one loop. The coefficients are
     fetched as one block (_coefficients; a term-backed sequence reads
@@ -1284,53 +1285,3 @@ def _exact_over(indices: Union[range, list, tuple], terms) -> "exact._ExactSum |
 
     present = set(indices)
     return _ExactSum(found, last, [n for n in range(last + 1) if n not in present])
-
-
-def _sum_within(terms, eps: float, part: str, excluded: tuple[int, ...] = (),
-                strict: bool = True) -> tuple[object, float]:
-    """The sum of terms (_Terms, or geometry's rho summands) over
-    0..terms.plan(eps).last_index less ``excluded``, and the tail bound it
-    leaves out: the eps contract of a set sum over an infinite set.
-
-    The run is summed exactly (exact._ExactSum) from the start where
-    _exact_first takes it, and otherwise by terms.sum, the float pass.
-    Where the bound of ``part`` (tail plus roundoff) exceeds eps and
-    terms.exact gives the terms exactly, the run is summed exactly, the tail
-    re-planned to eps minus half an ulp of the result, and the run extended
-    from where it stopped, until the bound meets eps. Raises
-    PrecisionUnattainable when half an ulp of the result alone reaches eps.
-    Elsewhere (terms that are not exact, runs past _EXACT_CAP) the bound may
-    still exceed eps. A caller that is not ``strict`` uses eps as a
-    truncation target only, as a pmf does for its normalizer: its run is
-    summed once, exactly or not, and never re-planned.
-    """
-    plan = terms.plan(eps)
-    last = plan.last_index
-    skipped = sum(n <= last for n in excluded) if excluded else 0
-    found = _exact_first(last, last + 1 - skipped, terms)
-    if found is None:
-        indices = range(last + 1)
-        if excluded:
-            skip = set(excluded)
-            indices = [n for n in indices if n not in skip]
-        s = terms.sum(indices)
-        if not (strict and s.part(part, plan.tail_bound)[1] > eps) or last > _EXACT_CAP:
-            return s, plan.tail_bound
-        found = terms.exact
-        if found is None:
-            return s, plan.tail_bound
-    from .exact import _ExactSum, _add_up, _sub_down
-
-    s = _ExactSum(found, last, excluded)
-    while strict:
-        v, half = s.rounded(part)
-        if not (math.isfinite(v) and _add_up(half, plan.tail_bound) > eps):
-            break
-        if half >= eps:
-            raise PrecisionUnattainable(
-                f"half an ulp of the correctly rounded result {v} is {half}, "
-                f"not below eps={eps}"
-            )
-        plan = terms.plan(_sub_down(eps, half))
-        s.extend(plan.last_index)
-    return s, plan.tail_bound

@@ -9,13 +9,14 @@ below the normal float range (kernel.underflow_horizon); like an infinite
 sum, this trusts the certificate past the horizon. Every returned value
 carries an abs_error combining the tail bound with a roundoff estimate.
 
-Every set sum, the inner products and normalizers of the other modules
-included, goes through _set_sum, which reads a summand (kernel._Terms for
-a measure) and sums it once: a finite set by kernel._exact_over or the
-float pass, an infinite set by kernel._sum_within, which holds the eps
-contract. The float pass (kernel._sum_terms) is split by sign: T(B) is
-pos - neg, |T|(B) is pos + neg, and the Jordan parts are pos, neg. A long
-run of terms that are exact by definition, with short numerators
+Every set sum, the inner products, normalizers and pmf set probabilities
+of the other modules included, goes through _set_sum, which reads a
+summand (kernel._Terms for a measure), sums it once and is the one place
+that chooses the route: the float pass, an exact run from the start, or,
+on an infinite set, the exact re-sum that holds the eps contract. The
+float pass (kernel._sum_terms) is split by sign: T(B) is pos - neg,
+|T|(B) is pos + neg, and the Jordan parts are pos, neg. A long run of
+terms that are exact by definition, with short numerators
 (kernel._exact_first), is summed exactly in integers instead and each of
 these is rounded once (exact._ExactSum).
 
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from . import kernel
-from .errors import NonFiniteResult
+from .errors import NonFiniteResult, PrecisionUnattainable
 from .kernel import (
     SequenceLike,
     SignedLogTerm,
@@ -162,9 +163,20 @@ def _set_sum(terms, sets: NatSet, eps: float, part: str = "signed",
     certified tail is below the normal range, and returns that tail's bound,
     2**-1022 (kernel.underflow_horizon); where there is no horizon it is
     summed in full, with no tail, and a long dense run of exact terms is
-    summed exactly (kernel._exact_over). An infinite set sums a certified
-    plan less the excluded indices under the eps contract of
-    kernel._sum_within for ``part``, when ``strict``.
+    summed exactly (kernel._exact_over).
+
+    An infinite set sums 0..terms.plan(eps).last_index less its excluded
+    indices: exactly (exact._ExactSum) from the start where
+    kernel._exact_first takes the run, and otherwise by terms.sum, the
+    float pass. When ``strict``, this holds the eps contract for ``part``:
+    where its bound (tail plus roundoff) exceeds eps and terms.exact gives
+    the terms exactly, the run is summed exactly, the tail re-planned to eps
+    minus half an ulp of the result, and the run extended from where it
+    stopped, until the bound meets eps; PrecisionUnattainable is raised when
+    half an ulp of the result alone reaches eps. Elsewhere (terms that are
+    not exact, runs past kernel._EXACT_CAP) the bound may still exceed eps.
+    A caller that is not ``strict`` uses eps as a truncation target only:
+    its run is summed once, exactly or not, and never re-planned.
     """
     if sets.is_finite:
         indices, tail = sets.elements, 0.0
@@ -173,7 +185,37 @@ def _set_sum(terms, sets: NatSet, eps: float, part: str = "signed",
             indices = indices[:bisect_right(indices, horizon.last_index)]
             tail = horizon.tail_bound
         return kernel._exact_over(indices, terms) or terms.sum(indices), tail
-    return kernel._sum_within(terms, eps, part, sets.elements, strict)
+    excluded = sets.elements
+    plan = terms.plan(eps)
+    last = plan.last_index
+    skipped = sum(n <= last for n in excluded) if excluded else 0
+    found = kernel._exact_first(last, last + 1 - skipped, terms)
+    if found is None:
+        indices = range(last + 1)
+        if excluded:
+            skip = set(excluded)
+            indices = [n for n in indices if n not in skip]
+        s = terms.sum(indices)
+        if not (strict and s.part(part, plan.tail_bound)[1] > eps) or last > kernel._EXACT_CAP:
+            return s, plan.tail_bound
+        found = terms.exact
+        if found is None:
+            return s, plan.tail_bound
+    from .exact import _ExactSum, _add_up, _sub_down
+
+    s = _ExactSum(found, last, excluded)
+    while strict:
+        v, half = s.rounded(part)
+        if not (math.isfinite(v) and _add_up(half, plan.tail_bound) > eps):
+            break
+        if half >= eps:
+            raise PrecisionUnattainable(
+                f"half an ulp of the correctly rounded result {v} is {half}, "
+                f"not below eps={eps}"
+            )
+        plan = terms.plan(_sub_down(eps, half))
+        s.extend(plan.last_index)
+    return s, plan.tail_bound
 
 
 def _part_value(T: TaylorMeasure, sets: NatSet, eps: float, part: str,

@@ -69,6 +69,12 @@ ROLE_WALK = 7
 ROLE_BROWNIAN = 8
 
 
+def _chunk_spans(R: int):
+    """(chunk, start, take) for R draws cut into chunks of at most CHUNK."""
+    for chunk, start in enumerate(range(0, R, CHUNK)):
+        yield chunk, start, min(CHUNK, R - start)
+
+
 @dataclass(frozen=True)
 class RngSpec:
     """Seed and substream id; together they determine every draw."""
@@ -132,8 +138,7 @@ def _inverse_table(p) -> tuple[np.ndarray, int, int]:
 def _sample_inverse(p, rng: RngSpec, L: int, role: int) -> np.ndarray:
     cdf, first_positive, last_positive = _inverse_table(p)
     out = np.empty(L, dtype=np.int64)
-    for chunk, start in enumerate(range(0, L, CHUNK)):
-        take = min(CHUNK, L - start)
+    for chunk, start, take in _chunk_spans(L):
         u = generator(rng, role, chunk).random(take)
         idx = np.searchsorted(cdf, u, side="left")
         out[start : start + take] = np.clip(idx, first_positive, last_positive)

@@ -34,6 +34,7 @@ from .errors import (
 )
 from .kernel import (
     _NeumaierSum,
+    _TINY,
     _ULP,
     CoefficientSequence,
     ConstantTail,
@@ -94,6 +95,12 @@ def normalizer(zeta: float, b, eps: float = 1e-12) -> MeasureValue:
     return _normalizer(zeta, b, eps, True)
 
 
+def _refuse_negative(s) -> None:
+    """Raise InvalidPmf when a set sum of density weights met a negative one."""
+    if s.part("neg", 0.0)[0] > 0.0:
+        raise InvalidPmf("negative density weight b_n * zeta**n / n! encountered")
+
+
 def _normalizer(zeta: float, b, eps: float, strict: bool) -> MeasureValue:
     """normalizer, holding its eps contract when ``strict``; a pmf's own
     normalizer is not, since its eps only sets the truncation."""
@@ -106,8 +113,7 @@ def _normalizer(zeta: float, b, eps: float, strict: bool) -> MeasureValue:
             "normalizer sum cannot be certified"
         )
     s, tail = _set_sum(_Terms(b, zeta), NatSet.all(), eps, "signed", strict)
-    if s.part("neg", 0.0)[0] > 0.0:
-        raise InvalidPmf("negative density weight b_n * zeta**n / n! encountered")
+    _refuse_negative(s)
     value, err = s.part("signed", tail)
     if value <= err:
         raise DegenerateDistribution(
@@ -122,6 +128,8 @@ class _IncrementalPmf:
     those weights and truncation plans from the measure's certificate.
     PowerSeriesPmf is its positive part, with negative weights refused.
     """
+
+    _refuses_negative = False
 
     def __init__(self, measure: TaylorMeasure, sign: int, mass: MeasureValue):
         self._measure = measure
@@ -211,22 +219,29 @@ class _IncrementalPmf:
         return table, plan.last_index
 
     def set_probability(self, B: NatSet, eps: float = 1e-12) -> MeasureValue:
-        """Probability of the index set B under this pmf."""
-        norm = self.normalizer.value
-        rel = self.normalizer.abs_error / norm
-        if B.is_finite:
-            w = math.fsum(self._weight(n) for n in B.elements)
-            total = w / norm
-            return MeasureValue(total, total * (rel + (len(B.elements) + 2) * _ULP))
-        eps_w = max(norm * eps, 5e-324)
-        plan = self._horizon_plan(eps_w)
-        h = plan.last_index
-        self._extend(h)
-        w = self._cum_at(h)
-        excluded = math.fsum(self._weight(n) for n in B.elements if n <= h)
-        total = (w - excluded) / norm
-        err = plan.tail_bound / norm + abs(total) * (rel + (h + 2) * _ULP)
-        return MeasureValue(total, err)
+        """Probability of the index set B under this pmf, with
+        |value - exact| <= abs_error.
+
+        The part's weights are summed on B as evaluate sums them
+        (measure._set_sum), with eps * mass as a truncation target only,
+        and divided by the mass. For a part sum w within e and a mass m
+        within d, abs_error is (e + (w / m) d) / (m - d) plus the rounding
+        of the division, each step rounded upward. A finite B stops at the
+        underflow horizon, as in evaluate.
+        """
+        T, mass = self._measure, self.normalizer
+        part = "pos" if self._sign > 0 else "neg"
+        s, tail = _set_sum(_Terms(T.coefficients, T.gamma), B,
+                           max(mass.value * eps, 5e-324), part, False)
+        if self._refuses_negative:
+            _refuse_negative(s)
+        w, e = s.part(part, tail)
+        up, inf, m, d = math.nextafter, math.inf, mass.value, mass.abs_error
+        p = w / m
+        hi = up(p, inf)  # at least w / m, which the division rounded to p
+        # m > d, so m - d rounded down to 0 was one subnormal unit, exactly
+        err = up(up(e + up(hi * d, inf), inf) / (up(m - d, 0.0) or _TINY), inf)
+        return MeasureValue(p, up(err + (hi - p), inf))
 
 
 class PowerSeriesPmf(_IncrementalPmf):
@@ -234,8 +249,11 @@ class PowerSeriesPmf(_IncrementalPmf):
 
     The normalizer is computed once, with its certified error, at
     construction; an invalid family (negative weights, zero or uncertifiable
-    normalizer) fails there.
+    normalizer) fails there, and a negative weight met later fails where it
+    is met.
     """
+
+    _refuses_negative = True
 
     def __init__(self, zeta: float, b, eps: float = 1e-12):
         self.zeta = float(zeta)
@@ -285,9 +303,10 @@ class TaylorProbabilityPair:
     def reconstruct(self, B: NatSet, eps: float = 1e-12) -> MeasureValue:
         """mass_pos * Q_pos(B) - mass_neg * Q_neg(B), through the pmfs.
 
-        This recomputes the measure of B from the probability pair, so it is
-        an independent check of the decomposition identity against direct
-        evaluation.
+        This recomputes the measure of B from the probability pair. The pmfs
+        sum their set probabilities in the set sum behind evaluate
+        (measure._set_sum), so it checks the normalization and the bounds
+        of the pair, not the summation itself.
         """
         value = 0.0
         err = 0.0

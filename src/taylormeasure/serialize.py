@@ -65,7 +65,7 @@ import functools
 import math
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
-from .analytic import AnalyticRep, builtin, polynomial_rep
+from .analytic import _BUILTINS, AnalyticRep, builtin, polynomial_rep
 from .errors import InvalidDocument
 from .kernel import (
     Bounded,
@@ -83,9 +83,6 @@ from .measure import NatSet, TaylorMeasure
 
 if TYPE_CHECKING:
     from .stochastic import StepDistribution, StmSpec
-
-_BUILTIN_NAMES = ("exp", "sin", "cos", "geometric")
-
 
 def _require_object(doc: Any, field: str) -> Mapping[str, Any]:
     if not isinstance(doc, Mapping):
@@ -311,7 +308,7 @@ def parse_function(doc: Any, field: str = "function") -> AnalyticRep:
     if kind == "builtin":
         _reject_unknown(doc, field, {"kind", "name", "center"})
         name = _string(_get(doc, field, "name"), f"{field}.name")
-        if name not in _BUILTIN_NAMES:
+        if name not in _BUILTINS:
             raise InvalidDocument(f"{field}.name", f"unknown builtin {name!r}")
         center = 0.0
         if "center" in doc:

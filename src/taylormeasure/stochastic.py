@@ -40,7 +40,7 @@ from .kernel import (
     term_value,
 )
 from .measure import NatSet, TaylorMeasure, _part_value
-from .montecarlo import CHUNK, ROLE_BROWNIAN, ROLE_STM, ROLE_WALK, RngSpec, generator
+from .montecarlo import ROLE_BROWNIAN, ROLE_STM, ROLE_WALK, RngSpec, _chunk_spans, generator
 
 __all__ = [
     "Ar1",
@@ -386,15 +386,6 @@ def gaussian_truncation_plan(spec: StmSpec, eps: float = 1e-12) -> TruncationPla
     )
 
 
-def _window(B: NatSet, last_index: int) -> np.ndarray:
-    """Indices of B up to last_index, as an array."""
-    if B.is_finite:
-        idx = [n for n in B.elements if n <= last_index]
-    else:
-        idx = [n for n in range(last_index + 1) if n in B]
-    return np.array(idx, dtype=np.int64)
-
-
 def _gaussian_window(spec: StmSpec, B: NatSet, truncation: TruncationPlan | None) -> np.ndarray:
     if B.is_finite:
         return np.array(sorted(B.elements), dtype=np.int64)
@@ -405,21 +396,11 @@ def _gaussian_window(spec: StmSpec, B: NatSet, truncation: TruncationPlan | None
             "sampling a Gaussian-coefficient spec on an infinite set needs an "
             "explicit truncation plan (see gaussian_truncation_plan)"
         )
-    return _window(B, truncation.last_index)
+    return np.array([n for n in range(truncation.last_index + 1) if n in B], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
 # sampling
-
-
-def _chunk_spans(R: int):
-    start = 0
-    chunk = 0
-    while start < R:
-        take = min(CHUNK, R - start)
-        yield chunk, start, take
-        start += take
-        chunk += 1
 
 
 def _gaussian_batch(spec, B, truncation, rng, R):
@@ -526,7 +507,8 @@ def sample_stm_batch(
 def _path_steps(spec, rng, t: int) -> np.ndarray:
     """The t per-step draws of one path-spec realization: the walk's steps
     X_n, the AR(1) innovations sigma eps_n, or the Brownian increments
-    X_{n/N} - X_{(n-1)/N}. Every single-path routine reads these."""
+    X_{n/N} - X_{(n-1)/N}. sample_stm and stm_coefficients read these, and
+    the simulators draw the same ones as row 0 of their batches."""
     if t == 0:
         return np.zeros(0)
     if isinstance(spec, RandomWalk):
@@ -636,61 +618,57 @@ def brownian_marginal_moments(spec: BrownianApprox, k: int) -> tuple[float, floa
 # path simulators
 
 
+def _cumulative_paths(draw, rng: RngSpec, role: int, R: int, t: int) -> np.ndarray:
+    """R paths of t steps as an (R, t+1) array from 0: each chunk of rows
+    is the running sum of draw(generator, (take, t)), one generator per
+    chunk of role's stream."""
+    if R < 1:
+        raise ValueError("R must be at least 1")
+    out = np.empty((R, t + 1))
+    out[:, 0] = 0.0
+    if t == 0:
+        return out
+    for chunk, start, take in _chunk_spans(R):
+        np.cumsum(draw(generator(rng, role, chunk), (take, t)), axis=1,
+                  out=out[start : start + take, 1:])
+    return out
+
+
 def simulate_random_walk(spec: RandomWalk, rng: RngSpec) -> SamplePath:
-    """The walk S_0 = 0, S_k = S_{k-1} + X_k at indices 0..t.
+    """The walk S_0 = 0, S_k = S_{k-1} + X_k at indices 0..t: row 0 of
+    simulate_random_walk_batch.
 
     Uses the same draws as sample_stm(spec, ...) with the same rng, so
     the embedding a_n = n! X_n at gamma = 1 reproduces S_t exactly.
     """
-    values = [0.0]
-    acc = 0.0
-    for s in _path_steps(spec, rng, spec.t):
-        acc += s
-        values.append(acc)
-    return SamplePath(tuple(range(spec.t + 1)), tuple(values), rng)
+    values = simulate_random_walk_batch(spec, rng, 1)[0]
+    return SamplePath(tuple(range(spec.t + 1)), values.tolist(), rng)
 
 
 def simulate_random_walk_batch(spec: RandomWalk, rng: RngSpec, R: int) -> np.ndarray:
-    """R walk paths as an (R, t+1) array; row r of the first chunk matches
-    simulate_random_walk draw-for-draw."""
-    if R < 1:
-        raise ValueError("R must be at least 1")
-    out = np.empty((R, spec.t + 1))
-    out[:, 0] = 0.0
-    if spec.t == 0:
-        return out
-    for chunk, start, take in _chunk_spans(R):
-        steps = spec.step.draw(generator(rng, ROLE_WALK, chunk), (take, spec.t))
-        np.cumsum(steps, axis=1, out=out[start : start + take, 1:])
-    return out
+    """R walk paths as an (R, t+1) array; row 0 is simulate_random_walk."""
+    return _cumulative_paths(spec.step.draw, rng, ROLE_WALK, R, spec.t)
 
 
 def simulate_brownian(spec: BrownianApprox, rng: RngSpec) -> SamplePath:
-    """One path X_{k/n} = (S_k - k mu) / (sigma sqrt(n)) on the grid k/n."""
-    values = [0.0]
-    acc = 0.0
-    for step in _path_steps(spec, rng, spec.n):
-        acc += step
-        values.append(acc)
+    """One path X_{k/n} = (S_k - k mu) / (sigma sqrt(n)) on the grid k/n:
+    row 0 of simulate_brownian_batch."""
+    values = simulate_brownian_batch(spec, rng, 1)[0]
     times = tuple(k / spec.n for k in range(spec.n + 1))
-    return SamplePath(times, tuple(values), rng)
+    return SamplePath(times, values.tolist(), rng)
 
 
 def simulate_brownian_batch(spec: BrownianApprox, rng: RngSpec, R: int) -> np.ndarray:
     """R Brownian-approximation paths as an (R, n+1) array."""
-    if R < 1:
-        raise ValueError("R must be at least 1")
-    out = np.empty((R, spec.n + 1))
-    out[:, 0] = 0.0
     scale = spec.sigma * math.sqrt(spec.n)
-    for chunk, start, take in _chunk_spans(R):
-        raw = NormalStep(spec.mu, spec.sigma).draw(
-            generator(rng, ROLE_BROWNIAN, chunk), (take, spec.n)
-        )
+
+    def increments(g: np.random.Generator, shape) -> np.ndarray:
+        raw = NormalStep(spec.mu, spec.sigma).draw(g, shape)
         raw -= spec.mu
         raw /= scale
-        np.cumsum(raw, axis=1, out=out[start : start + take, 1:])
-    return out
+        return raw
+
+    return _cumulative_paths(increments, rng, ROLE_BROWNIAN, R, spec.n)
 
 
 def stm_coefficients(spec: StmSpec, rng: RngSpec) -> TaylorMeasure:

@@ -408,3 +408,17 @@ class TestCompositeBoundsStillOpen:
         with mpmath.workdps(50):
             exact = 1 / (1 - mpmath.mpf(0.9)) ** 2
             assert abs(mpmath.mpf(out.value) - exact) <= out.abs_error
+
+
+class TestTailBoundStillOpen:
+    """A tail-bound probe that fails today; a fix shows as XPASS."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the ratio-test tail bound exp(log_t) / (1 - q) is not "
+                              "rounded upward, and at a tiny gamma it is tight")
+    def test_tail_at_tiny_gamma(self):
+        gamma = 9.45972488349881e-70
+        out = evaluate(TaylorMeasure(constant_sequence(1.0), gamma), NatSet.cofinite([0]))
+        with mpmath.workdps(50):
+            exact = mpmath.expm1(mpmath.mpf(gamma))
+            assert abs(mpmath.mpf(out.value) - exact) <= out.abs_error

@@ -19,7 +19,7 @@ import os
 
 import pytest
 
-from taylormeasure import serialize
+from taylormeasure import analytic, cli, serialize
 from taylormeasure.errors import InvalidDocument
 
 from test_cli import run_cli
@@ -225,6 +225,14 @@ def test_defaults_are_written_out():
     spec = serialize.parse_stm_spec({"kind": "brownian", "n": 4})
     assert serialize.stm_spec_to_doc(spec) == {"kind": "brownian", "n": 4, "mu": 0.0,
                                                "sigma": 1.0}
+
+
+def test_oracle_choices_are_the_builtins():
+    """--oracle offers exactly the builtins a function document can name."""
+    assert cli._ORACLES.keys() == analytic._BUILTINS.keys()
+    for name in analytic._BUILTINS:
+        rep = serialize.parse_function({"kind": "builtin", "name": name, "center": 0.25})
+        assert rep.center == 0.25
 
 
 @pytest.mark.parametrize("kind", sorted(STEPS))

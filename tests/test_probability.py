@@ -1,8 +1,9 @@
 import math
 import random
 
+import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from taylormeasure import (
@@ -236,6 +237,86 @@ class TestProbabilityPair:
             assert abs(lhs.value - rhs.value) <= lhs.abs_error + rhs.abs_error + 1e-13
             checked += 1
         assert checked >= 150
+
+
+# sets near a pmf's mode: indices round(mode) + offset, cut at 0
+_near_mode = st.tuples(st.sampled_from(["finite", "cofinite", "all"]),
+                       st.lists(st.integers(-60, 60), max_size=60))
+
+
+def _near(kind, offsets, mode):
+    if kind == "all":
+        return ALL
+    return NatSet(kind, tuple(max(0, round(mode) + k) for k in offsets))
+
+
+def _exact_probability(weight, mass, B):
+    """B's probability for exact weights and mass, in mpmath."""
+    if B.is_finite:
+        return mp.fsum(weight(n) for n in B.elements) / mass
+    return 1 - mp.fsum(weight(n) for n in B.elements) / mass
+
+
+def _holds(got, exact):
+    return abs(mp.mpf(got.value) - exact) <= got.abs_error
+
+
+class TestSetProbabilityBound:
+    """set_probability against mpmath at 80 digits: |value - exact| <=
+    abs_error with no slack. Past n = 170 the weights come from logs; the
+    pinned example, a single index at the Poisson(200) mode, once missed
+    its bound 660 times over."""
+
+    @given(st.one_of(st.tuples(st.just("constant"), st.floats(0.1, 5.0)),
+                     st.tuples(st.just("geometric"), st.floats(0.1, 5.0),
+                               st.floats(0.05, 1.2))),
+           st.one_of(st.just(0.0), st.floats(0.05, 500.0)), _near_mode,
+           st.sampled_from([1e-12, 1e-6]))
+    @example(("constant", 1.0), 200.0, ("finite", [0]), 1e-12)
+    @example(("constant", 1.0), 150.0, ("finite", list(range(-30, 30))), 1e-12)
+    @example(("constant", 1.0), 200.0, ("cofinite", list(range(-10, 10))), 1e-12)
+    @settings(max_examples=100, deadline=None)
+    def test_power_series_pmf(self, b, zeta, sets, eps):
+        if b[0] == "constant":
+            seq, ratio = constant_sequence(b[1]), 1.0
+        else:
+            seq, ratio = geometric_sequence(b[1], b[2]), b[2]
+        p = PowerSeriesPmf(zeta, seq)
+        B = _near(*sets, zeta * ratio)
+        with mp.workdps(80):
+            z, scale, r = mp.mpf(zeta), mp.mpf(b[1]), mp.mpf(ratio)
+            mass = scale * mp.exp(r * z)
+            exact = _exact_probability(
+                lambda n: scale * (r * z) ** n / mp.factorial(n), mass, B)
+            assert _holds(p.set_probability(B, eps), exact)
+
+    @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8),
+           st.floats(-3.0, 3.0), st.floats(0.5, 300.0), _near_mode)
+    @settings(max_examples=100, deadline=None)
+    def test_jordan_sides(self, prefix, c, gamma, sets):
+        T = TaylorMeasure(constant_sequence(c, prefix), gamma)
+        pair = _outcome(lambda: probability_pair(T))
+        if pair is DegenerateDistribution:
+            return
+        B = _near(*sets, gamma)
+        with mp.workdps(80):
+            g = mp.mpf(gamma)
+
+            def term(n):
+                a = prefix[n] if n < len(prefix) else c
+                return mp.mpf(a) * g ** n / mp.factorial(n)
+
+            head = mp.fsum(g ** n / mp.factorial(n) for n in range(len(prefix)))
+            for sign, q in ((1, pair.q_pos), (-1, pair.q_neg)):
+                if q is None:
+                    continue
+
+                def weight(n, sign=sign):
+                    return max(sign * term(n), 0)
+
+                mass = (mp.fsum(weight(n) for n in range(len(prefix)))
+                        + max(sign * mp.mpf(c), 0) * (mp.exp(g) - head))
+                assert _holds(q.set_probability(B), _exact_probability(weight, mass, B))
 
 
 class TestFromPmf:
