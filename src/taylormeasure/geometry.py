@@ -81,12 +81,12 @@ def _rho_summand(T1: TaylorMeasure, T2: TaylorMeasure, n: int) -> tuple[float, f
     Up to n = 170 the operands' terms are formed in linear space and their
     product too while it stays in the normal range. Past that, and where
     the product leaves that range, each operand is formed once in signed-log
-    form, with one lgamma(n + 1) shared by both.
+    form, with one lgamma(n + 1) shared by both. When T2 is T1 (a norm) the
+    one operand is formed once.
     """
     terms = None
     if n <= _MAX_FLOAT_FACTORIAL:
-        terms = (_term_and_err(T1.coefficients, T1.gamma, n),
-                 _term_and_err(T2.coefficients, T2.gamma, n))
+        terms = _operand_terms(T1, T2, n)
         (v1, e1), (v2, e2) = terms
         if v1 != 0.0 and v2 != 0.0:
             f = _FACT[n]
@@ -99,14 +99,13 @@ def _rho_summand(T1: TaylorMeasure, T2: TaylorMeasure, n: int) -> tuple[float, f
                 return v, err
     lf = math.lgamma(n + 1)
     s1, l1 = _signed_log(T1.coefficients, T1.gamma, n, lf)
-    s2, l2 = _signed_log(T2.coefficients, T2.gamma, n, lf)
+    s2, l2 = (s1, l1) if T2 is T1 else _signed_log(T2.coefficients, T2.gamma, n, lf)
     s = s1 * s2
     if s == 0:
         # a zero operand is exact but for its term error: the operands'
         # whole errors bound the product (a nan coefficient reads as zero
         # here and raises in _term_and_err)
-        (v1, e1), (v2, e2) = terms or (_term_and_err(T1.coefficients, T1.gamma, n),
-                                       _term_and_err(T2.coefficients, T2.gamma, n))
+        (v1, e1), (v2, e2) = terms or _operand_terms(T1, T2, n)
         return 0.0, _cross_error(lf, l1, l2, e1, e2)
     log_mag = lf + l1 + l2
     v = _exp_signed(s, log_mag)
@@ -116,6 +115,12 @@ def _rho_summand(T1: TaylorMeasure, T2: TaylorMeasure, n: int) -> tuple[float, f
     if b1 or b2:
         err += _cross_error(lf, l1, l2, b1, b2)
     return v, err
+
+
+def _operand_terms(T1: TaylorMeasure, T2: TaylorMeasure, n: int):
+    """Both operands' (term, error) at n; one operand when T2 is T1."""
+    t1 = _term_and_err(T1.coefficients, T1.gamma, n)
+    return t1, (t1 if T2 is T1 else _term_and_err(T2.coefficients, T2.gamma, n))
 
 
 def _cross_error(lf: float, l1: float, l2: float, e1: float, e2: float) -> float:

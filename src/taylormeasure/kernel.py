@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Union
 
@@ -588,6 +588,7 @@ class TruncationPlan:
 
 
 _PLAN_CAP = 10 ** 7
+_PLAN_MEMO = 1024  # plans plan_truncation keeps
 
 
 def _lambert_w(x: float) -> float:
@@ -643,12 +644,24 @@ def plan_truncation(cert: GrowthCertificate, gamma: float, eps: float) -> Trunca
     exact estimate N is confirmed by two tail bounds, at N and at N - 1.
     FiniteSupport plans stop exactly at the support bound.
 
+    Plans are memoised per process by (cert, gamma, eps), the last
+    _PLAN_MEMO; refusals are not, and an unhashable cert is planned afresh.
+
     Raises DivergenceUnknown when no finite index can satisfy eps: when the
     index would exceed the largest max(1, start) * 2**k that is at most
     _PLAN_CAP.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be > 0, got {eps}")
+    try:
+        return _plan(cert, gamma, eps)
+    except TypeError:  # an unhashable cert, which is no certificate
+        return _plan.__wrapped__(cert, gamma, eps)
+
+
+@lru_cache(maxsize=_PLAN_MEMO, typed=True)
+def _plan(cert: GrowthCertificate, gamma: float, eps: float) -> TruncationPlan:
+    """plan_truncation's search, for an eps that is not <= 0."""
     env = _TermEnvelope.of(cert, gamma)
     if env.k is None:
         raise DivergenceUnknown(

@@ -178,6 +178,8 @@ def _set_sum(terms, sets: NatSet, eps: float, part: str = "signed",
     A caller that is not ``strict`` uses eps as a truncation target only:
     its run is summed once, exactly or not, and never re-planned.
     """
+    if math.isnan(eps):
+        raise ValueError("eps must not be nan")
     if sets.is_finite:
         indices, tail = sets.elements, 0.0
         horizon = indices and terms.horizon(indices[-1])

@@ -125,8 +125,9 @@ def _normalizer(zeta: float, b, eps: float, strict: bool) -> MeasureValue:
 class _IncrementalPmf:
     """The pmf engine: the pmf of one sign part of a Taylor measure,
     f(n) = max(sign * p(n), 0) / mass, with lazy cumulative sums over
-    those weights and truncation plans from the measure's certificate.
-    PowerSeriesPmf is its positive part, with negative weights refused.
+    those weights and truncation plans from the measure's certificate,
+    which plan_truncation memoises. PowerSeriesPmf is its positive part,
+    with negative weights refused.
     """
 
     _refuses_negative = False
@@ -137,21 +138,16 @@ class _IncrementalPmf:
         self.normalizer = mass
         self._cum: list[float] = []
         self._acc = _NeumaierSum()
-        self._plan_cache = None
 
     def _weight(self, n: int) -> float:
         w = self._sign * self._measure.term(n)
         return w if w > 0.0 else 0.0
 
-    def _horizon_plan(self, eps_weight: float):
+    def _plan(self, tail_eps: float = 1e-15):
+        """The horizon that leaves tail_eps of the mass out."""
         T = self._measure
-        return plan_truncation(T.coefficients.certificate, T.gamma, eps_weight)
-
-    def _plan(self):
-        if self._plan_cache is None:
-            eps_w = max(self.normalizer.value * 1e-15, 5e-324)
-            self._plan_cache = self._horizon_plan(eps_w)
-        return self._plan_cache
+        eps_w = max(self.normalizer.value * tail_eps, 5e-324)
+        return plan_truncation(T.coefficients.certificate, T.gamma, eps_w)
 
     def _extend(self, upto: int) -> None:
         # compensated running sum; each entry is a corrected snapshot
@@ -211,8 +207,7 @@ class _IncrementalPmf:
 
     def cumulative_table(self, tail_eps: float = 1e-16) -> tuple[list[float], int]:
         """Normalized cdf table covering all but tail_eps of the mass."""
-        eps_w = max(self.normalizer.value * tail_eps, 5e-324)
-        plan = self._horizon_plan(eps_w)
+        plan = self._plan(tail_eps)
         self._extend(plan.last_index)
         norm = self.normalizer.value
         table = [c / norm for c in self._cum[: plan.last_index + 1]]

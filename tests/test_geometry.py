@@ -22,8 +22,10 @@ from taylormeasure import (
     constant_sequence,
     distance,
     finite_sequence,
+    geometric_sequence,
     hilbert_axiom_report,
     inner_product,
+    linear_combination,
     norm,
     rational_approximation,
     rule_sequence,
@@ -204,11 +206,17 @@ class TestLogPathSummand:
         T1 = TaylorMeasure(rule_sequence(rule, Bounded(1.5)), 30.0)
         T2 = TaylorMeasure(constant_sequence(-0.5), -20.0)
         v, e = geometry._rho_summand(T1, T2, 500)
-        monkeypatch.undo()
         assert (len(lgammas), len(logs), reads) == (1, 2, [500])
+        # a norm's summand: its one operand is formed once
+        del lgammas[:], logs[:], reads[:]
+        w, f = geometry._rho_summand(T1, T1, 500)
+        monkeypatch.undo()
+        assert (len(lgammas), len(logs), reads) == (1, 1, [500])
         with mp.workdps(40):
             exact = mp.mpf(1.5) * mp.mpf(-0.5) * mp.mpf(-600) ** 500 / mp.factorial(500)
             assert 0.0 < abs(v - exact) <= e
+            exact = mp.mpf(1.5) ** 2 * mp.mpf(900) ** 500 / mp.factorial(500)
+            assert 0.0 < abs(w - exact) <= f
 
     def test_zero_operands_carry_their_term_errors(self):
         # stored terms 0, each within 1e-3 of the exact one: at n = 5 the
@@ -233,6 +241,37 @@ class TestLogPathSummand:
         T = TaylorMeasure(rule_sequence(lambda n: math.nan if n > 200 else 1.0, Bounded(1.0)), 2.0)
         with pytest.raises(ValueError, match="a_500 is nan"):
             inner_product(T, ONES, NatSet.finite([3, 500]))
+
+
+class TestSelfPairing:
+    """inner_product(T, T, B) and norm(T, B) form each term of T once; the
+    results are those of the same calls on a distinct copy of T, bit for bit."""
+
+    # each with an eps that its inner product on all of N can meet: rho(T, T)
+    # is near e**196 = 1.3e85 at gamma 14 and 4 e**5.06 = 632 for the geometric
+    MEASURES = {
+        "constant": (TaylorMeasure(constant_sequence(1.0), 14.0), 1e70),
+        "geometric": (TaylorMeasure(geometric_sequence(-2.0, 0.75), -3.0), 1e-12),
+        "term_error": (TaylorMeasure(TermBackedSequence(
+            lambda n: _p14(n) * (1.0 + 1e-6), 1.0, GeometricEnvelope(1.0 + 1e-5, 14.0),
+            term_error=lambda n: 1.01e-6 * _p14(n)), 1.0), 1e80),
+        "linear_combination": (linear_combination(
+            1.0, TaylorMeasure(constant_sequence(1.0), 14.0),
+            -1.0, TaylorMeasure(geometric_sequence(0.5, 1.5), 6.0)), 1e74),
+    }
+
+    @pytest.mark.parametrize("B", [NatSet.finite([0, 5, 171, 196, 400]), NatSet.cofinite([0, 196]), ALL],
+                             ids=["finite", "cofinite", "all"])
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    def test_same_bits_as_a_distinct_copy(self, monkeypatch, name, B):
+        T, eps = self.MEASURES[name]
+        calls = (lambda: inner_product(T, T, B, eps), lambda: norm(T, B, 1e-12))
+        same = [_outcome(call) for call in calls]
+        rho_terms = geometry._RhoTerms
+        monkeypatch.setattr(geometry, "_RhoTerms",
+                            lambda T1, T2: rho_terms(T1, TaylorMeasure(T2.coefficients, T2.gamma)))
+        copied = [_outcome(call) for call in calls]
+        assert repr(same) == repr(copied)
 
 
 class TestNorm:

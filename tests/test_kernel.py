@@ -437,6 +437,83 @@ class TestPlanTruncation:
             assert tail_bound(cert, gamma, n - 1) > eps
 
 
+class TestPlanMemo:
+    """plan_truncation memoises its plans by (cert, gamma, eps): a warm
+    plan is the plan its uncached search (kernel._plan.__wrapped__) gives."""
+
+    @staticmethod
+    def assert_fresh_plan(cert, gamma, eps):
+        fresh = kernel._plan.__wrapped__(cert, gamma, eps)
+        for _ in range(2):
+            got = plan_truncation(cert, gamma, eps)
+            assert (got.last_index, repr(got.tail_bound)) == (fresh.last_index, repr(fresh.tail_bound))
+
+    @given(
+        kind=st.sampled_from(["bounded", "geometric", "factorial", "finite"]),
+        scale=st.floats(min_value=0.0, max_value=1e300),
+        ratio=st.floats(min_value=0.0, max_value=0.9),
+        start=st.sampled_from([0, 1, 7, 40]),
+        gamma=st.floats(min_value=-1e3, max_value=1e3),
+        eps=st.floats(min_value=5e-324, max_value=1e3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_warm_plan_is_the_fresh_plan(self, kind, scale, ratio, start, gamma, eps):
+        cert = {"bounded": lambda: Bounded(scale),
+                "geometric": lambda: GeometricEnvelope(scale, ratio, start),
+                "factorial": lambda: FactorialGeometric(scale, ratio, start),
+                "finite": lambda: FiniteSupport(start)}[kind]()
+        try:
+            kernel._plan.__wrapped__(cert, gamma, eps)
+        except DivergenceUnknown:
+            for _ in range(2):
+                with pytest.raises(DivergenceUnknown):
+                    plan_truncation(cert, gamma, eps)
+            return
+        self.assert_fresh_plan(cert, gamma, eps)
+
+    def test_a_repeat_is_a_lookup(self):
+        cert = GeometricEnvelope(3.0, 0.75, 5)
+        assert plan_truncation(cert, 1.25, 1e-11) is plan_truncation(cert, 1.25, 1e-11)
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            ((Bounded(1.0), 3, 1e-12), (Bounded(1.0), 3.0, 1e-12)),
+            ((Bounded(1.0), 3.0, 1e-12), (Bounded(1.0), 3, 1e-12)),
+            ((Bounded(1.0), 2.0, 1), (Bounded(1.0), 2.0, 1.0)),
+            ((Bounded(1.0), 2.0, 1.0), (Bounded(1.0), 2.0, 1)),
+            ((Bounded(4), 2.0, 1e-9), (Bounded(4.0), 2.0, 1e-9)),
+            ((Bounded(4.0), 2.0, 1e-9), (Bounded(4), 2.0, 1e-9)),
+            ((GeometricEnvelope(2, 1, 3), 5, 1e-10), (GeometricEnvelope(2.0, 1.0, 3), 5.0, 1e-10)),
+            ((Bounded(1.0), 0.0, 1e-12), (Bounded(1.0), -0.0, 1e-12)),
+            ((Bounded(1.0), -0.0, 1e-12), (Bounded(1.0), 0.0, 1e-12)),
+        ],
+    )
+    def test_equal_keys_of_another_type_get_their_own_plan(self, first, second):
+        plan_truncation(*first)
+        self.assert_fresh_plan(*second)
+
+    def test_refusals_are_raised_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(DivergenceUnknown):
+                plan_truncation(FactorialGeometric(1.0, 2.0), 0.5, 1e-6)
+            with pytest.raises(DivergenceUnknown):
+                plan_truncation(Unverified(), 1.0, 0.1)
+            for eps in (0.0, -1e-12):
+                with pytest.raises(ValueError):
+                    plan_truncation(Bounded(1.0), 1.0, eps)
+
+    def test_unhashable_certificate_is_refused_as_no_certificate(self):
+        for _ in range(2):
+            with pytest.raises(DivergenceUnknown):
+                plan_truncation([1.0], 1.0, 1e-12)
+
+    def test_memo_is_bounded(self):
+        for i in range(5000):
+            plan_truncation(Bounded(1.0), 1.5, 1e-12 * (1.0 + i / 5000.0))
+        assert kernel._plan.cache_info().currsize <= kernel._PLAN_MEMO
+
+
 class TestSumTerms:
     def test_sign_split_example(self):
         seq = finite_sequence([1.0, -2.0, 3.0])

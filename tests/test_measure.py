@@ -33,6 +33,7 @@ from taylormeasure import (
     evaluate,
     finite_sequence,
     geometric_sequence,
+    inner_product,
     jordan_decompose,
     linear_combination,
     norm,
@@ -133,6 +134,32 @@ class TestEvaluate:
             evaluate(T, NatSet.finite([n])).value for n in range(80)
         )
         assert mv.value == pytest.approx(singles, abs=1e-12)
+
+
+class TestNanEps:
+    """A nan eps meets no bound: every set sum refuses it, as the grids
+    and the CLI do, rather than truncate to a plan it never met."""
+
+    E = TaylorMeasure(constant_sequence(1.0), 1.0)
+    SUMS = {
+        "evaluate": lambda B, eps: evaluate(TestNanEps.E, B, eps),
+        "total_variation": lambda B, eps: total_variation(TestNanEps.E, B, eps),
+        "positive": lambda B, eps: jordan_decompose(TestNanEps.E).positive(B, eps),
+        "negative": lambda B, eps: jordan_decompose(TestNanEps.E).negative(B, eps),
+        "inner_product": lambda B, eps: inner_product(TestNanEps.E, TestNanEps.E, B, eps),
+        "norm": lambda B, eps: norm(TestNanEps.E, B, eps),
+        "eval_rep": lambda B, eps: eval_rep(builtin("exp"), 0.5, eps),
+        "normalizer": lambda B, eps: normalizer(1.0, constant_sequence(1.0), eps),
+    }
+
+    @pytest.mark.parametrize("B", [NatSet.finite([0, 3]), NatSet.cofinite([1]), NatSet.all()],
+                             ids=["finite", "cofinite", "all"])
+    @pytest.mark.parametrize("name", sorted(SUMS))
+    def test_refused_on_every_set_sum(self, name, B):
+        call = self.SUMS[name]
+        with pytest.raises(ValueError, match="nan"):
+            call(B, math.nan)
+        assert math.isfinite(call(B, 1e-12).value)
 
 
 class TestDerivativeView:
