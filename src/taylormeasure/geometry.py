@@ -267,7 +267,7 @@ def rational_approximation(
     tail at that cap exceeds the budget the tolerance is unattainable and a
     ValueError is raised.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     pair = _rho_envelope(T, T)
     if pair.last is not None:

@@ -12,11 +12,11 @@ every set sum reads its values from. That pass fetches a set's
 coefficients as one block and forms each term and adds it to compensated
 sums split by sign in one loop, with the operations of _term_and_err,
 which forms single terms, so its results are the same bit for bit.
-A truncation plan starts from a closed-form estimate of its index and
-confirms it with two tail bounds in the common case; the plan at half the
-smallest normal float is the underflow horizon where finite-set sums
-stop. Tail bounds and every certificate derived from others go through
-one term-space envelope, _TermEnvelope.
+A truncation plan is found by one doubling search over tail bounds and
+memoised per process; the plan at half the smallest normal float is the
+underflow horizon where finite-set sums stop. Tail bounds and every
+certificate derived from others go through one term-space envelope,
+_TermEnvelope.
 
 Coefficients that are exact by definition (an explicit prefix, then a
 zero, constant or geometric tail) make every term an exact dyadic
@@ -542,27 +542,24 @@ def _factorial_ratio_tail(scale: float, g: float, last_index: int) -> float:
     n = last_index
     if n + 2 <= g:
         return global_bound
-    q = g / (n + 2)
     log_t = math.log(scale) + (n + 1) * math.log(g) - math.lgamma(n + 2)
-    if log_t > _LOG_HUGE:
-        ratio_bound = math.inf
-    elif not log_t <= _LOG_MIN_NORMAL:
-        ratio_bound = math.exp(log_t) / (1.0 - q)
-    else:
-        ratio_bound = _subnormal_tail(log_t, q)
-    return min(global_bound, ratio_bound)
+    return min(global_bound, _ratio_tail(log_t, g / (n + 2)))
 
 
-def _subnormal_tail(log_t: float, q: float) -> float:
-    """exp(log_t) / (1 - q) for 0 <= q < 1 and log_t at most
-    _LOG_MIN_NORMAL: the bound t / (1 - q) on a tail whose first term is
-    t = exp(log_t) and whose terms shrink by q or more, rounded upward.
+def _ratio_tail(log_t: float, q: float) -> float:
+    """exp(log_t) / (1 - q) for 0 <= q < 1: the bound t / (1 - q) on a
+    tail whose first term is t = exp(log_t) and whose terms shrink by q or
+    more; +inf where t overflows.
 
     Below the normal range exp and the division each round by up to half a
-    subnormal unit, even to 0, and a bound must not round down. So the
-    quotient is formed in subnormal units, widened by 2**-40 for the
+    subnormal unit, even to 0, and a bound must not round down. So there
+    the quotient is formed in subnormal units, widened by 2**-40 for the
     roundoff of log_t, and rounded up to a whole unit, at least one.
     """
+    if log_t > _LOG_HUGE:
+        return math.inf
+    if not log_t <= _LOG_MIN_NORMAL:
+        return math.exp(log_t) / (1.0 - q)
     units = math.exp(log_t + _LOG_UNIT) / (1.0 - q) * (1.0 + 2.0 ** -40)
     return math.ldexp(max(math.ceil(units), 1), -1074)
 
@@ -591,57 +588,12 @@ _PLAN_CAP = 10 ** 7
 _PLAN_MEMO = 1024  # plans plan_truncation keeps
 
 
-def _lambert_w(x: float) -> float:
-    """Lambert W on x >= 0 to within about 2% (Winitzki's approximation)."""
-    l = math.log1p(x)
-    return l * (1.0 - math.log1p(l) / (2.0 + l))
-
-
-def _index_estimate(env: "_TermEnvelope", eps: float) -> int:
-    """Closed-form estimate of the index plan_truncation returns for a
-    decay envelope at a finite gamma.
-
-    Only a starting point: plan_truncation confirms it with tail bounds,
-    so a wrong estimate costs extra tail bounds, never a different plan.
-    """
-    scale, r, start = env.scale, env.ratio, env.start
-    if scale == 0.0 or r == 0.0:
-        return start
-    if not env.k:
-        # scale * r**(N+1) / (1 - r) <= eps, solved exactly in logs
-        k = (math.log(eps) + math.log1p(-r) - math.log(scale)) / math.log(r)
-        return max(start, math.ceil(k) - 1)
-    target = math.log(eps) - math.log(scale)
-    if r <= target:
-        return start  # the global bound scale * e**r already meets eps
-    if r >= _PLAN_CAP:
-        return max(start, _PLAN_CAP)  # the answer N has N + 2 > r
-    # Newton on h(k) = k log r - lgamma(k+1) - log(1 - r/(k+1)) = target,
-    # the log of _factorial_ratio_tail at N = k - 1, from the root of its
-    # Stirling form k log(k / (e r)) = -target; h is decreasing for k >= r
-    lr = math.log(r)
-    L = -target
-    if L > 0.0:
-        k = max(L / _lambert_w(min(L / (math.e * r), 1e300)), r)
-    else:
-        k = math.e * r + 1.0
-    for _ in range(3):
-        h = k * lr - math.lgamma(k + 1.0) - math.log1p(-r / (k + 1.0)) - target
-        dh = lr - math.log(k + 0.5) - r / ((k + 1.0) * (k + 1.0 - r))
-        step = h / dh
-        k = max(k - step, r)
-        if abs(step) < 0.1:
-            break
-    return max(start, math.ceil(k) - 1)
-
-
 def plan_truncation(cert: GrowthCertificate, gamma: float, eps: float) -> TruncationPlan:
     """Smallest last_index whose certified tail bound is <= eps.
 
-    tail_bound is non-increasing in the index, so the index is found by a
-    search that starts from a closed-form estimate (_index_estimate),
-    gallops away from it until the answer is bracketed, then bisects. An
-    exact estimate N is confirmed by two tail bounds, at N and at N - 1.
+    tail_bound is non-increasing in the index, so the index is found by
+    doubling from max(1, start) until a probe meets eps, then bisecting
+    between the last probe that failed and the first that met it.
     FiniteSupport plans stop exactly at the support bound.
 
     Plans are memoised per process by (cert, gamma, eps), the last
@@ -674,39 +626,16 @@ def _plan(cert: GrowthCertificate, gamma: float, eps: float) -> TruncationPlan:
             f"factorial-geometric envelope with ratio {cert.ratio} does not "
             f"converge at gamma={gamma}"
         )
-    first = max(1, env.start)
-    cap = first if first > _PLAN_CAP else first << ((_PLAN_CAP // first).bit_length() - 1)
-    if not (math.isfinite(gamma) and math.isfinite(eps)):
-        n = first
-    else:
-        n = min(_index_estimate(env, eps), cap)
-    t = env.tail(n)
-    if t > eps:
-        # gallop up: tail_bound(lo) > eps, and hi is the first probe that meets eps
-        lo, step = n, 1
-        while True:
-            if lo >= cap:
-                raise DivergenceUnknown(
-                    f"no truncation index below {_PLAN_CAP} meets eps={eps}"
-                )
-            hi = min(lo + step, cap)
-            t = env.tail(hi)
-            if t <= eps:
-                break
-            lo, step = hi, 2 * step
-    elif t <= eps:
-        # gallop down: tail_bound(hi) <= eps, and lo is -1 or fails eps
-        lo, hi, step = -1, n, 1
-        while hi > 0:
-            probe = max(hi - step, 0)
-            tp = env.tail(probe)
-            if tp > eps:
-                lo = probe
-                break
-            hi, t, step = probe, tp, 2 * step
-    else:
-        # a nan bound (gamma not finite) fails both tests; bisect below n
-        lo, hi = -1, n
+    # double from max(1, start) until a probe meets eps; lo is -1 or the
+    # last probe that failed it
+    lo, hi = -1, max(1, env.start)
+    while (t := env.tail(hi)) > eps:
+        lo, hi = hi, 2 * hi
+        if hi > _PLAN_CAP:
+            raise DivergenceUnknown(
+                f"no truncation index up to {lo} meets eps={eps}, and the "
+                f"next probe, {hi}, is past the search cap {_PLAN_CAP}"
+            )
     while hi - lo > 1:
         mid = (lo + hi) // 2
         tm = env.tail(mid)
@@ -833,12 +762,7 @@ class _TermEnvelope:
             return 0.0
         if q >= 1.0:
             return math.inf
-        log_t = math.log(self.scale) + (last_index + 1) * math.log(q)
-        if log_t > _LOG_HUGE:
-            return math.inf
-        if not log_t <= _LOG_MIN_NORMAL:
-            return math.exp(log_t) / (1.0 - q)
-        return _subnormal_tail(log_t, q)
+        return _ratio_tail(math.log(self.scale) + (last_index + 1) * math.log(q), q)
 
     def widened(self, ratio: float = 1.0) -> "_TermEnvelope":
         """The same bound as a decay bound from index 0 on: the scale grows

@@ -60,9 +60,13 @@ class NatSet:
     def __post_init__(self):
         if self.kind not in ("finite", "cofinite", "all"):
             raise ValueError(f"NatSet.kind must be finite|cofinite|all, got {self.kind!r}")
-        elems = tuple(sorted(set(int(n) for n in self.elements)))
-        if any(n < 0 for n in elems):
+        try:
+            ints = [int(n) for n in self.elements]
+        except (ValueError, OverflowError):  # nan or an infinity
+            ints = [-1]
+        if any(i < 0 or i != n for i, n in zip(ints, self.elements)):
             raise ValueError("NatSet elements must be naturals")
+        elems = tuple(sorted(set(ints)))
         object.__setattr__(self, "elements", elems)
         if self.kind == "all" and elems:
             raise ValueError("an 'all' set carries no elements")

@@ -46,7 +46,6 @@ from .kernel import (
     _Terms,
     _finite_terms,
     plan_truncation,
-    term_value,
 )
 from .measure import (
     MeasureValue,
@@ -141,6 +140,8 @@ class _IncrementalPmf:
 
     def _weight(self, n: int) -> float:
         w = self._sign * self._measure.term(n)
+        if w < 0.0 and self._refuses_negative:
+            raise InvalidPmf(f"negative density weight at index {n}")
         return w if w > 0.0 else 0.0
 
     def _plan(self, tail_eps: float = 1e-15):
@@ -258,12 +259,6 @@ class PowerSeriesPmf(_IncrementalPmf):
 
     def __repr__(self):
         return f"PowerSeriesPmf(zeta={self.zeta}, normalizer={self.normalizer.value})"
-
-    def _weight(self, n: int) -> float:
-        w = term_value(self.b, self.zeta, n)
-        if w < 0.0:
-            raise InvalidPmf(f"negative density weight at index {n}")
-        return w
 
 
 class JordanPmf(_IncrementalPmf):

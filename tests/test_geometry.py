@@ -388,6 +388,11 @@ class TestRationalApproximation:
         with pytest.raises(ValueError):
             rational_approximation(ONES, 1e-9, N_support=2)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan])
+    def test_tolerance_must_be_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            rational_approximation(ONES, tol)
+
     def test_unverified_rejected(self):
         Tu = TaylorMeasure(rule_sequence(lambda n: 1.0, Unverified()), 1.0)
         with pytest.raises(DivergenceUnknown):

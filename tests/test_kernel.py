@@ -339,6 +339,13 @@ class TestPlanTruncation:
         with pytest.raises(DivergenceUnknown):
             plan_truncation(FactorialGeometric(1.0, 2.0), 0.5, 1e-6)
 
+    def test_cap_refusal_names_the_last_index_searched(self):
+        # an index below _PLAN_CAP meets eps, but the doubling search stops
+        # at 2**23, so the refusal may not claim that none below the cap does
+        assert tail_bound(Bounded(1.0), 3.2e6, _PLAN_CAP - 1) <= 1e-12
+        with pytest.raises(DivergenceUnknown, match="up to 8388608 meets"):
+            plan_truncation(Bounded(1.0), 3.2e6, 1e-12)
+
     @staticmethod
     def doubling_plan(cert, gamma, eps):
         """Reference search: doubling from max(1, start), then bisection.
@@ -429,12 +436,40 @@ class TestPlanTruncation:
         ],
     )
     def test_result_is_smallest_index(self, cert, gamma, eps):
-        plan = plan_truncation(cert, gamma, eps)
+        self.assert_smallest_index(plan_truncation(cert, gamma, eps), cert, gamma, eps)
+
+    @staticmethod
+    def assert_smallest_index(plan, cert, gamma, eps):
         n = plan.last_index
         assert tail_bound(cert, gamma, n) <= eps
-        assert plan.tail_bound == tail_bound(cert, gamma, n)
+        assert repr(plan.tail_bound) == repr(tail_bound(cert, gamma, n))
         if n > 0:
             assert tail_bound(cert, gamma, n - 1) > eps
+
+    @given(
+        kind=st.sampled_from(["bounded", "geometric", "factorial"]),
+        scale=st.floats(min_value=0.0, max_value=1e300),
+        ratio=st.floats(min_value=0.0, max_value=20.0),
+        start=st.sampled_from([0, 0, 1, 7, 40, 3 * 10 ** 6, _PLAN_CAP + 3]),
+        gamma=st.floats(min_value=-1e7, max_value=1e7),
+        eps=st.floats(min_value=5e-324, max_value=1e3),
+    )
+    # a Bounded certificate has no start: its refusal is judged below the cap
+    @example(kind="bounded", scale=1.0, ratio=0.0, start=_PLAN_CAP + 3, gamma=3086000.0, eps=1.0)
+    @settings(max_examples=400, deadline=None)
+    def test_drawn_result_is_smallest_index(self, kind, scale, ratio, start, gamma, eps):
+        # checked against the definition, not against a second search
+        cert = {"bounded": lambda: Bounded(scale),
+                "geometric": lambda: GeometricEnvelope(scale, ratio, start),
+                "factorial": lambda: FactorialGeometric(scale, ratio, start)}[kind]()
+        try:
+            plan = plan_truncation(cert, gamma, eps)
+        except DivergenceUnknown:
+            # a refusal is due: every index the cap allows past cap / 2
+            # (or past start, beyond the cap) misses eps
+            assert tail_bound(cert, gamma, max(getattr(cert, "start", 0), _PLAN_CAP // 2)) > eps
+            return
+        self.assert_smallest_index(plan, cert, gamma, eps)
 
 
 class TestPlanMemo:

@@ -73,6 +73,20 @@ class TestNatSet:
         with pytest.raises(ValueError):
             NatSet.finite([-1])
 
+    @pytest.mark.parametrize("elements", [[0.5, 2.7], [3, 2.5], [math.nan], [math.inf], [-0.5]])
+    @pytest.mark.parametrize("kind", ["finite", "cofinite"])
+    def test_rejects_non_integral_elements(self, kind, elements):
+        # int() would truncate 0.5 and 2.7 to {0, 2}
+        with pytest.raises(ValueError, match="NatSet elements must be naturals"):
+            NatSet(kind, tuple(elements))
+
+    def test_accepts_integral_floats_and_numpy_ints(self):
+        import numpy as np
+        s = NatSet.finite([2.0, np.int64(5), 0, np.arange(3)[1]])
+        assert s.elements == (0, 1, 2, 5)
+        assert all(type(n) is int for n in s.elements)
+        assert NatSet.cofinite(np.arange(3)).elements == (0, 1, 2)
+
     def test_all_is_one_shared_instance(self):
         assert NatSet.all() is NatSet.all()
         assert NatSet.cofinite([]).kind == "all"
