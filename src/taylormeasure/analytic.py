@@ -30,7 +30,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import Callable, Sequence
+from operator import mul
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     CenterMismatch,
@@ -51,11 +52,13 @@ from .kernel import (
     _MIN_NORMAL,
     _TINY,
     _TermEnvelope,
+    _TermRun,
     _ULP,
     _Terms,
     _finite_terms,
     _require_certificate,
     _term_and_err,
+    _term_block,
     _term_errors,
     constant_sequence,
     finite_sequence,
@@ -121,6 +124,25 @@ def _memo_d(seq: SequenceLike) -> Callable[[int], float]:
 
 def _no_error(n: int) -> float:
     return 0.0
+
+
+def _prefix(block: Callable[[range], Iterable[float]]) -> Callable[[int], list[float]]:
+    """i -> a list that holds block's values at 0..i, and more when it has
+    been asked for more: each call that needs more indices extends it by
+    one block."""
+    values: list[float] = []
+
+    def upto(i: int) -> list[float]:
+        if i >= len(values):
+            values.extend(block(range(len(values), i + 1)))
+        return values
+
+    return upto
+
+
+def _carried(x: float, y: float, ex: float, ey: float) -> float:
+    """The error that a product x * y carries from its factors' errors."""
+    return abs(x) * ey + ex * (abs(y) + ey)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +308,10 @@ def multiply(r1: AnalyticRep, r2: AnalyticRep) -> AnalyticRep:
 
     Each d_l is the correctly rounded sum (math.fsum) of the products
     d1_n * d2_(l-n) that both supports reach, so a finite product costs
-    nothing past its support. Operand term errors e carry over as
-    |d1| * e2 + e1 * (|d2| + e2), convolved the same way.
+    nothing past its support. The operands' d_n are read from lists that
+    grow a block at a time as larger l ask for them (_prefix), and the
+    products are formed by one map over two slices. Operand term errors e
+    carry over as |d1| * e2 + e1 * (|d2| + e2), convolved the same way.
     """
     if r1.center != r2.center:
         raise CenterMismatch(
@@ -296,23 +320,32 @@ def multiply(r1: AnalyticRep, r2: AnalyticRep) -> AnalyticRep:
     e1, e2 = _d_envelope(r1), _d_envelope(r2)
     last1, last2 = (math.inf if e.last is None else e.last for e in (e1, e2))
 
-    def reach(l: int) -> range:
-        """The n with n <= last1 and l - n <= last2."""
-        return range(max(0, l - last2), min(l, last1) + 1)
+    def reach(l: int, p: Callable[[int], list], q: Callable[[int], list]):
+        """p's entries n and q's entries l - n, in increasing n, for the n
+        with n <= last1 and l - n <= last2."""
+        lo, hi = max(0, l - last2), min(l, last1)
+        return p(hi)[lo:hi + 1], reversed(q(l - lo)[l - hi:l - lo + 1])
 
-    da, db = _memo_d(r1.coefficients), _memo_d(r2.coefficients)
-    d_rule = cache(lambda l: math.fsum(da(n) * db(l - n) for n in reach(l)))
-    ea, eb = (e and cache(e) for e in (_term_errors(r.coefficients, 1.0) for r in (r1, r2)))
+    da, db = (_prefix(partial(_term_block, r.coefficients, 1.0, errors=False))
+              for r in (r1, r2))
+    d = cache(lambda l: math.fsum(map(mul, *reach(l, da, db))))
+
+    def run(indices: Sequence[int]) -> list[float]:
+        if indices:  # each operand's d_n up to the run's last l, as one block
+            da(min(indices[-1], last1))
+            db(min(indices[-1], last2))
+        return list(map(d, indices))
+
+    ea, eb = (_term_errors(r.coefficients, 1.0) for r in (r1, r2))
     term_error = None
     if ea is not None or eb is not None:
-        ea, eb = ea or _no_error, eb or _no_error
-        term_error = cache(lambda l: math.fsum(
-            abs(da(n)) * eb(l - n) + ea(n) * (abs(db(l - n)) + eb(l - n))
-            for n in reach(l)))
+        ea, eb = (_prefix(partial(map, e or _no_error)) for e in (ea, eb))
+        term_error = cache(lambda l: math.fsum(map(_carried, *reach(l, da, db),
+                                                   *reach(l, ea, eb))))
 
     cert = e1.cauchy(e2).to_certificate(1.0)
     radius = min(r1.radius_hint, r2.radius_hint)
-    return AnalyticRep(r1.center, TermBackedSequence(d_rule, 1.0, cert, term_error), radius)
+    return AnalyticRep(r1.center, TermBackedSequence(_TermRun(run), 1.0, cert, term_error), radius)
 
 
 def _constant_rep(value: float, center: float) -> AnalyticRep:

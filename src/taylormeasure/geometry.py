@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
@@ -44,6 +45,7 @@ from .kernel import (
     _finite_terms,
     _signed_log,
     _term_and_err,
+    _term_block,
     _term_errors,
     finite_sequence,
     plan_truncation,
@@ -84,9 +86,14 @@ def _rho_summand(T1: TaylorMeasure, T2: TaylorMeasure, n: int) -> tuple[float, f
     form, with one lgamma(n + 1) shared by both. When T2 is T1 (a norm) the
     one operand is formed once.
     """
-    terms = None
-    if n <= _MAX_FLOAT_FACTORIAL:
-        terms = _operand_terms(T1, T2, n)
+    terms = _operand_terms(T1, T2, n) if n <= _MAX_FLOAT_FACTORIAL else None
+    return _rho_of_terms(T1, T2, n, terms)
+
+
+def _rho_of_terms(T1: TaylorMeasure, T2: TaylorMeasure, n: int, terms) -> tuple[float, float]:
+    """_rho_summand at n, given both operands' (term, error) at n as
+    _operand_terms forms them for n <= 170, and None past it."""
+    if terms is not None:
         (v1, e1), (v2, e2) = terms
         if v1 != 0.0 and v2 != 0.0:
             f = _FACT[n]
@@ -146,10 +153,18 @@ class _RhoSum(NamedTuple):
 
 
 def _rho_sum(T1, T2, indices) -> _RhoSum:
+    """The rho summands over increasing naturals, summed. The operands'
+    terms up to n = 170 are fetched as one block each (kernel._term_block;
+    one block when T2 is T1), so each summand there is _rho_summand's from
+    those terms; past n = 170 each is _rho_summand's log form."""
+    k = bisect_right(indices, _MAX_FLOAT_FACTORIAL)
+    head = indices[:k]
+    b1 = _term_block(T1.coefficients, T1.gamma, head)
+    b2 = b1 if T2 is T1 else _term_block(T2.coefficients, T2.gamma, head)
     acc = _NeumaierSum()
     err = _NeumaierSum()
-    for n in indices:
-        v, e = _rho_summand(T1, T2, n)
+    for i, n in enumerate(indices):
+        v, e = _rho_of_terms(T1, T2, n, (b1[i], b2[i])) if i < k else _rho_summand(T1, T2, n)
         if not (math.isfinite(v) and math.isfinite(e)):
             # no later summand makes the sum or its bound finite again, and
             # MeasureValue refuses the pair: stop before summing the rest

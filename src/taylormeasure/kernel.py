@@ -12,7 +12,9 @@ every set sum reads its values from. That pass fetches a set's
 coefficients as one block and forms each term and adds it to compensated
 sums split by sign in one loop, with the operations of _term_and_err,
 which forms single terms, so its results are the same bit for bit.
-A truncation plan is found by one doubling search over tail bounds and
+Composite terms read their operands a run at a time through _term_block,
+which fetches a run of terms with _term_and_err's bits; a term function
+that is formed a run at a time is a _TermRun. A truncation plan is found by one doubling search over tail bounds and
 memoised per process; the plan at half the smallest normal float is the
 underflow horizon where finite-set sums stop. Tail bounds and every
 certificate derived from others go through one term-space envelope,
@@ -290,10 +292,13 @@ class TermBackedSequence:
 
     Stores the term function q(n) = a_n * g**n / n! at the presentation
     value g = ``presentation_gamma`` and derives a_n = n! * q(n) / g**n on
-    demand (exactly, via Fraction, with a single final rounding). Term
+    demand, as one integer quotient, m * n! * gd**n / (d * gn**n) for
+    q = m / d and g = gn / gd, which Python's true division rounds once,
+    correctly (float(Fraction) is this same quotient). Term
     evaluation at the presentation value short-circuits to q itself, so
     algebraic combinations keep their term functions bit-exact instead of
-    round-tripping through n!.
+    round-tripping through n!. A term function that is a _TermRun is
+    fetched a run of indices at a time wherever a run is summed.
 
     ``term_error``, when given, bounds |q(n) - p(n)|, how far each stored
     term may sit from the exact term p(n) of the function it stands for
@@ -310,16 +315,26 @@ class TermBackedSequence:
     def a(self, n: int) -> float:
         if n < 0:
             raise ValueError("index must be a natural number")
-        q = self.term_rule(n)
+        return self._coefficient(n, self.term_rule(n))
+
+    def _coefficient(self, n: int, q: float) -> float:
+        """a_n from its term q = q(n); through the log form where the
+        quotient overflows."""
         if q == 0.0:
             return 0.0
         if not math.isfinite(q):
             return q
+        num, den = q.as_integer_ratio()
+        num *= math.factorial(n)
+        g = self.presentation_gamma
+        if g != 1.0:
+            gn, gd = g.as_integer_ratio()
+            if gn < 0 and n % 2:
+                num = -num
+            num *= gd ** n
+            den *= abs(gn) ** n
         try:
-            val = Fraction(q) * math.factorial(n)
-            if self.presentation_gamma != 1.0:
-                val /= Fraction(self.presentation_gamma) ** n
-            return float(val)
+            return num / den
         except OverflowError:
             s, lg = self.log_a(n)
             return _exp_signed(s, lg)
@@ -336,6 +351,22 @@ class TermBackedSequence:
                 s = -s
             lg -= n * math.log(abs(g))
         return s, lg
+
+
+class _TermRun:
+    """A term function that is formed a run of indices at a time: run(indices)
+    gives its values over increasing naturals as one list, and a call at n is
+    the run over (n,), so the two agree bit for bit."""
+
+    __slots__ = ("run",)
+
+    def __init__(self, run: Callable[[Union[range, list, tuple]], list[float]]):
+        self.run = run
+
+    def __call__(self, n: int) -> float:
+        if n < 0:
+            raise ValueError("index must be a natural number")
+        return self.run((n,))[0]
 
 
 def _finite_terms(terms: Iterable[float], gamma: float = 1.0,
@@ -938,16 +969,18 @@ class _TermEnvelope:
             units /= math.factorial(n)
         return math.copysign(min(abs(v), math.ldexp(math.floor(units), -1074)), v)
 
-    def within(self, term: Callable[[int], float]) -> Callable[[int], float]:
-        """The term function ``term``, bounded by this envelope, with each
-        value below the normal range pulled in (pulled_in): such a value
-        may round past an exact bound."""
+    def within(self, run: Callable[[Union[range, list, tuple]], list[float]]) -> _TermRun:
+        """The term function whose runs ``run`` gives (indices -> values),
+        bounded by this envelope, as a _TermRun with each value below the
+        normal range pulled in (pulled_in): such a value may round past an
+        exact bound."""
+        pull = self.pulled_in
 
-        def rule(n: int) -> float:
-            v = term(n)
-            return self.pulled_in(n, v) if 0.0 < abs(v) < _MIN_NORMAL else v
+        def pulled(indices: Union[range, list, tuple]) -> list[float]:
+            return [pull(n, v) if 0.0 < abs(v) < _MIN_NORMAL else v
+                    for n, v in zip(indices, run(indices))]
 
-        return rule
+        return _TermRun(pulled)
 
     def to_certificate(self, gamma: float) -> GrowthCertificate:
         """The certificate of the coefficients a_n = n! * p(n) / gamma**n:
@@ -1019,13 +1052,23 @@ class _SignSplit(NamedTuple):
         return self.neg, self.neg_error + tail
 
 
+def _presented_terms(seq: TermBackedSequence, indices: Union[range, list, tuple]) -> list[float]:
+    """seq.term_rule(n) for every n in indices, in order: one run where the
+    rule is a _TermRun."""
+    rule = seq.term_rule
+    if isinstance(rule, _TermRun):
+        return rule.run(indices)
+    return list(map(rule, indices))
+
+
 def _coefficients(seq: SequenceLike, indices: Union[range, list, tuple]) -> list[float]:
     """seq.a(n) for every natural n in indices, in order, fetched as one
     block: the prefix is read by slice or subscript and a constant or rule
-    tail directly. seq.a(n) itself is called only for a geometric tail, for
-    its closed form in logs, and for a term-backed sequence."""
+    tail directly, and a term-backed sequence's terms as one block
+    (_presented_terms). seq.a(n) itself is called only for a geometric
+    tail, for its closed form in logs."""
     if isinstance(seq, TermBackedSequence):
-        return list(map(seq.a, indices))
+        return list(map(seq._coefficient, indices, _presented_terms(seq, indices)))
     prefix, t = seq.prefix, seq.tail
     size = len(prefix)
     if isinstance(t, (ZeroTail, ConstantTail)):
@@ -1038,6 +1081,34 @@ def _coefficients(seq: SequenceLike, indices: Union[range, list, tuple]) -> list
     return [prefix[n] if n < size else rule(n) for n in indices]
 
 
+def _term_block(seq: SequenceLike, gamma: float, indices: Union[range, list, tuple],
+                errors: bool = True) -> list:
+    """seq's terms at gamma over increasing naturals, fetched as one block:
+    each (value, error) pair exactly as _term_and_err forms it, or the values
+    alone when not ``errors``. A term-backed sequence at its presentation
+    gamma reads its terms as one run (_presented_terms); every other
+    sequence reads its coefficients so (_coefficients) and forms each term
+    with _term_from_coefficient. A run of one index is _term_and_err's."""
+    if len(indices) == 1:
+        term = _term_and_err(seq, gamma, indices[0])
+        return [term if errors else term[0]]
+    if isinstance(seq, TermBackedSequence) and gamma == seq.presentation_gamma:
+        values = _presented_terms(seq, indices)
+        if not errors:
+            return values
+        block = [(q, abs(q) * 2.0 * _ULP) for q in values]
+    elif errors:
+        block = [_term_from_coefficient(seq, a, gamma, n)
+                 for n, a in zip(indices, _coefficients(seq, indices))]
+    else:
+        return [_term_from_coefficient(seq, a, gamma, n)[0]
+                for n, a in zip(indices, _coefficients(seq, indices))]
+    bias = _term_errors(seq, gamma)
+    if bias is None:
+        return block
+    return [(v, e + bias(n)) for n, (v, e) in zip(indices, block)]
+
+
 def _sum_terms(seq: SequenceLike, gamma: float, indices: Iterable[int]) -> _SignSplit:
     """The one float summation pass behind every set sum: seq's terms at
     gamma over indices, compensated sums by sign and the terms' errors
@@ -1046,9 +1117,10 @@ def _sum_terms(seq: SequenceLike, gamma: float, indices: Iterable[int]) -> _Sign
     (_exact_first); sum_terms does so through _exact_over.
 
     The terms are formed and summed in one loop. The coefficients are
-    fetched as one block (_coefficients; a term-backed sequence reads
-    seq.a(n), or its term function at its presentation gamma), log|gamma|
-    is taken once and log|a| once per distinct coefficient. Terms on the
+    fetched as one block (_coefficients; a term-backed sequence reads its
+    terms as one run, _presented_terms, and at its presentation gamma
+    takes them as they are), log|gamma| is taken once and log|a| once per
+    distinct coefficient. Terms on the
     linear path are formed inline; every other term (n = 0, gamma = 0, a
     coefficient that is not finite, the log path) goes through
     _term_from_coefficient. A term-backed sequence's term_error is added to
@@ -1060,7 +1132,7 @@ def _sum_terms(seq: SequenceLike, gamma: float, indices: Iterable[int]) -> _Sign
         raise ValueError("index must be a natural number")
     bias = _term_errors(seq, gamma)
     presented = isinstance(seq, TermBackedSequence) and gamma == seq.presentation_gamma
-    coeffs = list(map(seq.term_rule, indices)) if presented else _coefficients(seq, indices)
+    coeffs = _presented_terms(seq, indices) if presented else _coefficients(seq, indices)
     lg = math.log(abs(gamma)) if gamma != 0.0 else -math.inf
     logs: dict[float, float] = {}
     log, isfinite, fact = math.log, math.isfinite, _FACT

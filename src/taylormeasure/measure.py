@@ -308,21 +308,23 @@ def linear_combination(
     (coefficient sequences with different gamma cannot be merged at the
     coefficient level in general), except that a term below the normal
     range is pulled back within the certificate it would round past
-    (_TermEnvelope.within). Operand term errors carry over as
-    |alpha| * e1 + |beta| * e2.
+    (_TermEnvelope.within). The terms are formed a run of indices at a
+    time (kernel._TermRun): each operand's terms over the run are one
+    block (kernel._term_block), and a single term is the run over that
+    index. Operand term errors carry over as |alpha| * e1 + |beta| * e2.
     """
     alpha = float(alpha)
     beta = float(beta)
     if alpha == 0.0 and beta == 0.0:
         return zero_measure()
-    t1 = T1.term
-    t2 = T2.term
+    t1 = functools.partial(kernel._term_block, T1.coefficients, T1.gamma, errors=False)
+    t2 = functools.partial(kernel._term_block, T2.coefficients, T2.gamma, errors=False)
     if beta == 0.0:
-        combined = (lambda n: alpha * t1(n)) if alpha != 1.0 else t1
+        combined = (lambda ns: [alpha * x for x in t1(ns)]) if alpha != 1.0 else t1
     elif alpha == 0.0:
-        combined = (lambda n: beta * t2(n)) if beta != 1.0 else t2
+        combined = (lambda ns: [beta * y for y in t2(ns)]) if beta != 1.0 else t2
     else:
-        combined = lambda n: alpha * t1(n) + beta * t2(n)
+        combined = lambda ns: [alpha * x + beta * y for x, y in zip(t1(ns), t2(ns))]
 
     term_error = None
     b1, b2 = (kernel._term_errors(T.coefficients, T.gamma) for T in (T1, T2))

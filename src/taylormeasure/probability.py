@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import (
     DegenerateDistribution,
@@ -44,6 +45,7 @@ from .kernel import (
     ZeroTail,
     _TermEnvelope,
     _Terms,
+    _coefficients,
     _finite_terms,
     plan_truncation,
 )
@@ -383,7 +385,8 @@ def _measure_from_prob_sequence(p: CoefficientSequence, gamma: float) -> TaylorM
     if abs(total - 1.0) > 1e-12:
         raise InvalidPmf(f"probabilities sum to {total}, not 1")
     env = _TermEnvelope(k=0, scale=s, ratio=r, start=L) if s > 0.0 else _TermEnvelope(last=L - 1)
-    seq = TermBackedSequence(env.within(p.a), gamma, env.to_certificate(gamma))
+    seq = TermBackedSequence(env.within(partial(_coefficients, p)), gamma,
+                             env.to_certificate(gamma))
     return TaylorMeasure(seq, gamma)
 
 
@@ -392,7 +395,8 @@ def _measure_from_power_series(p: PowerSeriesPmf, gamma: float) -> TaylorMeasure
     # a pmf below the normal range is pulled in within that bound
     norm_lo = p.normalizer.value - p.normalizer.abs_error
     env = _TermEnvelope.of(p.b.certificate, p.zeta).scaled(1.0 / norm_lo)
-    seq = TermBackedSequence(env.within(p.pmf), gamma, env.to_certificate(gamma))
+    seq = TermBackedSequence(env.within(lambda indices: list(map(p.pmf, indices))), gamma,
+                             env.to_certificate(gamma))
     return TaylorMeasure(seq, gamma)
 
 

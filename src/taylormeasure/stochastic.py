@@ -594,10 +594,16 @@ def stm_moments(spec: StmSpec, B: NatSet, eps: float = 1e-12) -> tuple[float, fl
     if isinstance(spec, RandomWalk):
         return spec.t * spec.step.mean, spec.t * spec.step.variance
     if isinstance(spec, Ar1):
-        if spec.phi == 1.0:
-            geom = float(spec.t)
+        phi, t = spec.phi, spec.t
+        if phi == 1.0 or t == 0:
+            geom = float(t)
+        elif phi == 0.0:
+            geom = 1.0
         else:
-            geom = (1.0 - spec.phi ** (2 * spec.t)) / (1.0 - spec.phi ** 2)
+            # (1 - phi**(2t)) / (1 - phi**2), with 1 - phi**(2t) formed as
+            # -expm1(2t log phi) and 1 - phi**2 as (1 - phi)(1 + phi): near
+            # phi = 1 neither difference from 1 cancels
+            geom = -math.expm1(2 * t * math.log(phi)) / ((1.0 - phi) * (1.0 + phi))
         return 0.0, spec.sigma2 * geom
     if isinstance(spec, BrownianApprox):
         raise UnsupportedSpec(

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -37,7 +38,7 @@ from taylormeasure import (
     sup_distance_on_grid,
     truncate_rep,
 )
-from taylormeasure import analytic
+from taylormeasure import analytic, kernel
 from taylormeasure.analytic import AnalyticRep, _horner_grid
 
 
@@ -238,6 +239,87 @@ class TestPower:
         p5 = power(cos_rep(), 5)
         x = 0.4
         assert eval_rep(p5, x, 1e-12).value == pytest.approx(math.cos(x) ** 5, abs=1e-10)
+
+
+def _generator_multiply(r1, r2):
+    """multiply with each d_l and term error summed by math.fsum over a
+    generator of products of two memoised per-index callables."""
+    e1, e2 = analytic._d_envelope(r1), analytic._d_envelope(r2)
+    last1, last2 = (math.inf if e.last is None else e.last for e in (e1, e2))
+
+    def reach(l):
+        return range(max(0, l - last2), min(l, last1) + 1)
+
+    da, db = (functools.cache(functools.partial(analytic._d_value, r.coefficients))
+              for r in (r1, r2))
+    d_rule = functools.cache(lambda l: math.fsum(da(n) * db(l - n) for n in reach(l)))
+    ea, eb = (kernel._term_errors(r.coefficients, 1.0) for r in (r1, r2))
+    term_error = None
+    if ea is not None or eb is not None:
+        ea, eb = ea or analytic._no_error, eb or analytic._no_error
+        term_error = functools.cache(lambda l: math.fsum(
+            abs(da(n)) * eb(l - n) + ea(n) * (abs(db(l - n)) + eb(l - n)) for n in reach(l)))
+    cert = e1.cauchy(e2).to_certificate(1.0)
+    return AnalyticRep(r1.center, TermBackedSequence(d_rule, 1.0, cert, term_error),
+                       min(r1.radius_hint, r2.radius_hint))
+
+
+def _generator_power(rep, k):
+    result, base = analytic._constant_rep(1.0, rep.center), rep
+    while k:
+        if k & 1:
+            result = _generator_multiply(result, base)
+        if k > 1:
+            base = _generator_multiply(base, base)
+        k >>= 1
+    return result
+
+
+@st.composite
+def _factors(draw):
+    """Representations at center 0 with finite and infinite supports, with
+    and without term errors (a recentred or truncated recentred function)."""
+    kind = draw(st.sampled_from(["builtin", "polynomial", "recentred", "truncated", "product"]))
+    name = draw(st.sampled_from(_BUILTIN_NAMES))
+    if kind == "builtin":
+        return builtin(name, 0.0)
+    if kind == "polynomial":
+        return polynomial_rep(draw(st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=8)))
+    start = draw(st.sampled_from([-0.25, 0.125]))
+    rep = recenter(builtin(name, start), 0.0)
+    if kind == "truncated":
+        return truncate_rep(rep, draw(st.integers(0, 12)))
+    if kind == "product":
+        return multiply(rep, polynomial_rep([0.5, -1.5, 0.25]))
+    return rep
+
+
+def _terms_and_errors(seq, ls):
+    errors = kernel._term_errors(seq, 1.0) or analytic._no_error
+    return [(analytic._d_value(seq, l).hex(), errors(l).hex()) for l in ls]
+
+
+class TestConvolution:
+    """multiply and power read their operands as growing lists and convolve
+    them with one map per d_l: the d_l and term errors are those of an fsum
+    over a generator of per-index products, bit for bit, in any order of
+    indices."""
+
+    @given(_factors(), _factors(), st.lists(st.integers(0, 40), min_size=1, max_size=10))
+    @settings(max_examples=60, deadline=None)
+    def test_multiply(self, f, g, ls):
+        got, want = multiply(f, g).coefficients, _generator_multiply(f, g).coefficients
+        assert (got.term_error is None) == (want.term_error is None)
+        assert got.certificate == want.certificate
+        assert _terms_and_errors(got, ls) == _terms_and_errors(want, ls)
+        run = range(max(ls) + 1)
+        assert [v.hex() for v in got.term_rule.run(run)] == [v for v, _ in _terms_and_errors(want, run)]
+
+    @given(_factors(), st.integers(0, 6), st.lists(st.integers(0, 30), min_size=1, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_power(self, f, k, ls):
+        got, want = power(f, k).coefficients, _generator_power(f, k).coefficients
+        assert _terms_and_errors(got, ls) == _terms_and_errors(want, ls)
 
 
 class TestLinearCombine:

@@ -787,6 +787,53 @@ class TestFusedPass:
             sum_terms(finite_sequence([1.0, 2.0]), 1.0, [1, -1])
 
 
+class TestTermBlock:
+    @given(_fused_sequences(), _fused_gammas, st.booleans(), _fused_indices)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_term_and_err(self, seq, gamma, presented, indices):
+        if presented and isinstance(seq, TermBackedSequence):
+            gamma = seq.presentation_gamma
+        ref = _bits(lambda: [x for n in indices for x in _term_and_err(seq, gamma, n)])
+        assert _bits(lambda: [x for t in kernel._term_block(seq, gamma, indices) for x in t]) == ref
+        values = _bits(lambda: kernel._term_block(seq, gamma, indices, errors=False))
+        raised = bool(ref) and isinstance(ref[0], type)
+        assert values == (ref if raised else ref[::2])
+
+
+def _fraction_coefficient(q, g, n):
+    """a_n = n! q / g**n for the term q at presentation g, as Fraction
+    arithmetic rounds it once."""
+    return float(Fraction(q) * math.factorial(n) / Fraction(g) ** n)
+
+
+def _signed(magnitudes):
+    return st.tuples(magnitudes, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+_stored_terms = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    _signed(st.floats(5e-324, kernel._MIN_NORMAL, exclude_max=True)),
+    _signed(st.floats(kernel._MIN_NORMAL, 1e250)),
+    _signed(st.floats(1e250, 1.7976931348623157e308)),
+)
+_presentations = st.one_of(st.just(1.0), st.floats(-1e3, -1e-3),
+                           _signed(st.floats(5e-324, 1e-250)))
+
+
+class TestTermBackedCoefficient:
+    @given(_stored_terms, _presentations, st.integers(0, 400))
+    @settings(max_examples=400, deadline=None)
+    @example(q=-3.5, g=-1e-300, n=3)  # an odd power of a negative presentation
+    @example(q=1e308, g=1e-300, n=400)  # the quotient overflows
+    def test_equals_the_fraction_quotient_bit_for_bit(self, q, g, n):
+        seq = TermBackedSequence(lambda k: q, g, Unverified())
+        try:
+            want = _fraction_coefficient(q, g, n)
+        except OverflowError:  # the log form, as a before it
+            want = kernel._exp_signed(*seq.log_a(n))
+        assert seq.a(n).hex() == want.hex()
+
+
 # value and abs_error of calls across the layers, as hex strings recorded with
 # the term-by-term summation pass that the fused one replaced: any bit that
 # moves fails

@@ -761,3 +761,52 @@ class TestOnePassPerCaller:
                                                   jp.negative(NatSet.all()).value)
         assert pair.q_pos.normalizer == jp.positive(NatSet.all())
         assert pair.q_neg.normalizer == jp.negative(NatSet.all())
+
+
+def _per_index_combination(alpha, T1, beta, T2):
+    """linear_combination's term rule formed one index at a time: each
+    operand's term through TaylorMeasure.term, and a term below the normal
+    range pulled in within the combined envelope."""
+    envelope = kernel._TermEnvelope.of(T1.coefficients.certificate, T1.gamma, T1.term).scaled(
+        alpha).add(kernel._TermEnvelope.of(T2.coefficients.certificate, T2.gamma, T2.term)
+                   .scaled(beta))
+
+    def rule(n):
+        if beta == 0.0:
+            v = alpha * T1.term(n) if alpha != 1.0 else T1.term(n)
+        elif alpha == 0.0:
+            v = beta * T2.term(n) if beta != 1.0 else T2.term(n)
+        else:
+            v = alpha * T1.term(n) + beta * T2.term(n)
+        return envelope.pulled_in(n, v) if 0.0 < abs(v) < kernel._MIN_NORMAL else v
+
+    return rule
+
+
+def _hex_or_error(call):
+    try:
+        return [v.hex() for v in call()]
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# terms below the normal range at small n: 1e-320 / n! at gamma 1e-160
+_tiny = st.sampled_from([1e-160, -3e-155]).map(
+    lambda g: TaylorMeasure(constant_sequence(1.0), g))
+_weights = st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(-2.0, 2.0))
+_runs = st.one_of(
+    st.builds(range, st.integers(0, 5), st.integers(0, 400)),
+    st.lists(st.integers(0, 600), max_size=30).map(lambda ns: sorted(set(ns))),
+)
+
+
+class TestCombinationRuns:
+    @given(_weights, st.one_of(_measures(), _tiny), _weights, st.one_of(_measures(), _tiny), _runs)
+    @settings(max_examples=150, deadline=None)
+    def test_run_fetch_equals_per_index_terms(self, alpha, T1, beta, T2, ns):
+        if alpha == 0.0 and beta == 0.0:
+            return
+        seq = linear_combination(alpha, T1, beta, T2).coefficients
+        want = _hex_or_error(lambda: [_per_index_combination(alpha, T1, beta, T2)(n) for n in ns])
+        assert _hex_or_error(lambda: seq.term_rule.run(ns)) == want
+        assert _hex_or_error(lambda: [seq.term_rule(n) for n in ns]) == want

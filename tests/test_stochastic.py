@@ -1,8 +1,11 @@
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import taylormeasure.stochastic as stoch
 from taylormeasure import (
@@ -278,6 +281,18 @@ class TestAr1:
     def test_unit_phi(self):
         _, var = stm_moments(Ar1(1.0, 2.0, 5), ALL)
         assert var == pytest.approx(10.0, rel=1e-14)
+
+    @given(st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 10 ** 6), st.floats(0.01, 100.0))
+    @settings(max_examples=300, deadline=None)
+    # 1 - phi**(2t) cancels to 0.0 at a phi this near 1 unless formed as an expm1
+    @example(phi=0.9999999999973651, t=1975, sigma2=1.0)
+    @example(phi=0.0, t=3, sigma2=1.0)
+    def test_variance_against_mpmath(self, phi, t, sigma2):
+        _, var = stm_moments(Ar1(phi, sigma2, t), ALL)
+        with mpmath.workdps(50):
+            p = mpmath.mpf(phi)
+            exact = sigma2 * (1 - p ** (2 * t)) / (1 - p * p)
+            assert abs(var - exact) <= 2e-15 * exact
 
     def test_calibration(self):
         spec = Ar1(0.5, 1.0, 3)
