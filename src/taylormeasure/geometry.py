@@ -10,6 +10,10 @@ but the n!-weighted form only depends on the term functions, so rho is
 invariant under re-presentation of the same measure.  It induces the norm
 ``sqrt(rho(T, T))`` and the distance ``norm(T1 - T2)``.
 
+rho is a set sum like T(B): each summand comes with an error bound
+(_rho_summand), and measure._set_sum sums the pairs by the kernel's one
+pass (kernel._sum_terms), or exactly where it would so sum exact terms.
+
 On infinite index sets convergence is certified through the operands' growth
 certificates: bounded or geometric-envelope coefficients give summands below
 C * R**n / n!, which is summable for every R.  Factorially growing
@@ -29,21 +33,21 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import NamedTuple
 
 from .errors import NegativeRadicand
 from .kernel import (
     _FACT,
     _LOG_SAFE,
     _MAX_FLOAT_FACTORIAL,
-    _NeumaierSum,
     _ULP,
     TruncationPlan,
+    _SignSplit,
     _TermEnvelope,
     _Terms,
     _exp_signed,
     _finite_terms,
     _signed_log,
+    _sum_terms,
     _term_and_err,
     _term_block,
     _term_errors,
@@ -140,38 +144,21 @@ def _cross_error(lf: float, l1: float, l2: float, e1: float, e2: float) -> float
             + _exp_signed(1, lf + le1 + le2))
 
 
-class _RhoSum(NamedTuple):
-    """A float sum of rho summands and its error bound."""
-
-    value: float
-    error: float
-
-    def part(self, name: str, tail: float) -> tuple[float, float]:
-        """The signed sum, the one part an inner product has, with ``tail``
-        added to its bound (as kernel._SignSplit.part)."""
-        return self.value, self.error + tail
-
-
-def _rho_sum(T1, T2, indices) -> _RhoSum:
-    """The rho summands over increasing naturals, summed. The operands'
-    terms up to n = 170 are fetched as one block each (kernel._term_block;
-    one block when T2 is T1), so each summand there is _rho_summand's from
-    those terms; past n = 170 each is _rho_summand's log form."""
+def _rho_pairs(T1, T2, indices):
+    """The rho summands over increasing naturals with their error bounds:
+    _rho_summand's from one block of each operand's terms up to n = 170
+    (kernel._term_block; one block when T2 is T1), its log form past that.
+    They stop after the first that is not finite, as no later one makes
+    the sum or its bound finite again."""
     k = bisect_right(indices, _MAX_FLOAT_FACTORIAL)
     head = indices[:k]
     b1 = _term_block(T1.coefficients, T1.gamma, head)
     b2 = b1 if T2 is T1 else _term_block(T2.coefficients, T2.gamma, head)
-    acc = _NeumaierSum()
-    err = _NeumaierSum()
     for i, n in enumerate(indices):
         v, e = _rho_of_terms(T1, T2, n, (b1[i], b2[i])) if i < k else _rho_summand(T1, T2, n)
+        yield v, e
         if not (math.isfinite(v) and math.isfinite(e)):
-            # no later summand makes the sum or its bound finite again, and
-            # MeasureValue refuses the pair: stop before summing the rest
-            return _RhoSum(v, e)
-        acc.add(v)
-        err.add(e + _ULP * abs(v))
-    return _RhoSum(acc.value, err.value)
+            return
 
 
 class _RhoTerms:
@@ -192,8 +179,8 @@ class _RhoTerms:
     def horizon(self, last: int) -> None:
         return None
 
-    def sum(self, indices) -> _RhoSum:
-        return _rho_sum(self.T1, self.T2, indices)
+    def sum(self, indices) -> _SignSplit:
+        return _sum_terms(None, 0.0, indices, pairs=_rho_pairs(self.T1, self.T2, indices))
 
     @cached_property
     def exact(self) -> exact._ExactTerms | None:
@@ -202,14 +189,22 @@ class _RhoTerms:
         return None if e2 is None else e1.times(e2)
 
 
+def _rho(T1: TaylorMeasure, T2: TaylorMeasure, B: NatSet, eps: float,
+         strict: bool = True) -> MeasureValue:
+    """rho(T1, T2)(B), with eps a contract when ``strict`` (measure._set_sum)."""
+    s, tail = _set_sum(_RhoTerms(T1, T2), B, eps, "signed", strict)
+    return MeasureValue(*s.part("signed", tail))
+
+
 def inner_product(
     T1: TaylorMeasure, T2: TaylorMeasure, B: NatSet, eps: float = 1e-12
 ) -> MeasureValue:
     """Evaluate rho(T1, T2)(B) = sum_{n in B} n! * p_T1(n) * p_T2(n).
 
     Finite sets sum over the listed indices.  Infinite sets use both
-    certificates to plan a truncation whose tail is below eps; the returned
-    abs_error covers that tail plus the summation roundoff estimate.
+    certificates to plan a truncation whose tail is below eps; abs_error is
+    that tail, the summands' own error bounds and 2u (u = 2**-53) times
+    the sum of their magnitudes, as for evaluate's terms.
 
     When both operands' coefficients are exact by definition (a prefix,
     then a zero, constant or geometric tail) the summands are exact, the
@@ -224,8 +219,7 @@ def inner_product(
     Raises DivergenceUnknown on an infinite set when either operand lacks a
     convergence-certifying growth certificate.
     """
-    s, tail = _set_sum(_RhoTerms(T1, T2), B, eps)
-    return MeasureValue(*s.part("signed", tail))
+    return _rho(T1, T2, B, eps)
 
 
 def norm(T: TaylorMeasure, B: NatSet, eps: float = 1e-12) -> MeasureValue:
@@ -238,20 +232,23 @@ def norm(T: TaylorMeasure, B: NatSet, eps: float = 1e-12) -> MeasureValue:
     The radicand is a sum of squares, so a negative value can only come from
     accumulated roundoff; within abs_error of zero it is treated as zero, and
     beyond that NegativeRadicand is raised.
+    abs_error is e / (sqrt(v) + sqrt(v - e)), for the radicand v and its
+    bound e, plus half an ulp of the rounded sqrt(v), rounded upward
+    (sqrt(e) where v is 0).
     """
-    s, tail = _set_sum(_RhoTerms(T, T), B, eps, "signed", False)
-    q = MeasureValue(*s.part("signed", tail))
+    q = _rho(T, T, B, eps, False)
     v, e = q.value, q.abs_error
     if v < 0.0:
         if -v <= e:
-            return MeasureValue(0.0, math.sqrt(e))
+            return MeasureValue(0.0, math.nextafter(math.sqrt(e), math.inf))
         raise NegativeRadicand(
             f"rho(T, T)(B) = {v} is negative beyond its error bound {e}"
         )
+    # the float denom may sit 4.5u above the exact one: it is taken 8u lower
     r = math.sqrt(v)
-    denom = r + math.sqrt(max(v - e, 0.0))
-    err = e / denom if denom > 0.0 else math.sqrt(e)
-    return MeasureValue(r, err)
+    denom = (r + math.sqrt(max(v - e, 0.0))) * (1.0 - 8.0 * _ULP)
+    err = math.nextafter(e / denom if denom > 0.0 else math.sqrt(e), math.inf)
+    return MeasureValue(r, math.nextafter(err + 0.5 * math.ulp(r), math.inf))
 
 
 def distance(
@@ -373,10 +370,7 @@ def hilbert_axiom_report(
     rng = random.Random(seed)
     tv = partial(_part_value, sets=B, eps=eps, part="variation", strict=False)
 
-    def rho(T1: TaylorMeasure, T2: TaylorMeasure) -> MeasureValue:
-        s, tail = _set_sum(_RhoTerms(T1, T2), B, eps, "signed", False)
-        return MeasureValue(*s.part("signed", tail))
-
+    rho = partial(_rho, B=B, eps=eps, strict=False)
     rho_self = [rho(T, T).value for T in samples]
     tv_self = [tv(T).value for T in samples]
     sym = 0.0

@@ -11,14 +11,15 @@ bounds, truncation planning, and one summation pass (_sum_terms), which
 every set sum reads its values from. That pass fetches a set's
 coefficients as one block and forms each term and adds it to compensated
 sums split by sign in one loop, with the operations of _term_and_err,
-which forms single terms, so its results are the same bit for bit.
-Composite terms read their operands a run at a time through _term_block,
-which fetches a run of terms with _term_and_err's bits; a term function
-that is formed a run at a time is a _TermRun. A truncation plan is found by one doubling search over tail bounds and
-memoised per process; the plan at half the smallest normal float is the
-underflow horizon where finite-set sums stop. Tail bounds and every
-certificate derived from others go through one term-space envelope,
-_TermEnvelope.
+which forms single terms, so its results are the same bit for bit; terms
+formed elsewhere (a term-backed sequence's at its presentation gamma,
+geometry's rho summands) reach it as (value, error) pairs. Composite
+terms read their operands a run at a time through _term_block, with
+_term_and_err's bits; a term function formed a run at a time is a
+_TermRun. A truncation plan is found by one doubling search over tail
+bounds and memoised per process; the plan at half the smallest normal
+float is the underflow horizon where finite-set sums stop. Tail bounds
+and every derived certificate go through one envelope, _TermEnvelope.
 
 Coefficients that are exact by definition (an explicit prefix, then a
 zero, constant or geometric tail) make every term an exact dyadic
@@ -883,8 +884,10 @@ class _TermEnvelope:
         supports = [e.last for e in (self, other) if e.last is not None]
         if supports:
             return _TermEnvelope(last=min(supports))
-        return _TermEnvelope(1, self.scale * other.scale, self.ratio * other.ratio,
-                             max(self.start, other.start))
+        scale = self.scale * other.scale
+        if 0.0 < self.scale and 0.0 < other.scale and scale < _MIN_NORMAL:
+            scale += _TINY  # as in scaled(): a bound must not round down, even to 0
+        return _TermEnvelope(1, scale, self.ratio * other.ratio, max(self.start, other.start))
 
     def square(self) -> "_TermEnvelope":
         """The envelope of p(n)**2. It stays at k = 1, although p**2 decays
@@ -1052,23 +1055,15 @@ class _SignSplit(NamedTuple):
         return self.neg, self.neg_error + tail
 
 
-def _presented_terms(seq: TermBackedSequence, indices: Union[range, list, tuple]) -> list[float]:
-    """seq.term_rule(n) for every n in indices, in order: one run where the
-    rule is a _TermRun."""
-    rule = seq.term_rule
-    if isinstance(rule, _TermRun):
-        return rule.run(indices)
-    return list(map(rule, indices))
-
-
 def _coefficients(seq: SequenceLike, indices: Union[range, list, tuple]) -> list[float]:
     """seq.a(n) for every natural n in indices, in order, fetched as one
     block: the prefix is read by slice or subscript and a constant or rule
     tail directly, and a term-backed sequence's terms as one block
-    (_presented_terms). seq.a(n) itself is called only for a geometric
-    tail, for its closed form in logs."""
+    (_term_block). seq.a(n) itself is called only for a geometric tail,
+    for its closed form in logs."""
     if isinstance(seq, TermBackedSequence):
-        return list(map(seq._coefficient, indices, _presented_terms(seq, indices)))
+        terms = _term_block(seq, seq.presentation_gamma, indices, errors=False)
+        return list(map(seq._coefficient, indices, terms))
     prefix, t = seq.prefix, seq.tail
     size = len(prefix)
     if isinstance(t, (ZeroTail, ConstantTail)):
@@ -1086,14 +1081,16 @@ def _term_block(seq: SequenceLike, gamma: float, indices: Union[range, list, tup
     """seq's terms at gamma over increasing naturals, fetched as one block:
     each (value, error) pair exactly as _term_and_err forms it, or the values
     alone when not ``errors``. A term-backed sequence at its presentation
-    gamma reads its terms as one run (_presented_terms); every other
-    sequence reads its coefficients so (_coefficients) and forms each term
-    with _term_from_coefficient. A run of one index is _term_and_err's."""
+    gamma reads its terms as one run (its term_rule's, where that is a
+    _TermRun); every other sequence reads its coefficients so
+    (_coefficients) and forms each term with _term_from_coefficient. A run
+    of one index is _term_and_err's."""
     if len(indices) == 1:
         term = _term_and_err(seq, gamma, indices[0])
         return [term if errors else term[0]]
     if isinstance(seq, TermBackedSequence) and gamma == seq.presentation_gamma:
-        values = _presented_terms(seq, indices)
+        rule = seq.term_rule
+        values = rule.run(indices) if isinstance(rule, _TermRun) else list(map(rule, indices))
         if not errors:
             return values
         block = [(q, abs(q) * 2.0 * _ULP) for q in values]
@@ -1109,38 +1106,40 @@ def _term_block(seq: SequenceLike, gamma: float, indices: Union[range, list, tup
     return [(v, e + bias(n)) for n, (v, e) in zip(indices, block)]
 
 
-def _sum_terms(seq: SequenceLike, gamma: float, indices: Iterable[int]) -> _SignSplit:
+def _sum_terms(seq: SequenceLike, gamma: float, indices: Iterable[int],
+               pairs: Iterable[tuple[float, float]] | None = None) -> _SignSplit:
     """The one float summation pass behind every set sum: seq's terms at
     gamma over indices, compensated sums by sign and the terms' errors
     summed in index order, each term exactly as _term_and_err forms it.
     measure._set_sum takes an exact run instead where one applies
     (_exact_first); sum_terms does so through _exact_over.
 
-    The terms are formed and summed in one loop. The coefficients are
-    fetched as one block (_coefficients; a term-backed sequence reads its
-    terms as one run, _presented_terms, and at its presentation gamma
-    takes them as they are), log|gamma| is taken once and log|a| once per
-    distinct coefficient. Terms on the
-    linear path are formed inline; every other term (n = 0, gamma = 0, a
-    coefficient that is not finite, the log path) goes through
-    _term_from_coefficient. A term-backed sequence's term_error is added to
-    each term's error, as _term_and_err adds it.
+    The terms are formed and summed in one loop, from one block of
+    coefficients (_coefficients), with log|gamma| taken once and log|a|
+    once per distinct coefficient. Linear-path terms are formed inline and
+    every other one by _term_from_coefficient; a term-backed sequence's
+    term_error is added to each term's error, as _term_and_err adds it.
+    ``pairs`` are terms already formed, (value, error) in index order,
+    summed as they are until they stop; seq and gamma are then not read.
+    A term-backed sequence at its presentation gamma is read so
+    (_term_block), and so are geometry's rho summands.
     """
     if not isinstance(indices, (range, list, tuple)):
         indices = list(indices)
     if indices and min(indices) < 0:
         raise ValueError("index must be a natural number")
-    bias = _term_errors(seq, gamma)
-    presented = isinstance(seq, TermBackedSequence) and gamma == seq.presentation_gamma
-    coeffs = _presented_terms(seq, indices) if presented else _coefficients(seq, indices)
+    if pairs is None and isinstance(seq, TermBackedSequence) and gamma == seq.presentation_gamma:
+        pairs = _term_block(seq, gamma, indices)
+    formed = pairs is not None
+    bias = None if formed else _term_errors(seq, gamma)
+    block = pairs if formed else _coefficients(seq, indices)
     lg = math.log(abs(gamma)) if gamma != 0.0 else -math.inf
     logs: dict[float, float] = {}
     log, isfinite, fact = math.log, math.isfinite, _FACT
     hp = cp = hn = cn = err = ep = en = 0.0
-    for n, a in zip(indices, coeffs):
-        if presented:
-            v = a
-            e = abs(a) * 2.0 * _ULP
+    for n, a in zip(indices, block):
+        if formed:
+            v, e = a
         elif a == 0.0:
             if bias is None:
                 continue  # a zero term with no error adds nothing to any sum
@@ -1276,8 +1275,8 @@ def _exact_first(last: int, size: int, terms) -> "exact._ExactTerms | None":
 
 
 def _exact_over(indices: Union[range, list, tuple], terms) -> "exact._ExactSum | None":
-    """The exact sum (exact._ExactSum) of terms (_Terms, or geometry's rho
-    summands) over increasing natural indices when their run is summed
+    """The exact sum (exact._ExactSum) of terms (_Terms, or geometry's
+    _RhoTerms) over increasing natural indices when their run is summed
     exactly from the start (_exact_first); None otherwise."""
     if not indices:
         return None

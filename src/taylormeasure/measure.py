@@ -160,7 +160,7 @@ def zero_measure() -> TaylorMeasure:
 
 def _set_sum(terms, sets: NatSet, eps: float, part: str = "signed",
              strict: bool = True) -> tuple[kernel._SignSplit | exact._ExactSum, float]:
-    """The one set sum: terms (kernel._Terms, or geometry's rho summands)
+    """The one set sum: terms (kernel._Terms, or geometry._RhoTerms)
     summed on B, and the tail bound left out, which serves every part.
 
     A finite set stops at the terms' underflow horizon, past which their
@@ -202,7 +202,8 @@ def _set_sum(terms, sets: NatSet, eps: float, part: str = "signed",
             skip = set(excluded)
             indices = [n for n in indices if n not in skip]
         s = terms.sum(indices)
-        if not (strict and s.part(part, plan.tail_bound)[1] > eps) or last > kernel._EXACT_CAP:
+        # a bound that is nan (a term that overflowed) misses eps too
+        if not strict or s.part(part, plan.tail_bound)[1] <= eps or last > kernel._EXACT_CAP:
             return s, plan.tail_bound
         found = terms.exact
         if found is None:

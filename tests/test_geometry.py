@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import taylormeasure.geometry as geometry
+import taylormeasure.kernel as kernel
 from taylormeasure import (
     Bounded,
     DivergenceUnknown,
@@ -63,6 +66,16 @@ class TestInnerProduct:
     def test_zero_operand(self):
         assert inner_product(ONES, zero_measure(), ALL).value == 0.0
         assert inner_product(zero_measure(), ONES, NatSet.finite([0, 3])).value == 0.0
+
+    def test_tail_bound_of_tiny_operands(self):
+        # the rho envelope's scale (5e-324)**2 underflows; its tail bound
+        # must not read 0 where the summands' tail is 2.4e-647 * (e**4 - 1)
+        T = TaylorMeasure(constant_sequence(5e-324), 2.0)
+        plan = geometry._RhoTerms(T, T).plan(1e-12)
+        with mp.workdps(50):
+            tail = mp.mpf(5e-324) ** 2 * (mp.exp(4) - mp.fsum(
+                mp.mpf(4) ** n / mp.factorial(n) for n in range(plan.last_index + 1)))
+            assert plan.tail_bound >= tail > 0
 
     def test_finite_set_selects_indices(self):
         mv = inner_product(ONES, ONES, NatSet.finite([0, 2]), eps=1e-13)
@@ -132,14 +145,9 @@ class TestInnerProduct:
         assert lhs == pytest.approx(rhs, abs=1e-13)
 
 
-def _reference_rho_sum(T1, T2, indices):
-    """The rho sum over every index, with no early refusal."""
-    acc, err = geometry._NeumaierSum(), geometry._NeumaierSum()
-    for n in indices:
-        v, e = geometry._rho_summand(T1, T2, n)
-        acc.add(v)
-        err.add(e + geometry._ULP * abs(v))
-    return geometry._RhoSum(acc.value, err.value)
+def _reference_rho_pairs(T1, T2, indices):
+    """The rho summands, one _rho_summand per index, with no early refusal."""
+    return [geometry._rho_summand(T1, T2, n) for n in indices]
 
 
 class TestEarlyRefusal:
@@ -166,10 +174,25 @@ class TestEarlyRefusal:
         pairs.append((ONES, TaylorMeasure(constant_sequence(1.0), 30.0)))
         sets = (ALL, NatSet.finite([0, 3, 4, 9]), NatSet.cofinite([1, 2]))
         got = [_outcome(lambda: inner_product(a, b, B)) for a, b in pairs for B in sets]
-        monkeypatch.setattr(geometry, "_rho_sum", _reference_rho_sum)
+        monkeypatch.setattr(geometry, "_rho_pairs", _reference_rho_pairs)
         assert got == [_outcome(lambda: inner_product(a, b, B)) for a, b in pairs for B in sets]
         # rho(1@1, 1@30) = e**30 on N: half an ulp of it exceeds eps = 1e-12
         assert got[-3] is PrecisionUnattainable
+
+    def test_mixed_signs_are_split_by_the_kernel_pass(self):
+        # summands of 1@3 against 1@-2 alternate in sign; the pass sums the
+        # positive ones and the negated negative ones apart
+        T1 = TaylorMeasure(constant_sequence(1.0), 3.0)
+        T2 = TaylorMeasure(geometric_sequence(1.5, 0.5), -2.0)
+        indices = list(range(40)) + [171, 180, 250]
+        summands = _reference_rho_pairs(T1, T2, indices)
+        assert {v > 0.0 for v, _ in summands} == {True, False}
+        s = geometry._RhoTerms(T1, T2).sum(indices)
+        assert isinstance(s, kernel._SignSplit)
+        for name, chosen in (("pos", [v for v, _ in summands if v > 0.0]),
+                             ("neg", [-v for v, _ in summands if v < 0.0])):
+            alone = kernel.sum_terms(kernel._finite_terms(chosen), 1.0, range(len(chosen)))
+            assert s.part(name, 0.0)[0] == alone[0]
 
 
 def _p14(n):
@@ -335,6 +358,93 @@ class TestDistance:
         assert all(a > b for a, b in zip(dists, dists[1:]))
         assert dists[-1] < 1e-4
         assert dists[0] == pytest.approx(math.sqrt(math.e - 1.0), rel=1e-10)
+
+
+def _within(mv, exact):
+    """mv's value lies within its abs_error of exact, an mpf."""
+    assert abs(mp.mpf(mv.value) - exact) <= mv.abs_error
+
+
+def _float_operand(a, gamma, drift):
+    """a * gamma**n / n! as a constant sequence at gamma or, for a drift,
+    as stored terms each off by that relative drift, with term errors
+    that cover it."""
+    if drift is None:
+        return TaylorMeasure(constant_sequence(a), gamma)
+
+    def stored(n):
+        return float(Fraction(a) * Fraction(gamma) ** n / math.factorial(n)) * (1.0 + drift)
+
+    error = lambda n: abs(stored(n)) * (1.01 * abs(drift) + 2.0 ** -50) + 2.0 ** -1074
+    return TaylorMeasure(TermBackedSequence(stored, 1.0, GeometricEnvelope(2.0 * abs(a) + 1.0,
+                                                                          abs(gamma) + 1.0),
+                                            term_error=error), 1.0)
+
+
+class TestNormAgainstMpmath:
+    """norm and distance hold their abs_error against mpmath at 50 digits.
+    Their bound covers the rounding of the square root: an exact run rounds
+    its radicand once, so there that rounding is most of the error."""
+
+    @given(st.integers(1, 415), st.integers(171, 399))
+    @settings(max_examples=60, deadline=None)
+    def test_exact_runs_on_finite_sets(self, k, last):
+        # gamma = k / 16: the radicand's run 0..last is summed exactly
+        mv = norm(TaylorMeasure(constant_sequence(1.0), k / 16), NatSet.finite(range(last + 1)))
+        with mp.workdps(50):
+            g2 = mp.mpf(k) ** 2 / 256
+            _within(mv, mp.sqrt(mp.fsum(g2 ** n / mp.factorial(n) for n in range(last + 1))))
+
+    @given(st.integers(14 * 16, 26 * 16 - 1))
+    @settings(max_examples=30, deadline=None)
+    # sqrt(e**144) lies 9.33e14 from the value, past the 6.14e14 that the
+    # bound read before it counted the root's rounding
+    @example(k=12 * 16)
+    def test_exact_runs_on_all_of_N(self, k):
+        mv = norm(TaylorMeasure(constant_sequence(1.0), k / 16), ALL)
+        with mp.workdps(50):
+            _within(mv, mp.exp(mp.mpf(k) ** 2 / 512))
+
+    @given(st.floats(-4.0, 4.0), st.floats(-6.0, 6.0), st.floats(-4.0, 4.0),
+           st.floats(-6.0, 6.0), st.sampled_from([None, 1e-9, -3e-7]),
+           st.sampled_from([ALL, NatSet.finite([0, 3, 4, 9, 30]), NatSet.cofinite([1, 2])]))
+    @settings(max_examples=60, deadline=None)
+    def test_float_path_radicands(self, a1, g1, a2, g2, drift, B):
+        # an operand with term errors stands for a1 * g1**n / n!; a
+        # distance's linear combination for the terms it stores, since how
+        # far those sit from its operands' is ROADMAP item 1's open probe
+        # (test_certificates.TestCompositeBoundsStillOpen). Summands past
+        # n = 250 are below 4 * 36**250 / 250! < 1e-100.
+        T1 = _float_operand(a1, g1, drift)
+        T2 = TaylorMeasure(constant_sequence(a2), g2)
+        stored = linear_combination(1.0, T1, -1.0, T2).term
+        with mp.workdps(50):
+            indices = [n for n in range(251) if n in B]
+            fact = [mp.factorial(n) for n in indices]
+            exact = [mp.mpf(a1) * mp.mpf(g1) ** n / f for n, f in zip(indices, fact)]
+            for mv, radicand in (
+                    (norm(T1, B), mp.fsum(f * p * p for f, p in zip(fact, exact))),
+                    (distance(T1, T2, B), mp.fsum(f * mp.mpf(stored(n)) ** 2
+                                                  for n, f in zip(indices, fact)))):
+                # a radicand this near the bottom of the float range may be
+                # made of summands that underflow, with no error counted for
+                # them: TestSummandUnderflowStillOpen probes that
+                if not 0 < radicand < 1e-280:
+                    _within(mv, mp.sqrt(radicand))
+
+
+class TestSummandUnderflowStillOpen:
+    """A probe that fails today; a fix shows as XPASS."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="a rho summand that underflows in the log path reads 0 "
+                              "with error bound 0 (_rho_of_terms)")
+    def test_underflowing_summand(self):
+        # rho(T, T)({0}) = a**2 = 7.1e-495 underflows: the norm reads 0
+        # within 1e-323, where it is a = 8.5e-248
+        a = 8.452538542504772e-248
+        with mp.workdps(50):
+            _within(norm(TaylorMeasure(constant_sequence(a), 0.0), NatSet.finite([0])), mp.mpf(a))
 
 
 class TestRationalApproximation:
