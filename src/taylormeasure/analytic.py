@@ -310,8 +310,10 @@ def multiply(r1: AnalyticRep, r2: AnalyticRep) -> AnalyticRep:
     d1_n * d2_(l-n) that both supports reach, so a finite product costs
     nothing past its support. The operands' d_n are read from lists that
     grow a block at a time as larger l ask for them (_prefix), and the
-    products are formed by one map over two slices. Operand term errors e
-    carry over as |d1| * e2 + e1 * (|d2| + e2), convolved the same way.
+    products are formed by one map over two slices. The result's term
+    function is a kernel._TermRun, whose memo keeps each d_l once formed.
+    Operand term errors e carry over as |d1| * e2 + e1 * (|d2| + e2),
+    convolved the same way and kept by index too.
     """
     if r1.center != r2.center:
         raise CenterMismatch(
@@ -328,13 +330,12 @@ def multiply(r1: AnalyticRep, r2: AnalyticRep) -> AnalyticRep:
 
     da, db = (_prefix(partial(_term_block, r.coefficients, 1.0, errors=False))
               for r in (r1, r2))
-    d = cache(lambda l: math.fsum(map(mul, *reach(l, da, db))))
 
     def run(indices: Sequence[int]) -> list[float]:
         if indices:  # each operand's d_n up to the run's last l, as one block
             da(min(indices[-1], last1))
             db(min(indices[-1], last2))
-        return list(map(d, indices))
+        return [math.fsum(map(mul, *reach(l, da, db))) for l in indices]
 
     ea, eb = (_term_errors(r.coefficients, 1.0) for r in (r1, r2))
     term_error = None

@@ -39,6 +39,7 @@ from .kernel import (
     _FACT,
     _LOG_SAFE,
     _MAX_FLOAT_FACTORIAL,
+    _TINY,
     _ULP,
     TruncationPlan,
     _SignSplit,
@@ -87,8 +88,9 @@ def _rho_summand(T1: TaylorMeasure, T2: TaylorMeasure, n: int) -> tuple[float, f
     Up to n = 170 the operands' terms are formed in linear space and their
     product too while it stays in the normal range. Past that, and where
     the product leaves that range, each operand is formed once in signed-log
-    form, with one lgamma(n + 1) shared by both. When T2 is T1 (a norm) the
-    one operand is formed once.
+    form, with one lgamma(n + 1) shared by both; that form's bound counts
+    one subnormal unit (_TINY), so a summand that underflows is not 0 ± 0.
+    When T2 is T1 (a norm) the one operand is formed once.
     """
     terms = _operand_terms(T1, T2, n) if n <= _MAX_FLOAT_FACTORIAL else None
     return _rho_of_terms(T1, T2, n, terms)
@@ -120,7 +122,9 @@ def _rho_of_terms(T1: TaylorMeasure, T2: TaylorMeasure, n: int, terms) -> tuple[
         return 0.0, _cross_error(lf, l1, l2, e1, e2)
     log_mag = lf + l1 + l2
     v = _exp_signed(s, log_mag)
-    err = abs(v) * (abs(l1) + abs(l2) + lf + 16.0) * 2.0 ** -50
+    # one subnormal unit, as kernel._log_term_and_err adds to a term: a
+    # summand below the normal range rounds by up to half of one, even to 0
+    err = abs(v) * (abs(l1) + abs(l2) + lf + 16.0) * 2.0 ** -50 + _TINY
     b1, b2 = (bias(n) if bias else 0.0
               for bias in (_term_errors(T.coefficients, T.gamma) for T in (T1, T2)))
     if b1 or b2:

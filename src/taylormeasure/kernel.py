@@ -16,10 +16,13 @@ formed elsewhere (a term-backed sequence's at its presentation gamma,
 geometry's rho summands) reach it as (value, error) pairs. Composite
 terms read their operands a run at a time through _term_block, with
 _term_and_err's bits; a term function formed a run at a time is a
-_TermRun. A truncation plan is found by one doubling search over tail
-bounds and memoised per process; the plan at half the smallest normal
-float is the underflow horizon where finite-set sums stop. Tail bounds
-and every derived certificate go through one envelope, _TermEnvelope.
+_TermRun, which keeps each value it forms (its memo): a composite built
+on one (a linear combination, a pmf measure, a product or a power) and
+evaluated on several sets, or for several parts, forms each term once. A
+truncation plan is found by one doubling search over tail bounds and
+memoised per process; the plan at half the smallest normal float is the
+underflow horizon where finite-set sums stop. Tail bounds and every
+derived certificate go through one envelope, _TermEnvelope.
 
 Coefficients that are exact by definition (an explicit prefix, then a
 zero, constant or geometric tail) make every term an exact dyadic
@@ -299,7 +302,8 @@ class TermBackedSequence:
     evaluation at the presentation value short-circuits to q itself, so
     algebraic combinations keep their term functions bit-exact instead of
     round-tripping through n!. A term function that is a _TermRun is
-    fetched a run of indices at a time wherever a run is summed.
+    fetched a run of indices at a time wherever a run is summed, and forms
+    each term once per object: its memo keeps every value it has formed.
 
     ``term_error``, when given, bounds |q(n) - p(n)|, how far each stored
     term may sit from the exact term p(n) of the function it stands for
@@ -357,17 +361,34 @@ class TermBackedSequence:
 class _TermRun:
     """A term function that is formed a run of indices at a time: run(indices)
     gives its values over increasing naturals as one list, and a call at n is
-    the run over (n,), so the two agree bit for bit."""
+    the run over (n,).
 
-    __slots__ = ("run",)
+    Each value is formed once per object and kept: run() forms, as one run,
+    only the indices its memo lacks, and a call reads the memo first. A value
+    has the same bits whichever run formed it, so a memo moves no bit. A run
+    that raises stores nothing, and raises again when it is asked again. The
+    memo holds one float per formed index and is freed with the object."""
 
-    def __init__(self, run: Callable[[Union[range, list, tuple]], list[float]]):
-        self.run = run
+    __slots__ = ("_form", "_memo")
+
+    def __init__(self, form: Callable[[Union[range, list, tuple]], list[float]]):
+        self._form = form
+        self._memo: dict[int, float] = {}
+
+    def run(self, indices: Union[range, list, tuple]) -> list[float]:
+        memo = self._memo
+        missing = [n for n in indices if n not in memo]
+        if missing:
+            memo.update(zip(missing, self._form(missing)))
+        return [memo[n] for n in indices]
 
     def __call__(self, n: int) -> float:
         if n < 0:
             raise ValueError("index must be a natural number")
-        return self.run((n,))[0]
+        memo = self._memo
+        if n not in memo:
+            memo[n] = self._form((n,))[0]
+        return memo[n]
 
 
 def _finite_terms(terms: Iterable[float], gamma: float = 1.0,
@@ -563,12 +584,16 @@ def _factorial_ratio_tail(scale: float, g: float, last_index: int) -> float:
     g/(N+2) per step, so the tail is dominated by the geometric series
     t_{N+1} / (1 - g/(N+2)) once N+2 > g. The global bound
     scale * e**g covers the region before that, and taking the min of
-    the two keeps the bound non-increasing in N.
+    the two keeps the bound non-increasing in N. The global bound is
+    rounded up by (g + 4) ulp: g, formed as R * |gamma|, may sit half an
+    ulp below the exact product, which e**g turns into g ulp, and exp and
+    the product each round by up to an ulp (below the normal range,
+    _scale_product's unit).
     """
     if scale == 0.0 or g == 0.0:
         return 0.0
     try:
-        global_bound = scale * math.exp(g)
+        global_bound = _scale_product(scale, math.exp(g)) * (1.0 + (g + 4.0) * _ULP)
     except OverflowError:
         global_bound = math.inf
     n = last_index
@@ -721,6 +746,17 @@ def underflow_horizon(seq: SequenceLike, gamma: float, last: int) -> TruncationP
 _RATIO_FLOOR = 1e-12  # widened ratios stay positive, so a scale can be solved for
 
 
+def _scale_product(x: float, y: float) -> float:
+    """x * y for scales x, y >= 0, never rounded down to 0: below the normal
+    range the product rounds (even to 0) by up to half a subnormal unit, and
+    a bound must not round down, so one unit (_TINY) is added there. A chain
+    x * y * z is _scale_product(_scale_product(x, y), z)."""
+    p = x * y
+    if 0.0 < x and 0.0 < y and p < _MIN_NORMAL:
+        p += _TINY
+    return p
+
+
 def _needed_scale(d: float, n: int, ratio: float, k: int) -> float:
     """A scale s with d <= s * ratio**n / (n!)**k, for d > 0 and ratio > 0.
 
@@ -820,12 +856,8 @@ class _TermEnvelope:
         if w == 0.0:
             return _TermEnvelope(last=-1)
         term = self.term
-        scale = abs(w) * self.scale
-        if 0.0 < self.scale and scale < _MIN_NORMAL:
-            # below the normal range the product rounds (even to 0) by up
-            # to half a subnormal unit; a bound must not round down
-            scale += _TINY
-        return _TermEnvelope(self.k, scale, self.ratio, self.start, self.last,
+        return _TermEnvelope(self.k, _scale_product(abs(w), self.scale), self.ratio,
+                             self.start, self.last,
                              None if term is None else (lambda n: w * term(n)))
 
     def add(self, other: "_TermEnvelope") -> "_TermEnvelope":
@@ -859,14 +891,16 @@ class _TermEnvelope:
         a, b = self.widened(), other.widened()
         if a.k == b.k == 1:
             # sum_n S1 R1^n/n! S2 R2^(l-n)/(l-n)! = S1 S2 (R1+R2)^l / l!
-            return _TermEnvelope(1, a.scale * b.scale, a.ratio + b.ratio)
+            return _TermEnvelope(1, _scale_product(a.scale, b.scale), a.ratio + b.ratio)
         if a.k == b.k == 0:
             # (l+1) S1 S2 Rmax^l <= 2.05 S1 S2 (1.25 Rmax)^l
-            return _TermEnvelope(0, 2.05 * a.scale * b.scale, 1.25 * max(a.ratio, b.ratio))
+            return _TermEnvelope(0, _scale_product(_scale_product(2.05, a.scale), b.scale),
+                                 1.25 * max(a.ratio, b.ratio))
         if a.k == 0:
             a, b = b, a
         # k = 1 times k = 0: S2 R2^l S1 sum (R1/R2)^n/n! <= S1 S2 e^(R1/R2) R2^l
-        return _TermEnvelope(0, a.scale * b.scale * _exp_signed(1, a.ratio / b.ratio), b.ratio)
+        scale = _scale_product(_scale_product(a.scale, b.scale), _exp_signed(1, a.ratio / b.ratio))
+        return _TermEnvelope(0, scale, b.ratio)
 
     def rho(self, other: "_TermEnvelope") -> "_TermEnvelope":
         """The envelope of n! * p(n) * q(n), the summand of the inner product.
@@ -884,17 +918,16 @@ class _TermEnvelope:
         supports = [e.last for e in (self, other) if e.last is not None]
         if supports:
             return _TermEnvelope(last=min(supports))
-        scale = self.scale * other.scale
-        if 0.0 < self.scale and 0.0 < other.scale and scale < _MIN_NORMAL:
-            scale += _TINY  # as in scaled(): a bound must not round down, even to 0
-        return _TermEnvelope(1, scale, self.ratio * other.ratio, max(self.start, other.start))
+        return _TermEnvelope(1, _scale_product(self.scale, other.scale), self.ratio * other.ratio,
+                             max(self.start, other.start))
 
     def square(self) -> "_TermEnvelope":
         """The envelope of p(n)**2. It stays at k = 1, although p**2 decays
         like (n!)**-2 there."""
         if self.k is None or self.last is not None:
             return _TermEnvelope(self.k, last=self.last)
-        return _TermEnvelope(self.k, self.scale ** 2, self.ratio ** 2, self.start)
+        return _TermEnvelope(self.k, _scale_product(self.scale, self.scale), self.ratio ** 2,
+                             self.start)
 
     def shifted(self, dist: float) -> "_TermEnvelope":
         """For a widened envelope: the envelope of the Taylor shift

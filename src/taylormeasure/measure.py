@@ -312,7 +312,10 @@ def linear_combination(
     (_TermEnvelope.within). The terms are formed a run of indices at a
     time (kernel._TermRun): each operand's terms over the run are one
     block (kernel._term_block), and a single term is the run over that
-    index. Operand term errors carry over as |alpha| * e1 + |beta| * e2.
+    index. The run's memo keeps every term formed, so evaluating the
+    result on several sets, or for several parts, forms each operand term
+    once, with the same bits. Operand term errors carry over as
+    |alpha| * e1 + |beta| * e2.
     """
     alpha = float(alpha)
     beta = float(beta)

@@ -35,12 +35,14 @@ from taylormeasure import (
     finite_sequence,
     from_pmf,
     geometric_rep,
+    jordan_decompose,
     linear_combination,
     linear_combine,
     multiply,
     power,
     recenter,
     rule_sequence,
+    tail_bound,
     truncate_rep,
 )
 from taylormeasure.analytic import AnalyticRep
@@ -384,6 +386,29 @@ class TestEnvelopeSum:
         assert summed == _TermEnvelope(1, 1.0, 0.5).add(finite)
 
 
+class TestEnvelopeProducts:
+    # scales whose products fall below the normal range, even below 5e-324
+    TINY_SCALES = (5e-324, 1e-310, 1e-200, 3e-170, 1e-160)
+
+    def test_scales_of_tiny_operands(self):
+        # every scale product of two envelopes bounds the exact product of
+        # its factors from above: none rounds down, to 0 or otherwise
+        def at_least(env, *factors):
+            exact = math.prod(map(Fraction, factors))
+            assert env.scale > 0.0 and Fraction(env.scale) >= exact, (env, factors)
+
+        for s1 in self.TINY_SCALES:
+            for s2 in self.TINY_SCALES:
+                k1, k0 = _TermEnvelope(1, s1, 2.0), _TermEnvelope(0, s1, 0.5)
+                at_least(k1.cauchy(_TermEnvelope(1, s2, 3.0)), s1, s2)
+                at_least(k0.cauchy(_TermEnvelope(0, s2, 0.25)), 2.05, s1, s2)
+                # k = 1 times k = 0: S1 S2 e**(R1 / R2), with e**4 as a float
+                at_least(k1.cauchy(_TermEnvelope(0, s2, 0.5)), s1, s2, math.exp(4.0))
+                at_least(k1.rho(_TermEnvelope(1, s2, 3.0)), s1, s2)
+                at_least(k1.scaled(-s2), s1, s2)
+            at_least(_TermEnvelope(1, s1, 2.0).square(), s1, s1)
+
+
 class TestCompositeBoundsStillOpen:
     """Probes of ROADMAP item 1 that fail today; a fix shows as XPASS."""
 
@@ -407,6 +432,46 @@ class TestCompositeBoundsStillOpen:
         out = eval_rep(multiply(geometric_rep(), geometric_rep()), 0.9)
         with mpmath.workdps(50):
             exact = 1 / (1 - mpmath.mpf(0.9)) ** 2
+            assert abs(mpmath.mpf(out.value) - exact) <= out.abs_error
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 1: a convolution product that underflows "
+                              "counts no error")
+    def test_product_of_tiny_functions(self):
+        # (1e-170 e**x)**2 at x = 300 is 3.77e-80; every product
+        # d1_n * d2_(l-n) underflows, so the value reads 0 within 6.5e-101
+        r = AnalyticRep(0.0, constant_sequence(1e-170), math.inf)
+        out = eval_rep(multiply(r, r), 300.0, 1e-100)
+        with mpmath.workdps(50):
+            exact = mpmath.mpf(1e-170) ** 2 * mpmath.exp(600)
+            assert abs(mpmath.mpf(out.value) - exact) <= out.abs_error
+
+
+class TestGlobalTailBound:
+    """Before the terms peak (N + 2 <= R|gamma|) the tail bound is the whole
+    series' S e**(R|gamma|), rounded up."""
+
+    SCALES = (1.0, 3.7, 5.8758007304400345e-226, 1e-300, 1e-320)
+
+    def test_bounds_the_exact_tail(self):
+        for g in (38.0, 40.0, 100.0, 333.0, 470.0, 650.0, 700.0):
+            for s in self.SCALES:
+                got = tail_bound(GeometricEnvelope(s, 1.0), g, 0)
+                with mpmath.workdps(50):
+                    exact = mpmath.mpf(s) * mpmath.expm1(g)
+                    assert mpmath.mpf(got) >= exact, (g, s, got)
+
+    @pytest.mark.parametrize("ratio, gamma", [(1.25, -376.0), (1.3125, -341.0667803269349)])
+    def test_negative_part_before_the_peak(self, ratio, gamma):
+        # every term is negative, and the plan stops at n = 0: the bound is
+        # all of the part but its first term. 1.3125 * 341.0667803269349
+        # rounds down, so e**(R|gamma|) as floats falls short by 6.6e-15
+        s = 5.8758007304400345e-226
+        T = TaylorMeasure(rule_sequence(lambda n: -s * (-ratio) ** n, GeometricEnvelope(s, ratio)),
+                          gamma)
+        out = jordan_decompose(T).negative(NatSet.all(), 1e-16)
+        with mpmath.workdps(50):
+            exact = mpmath.mpf(s) * mpmath.exp(mpmath.mpf(ratio) * abs(mpmath.mpf(gamma)))
             assert abs(mpmath.mpf(out.value) - exact) <= out.abs_error
 
 

@@ -409,6 +409,9 @@ class TestNormAgainstMpmath:
            st.floats(-6.0, 6.0), st.sampled_from([None, 1e-9, -3e-7]),
            st.sampled_from([ALL, NatSet.finite([0, 3, 4, 9, 30]), NatSet.cofinite([1, 2])]))
     @settings(max_examples=60, deadline=None)
+    # radicands near 1e-600: summands that underflow on the log path
+    @example(a1=5e-324, g1=0.0, a2=1e-300, g2=0.0, drift=None, B=ALL)
+    @example(a1=8.45e-248, g1=0.5, a2=-7e-170, g2=2.0, drift=1e-9, B=NatSet.cofinite([1, 2]))
     def test_float_path_radicands(self, a1, g1, a2, g2, drift, B):
         # an operand with term errors stands for a1 * g1**n / n!; a
         # distance's linear combination for the terms it stores, since how
@@ -426,22 +429,16 @@ class TestNormAgainstMpmath:
                     (norm(T1, B), mp.fsum(f * p * p for f, p in zip(fact, exact))),
                     (distance(T1, T2, B), mp.fsum(f * mp.mpf(stored(n)) ** 2
                                                   for n, f in zip(indices, fact)))):
-                # a radicand this near the bottom of the float range may be
-                # made of summands that underflow, with no error counted for
-                # them: TestSummandUnderflowStillOpen probes that
-                if not 0 < radicand < 1e-280:
-                    _within(mv, mp.sqrt(radicand))
+                _within(mv, mp.sqrt(radicand))
 
 
-class TestSummandUnderflowStillOpen:
-    """A probe that fails today; a fix shows as XPASS."""
+class TestUnderflowingSummand:
+    """A rho summand that underflows on the log path counts one subnormal
+    unit of error, as a term that underflows does."""
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="a rho summand that underflows in the log path reads 0 "
-                              "with error bound 0 (_rho_of_terms)")
     def test_underflowing_summand(self):
-        # rho(T, T)({0}) = a**2 = 7.1e-495 underflows: the norm reads 0
-        # within 1e-323, where it is a = 8.5e-248
+        # rho(T, T)({0}) = a**2 = 7.1e-495 underflows to 0: the norm's
+        # bound must still reach a = 8.5e-248
         a = 8.452538542504772e-248
         with mp.workdps(50):
             _within(norm(TaylorMeasure(constant_sequence(a), 0.0), NatSet.finite([0])), mp.mpf(a))

@@ -16,6 +16,7 @@ from taylormeasure import (
     GeometricEnvelope,
     GeometricTail,
     NatSet,
+    PowerSeriesPmf,
     PrecisionUnattainable,
     TaylorMeasure,
     TermBackedSequence,
@@ -27,12 +28,16 @@ from taylormeasure import (
     evaluate,
     exp_rep,
     finite_sequence,
+    from_pmf,
     geometric_sequence,
     jordan_decompose,
     linear_combination,
     lp_norm_on_interval,
+    multiply,
     normalizer,
     plan_truncation,
+    polynomial_rep,
+    power,
     recenter,
     rule_sequence,
     sin_rep,
@@ -43,7 +48,7 @@ from taylormeasure import (
     term_value,
     total_variation,
 )
-from taylormeasure import geometry, kernel
+from taylormeasure import TaylorMeasureError, geometry, kernel
 from taylormeasure.kernel import _PLAN_CAP, _log_term_and_err, _term_and_err
 
 import exact_reference
@@ -632,7 +637,8 @@ def _ref_log_term_and_err(seq, gamma, n):
 def _ref_rho_summand(T1, T2, n):
     """Test-only reference: geometry._rho_summand on n > 170, where it
     reads both terms through term(). A zero operand gives 0 with the bound
-    n! (|p1| e2 + |p2| e1 + e1 e2) on the terms' errors e, in logs."""
+    n! (|p1| e2 + |p2| e1 + e1 e2) on the terms' errors e, in logs; any
+    other summand's bound counts one subnormal unit, as a term's does."""
     v1, e1 = _term_and_err(T1.coefficients, T1.gamma, n)
     v2, e2 = _term_and_err(T2.coefficients, T2.gamma, n)
     sg1, l1 = _ref_term(T1.coefficients, T1.gamma, n)
@@ -645,7 +651,7 @@ def _ref_rho_summand(T1, T2, n):
         return 0.0, (kernel._exp_signed(1, lf + l1 + le2) + kernel._exp_signed(1, lf + l2 + le1)
                      + kernel._exp_signed(1, lf + le1 + le2))
     v = kernel._exp_signed(s, lf + l1 + l2)
-    return v, abs(v) * (abs(l1) + abs(l2) + lf + 16.0) * 2.0 ** -50
+    return v, abs(v) * (abs(l1) + abs(l2) + lf + 16.0) * 2.0 ** -50 + kernel._TINY
 
 
 def _log_rule_sequence():
@@ -894,3 +900,133 @@ def _pinned_call(name):
 @pytest.mark.parametrize("name", sorted(_PINNED))
 def test_pinned_bits(name):
     assert _pinned_call(name) == _PINNED[name]
+
+
+# ---------------------------------------------------------------------------
+# A composite forms each term once per object (kernel._TermRun's memo)
+
+
+_memo_gammas = st.one_of(st.just(1.0), st.floats(-4.0, 4.0))
+_memo_operands = st.one_of(
+    st.builds(lambda c, g: TaylorMeasure(constant_sequence(c), g), st.floats(-3.0, 3.0), _memo_gammas),
+    st.builds(lambda s, r, g: TaylorMeasure(geometric_sequence(s, r), g),
+              st.floats(-2.0, 2.0), st.floats(-1.5, 1.5), _memo_gammas),
+    st.builds(lambda cs, g: TaylorMeasure(finite_sequence(cs), g),
+              st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8), _memo_gammas),
+)
+
+
+@st.composite
+def _composites(draw):
+    """A zero-argument builder of a composite measure; each call builds a
+    fresh one, with cold term memos, from the same operands."""
+    kind = draw(st.sampled_from(["combination", "pmf_sequence", "pmf_series", "product"]))
+    if kind == "combination":
+        alpha, beta = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+        T1, T2 = draw(_memo_operands), draw(_memo_operands)
+        assume(alpha != 0.0 or beta != 0.0)
+        return lambda: linear_combination(alpha, T1, beta, T2)
+    gamma = draw(st.sampled_from([1.0, 0.5, 3.0]))
+    if kind == "pmf_sequence":
+        # the geometric law (1 - r) r**n, after a short explicit prefix
+        r = draw(st.sampled_from([0.25, 0.5, 0.875]))
+        return lambda: from_pmf(CoefficientSequence((1.0 - r, (1.0 - r) * r), GeometricTail(1.0 - r, r)),
+                                gamma)
+    if kind == "pmf_series":
+        zeta = draw(st.sampled_from([0.5, 2.0, 7.0]))
+        return lambda: from_pmf(PowerSeriesPmf(zeta, constant_sequence(1.0)), gamma)
+    name = draw(st.sampled_from(["exp_sin", "cos_poly", "exp_cubed"]))
+    reps = {
+        "exp_sin": lambda: multiply(exp_rep(), sin_rep()),
+        "cos_poly": lambda: multiply(cos_rep(), polynomial_rep([1.0, -2.0, 0.5])),
+        "exp_cubed": lambda: power(exp_rep(), 3),
+    }
+    return lambda: TaylorMeasure(reps[name]().coefficients, gamma)
+
+
+_memo_sets = st.sampled_from([NatSet.finite([0, 2, 7, 30]), NatSet.cofinite([1, 4]), NatSet.all()])
+_memo_calls = st.one_of(
+    st.tuples(st.sampled_from(["evaluate", "variation", "positive", "negative"]), _memo_sets),
+    st.tuples(st.just("term"), st.integers(0, 200)),
+    st.tuples(st.just("sparse_then_dense"), st.integers(1, 150)),
+)
+
+
+def _memo_call(T, call):
+    """One call on T, as hex strings of what it returns or the error it raised."""
+    name, arg = call
+    parts = {
+        "evaluate": lambda: evaluate(T, arg),
+        "variation": lambda: total_variation(T, arg),
+        "positive": lambda: jordan_decompose(T).positive(arg),
+        "negative": lambda: jordan_decompose(T).negative(arg),
+        "term": lambda: T.term(arg),
+        "sparse_then_dense": lambda: (evaluate(T, NatSet.finite(range(0, arg + 1, 7))),
+                                      evaluate(T, NatSet.finite(range(arg + 1)))),
+    }
+    try:
+        out = parts[name]()
+    except (ArithmeticError, ValueError, TaylorMeasureError) as exc:
+        return type(exc), str(exc)
+    if isinstance(out, float):
+        return out.hex()
+    if isinstance(out, tuple):
+        return [(mv.value.hex(), mv.abs_error.hex()) for mv in out]
+    return out.value.hex(), out.abs_error.hex()
+
+
+class TestTermMemo:
+    @given(_composites(), st.lists(_memo_calls, min_size=1, max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_warm_calls_keep_every_bit(self, build, calls):
+        # each call on one object, its memo warmed by the calls before it,
+        # equals the same call on a fresh, identical composite
+        T = build()
+        for call in calls:
+            assert _memo_call(T, call) == _memo_call(build(), call), call
+
+    def test_a_run_that_raises_stores_nothing(self):
+        nan_past_4 = rule_sequence(lambda n: math.nan if n > 4 else 1.0, Bounded(1.0))
+        rule = linear_combination(1.0, TaylorMeasure(nan_past_4, 2.0),
+                                  -0.5, TaylorMeasure(ONES, 3.0)).coefficients.term_rule
+        for _ in range(2):
+            with pytest.raises(ValueError, match="a_5 is nan"):
+                rule.run(range(8))
+            assert rule._memo == {}
+        with pytest.raises(ValueError, match="a_6 is nan"):
+            rule(6)
+        assert rule._memo == {}
+        # a run that forms stores its values, and a later run that raises
+        # adds none to them
+        head = rule.run(range(5))
+        assert rule._memo == dict(zip(range(5), head))
+        with pytest.raises(ValueError, match="a_7 is nan"):
+            rule.run([0, 3, 7])
+        assert rule._memo == dict(zip(range(5), head))
+
+    def test_warm_calls_form_no_operand_term(self, monkeypatch):
+        formed = {}  # id of an operand's sequence -> the indices it formed
+        block = kernel._term_block
+
+        def counted(seq, gamma, indices, errors=True):
+            if id(seq) in formed:
+                formed[id(seq)].extend(indices)
+            return block(seq, gamma, indices, errors)
+
+        monkeypatch.setattr(kernel, "_term_block", counted)
+        T1 = TaylorMeasure(constant_sequence(1.5), 2.0)
+        T2 = TaylorMeasure(geometric_sequence(-0.5, 0.75), -3.0)
+        formed.update({id(T.coefficients): [] for T in (T1, T2)})
+        T = linear_combination(0.75, T1, -1.25, T2)
+        J = jordan_decompose(T)
+        calls = [lambda B=B, part=part: part(B)
+                 for B in (NatSet.all(), NatSet.cofinite([0, 3]), NatSet.finite([1, 2, 9, 40]))
+                 for part in (T.evaluate, T.total_variation, J.positive, J.negative)]
+        calls += [lambda n=n: T.term(n) for n in (0, 5, 40)]
+        first = [call() for call in calls]
+        for indices in formed.values():
+            assert 40 in indices and len(indices) == len(set(indices))
+        seen = {key: list(indices) for key, indices in formed.items()}
+        for call, out in zip(calls, first):
+            assert call() == out
+            assert formed == seen

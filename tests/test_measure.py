@@ -806,7 +806,12 @@ class TestCombinationRuns:
     def test_run_fetch_equals_per_index_terms(self, alpha, T1, beta, T2, ns):
         if alpha == 0.0 and beta == 0.0:
             return
-        seq = linear_combination(alpha, T1, beta, T2).coefficients
+        # each path on its own, freshly built combination: a term rule keeps
+        # what it forms, so a second path on the same one would read that back
+        def rule():
+            return linear_combination(alpha, T1, beta, T2).coefficients.term_rule
+
         want = _hex_or_error(lambda: [_per_index_combination(alpha, T1, beta, T2)(n) for n in ns])
-        assert _hex_or_error(lambda: seq.term_rule.run(ns)) == want
-        assert _hex_or_error(lambda: [seq.term_rule(n) for n in ns]) == want
+        run_rule, term_rule = rule(), rule()
+        assert _hex_or_error(lambda: run_rule.run(ns)) == want
+        assert _hex_or_error(lambda: [term_rule(n) for n in ns]) == want
