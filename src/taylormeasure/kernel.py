@@ -15,7 +15,10 @@ which forms single terms, so its results are the same bit for bit; terms
 formed elsewhere (a term-backed sequence's at its presentation gamma,
 geometry's rho summands) reach it as (value, error) pairs. Composite
 terms read their operands a run at a time through _term_block, with
-_term_and_err's bits; a term function formed a run at a time is a
+_term_and_err's bits. Both find one reach per block (_linear_reach), the
+last index up to which every term takes the linear path, and form those
+terms with no per-term range test; the range tests live only in
+_term_from_coefficient, which forms every other term. A term function formed a run at a time is a
 _TermRun, which keeps each value it forms (its memo): a composite built
 on one (a linear combination, a pmf measure, a product or a power) and
 evaluated on several sets, or for several parts, forms each term once. A
@@ -38,7 +41,8 @@ infinite set.
 Terms are kept in sign + log-magnitude form (via lgamma) so that a_n,
 gamma**n, and n! never have to be represented separately; a linear-space
 fast path is used whenever every intermediate is comfortably inside the
-normal floating range, which keeps small cases exact to a few ulp.
+normal floating range (per term in _term_from_coefficient, per block in
+_linear_reach), which keeps small cases exact to a few ulp.
 The convention 0**0 = 1 applies throughout, so the n = 0 term is a_0
 even when gamma = 0.
 """
@@ -46,6 +50,7 @@ even when gamma = 0.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, partial
 from fractions import Fraction
@@ -540,6 +545,37 @@ def _term_from_coefficient(seq: SequenceLike, a: float, gamma: float, n: int) ->
     elif math.isnan(a):
         raise ValueError(f"coefficient a_{n} is nan")
     return _log_term_and_err(seq, gamma, n, npow)
+
+
+def _linear_reach(indices: Union[range, list, tuple], coeffs: list[float], gamma: float) -> int:
+    """The last index R <= 170 up to which every nonzero coefficient of a
+    block (coeffs, at indices) passes _term_from_coefficient's linear-path
+    tests, so that its term there is a * gamma**n / n! with roundoff
+    |v| * 4u + _TINY; found once per block instead of once per term.
+
+    R is the largest n with n |log|gamma|| <= _LOG_SAFE - 1 - L, where
+    L = max(|log hi|, |log lo|) of the largest and smallest nonzero |a| at
+    the block's indices up to 170. Then |n log|gamma|| and
+    |log|a| + n log|gamma|| stay within _LOG_SAFE - 1 for each such a, the
+    margin of 1 covering the rounding of the logs, and a * gamma**n is a
+    float. R is 0 when gamma is 0 or not finite, when one of those
+    coefficients is nan or infinite, or when none is nonzero."""
+    if not 0.0 < abs(gamma) < math.inf:
+        return 0
+    if indices and indices[-1] > _MAX_FLOAT_FACTORIAL:  # else every index is read
+        coeffs = [a for n, a in zip(indices, coeffs) if n <= _MAX_FLOAT_FACTORIAL]
+    vals = sorted(coeffs)
+    neg, pos = bisect_left(vals, 0.0), bisect_right(vals, 0.0)  # vals[neg:pos] are 0
+    lo = min(-vals[neg - 1] if neg else math.inf, vals[pos] if pos < len(vals) else math.inf)
+    if not (lo < math.inf and math.isfinite(sum(vals))):  # none nonzero, or a nan or an inf
+        return 0
+    budget = _LOG_SAFE - 1.0 - max(math.log(max(-vals[0], vals[-1])), -math.log(lo))
+    if budget < 0.0:
+        return 0
+    lg = abs(math.log(abs(gamma)))
+    if budget >= _MAX_FLOAT_FACTORIAL * lg:
+        return _MAX_FLOAT_FACTORIAL
+    return int(budget / lg)
 
 
 def _log_term_and_err(seq: SequenceLike, gamma: float, n: int, npow: float) -> tuple[float, float]:
@@ -1090,23 +1126,30 @@ class _SignSplit(NamedTuple):
 
 def _coefficients(seq: SequenceLike, indices: Union[range, list, tuple]) -> list[float]:
     """seq.a(n) for every natural n in indices, in order, fetched as one
-    block: the prefix is read by slice or subscript and a constant or rule
-    tail directly, and a term-backed sequence's terms as one block
-    (_term_block). seq.a(n) itself is called only for a geometric tail,
-    for its closed form in logs."""
+    block: the prefix is read by slice or subscript, a constant or rule
+    tail directly, a geometric tail as scale * ratio**n in one pass, and a
+    term-backed sequence's terms as one block (_term_block). seq.a(n)
+    itself is called only where a geometric tail's a(n) takes its closed
+    form in logs (|n log|ratio|| > _LOG_SAFE), with the same test, so each
+    value has seq.a(n)'s bits."""
     if isinstance(seq, TermBackedSequence):
         terms = _term_block(seq, seq.presentation_gamma, indices, errors=False)
         return list(map(seq._coefficient, indices, terms))
     prefix, t = seq.prefix, seq.tail
     size = len(prefix)
-    if isinstance(t, (ZeroTail, ConstantTail)):
-        c = t.value if isinstance(t, ConstantTail) else 0.0
-        if isinstance(indices, range) and indices.step == 1:
-            lo, hi = indices.start, indices.stop
-            return list(prefix[lo:hi]) + [c] * (hi - max(lo, size))
-        return [prefix[n] if n < size else c for n in indices]
-    rule = t.rule if isinstance(t, CustomTail) else seq.a
-    return [prefix[n] if n < size else rule(n) for n in indices]
+    if isinstance(t, GeometricTail) and t.scale != 0.0:
+        s, r, a = t.scale, t.ratio, seq.a
+        lr = abs(math.log(abs(r))) if r else 0.0
+        return [prefix[n] if n < size else s * r ** n if n * lr <= _LOG_SAFE else a(n)
+                for n in indices]
+    if isinstance(t, CustomTail):
+        rule = t.rule
+        return [prefix[n] if n < size else rule(n) for n in indices]
+    c = t.value if isinstance(t, ConstantTail) else 0.0
+    if isinstance(indices, range) and indices.step == 1:
+        lo, hi = indices.start, indices.stop
+        return list(prefix[lo:hi]) + [c] * (hi - max(lo, size))
+    return [prefix[n] if n < size else c for n in indices]
 
 
 def _term_block(seq: SequenceLike, gamma: float, indices: Union[range, list, tuple],
@@ -1116,8 +1159,9 @@ def _term_block(seq: SequenceLike, gamma: float, indices: Union[range, list, tup
     alone when not ``errors``. A term-backed sequence at its presentation
     gamma reads its terms as one run (its term_rule's, where that is a
     _TermRun); every other sequence reads its coefficients so
-    (_coefficients) and forms each term with _term_from_coefficient. A run
-    of one index is _term_and_err's."""
+    (_coefficients), forms each nonzero term at 0 < n <= the block's reach
+    (_linear_reach) as a * gamma**n / n!, and every other one with
+    _term_from_coefficient. A run of one index is _term_and_err's."""
     if len(indices) == 1:
         term = _term_and_err(seq, gamma, indices[0])
         return [term if errors else term[0]]
@@ -1127,12 +1171,16 @@ def _term_block(seq: SequenceLike, gamma: float, indices: Union[range, list, tup
         if not errors:
             return values
         block = [(q, abs(q) * 2.0 * _ULP) for q in values]
-    elif errors:
-        block = [_term_from_coefficient(seq, a, gamma, n)
-                 for n, a in zip(indices, _coefficients(seq, indices))]
     else:
-        return [_term_from_coefficient(seq, a, gamma, n)[0]
-                for n, a in zip(indices, _coefficients(seq, indices))]
+        coeffs = _coefficients(seq, indices)
+        reach, fact = _linear_reach(indices, coeffs, gamma), _FACT
+        if not errors:
+            return [a * gamma ** n / fact[n] if a and 0 < n <= reach
+                    else _term_from_coefficient(seq, a, gamma, n)[0]
+                    for n, a in zip(indices, coeffs)]
+        block = [((v := a * gamma ** n / fact[n]), abs(v) * 4.0 * _ULP + _TINY)
+                 if a and 0 < n <= reach else _term_from_coefficient(seq, a, gamma, n)
+                 for n, a in zip(indices, coeffs)]
     bias = _term_errors(seq, gamma)
     if bias is None:
         return block
@@ -1148,10 +1196,11 @@ def _sum_terms(seq: SequenceLike, gamma: float, indices: Iterable[int],
     (_exact_first); sum_terms does so through _exact_over.
 
     The terms are formed and summed in one loop, from one block of
-    coefficients (_coefficients), with log|gamma| taken once and log|a|
-    once per distinct coefficient. Linear-path terms are formed inline and
-    every other one by _term_from_coefficient; a term-backed sequence's
-    term_error is added to each term's error, as _term_and_err adds it.
+    coefficients (_coefficients) and one reach per block (_linear_reach):
+    a nonzero term at 0 < n <= reach is formed inline as a * gamma**n / n!,
+    with no per-term range test, and every other one by
+    _term_from_coefficient; a term-backed sequence's term_error is added
+    to each term's error, as _term_and_err adds it.
     ``pairs`` are terms already formed, (value, error) in index order,
     summed as they are until they stop; seq and gamma are then not read.
     A term-backed sequence at its presentation gamma is read so
@@ -1166,9 +1215,8 @@ def _sum_terms(seq: SequenceLike, gamma: float, indices: Iterable[int],
     formed = pairs is not None
     bias = None if formed else _term_errors(seq, gamma)
     block = pairs if formed else _coefficients(seq, indices)
-    lg = math.log(abs(gamma)) if gamma != 0.0 else -math.inf
-    logs: dict[float, float] = {}
-    log, isfinite, fact = math.log, math.isfinite, _FACT
+    reach = 0 if formed else _linear_reach(indices, block, gamma)
+    fact = _FACT
     hp = cp = hn = cn = err = ep = en = 0.0
     for n, a in zip(indices, block):
         if formed:
@@ -1177,21 +1225,11 @@ def _sum_terms(seq: SequenceLike, gamma: float, indices: Iterable[int],
             if bias is None:
                 continue  # a zero term with no error adds nothing to any sum
             v = e = 0.0
+        elif 0 < n <= reach:
+            v = a * gamma ** n / fact[n]
+            e = abs(v) * 4.0 * _ULP + _TINY
         else:
-            v = None  # stays None off the linear path
-            if 0 < n <= _MAX_FLOAT_FACTORIAL:
-                npow = n * lg
-                la = logs.get(a)
-                if la is None:
-                    la = logs[a] = log(abs(a))
-                if abs(npow) < _LOG_SAFE and abs(la + npow) < _LOG_SAFE:
-                    v = a * gamma ** n / fact[n]
-                    if isfinite(v):
-                        e = abs(v) * 4.0 * _ULP + _TINY
-                    else:
-                        v = None
-            if v is None:
-                v, e = _term_from_coefficient(seq, a, gamma, n)
+            v, e = _term_from_coefficient(seq, a, gamma, n)
         if bias is not None:
             e = e + bias(n)
         err += e
