@@ -621,15 +621,13 @@ def _factorial_ratio_tail(scale: float, g: float, last_index: int) -> float:
     t_{N+1} / (1 - g/(N+2)) once N+2 > g. The global bound
     scale * e**g covers the region before that, and taking the min of
     the two keeps the bound non-increasing in N. The global bound is
-    rounded up by (g + 4) ulp: g, formed as R * |gamma|, may sit half an
-    ulp below the exact product, which e**g turns into g ulp, and exp and
-    the product each round by up to an ulp (below the normal range,
-    _scale_product's unit).
+    rounded up (_scale_exp), since g, formed as R * |gamma|, may sit half
+    an ulp below the exact product.
     """
     if scale == 0.0 or g == 0.0:
         return 0.0
     try:
-        global_bound = _scale_product(scale, math.exp(g)) * (1.0 + (g + 4.0) * _ULP)
+        global_bound = _scale_exp(scale, g)
     except OverflowError:
         global_bound = math.inf
     n = last_index
@@ -791,6 +789,26 @@ def _scale_product(x: float, y: float) -> float:
     if 0.0 < x and 0.0 < y and p < _MIN_NORMAL:
         p += _TINY
     return p
+
+
+def _scale_exp(scale: float, g: float) -> float:
+    """scale * e**g for scale, g >= 0, rounded up, where g may sit half an
+    ulp below the exact exponent it stands for (a rounded product): e**g
+    turns that into g ulp, and exp and the product each round by up to an
+    ulp (below the normal range, _scale_product's unit), so the product is
+    raised by (g + 4) ulp. Raises OverflowError where e**g overflows."""
+    return _scale_product(scale, math.exp(g)) * (1.0 + (g + 4.0) * _ULP)
+
+
+def _quotient_up(x: float, d: Fraction) -> float:
+    """x / d for a float x >= 0 and an exact d > 0, rounded up to a float
+    (+inf past the float range)."""
+    exact = Fraction(x) / d
+    try:
+        f = float(exact)
+    except OverflowError:
+        return math.inf
+    return math.nextafter(f, math.inf) if f < exact else f
 
 
 def _needed_scale(d: float, n: int, ratio: float, k: int) -> float:
@@ -967,16 +985,19 @@ class _TermEnvelope:
 
     def shifted(self, dist: float) -> "_TermEnvelope":
         """For a widened envelope: the envelope of the Taylor shift
-        c_k = sum_m p(k+m) binom(k+m, m) delta**m, |delta| = dist.
+        c_k = sum_m p(k+m) binom(k+m, m) delta**m, |delta| = dist, with its
+        scale, and a k = 0 ratio, rounded up: scale * e**(ratio * dist) for
+        k = 1 (_scale_exp), and scale and ratio over 1 - ratio * dist, taken
+        exactly, for k = 0.
 
         Raises OutOfDomain when a k = 0 bound's radius 1/ratio is reached.
         """
         if self.k:
-            return _TermEnvelope(1, self.scale * math.exp(self.ratio * dist), self.ratio)
-        q = self.ratio * dist
-        if q >= 1.0:
+            return _TermEnvelope(1, _scale_exp(self.scale, self.ratio * dist), self.ratio)
+        if self.ratio * dist >= 1.0:
             raise OutOfDomain("shift distance reaches the certificate's divergence radius")
-        return _TermEnvelope(0, self.scale / (1.0 - q), self.ratio / (1.0 - q))
+        d = 1 - Fraction(self.ratio) * Fraction(dist)
+        return _TermEnvelope(0, _quotient_up(self.scale, d), _quotient_up(self.ratio, d))
 
     def shift_tail(self, k: int, dist: float, M: int) -> float:
         """A bound on sum_{m > M} |p(k+m)| binom(k+m, m) dist**m for a

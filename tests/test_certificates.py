@@ -25,6 +25,7 @@ from taylormeasure import (
     FiniteSupport,
     GeometricEnvelope,
     NatSet,
+    OutOfDomain,
     PowerSeriesPmf,
     TaylorMeasure,
     TermBackedSequence,
@@ -407,6 +408,52 @@ class TestEnvelopeProducts:
                 at_least(k1.rho(_TermEnvelope(1, s2, 3.0)), s1, s2)
                 at_least(k1.scaled(-s2), s1, s2)
             at_least(_TermEnvelope(1, s1, 2.0).square(), s1, s1)
+
+
+class TestShiftedEnvelope:
+    """_TermEnvelope.shifted rounds its scale, and a k = 0 ratio, upward:
+    the k = 1 scale S e**(R d) against mpmath at 50 digits, the k = 0 scale
+    and ratio S / (1 - R d) and R / (1 - R d) against Fractions."""
+
+    @staticmethod
+    def _check(k, scale, ratio, dist):
+        env = _TermEnvelope(k, scale, ratio).shifted(dist)
+        if k:
+            with mpmath.workdps(50):
+                exact = mpmath.mpf(scale) * mpmath.exp(mpmath.mpf(ratio) * mpmath.mpf(dist))
+                assert mpmath.mpf(env.scale) >= exact, (scale, ratio, dist, env)
+                # and no looser than a few ulp, or one subnormal unit
+                assert mpmath.mpf(env.scale) <= exact * (1 + 2 ** -40) + 2 * mpmath.mpf(5e-324)
+            assert env.ratio == ratio
+            return
+        d = 1 - Fraction(ratio) * Fraction(dist)
+        for got, exact in ((env.scale, Fraction(scale) / d), (env.ratio, Fraction(ratio) / d)):
+            assert Fraction(got) >= exact, (scale, ratio, dist, env)
+            assert math.nextafter(got, 0.0) < exact  # the nearest float above it
+
+    def test_subnormal_scales(self):
+        # both read 3 subnormal units when formed in round-to-nearest
+        env = _TermEnvelope(1, 1.5e-323, 1.0).shifted(0.1)
+        assert env.scale == 2e-323  # 4 units, over 1.5e-323 * e**0.1
+        env = _TermEnvelope(0, 1.5e-323, 0.5).shifted(0.1)
+        assert env.scale == 2e-323  # 4 units, over 1.5e-323 / 0.95
+        for scale in (5e-324, 1.5e-323, 1e-310, 2.0 ** -1022, 1e-300):
+            self._check(1, scale, 1.0, 0.1)
+            self._check(0, scale, 0.5, 0.1)
+
+    @given(st.sampled_from([0, 1]), st.floats(5e-324, 1e300), st.floats(1e-3, 50.0),
+           st.floats(1e-6, 10.0))
+    @settings(max_examples=300, deadline=None)
+    @example(k=0, scale=1.0, ratio=1.0, dist=1.0 - 2.0 ** -53)  # 1 - R d is 2**-53
+    @example(k=1, scale=1e300, ratio=50.0, dist=10.0)  # e**500: rounded up by 504 ulp
+    def test_rounded_up(self, k, scale, ratio, dist):
+        if k == 0 and ratio * dist >= 1.0:
+            with pytest.raises(OutOfDomain):
+                _TermEnvelope(0, scale, ratio).shifted(dist)
+            return
+        if k and scale * math.exp(ratio * dist) > 1e300:
+            return  # e**(R d) times the scale nears overflow
+        self._check(k, scale, ratio, dist)
 
 
 class TestCompositeBoundsStillOpen:
