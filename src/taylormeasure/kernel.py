@@ -18,10 +18,11 @@ terms read their operands a run at a time through _term_block, with
 _term_and_err's bits. Both find one reach per block (_linear_reach), the
 last index up to which every term takes the linear path, and form those
 terms with no per-term range test; the range tests live only in
-_term_from_coefficient, which forms every other term. A term function formed a run at a time is a
-_TermRun, which keeps each value it forms (its memo): a composite built
-on one (a linear combination, a pmf measure, a product or a power) and
-evaluated on several sets, or for several parts, forms each term once. A
+_term_from_coefficient, which forms every other term. A term function
+formed a run at a time is a _TermRun, which keeps each value it forms
+(its memo): a composite built on one (a linear combination, a pmf
+measure, a product or a power) and evaluated on several sets, or for
+several parts, forms each term once. A
 truncation plan is found by one doubling search over tail bounds and
 memoised per process; the plan at half the smallest normal float is the
 underflow horizon where finite-set sums stop. Tail bounds and every
@@ -555,14 +556,15 @@ def _linear_reach(indices: Union[range, list, tuple], coeffs: list[float], gamma
 
     R is the largest n with n |log|gamma|| <= _LOG_SAFE - 1 - L, where
     L = max(|log hi|, |log lo|) of the largest and smallest nonzero |a| at
-    the block's indices up to 170. Then |n log|gamma|| and
-    |log|a| + n log|gamma|| stay within _LOG_SAFE - 1 for each such a, the
-    margin of 1 covering the rounding of the logs, and a * gamma**n is a
-    float. R is 0 when gamma is 0 or not finite, when one of those
+    the block's indices up to 170 (at all of them when the last index is at
+    most 170: more coefficients can only shorten R). Then |n log|gamma||
+    and |log|a| + n log|gamma|| stay within _LOG_SAFE - 1 for each such a,
+    the margin of 1 covering the rounding of the logs, and a * gamma**n is
+    a float. R is 0 when gamma is 0 or not finite, when one of those
     coefficients is nan or infinite, or when none is nonzero."""
     if not 0.0 < abs(gamma) < math.inf:
         return 0
-    if indices and indices[-1] > _MAX_FLOAT_FACTORIAL:  # else every index is read
+    if indices and indices[-1] > _MAX_FLOAT_FACTORIAL:
         coeffs = [a for n, a in zip(indices, coeffs) if n <= _MAX_FLOAT_FACTORIAL]
     vals = sorted(coeffs)
     neg, pos = bisect_left(vals, 0.0), bisect_right(vals, 0.0)  # vals[neg:pos] are 0

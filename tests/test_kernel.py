@@ -774,9 +774,23 @@ _fused_indices = st.one_of(
 )
 
 
+# blocks where a reach one index too long takes a term off the log path:
+# 1e300 beside 1e-300 at gamma = 5 reaches n = 5, and a_6 = 1e300 is a log
+# term; a run across n = 170, past which n! is no float; and a geometric
+# tail whose n log|ratio| passes _LOG_SAFE at n = 31, where a(n) turns to
+# its log form
+_WIDE_BLOCK = CoefficientSequence((1e-300, 1e300, 1e-300, 1e300, 1e-300, 1e300, 1e300, 1e-300))
+_ACROSS_170 = constant_sequence(1.0, (3.0, -2.0))
+_LOG_FORM_TAIL = CoefficientSequence((2.0,), GeometricTail(1e-300, -1e10))
+
+
 class TestFusedPass:
     @given(_fused_sequences(), _fused_gammas, st.booleans(), _fused_indices)
     @settings(max_examples=500, deadline=None)
+    @example(seq=_WIDE_BLOCK, gamma=5.0, presented=False, indices=range(8))
+    @example(seq=_WIDE_BLOCK, gamma=-5.0, presented=False, indices=(7, 6, 1, 2))
+    @example(seq=_ACROSS_170, gamma=2.0, presented=False, indices=range(150, 200))
+    @example(seq=_LOG_FORM_TAIL, gamma=0.9, presented=False, indices=range(20, 45))
     def test_matches_term_by_term_pass(self, seq, gamma, presented, indices):
         if presented and isinstance(seq, TermBackedSequence):
             gamma = seq.presentation_gamma
@@ -796,6 +810,9 @@ class TestFusedPass:
 class TestTermBlock:
     @given(_fused_sequences(), _fused_gammas, st.booleans(), _fused_indices)
     @settings(max_examples=300, deadline=None)
+    @example(seq=_WIDE_BLOCK, gamma=5.0, presented=False, indices=range(8))
+    @example(seq=_ACROSS_170, gamma=-2.0, presented=False, indices=range(150, 200))
+    @example(seq=_LOG_FORM_TAIL, gamma=0.9, presented=False, indices=range(20, 45))
     def test_matches_term_and_err(self, seq, gamma, presented, indices):
         if presented and isinstance(seq, TermBackedSequence):
             gamma = seq.presentation_gamma
@@ -804,6 +821,91 @@ class TestTermBlock:
         values = _bits(lambda: kernel._term_block(seq, gamma, indices, errors=False))
         raised = bool(ref) and isinstance(ref[0], type)
         assert values == (ref if raised else ref[::2])
+
+
+_reach_magnitudes = st.one_of(st.just(0.0), st.floats(1e-3, 1e3),
+                              st.floats(5e-324, 1e300),
+                              st.sampled_from([5e-324, 1e-300, 1e300]))
+
+
+@st.composite
+def _reach_blocks(draw):
+    """(indices, coefficients): zeros, magnitudes from 5e-324 to 1e300, and
+    at times one nan or infinity. The coefficients are drawn from a few
+    values, which keeps long blocks cheap to draw."""
+    indices = draw(st.one_of(st.builds(range, st.integers(0, 20), st.integers(0, 260)),
+                             st.lists(st.integers(0, 400), max_size=40).map(tuple)))
+    palette = draw(st.lists(_signed(_reach_magnitudes), min_size=1, max_size=6))
+    rnd = draw(st.randoms(use_true_random=False))
+    coeffs = [rnd.choice(palette) for _ in indices]
+    if coeffs and draw(st.booleans()):
+        coeffs[draw(st.integers(0, len(coeffs) - 1))] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]))
+    return indices, coeffs
+
+
+# gamma at 0, at tiny magnitudes, anywhere in [-1000, 1000], and at
+# +-e**(+-699 / k), where n |log|gamma|| reaches 699 at n = k below 170
+_reach_gammas = st.one_of(
+    st.sampled_from([0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0]),
+    st.floats(-1000.0, 1000.0),
+    st.builds(lambda k, up, neg: (-1.0 if neg else 1.0) * math.exp((699.0 if up else -699.0) / k),
+              st.integers(1, 169), st.booleans(), st.booleans()),
+)
+
+
+class TestLinearReach:
+    """kernel._linear_reach: the one reach per block up to which the
+    summation pass and _term_block form terms with no range test."""
+
+    @given(_reach_blocks(), _reach_gammas)
+    @settings(max_examples=1000, deadline=None)
+    @example(block=(range(8), list(_WIDE_BLOCK.prefix)), gamma=5.0)
+    @example(block=(range(160, 180), [1.0] * 20), gamma=2.0)
+    @example(block=(range(150), [1.0] * 150), gamma=148.0)  # R = 139; 140 without the margin
+    def test_every_term_it_reaches_takes_the_linear_path(self, block, gamma):
+        indices, coeffs = block
+        R = kernel._linear_reach(indices, coeffs, gamma)
+        assert 0 <= R <= kernel._MAX_FLOAT_FACTORIAL
+        # the coefficients it reads: those at indices up to 170, or all of
+        # them when the last index is at most 170
+        head = coeffs if not indices or indices[-1] <= kernel._MAX_FLOAT_FACTORIAL else [
+            a for n, a in zip(indices, coeffs) if n <= kernel._MAX_FLOAT_FACTORIAL]
+        mags = [abs(a) for a in head if a]
+        if gamma == 0.0 or not all(map(math.isfinite, head)) or not mags:
+            assert R == 0
+            return
+        for n, a in zip(indices, coeffs):
+            if a and 0 < n <= R:
+                # _term_from_coefficient's three linear-path tests
+                npow = n * math.log(abs(gamma))
+                la = math.log(abs(a))
+                assert n <= kernel._MAX_FLOAT_FACTORIAL
+                assert abs(npow) < kernel._LOG_SAFE and abs(la + npow) < kernel._LOG_SAFE
+                v = a * gamma ** n / kernel._FACT[n]
+                assert math.isfinite(v)
+                assert kernel._term_from_coefficient(None, a, gamma, n) == (
+                    v, abs(v) * 4.0 * kernel._ULP + kernel._TINY)
+        # R is the largest n <= 170 with n |log|gamma|| <= _LOG_SAFE - 1 - L,
+        # up to the rounding of the quotient that finds it
+        L = max(abs(math.log(max(mags))), abs(math.log(min(mags))))
+        budget = kernel._LOG_SAFE - 1.0 - L
+        lg = abs(math.log(abs(gamma)))
+        assert R == 0 or R * lg <= budget + 1e-9
+        assert R == kernel._MAX_FLOAT_FACTORIAL or (R + 1) * lg > budget - 1e-9
+
+    @given(st.lists(_coeffs, max_size=4),
+           st.one_of(st.just(0.0), st.sampled_from([1e-300, -2.5, 1e300]), st.floats(-1e3, 1e3)),
+           st.one_of(st.sampled_from([0.0, 1.0, -1.0, 1e10, -1e-10]), st.floats(-50.0, 50.0),
+                     st.builds(lambda k, up: math.exp((700.0 if up else -700.0) / k),
+                               st.integers(1, 400), st.booleans())),
+           _fused_indices)
+    @settings(max_examples=500, deadline=None)
+    @example(prefix=[2.0], scale=1e-300, ratio=-1e10, indices=range(20, 45))
+    def test_geometric_tail_coefficients_are_a(self, prefix, scale, ratio, indices):
+        seq = CoefficientSequence(tuple(prefix), GeometricTail(scale, ratio))
+        want = _bits(lambda: [seq.a(n) for n in indices])
+        assert _bits(lambda: kernel._coefficients(seq, indices)) == want
 
 
 def _fraction_coefficient(q, g, n):
