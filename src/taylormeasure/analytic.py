@@ -406,7 +406,8 @@ def recenter(rep: AnalyticRep, new_center: float, eps: float = 1e-12) -> Analyti
     times the new certificate's envelope at that index. Each coefficient
     carries, as its term error, that tail bound, the term errors of the
     coefficients it sums and the rounding of the sum, so evaluations of
-    the result report them in abs_error.
+    the result report them in abs_error. A coefficient, or a growth bound,
+    that leaves the float range raises NonFiniteResult.
     """
     delta = new_center - rep.center
     if delta == 0.0:
@@ -429,7 +430,13 @@ def recenter(rep: AnalyticRep, new_center: float, eps: float = 1e-12) -> Analyti
             terms.append(d(k + m) * coef)
             carried.append(d_err(k + m) * abs(coef))
             coef *= delta * (k + m + 1) / (m + 1)
-        return math.fsum(terms), math.fsum(carried), math.fsum(map(abs, terms))
+        try:
+            sums = math.fsum(terms), math.fsum(carried), math.fsum(map(abs, terms))
+        except (OverflowError, ValueError):  # inf - inf, or a sum past the float range
+            sums = (math.nan,)
+        if not all(map(math.isfinite, sums)):
+            raise NonFiniteResult(f"coefficient {k} at center {new_center} is not finite")
+        return sums
 
     if isinstance(cert, FiniteSupport):
         last = cert.last
@@ -439,7 +446,10 @@ def recenter(rep: AnalyticRep, new_center: float, eps: float = 1e-12) -> Analyti
 
     _require_certificate(rep.coefficients, "recentering")
     env = _d_envelope(rep)
-    new_env = env.widened().shifted(dist)
+    try:
+        new_env = env.widened().shifted(dist)
+    except OverflowError:
+        raise NonFiniteResult(f"the growth bound at center {new_center} overflows") from None
     new_radius = rep.radius_hint if math.isinf(rep.radius_hint) else rep.radius_hint - dist
 
     @cache
@@ -669,3 +679,4 @@ def lp_norm_on_interval(
     raise QuadratureStall(
         f"Simpson refinement did not converge to {eps} within {depth_cap} doublings"
     )
+

@@ -384,6 +384,19 @@ class TestRecenter:
         rep = exp_rep(0.0)
         assert recenter(rep, 0.0) is rep
 
+    @pytest.mark.parametrize("base, new", [(exp_rep, 64.5), (exp_rep, 100.0), (exp_rep, 800.0),
+                                           (exp_rep, -800.0), (sin_rep, 709.0)],
+                             ids=["exp@64.5", "exp@100", "exp@800", "exp@-800", "sin@709"])
+    def test_leaving_the_float_range_raises_non_finite_result(self, base, new):
+        # delta**m overflows in the shift series while d_m underflows (from
+        # 64.5 for exp), or e**(ratio * dist) in the growth bound (past 709)
+        with pytest.raises(NonFiniteResult):
+            recenter(base(), new).coefficients.a(0)
+
+    def test_last_center_in_the_float_range(self):
+        rep = recenter(exp_rep(), 64.4)
+        assert rep.coefficients.a(0) == pytest.approx(math.exp(64.4), rel=1e-12)
+
     @pytest.mark.parametrize("base, new", [(exp_rep, 0.25), (sin_rep, 0.5), (geometric_rep, 0.25)],
                              ids=["exp", "sin", "geometric"])
     def test_eval_rep_is_evaluate_bit_for_bit(self, base, new):

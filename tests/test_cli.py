@@ -239,6 +239,14 @@ class TestValues:
         assert doc["value"] == moved.coefficients.a(0)
         assert doc["value"] == pytest.approx(math.exp(0.5), rel=1e-12)
 
+    @pytest.mark.parametrize("center", ["100", "800"])
+    def test_fn_recenter_past_the_float_range_exits_3(self, center):
+        code, out, err = run_cli(
+            ["fn-recenter", '{"kind": "builtin", "name": "exp"}', "--center", center])
+        assert code == 3
+        assert out == ""
+        assert "NonFiniteResult" in err
+
     def test_fn_lpnorm_identity(self):
         code, out, _ = run_cli(
             ["fn-lpnorm", '{"kind": "polynomial", "coeffs": [0.0, 1.0]}',
