@@ -6,8 +6,12 @@ distributions with samplers and Monte Carlo estimators, stochastic
 Taylor measures, and Taylor-coefficient representations of analytic
 functions.
 
-The Monte Carlo and stochastic names (the only ones that need numpy) are
-loaded on first access, so deterministic use never imports numpy.
+``import taylormeasure`` loads errors, kernel and measure only. The other
+modules load on first use, when one of their names is read through the
+package or they are imported: geometry, probability and analytic then
+bind their public names in the package, as an eager import would; the
+Monte Carlo and stochastic names (the only ones that need numpy) are
+read through on every access. So deterministic use never imports numpy.
 """
 
 from importlib import import_module
@@ -65,46 +69,26 @@ from .measure import (
     total_variation,
     zero_measure,
 )
-from .geometry import (
-    HilbertAxiomReport,
-    distance,
-    hilbert_axiom_report,
-    inner_product,
-    norm,
-    rational_approximation,
-)
-from .probability import (
-    JordanPmf,
-    PowerSeriesPmf,
-    TaylorProbabilityPair,
-    cdf,
-    from_pmf,
-    measure_from_densities,
-    normalizer,
-    pmf_eval,
-    probability_pair,
-    quantile,
-)
-from .analytic import (
-    AnalyticRep,
-    builtin,
-    cos_rep,
-    eval_rep,
-    exp_rep,
-    geometric_rep,
-    linear_combine,
-    lp_norm_on_interval,
-    multiply,
-    polynomial_rep,
-    power,
-    recenter,
-    sin_rep,
-    sup_distance_on_grid,
-    truncate_rep,
-)
 
-# names of the two numpy-backed modules, resolved by __getattr__ (PEP 562)
+# public names of the modules loaded on first use, resolved by __getattr__
+# (PEP 562). geometry, probability and analytic bind theirs in the package
+# as they load (_bind), so that a read is a plain attribute read; the
+# numpy-backed montecarlo and stochastic are read through on every access.
 _LAZY = {
+    "geometry": (
+        "HilbertAxiomReport", "distance", "hilbert_axiom_report", "inner_product",
+        "norm", "rational_approximation",
+    ),
+    "probability": (
+        "JordanPmf", "PowerSeriesPmf", "TaylorProbabilityPair", "cdf", "from_pmf",
+        "measure_from_densities", "normalizer", "pmf_eval", "probability_pair",
+        "quantile",
+    ),
+    "analytic": (
+        "AnalyticRep", "builtin", "cos_rep", "eval_rep", "exp_rep", "geometric_rep",
+        "linear_combine", "lp_norm_on_interval", "multiply", "polynomial_rep",
+        "power", "recenter", "sin_rep", "sup_distance_on_grid", "truncate_rep",
+    ),
     "montecarlo": (
         "McEstimate",
         "RngSpec",
@@ -139,8 +123,20 @@ _LAZY = {
 _LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in names}
 
 
+def _bind(namespace: dict) -> tuple[str, ...]:
+    """Bind the public names of geometry, probability or analytic in the
+    package, as an eager import would, and return them as the module's
+    __all__. Each module calls this with its globals as it finishes
+    loading, however it is imported."""
+    names = _LAZY[namespace["__name__"].rpartition(".")[2]]
+    globals().update({name: namespace[name] for name in names})
+    return names
+
+
 def __getattr__(name: str):
-    # No caching: each access reads the defining module's current binding.
+    # Reached once for a bound name (its module then binds it) and on every
+    # access for a montecarlo or stochastic name: that one is not cached, so
+    # each access reads the defining module's current binding.
     module = _LAZY_OWNER.get(name)
     if module is not None:
         return getattr(import_module(f".{module}", __name__), name)
@@ -171,18 +167,8 @@ __all__ = [
     "JordanPair", "MeasureValue", "NatSet", "TaylorMeasure", "evaluate",
     "from_term_function", "jordan_decompose", "linear_combination",
     "taylor_derivative", "total_variation", "zero_measure",
-    # geometry
-    "HilbertAxiomReport", "distance", "hilbert_axiom_report", "inner_product",
-    "norm", "rational_approximation",
-    # probability
-    "JordanPmf", "PowerSeriesPmf", "TaylorProbabilityPair", "cdf", "from_pmf",
-    "measure_from_densities", "normalizer", "pmf_eval", "probability_pair",
-    "quantile",
-    # analytic
-    "AnalyticRep", "builtin", "cos_rep", "eval_rep", "exp_rep", "geometric_rep",
-    "linear_combine", "lp_norm_on_interval", "multiply", "polynomial_rep",
-    "power", "recenter", "sin_rep", "sup_distance_on_grid", "truncate_rep",
-    # montecarlo and stochastic, loaded on first access
+    # geometry, probability, analytic, montecarlo and stochastic, loaded on
+    # first use
     *_LAZY_OWNER,
 ]
 

@@ -67,24 +67,6 @@ from .kernel import (
 )
 from .measure import MeasureValue, NatSet, TaylorMeasure, _set_sum, linear_combination
 
-__all__ = [
-    "AnalyticRep",
-    "builtin",
-    "cos_rep",
-    "eval_rep",
-    "exp_rep",
-    "geometric_rep",
-    "linear_combine",
-    "lp_norm_on_interval",
-    "multiply",
-    "polynomial_rep",
-    "power",
-    "recenter",
-    "sin_rep",
-    "sup_distance_on_grid",
-    "truncate_rep",
-]
-
 _SHIFT_CAP = 10 ** 6
 # a grid point's certified error may exceed eps up to this share of |f(x)|
 _GRID_SHARE = 1e-6
@@ -680,3 +662,9 @@ def lp_norm_on_interval(
         f"Simpson refinement did not converge to {eps} within {depth_cap} doublings"
     )
 
+
+# the public names are listed in the package's table, and bound there as
+# this module loads
+from . import _bind  # noqa: E402
+
+__all__ = _bind(globals())

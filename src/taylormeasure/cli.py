@@ -24,29 +24,23 @@ Re-running any command with the same inputs and seed reproduces the
 output bit for bit. ``--threads`` is accepted for compatibility and has
 no effect.
 
-Only the handlers of sample, mc-*, and stm-* import the numpy-backed
-montecarlo and stochastic modules, so the deterministic subcommands run
-without loading numpy.
+A handler loads the modules it runs when it runs: every subcommand loads
+errors, kernel, measure and serialize; inner, norm, dist and axioms load
+geometry too, pmf and sample probability, and fn-* analytic. Only sample,
+mc-* and stm-* load the numpy-backed montecarlo and stochastic modules,
+so the deterministic subcommands run without loading numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
-import random
 import sys
+from importlib import import_module
 from typing import Any
 
 from . import serialize
-from .analytic import (
-    eval_rep,
-    lp_norm_on_interval,
-    multiply,
-    recenter,
-    sup_distance_on_grid,
-)
 from .errors import (
     CenterMismatch,
     InvalidDocument,
@@ -54,17 +48,8 @@ from .errors import (
     TaylorMeasureError,
     UnsupportedSpec,
 )
-from .geometry import distance, hilbert_axiom_report, inner_product, norm
 from .kernel import _Terms, finite_sequence
-from .measure import (
-    MeasureValue,
-    NatSet,
-    TaylorMeasure,
-    _set_sum,
-    evaluate,
-    total_variation,
-)
-from .probability import PowerSeriesPmf, normalizer, pmf_eval
+from .measure import MeasureValue, NatSet, TaylorMeasure, _set_sum
 
 _ORACLES = {
     "exp": math.exp,
@@ -164,15 +149,16 @@ def _count(text: str) -> int:
 # table.
 
 
-def _measure_cmd(fn, *names):
-    """The handler of fn(*measures, set, eps), reading one measure document
-    from each of the arguments names."""
+def _measure_cmd(module, fn, *names):
+    """The handler of module.fn(*measures, set, eps), reading one measure
+    document from each of the arguments names. The module loads when the
+    handler runs."""
 
     def handler(args):
         measures = [serialize.parse_measure(_load_doc(getattr(args, name), name), name)
                     for name in names]
         B = _load_set(args)
-        mv = fn(*measures, B, args.eps)
+        mv = getattr(import_module(f".{module}", __package__), fn)(*measures, B, args.eps)
         inputs = {name: serialize.measure_to_doc(T) for name, T in zip(names, measures)}
         return {"value": mv.value, "abs_error": mv.abs_error,
                 "inputs": {**inputs, "set": serialize.set_to_doc(B), "eps": args.eps}}
@@ -206,6 +192,8 @@ def _cmd_decompose(args):
 
 
 def _cmd_pmf(args):
+    from .probability import PowerSeriesPmf, normalizer, pmf_eval
+
     zeta, b = serialize.parse_pmf_inputs(_load_doc(args.pmf, "pmf"))
     p = PowerSeriesPmf(zeta, b, args.eps)
     series = normalizer(zeta, b, args.eps)
@@ -222,6 +210,7 @@ def _cmd_pmf(args):
 
 def _cmd_sample(args):
     from .montecarlo import RngSpec, sample_pmf
+    from .probability import PowerSeriesPmf
 
     zeta, b = serialize.parse_pmf_inputs(_load_doc(args.pmf, "pmf"))
     p = PowerSeriesPmf(zeta, b, args.eps)
@@ -334,6 +323,8 @@ def _parse_fn(arg: str, field: str):
 
 
 def _cmd_fn_eval(args):
+    from .analytic import eval_rep
+
     rep, echo = _parse_fn(args.function, "function")
     mv = eval_rep(rep, args.x, args.eps)
     return {
@@ -344,6 +335,8 @@ def _cmd_fn_eval(args):
 
 
 def _cmd_fn_mul(args):
+    from .analytic import eval_rep, multiply
+
     rep1, echo1 = _parse_fn(args.function1, "function1")
     rep2, echo2 = _parse_fn(args.function2, "function2")
     product = multiply(rep1, rep2)
@@ -362,6 +355,8 @@ def _cmd_fn_mul(args):
 
 
 def _cmd_fn_recenter(args):
+    from .analytic import recenter
+
     rep, echo = _parse_fn(args.function, "function")
     moved = recenter(rep, args.center, args.eps)
     coeffs = [moved.coefficients.a(n) for n in range(args.terms)]
@@ -376,6 +371,8 @@ def _cmd_fn_recenter(args):
 
 
 def _cmd_fn_supdist(args):
+    from .analytic import sup_distance_on_grid
+
     rep, echo = _parse_fn(args.function, "function")
     lo, hi = args.K
     value = sup_distance_on_grid(rep, _ORACLES[args.oracle], (lo, hi),
@@ -388,6 +385,8 @@ def _cmd_fn_supdist(args):
 
 
 def _cmd_fn_lpnorm(args):
+    from .analytic import lp_norm_on_interval
+
     rep, echo = _parse_fn(args.function, "function")
     lo, hi = args.K
     value = lp_norm_on_interval(rep, args.p, (lo, hi), args.eps)
@@ -403,6 +402,10 @@ def _cmd_fn_lpnorm(args):
 
 
 def _cmd_axioms(args):
+    import random
+
+    from .geometry import hilbert_axiom_report
+
     B = _load_set(args)
     rng = random.Random(args.seed)
     samples = []
@@ -449,14 +452,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     one, two = ("measure",), ("measure1", "measure2")
     for name, handler, names, help_text in (
-        ("eval", _measure_cmd(evaluate, *one), one, "evaluate a measure on a set"),
+        ("eval", _measure_cmd("measure", "evaluate", *one), one,
+         "evaluate a measure on a set"),
         ("decompose", _cmd_decompose, one,
          "Jordan decomposition: positive and negative masses"),
-        ("tv", _measure_cmd(total_variation, *one), one, "total variation on a set"),
-        ("inner", _measure_cmd(inner_product, *two), two,
+        ("tv", _measure_cmd("measure", "total_variation", *one), one,
+         "total variation on a set"),
+        ("inner", _measure_cmd("geometry", "inner_product", *two), two,
          "inner product of two measures on a set"),
-        ("norm", _measure_cmd(norm, *one), one, "Hilbert norm of a measure on a set"),
-        ("dist", _measure_cmd(distance, *two), two, "Hilbert distance between two measures"),
+        ("norm", _measure_cmd("geometry", "norm", *one), one,
+         "Hilbert norm of a measure on a set"),
+        ("dist", _measure_cmd("geometry", "distance", *two), two,
+         "Hilbert distance between two measures"),
     ):
         p = add(name, handler, help_text)
         for measure in names:
@@ -554,6 +561,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _write_csv(path: str, header: list[str], rows: list[list[Any]]) -> None:
+    import csv
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

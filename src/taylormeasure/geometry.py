@@ -64,15 +64,6 @@ from .measure import (
     linear_combination,
 )
 
-__all__ = [
-    "inner_product",
-    "norm",
-    "distance",
-    "rational_approximation",
-    "HilbertAxiomReport",
-    "hilbert_axiom_report",
-]
-
 
 def _rho_envelope(T1: TaylorMeasure, T2: TaylorMeasure) -> _TermEnvelope:
     """Envelope of the rho summand n! * p_T1(n) * p_T2(n) on an infinite set."""
@@ -418,3 +409,10 @@ def hilbert_axiom_report(
         parallelogram_rho_max=par_rho,
         parallelogram_tv_max=par_tv,
     )
+
+
+# the public names are listed in the package's table, and bound there as
+# this module loads
+from . import _bind  # noqa: E402
+
+__all__ = _bind(globals())

@@ -54,7 +54,6 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, partial
-from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Union
 
 from .errors import DivergenceUnknown, OutOfDomain
@@ -802,10 +801,12 @@ def _scale_exp(scale: float, g: float) -> float:
     return _scale_product(scale, math.exp(g)) * (1.0 + (g + 4.0) * _ULP)
 
 
-def _quotient_up(x: float, d: Fraction) -> float:
-    """x / d for a float x >= 0 and an exact d > 0, rounded up to a float
-    (+inf past the float range)."""
-    exact = Fraction(x) / d
+def _quotient_up(x: float, ratio: float, dist: float) -> float:
+    """x / (1 - ratio * dist) for floats x >= 0 and ratio * dist < 1, the
+    divisor taken exactly, rounded up to a float (+inf past the float range)."""
+    from fractions import Fraction
+
+    exact = Fraction(x) / (1 - Fraction(ratio) * Fraction(dist))
     try:
         f = float(exact)
     except OverflowError:
@@ -998,8 +999,8 @@ class _TermEnvelope:
             return _TermEnvelope(1, _scale_exp(self.scale, self.ratio * dist), self.ratio)
         if self.ratio * dist >= 1.0:
             raise OutOfDomain("shift distance reaches the certificate's divergence radius")
-        d = 1 - Fraction(self.ratio) * Fraction(dist)
-        return _TermEnvelope(0, _quotient_up(self.scale, d), _quotient_up(self.ratio, d))
+        return _TermEnvelope(0, _quotient_up(self.scale, self.ratio, dist),
+                             _quotient_up(self.ratio, self.ratio, dist))
 
     def shift_tail(self, k: int, dist: float, M: int) -> float:
         """A bound on sum_{m > M} |p(k+m)| binom(k+m, m) dist**m for a
@@ -1059,6 +1060,8 @@ class _TermEnvelope:
             return v
         if log_b < _LOG_TINY:
             return 0.0
+        from fractions import Fraction
+
         units = Fraction(self.scale) * Fraction(self.ratio) ** n * 2 ** 1074
         if self.k:
             units /= math.factorial(n)

@@ -57,19 +57,6 @@ from .measure import (
     linear_combination,
 )
 
-__all__ = [
-    "PowerSeriesPmf",
-    "JordanPmf",
-    "TaylorProbabilityPair",
-    "normalizer",
-    "pmf_eval",
-    "cdf",
-    "quantile",
-    "probability_pair",
-    "from_pmf",
-    "measure_from_densities",
-]
-
 
 def _as_sequence(b) -> CoefficientSequence:
     if isinstance(b, (CoefficientSequence, TermBackedSequence)):
@@ -437,3 +424,10 @@ def measure_from_densities(zeta1: float, b1, zeta2: float, b2) -> TaylorMeasure:
             )
         sides.append(TaylorMeasure(seq, zeta))
     return linear_combination(1.0, sides[0], -1.0, sides[1])
+
+
+# the public names are listed in the package's table, and bound there as
+# this module loads
+from . import _bind  # noqa: E402
+
+__all__ = _bind(globals())

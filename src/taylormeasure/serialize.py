@@ -65,7 +65,6 @@ import functools
 import math
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
-from .analytic import _BUILTINS, AnalyticRep, builtin, polynomial_rep
 from .errors import InvalidDocument
 from .kernel import (
     Bounded,
@@ -82,6 +81,7 @@ from .kernel import (
 from .measure import NatSet, TaylorMeasure
 
 if TYPE_CHECKING:
+    from .analytic import AnalyticRep
     from .stochastic import StepDistribution, StmSpec
 
 def _require_object(doc: Any, field: str) -> Mapping[str, Any]:
@@ -303,6 +303,8 @@ def parse_set(doc: Any, field: str = "set") -> NatSet:
 
 
 def parse_function(doc: Any, field: str = "function") -> AnalyticRep:
+    from .analytic import _BUILTINS, builtin, polynomial_rep
+
     doc = _require_object(doc, field)
     kind = _string(_get(doc, field, "kind"), f"{field}.kind")
     if kind == "builtin":

@@ -516,32 +516,69 @@ DETERMINISTIC_RUNS = [
     ["axioms", "--seed", "3", "--count", "4"],
 ]
 
+# Runs the CLI on each argv of a JSON list in one process, then prints what
+# it loaded: the package's modules (and fractions) right after
+# ``import taylormeasure``, after the runs, and the numpy-backed ones; and
+# whether one name read through the package binds its module's names there.
 _CHILD = """
 import contextlib, io, json, sys
+import taylormeasure
+on_import = sorted(m for m in sys.modules
+                   if m.startswith("taylormeasure.") or m == "fractions")
 from taylormeasure.cli import main
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
     if code != 0:
         sys.exit(f"{argv[0]} exited {code}")
-print(json.dumps(sorted(
-    m for m in sys.modules
-    if m.split(".")[0] == "numpy"
-    or m in ("taylormeasure.montecarlo", "taylormeasure.stochastic"))))
+loaded = sorted(m for m in sys.modules if m.startswith("taylormeasure."))
+numpy = sorted(m for m in sys.modules
+               if m.split(".")[0] == "numpy"
+               or m in ("taylormeasure.montecarlo", "taylormeasure.stochastic"))
+taylormeasure.distance
+bound = vars(taylormeasure).get("norm") is taylormeasure.geometry.norm
+print(json.dumps({"on_import": on_import, "loaded": loaded, "numpy": numpy,
+                  "bound": bound}))
 """
+
+EAGER = ["cli", "errors", "kernel", "measure", "serialize"]
+# the modules each deterministic subcommand loads beyond EAGER
+LOADS = {"eval": [], "decompose": [], "tv": [], "inner": ["geometry"],
+         "norm": ["geometry"], "dist": ["geometry"], "axioms": ["geometry"],
+         "pmf": ["probability"], "fn-eval": ["analytic"], "fn-mul": ["analytic"],
+         "fn-recenter": ["analytic"], "fn-supdist": ["analytic"],
+         "fn-lpnorm": ["analytic"]}
+
+
+def run_child(runs):
+    src = os.path.dirname(os.path.dirname(taylormeasure.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    r = subprocess.run(
+        [sys.executable, "-c", _CHILD, json.dumps(runs)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout)
 
 
 class TestLazyImports:
     def test_deterministic_subcommands_never_load_numpy(self):
-        src = os.path.dirname(os.path.dirname(taylormeasure.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        r = subprocess.run(
-            [sys.executable, "-c", _CHILD, json.dumps(DETERMINISTIC_RUNS)],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert r.returncode == 0, r.stderr
-        assert json.loads(r.stdout) == []
+        assert run_child(DETERMINISTIC_RUNS)["numpy"] == []
+
+    def test_import_loads_errors_kernel_and_measure_only(self):
+        out = run_child([])
+        assert out["on_import"] == [
+            "taylormeasure.errors", "taylormeasure.kernel", "taylormeasure.measure"]
+        assert out["loaded"] == sorted(f"taylormeasure.{m}" for m in EAGER)
+        # reading distance loaded geometry, which bound norm in the package
+        assert out["bound"]
+
+    @pytest.mark.parametrize("argv", DETERMINISTIC_RUNS, ids=lambda argv: argv[0])
+    def test_subcommand_loads_only_its_modules(self, argv):
+        out = run_child([argv])
+        assert out["loaded"] == sorted(f"taylormeasure.{m}" for m in EAGER + LOADS[argv[0]])
+        assert out["numpy"] == []
 
     def test_public_names_are_exported(self):
         namespace = {}
