@@ -28,10 +28,8 @@ rational coefficients at gamma = 1.
 from __future__ import annotations
 
 import math
-import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, partial
 
 from .errors import NegativeRadicand
@@ -288,6 +286,8 @@ def rational_approximation(
             f"support cap {N_support} cannot meet tolerance {tol}: the "
             f"certified tail needs terms through index {last}"
         )
+    from fractions import Fraction
+
     count = last + 1
     log_tol = math.log(tol)
     rounded: dict[int, Fraction] = {}
@@ -360,6 +360,8 @@ def hilbert_axiom_report(
     values are read at eps as norm reads its radicand: eps is not a
     contract here.
     """
+    import random
+
     if len(samples) < 2:
         raise ValueError("need at least two sample measures")
     rng = random.Random(seed)
