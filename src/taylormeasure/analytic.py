@@ -8,7 +8,7 @@ closes them under multiplication, powers, linear combination, and
 recentering (the Taylor shift). Grid sup-distance and interval L^p
 norms give measurable density diagnostics on compact intervals. A grid
 call makes one truncation plan, at the interval's reach (its largest
-|x - center|), fetches each term at that reach once and sums every point
+|x - center|), fetches the terms at that reach once and sums every point
 by Horner's rule to the degree that point needs, with a certified bound
 per point (_horner_grid), so its values are not bit-equal to eval_rep's;
 the bounds are not yet reported, but a point whose bound exceeds both eps
@@ -21,7 +21,8 @@ derivatives grow factorially; results are stored as term-backed
 sequences so the factorials never round-trip through floats. A linear
 combination is measure.linear_combination of the operands' measures at
 gamma = 1; a product sums each d_l once, over the indices that both
-operands' supports reach.
+operands' supports reach. Every run of terms read here (a grid, a
+truncation, a product, a shift) is fetched by blocks (kernel._term_block).
 """
 
 from __future__ import annotations
@@ -57,13 +58,13 @@ from .kernel import (
     _Terms,
     _finite_terms,
     _require_certificate,
-    _term_and_err,
     _term_block,
     _term_errors,
     constant_sequence,
     finite_sequence,
     plan_truncation,
     rule_sequence,
+    term_value,
 )
 from .measure import MeasureValue, NatSet, TaylorMeasure, _set_sum, linear_combination
 
@@ -89,19 +90,10 @@ class AnalyticRep:
             raise ValueError("radius_hint must be positive")
 
 
-def _d_value(seq: SequenceLike, n: int) -> float:
-    """d_n = a_n / n!, the series term at gamma = 1."""
-    return _term_and_err(seq, 1.0, n)[0]
-
-
 def _d_envelope(rep: AnalyticRep) -> _TermEnvelope:
     """Envelope of d_n = a_n / n!, the terms at gamma = 1."""
     seq = rep.coefficients
-    return _TermEnvelope.of(seq.certificate, 1.0, partial(_d_value, seq))
-
-
-def _memo_d(seq: SequenceLike) -> Callable[[int], float]:
-    return cache(partial(_d_value, seq))
+    return _TermEnvelope.of(seq.certificate, 1.0, partial(term_value, seq, 1.0))
 
 
 def _no_error(n: int) -> float:
@@ -264,7 +256,7 @@ def _sum_at(seq: SequenceLike, gamma: float, eps: float, strict: bool = True) ->
     target only, and no PrecisionUnattainable, when not ``strict``."""
     if gamma == 0.0:
         bias = _term_errors(seq, gamma)
-        return MeasureValue(_d_value(seq, 0), 0.0 if bias is None else bias(0))
+        return MeasureValue(term_value(seq, 1.0, 0), 0.0 if bias is None else bias(0))
     s, tail = _set_sum(_Terms(seq, gamma), NatSet.all(), eps, "signed", strict)
     return MeasureValue(*s.part("signed", tail))
 
@@ -368,7 +360,7 @@ def truncate_rep(rep: AnalyticRep, N: int) -> AnalyticRep:
     so the result is entire)."""
     if N < 0:
         raise ValueError("truncation degree must be >= 0")
-    d = [_d_value(rep.coefficients, n) for n in range(N + 1)]
+    d = _term_block(rep.coefficients, 1.0, range(N + 1), errors=False)
     e = _term_errors(rep.coefficients, 1.0)
     errors = None if e is None else [e(n) for n in range(N + 1)]
     return _rep_from_d_list(rep.center, d, math.inf, errors)
@@ -399,7 +391,7 @@ def recenter(rep: AnalyticRep, new_center: float, eps: float = 1e-12) -> Analyti
         raise OutOfDomain(
             f"new center {new_center} outside |x - {rep.center}| < {rep.radius_hint}"
         )
-    d = _memo_d(rep.coefficients)
+    d = _prefix(partial(_term_block, rep.coefficients, 1.0, errors=False))
     d_err = _term_errors(rep.coefficients, 1.0) or _no_error
     cert = rep.coefficients.certificate
 
@@ -408,8 +400,8 @@ def recenter(rep: AnalyticRep, new_center: float, eps: float = 1e-12) -> Analyti
         carries, and the sum of the magnitudes of its products."""
         terms, carried = [], []
         coef = 1.0
-        for m in range(M + 1):
-            terms.append(d(k + m) * coef)
+        for m, dm in enumerate(d(k + M)[k:k + M + 1]):
+            terms.append(dm * coef)
             carried.append(d_err(k + m) * abs(coef))
             coef *= delta * (k + m + 1) / (m + 1)
         try:
@@ -481,8 +473,9 @@ def _horner_grid(rep: AnalyticRep, lo: float, hi: float,
     monotonically), and every certificate's envelope grows with |gamma|,
     so the plan at R (plan_truncation, to eps) bounds the tail T past its
     last index N at every point. The terms at R, d_n = a_n R**n / n!, and
-    their certified errors delta_n are fetched once (kernel._term_and_err,
-    which adds a term-backed sequence's term_error). They stay near the
+    their certified errors delta_n are fetched once, as one block
+    (kernel._term_block, which adds a term-backed sequence's term_error,
+    with the bits of a fetch one index at a time). They stay near the
     size of the terms being summed wherever the a_n / n! alone would
     under- or overflow. A point is sum d_n t**n at t = (x - c) / R,
     |t| <= 1, by Horner's rule in floats; it is not bit-equal to eval_rep
@@ -522,7 +515,7 @@ def _horner_grid(rep: AnalyticRep, lo: float, hi: float,
     _require_certificate(seq, "evaluation")
     plan = plan_truncation(seq.certificate, reach, eps)
     N = plan.last_index
-    d, delta = zip(*(_term_and_err(seq, reach, n) for n in range(N + 1)))
+    d, delta = zip(*_term_block(seq, reach, range(N + 1)))
     up, inf, half = math.nextafter, math.inf, eps / 2.0
     S = [plan.tail_bound] * (N + 1)
     for n in range(N, 0, -1):

@@ -47,7 +47,6 @@ from .kernel import (
     _finite_terms,
     _signed_log,
     _sum_terms,
-    _term_and_err,
     _term_block,
     _term_errors,
     finite_sequence,
@@ -70,24 +69,21 @@ def _rho_envelope(T1: TaylorMeasure, T2: TaylorMeasure) -> _TermEnvelope:
     )
 
 
-def _rho_summand(T1: TaylorMeasure, T2: TaylorMeasure, n: int) -> tuple[float, float]:
+def _rho_summand(T1: TaylorMeasure, T2: TaylorMeasure, n: int,
+                 terms=None) -> tuple[float, float]:
     """n! * p_T1(n) * p_T2(n) with a bound on its error: roundoff and the
     operands' term errors.
 
-    Up to n = 170 the operands' terms are formed in linear space and their
-    product too while it stays in the normal range. Past that, and where
-    the product leaves that range, each operand is formed once in signed-log
-    form, with one lgamma(n + 1) shared by both; that form's bound counts
-    one subnormal unit (_TINY), so a summand that underflows is not 0 ± 0.
-    When T2 is T1 (a norm) the one operand is formed once.
+    Up to n = 170 the operands' terms are formed in linear space, or read
+    from ``terms`` (both operands' (term, error) at n, from a block), and
+    their product too while it stays in the normal range. Past that, and
+    where the product leaves that range, each operand is formed once in
+    signed-log form, with one lgamma(n + 1) shared by both; that form's
+    bound counts one subnormal unit (_TINY), so a summand that underflows
+    is not 0 ± 0. When T2 is T1 (a norm) the one operand is formed once.
     """
-    terms = _operand_terms(T1, T2, n) if n <= _MAX_FLOAT_FACTORIAL else None
-    return _rho_of_terms(T1, T2, n, terms)
-
-
-def _rho_of_terms(T1: TaylorMeasure, T2: TaylorMeasure, n: int, terms) -> tuple[float, float]:
-    """_rho_summand at n, given both operands' (term, error) at n as
-    _operand_terms forms them for n <= 170, and None past it."""
+    if terms is None and n <= _MAX_FLOAT_FACTORIAL:
+        terms = _operand_terms(T1, T2, n)
     if terms is not None:
         (v1, e1), (v2, e2) = terms
         if v1 != 0.0 and v2 != 0.0:
@@ -106,7 +102,7 @@ def _rho_of_terms(T1: TaylorMeasure, T2: TaylorMeasure, n: int, terms) -> tuple[
     if s == 0:
         # a zero operand is exact but for its term error: the operands'
         # whole errors bound the product (a nan coefficient reads as zero
-        # here and raises in _term_and_err)
+        # here and raises in _operand_terms)
         (v1, e1), (v2, e2) = terms or _operand_terms(T1, T2, n)
         return 0.0, _cross_error(lf, l1, l2, e1, e2)
     log_mag = lf + l1 + l2
@@ -123,8 +119,8 @@ def _rho_of_terms(T1: TaylorMeasure, T2: TaylorMeasure, n: int, terms) -> tuple[
 
 def _operand_terms(T1: TaylorMeasure, T2: TaylorMeasure, n: int):
     """Both operands' (term, error) at n; one operand when T2 is T1."""
-    t1 = _term_and_err(T1.coefficients, T1.gamma, n)
-    return t1, (t1 if T2 is T1 else _term_and_err(T2.coefficients, T2.gamma, n))
+    t1 = _term_block(T1.coefficients, T1.gamma, (n,))[0]
+    return t1, (t1 if T2 is T1 else _term_block(T2.coefficients, T2.gamma, (n,))[0])
 
 
 def _cross_error(lf: float, l1: float, l2: float, e1: float, e2: float) -> float:
@@ -148,7 +144,7 @@ def _rho_pairs(T1, T2, indices):
     b1 = _term_block(T1.coefficients, T1.gamma, head)
     b2 = b1 if T2 is T1 else _term_block(T2.coefficients, T2.gamma, head)
     for i, n in enumerate(indices):
-        v, e = _rho_of_terms(T1, T2, n, (b1[i], b2[i])) if i < k else _rho_summand(T1, T2, n)
+        v, e = _rho_summand(T1, T2, n, (b1[i], b2[i]) if i < k else None)
         yield v, e
         if not (math.isfinite(v) and math.isfinite(e)):
             return
@@ -292,13 +288,10 @@ def rational_approximation(
     log_tol = math.log(tol)
     rounded: dict[int, Fraction] = {}
     overflow = False
-    for n in range(count):
-        p = T.term(n)
+    for n, p in enumerate(_term_block(T.coefficients, T.gamma, range(count), errors=False)):
         # delta_n = tol / sqrt(2 * count * n!) keeps sum n! * delta_n**2
         # at tol**2 / 2
-        log_delta = log_tol - 0.5 * (
-            math.log(2.0 * count) + math.lgamma(n + 1)
-        )
+        log_delta = log_tol - 0.5 * (math.log(2.0 * count) + math.lgamma(n + 1))
         if p == 0.0 or math.log(abs(p)) < log_delta - math.log(2.0):
             continue
         k = _dyadic_scale_bits(log_delta)
@@ -311,15 +304,10 @@ def rational_approximation(
             overflow = True
     if not rounded:
         return TaylorMeasure(finite_sequence(()), 1.0, label=T.label)
-    top = max(rounded)
+    q = [rounded.get(n, 0) for n in range(max(rounded) + 1)]
     if overflow:
-        terms = [0.0] * (top + 1)
-        for n, q_n in rounded.items():
-            terms[n] = float(q_n)
-        return TaylorMeasure(_finite_terms(terms), 1.0, label=T.label)
-    prefix = [0.0] * (top + 1)
-    for n, q_n in rounded.items():
-        prefix[n] = float(q_n * math.factorial(n))
+        return TaylorMeasure(_finite_terms(map(float, q)), 1.0, label=T.label)
+    prefix = [float(q_n * math.factorial(n)) for n, q_n in enumerate(q)]
     return TaylorMeasure(finite_sequence(prefix), 1.0, label=T.label)
 
 

@@ -13,16 +13,16 @@ coefficients as one block and forms each term and adds it to compensated
 sums split by sign in one loop, with the operations of _term_and_err,
 which forms single terms, so its results are the same bit for bit; terms
 formed elsewhere (a term-backed sequence's at its presentation gamma,
-geometry's rho summands) reach it as (value, error) pairs. Composite
-terms read their operands a run at a time through _term_block, with
-_term_and_err's bits. Both find one reach per block (_linear_reach), the
-last index up to which every term takes the linear path, and form those
-terms with no per-term range test; the range tests live only in
-_term_from_coefficient, which forms every other term. A term function
-formed a run at a time is a _TermRun, which keeps each value it forms
-(its memo): a composite built on one (a linear combination, a pmf
-measure, a product or a power) and evaluated on several sets, or for
-several parts, forms each term once. A
+geometry's rho summands) reach it as (value, error) pairs. Every other
+run of terms, here or in another module, is one _term_block fetch, with
+_term_and_err's bits; _term_and_err, term_value and term are one-index
+reads. Both find one reach per block (_linear_reach), the last index up
+to which every term takes the linear path, and form those terms with no
+per-term range test; the range tests live only in _term_from_coefficient,
+which forms every other term. A term function formed a run at a time is
+a _TermRun, which keeps each value it forms (its memo): a composite built
+on one (a linear combination, a pmf measure, a product or a power) and
+evaluated on several sets, or for several parts, forms each term once. A
 truncation plan is found by one doubling search over tail bounds and
 memoised per process; the plan at half the smallest normal float is the
 underflow horizon where finite-set sums stop. Tail bounds and every

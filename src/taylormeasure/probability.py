@@ -47,6 +47,7 @@ from .kernel import (
     _Terms,
     _coefficients,
     _finite_terms,
+    _term_block,
     plan_truncation,
 )
 from .measure import (
@@ -116,6 +117,9 @@ class _IncrementalPmf:
     those weights and truncation plans from the measure's certificate,
     which plan_truncation memoises. PowerSeriesPmf is its positive part,
     with negative weights refused.
+
+    The table grows by blocks of weights (kernel._term_block) and keeps each
+    weight, which pmf, cdf and quantile read: each is formed once per object.
     """
 
     _refuses_negative = False
@@ -125,10 +129,12 @@ class _IncrementalPmf:
         self._sign = 1 if sign >= 0 else -1
         self.normalizer = mass
         self._cum: list[float] = []
+        self._weights: list[float] = []  # the weight behind each _cum entry
         self._acc = _NeumaierSum()
 
-    def _weight(self, n: int) -> float:
-        w = self._sign * self._measure.term(n)
+    def _weight(self, n: int, p: float) -> float:
+        """The weight of the term p = p(n)."""
+        w = self._sign * p
         if w < 0.0 and self._refuses_negative:
             raise InvalidPmf(f"negative density weight at index {n}")
         return w if w > 0.0 else 0.0
@@ -140,20 +146,30 @@ class _IncrementalPmf:
         return plan_truncation(T.coefficients.certificate, T.gamma, eps_w)
 
     def _extend(self, upto: int) -> None:
-        # compensated running sum; each entry is a corrected snapshot
-        while len(self._cum) <= upto:
-            self._acc.add(self._weight(len(self._cum)))
+        """Extend the table through upto, from one block of the missing
+        weights: a compensated running sum, each entry a corrected snapshot."""
+        indices, T = range(len(self._cum), upto + 1), self._measure
+        try:
+            terms = _term_block(T.coefficients, T.gamma, indices, errors=False)
+        except Exception:  # one index at a time: the table stops before the one that raises
+            terms = map(T.term, indices)
+        for n, p in zip(indices, terms):
+            w = self._weight(n, p)
+            self._weights.append(w)
+            self._acc.add(w)
             self._cum.append(self._acc.value)
 
     def _cum_at(self, n: int) -> float:
-        self._extend(n)
+        if n >= len(self._cum):
+            self._extend(n)
         return self._cum[n]
 
     def pmf(self, n: int) -> float:
         """Probability mass at n."""
         if n < 0:
             return 0.0
-        return self._weight(n) / self.normalizer.value
+        w = self._weights[n] if n < len(self._weights) else self._weight(n, self._measure.term(n))
+        return w / self.normalizer.value
 
     def cdf(self, n: int) -> float:
         """Cumulative probability P(X <= n)."""
@@ -178,17 +194,15 @@ class _IncrementalPmf:
                 f"{1.0 - slack} certified at horizon {plan.last_index}"
             )
         target = u * self.normalizer.value
-        last_positive = None
+        # past the table one index at a time: no weight past the answer is formed
         for n in range(plan.last_index + 1):
-            self._extend(n)
-            if self._weight(n) > 0.0:
-                last_positive = n
-            if self._cum[n] >= target:
+            if self._cum_at(n) >= target:
                 return n
-        if plan.tail_bound == 0.0 and last_positive is not None:
+        positive = [n for n, w in enumerate(self._weights[:plan.last_index + 1]) if w > 0.0]
+        if plan.tail_bound == 0.0 and positive:
             # finite support: the full mass is already in the table and u
             # exceeds it only through rounding
-            return last_positive
+            return positive[-1]
         reached = self._cum_at(plan.last_index) / self.normalizer.value
         raise QuantileTailUnresolved(
             f"quantile {u} exceeds the cumulative probability {reached} "

@@ -33,7 +33,9 @@ from .kernel import (
     CoefficientSequence,
     TruncationPlan,
     _TermEnvelope,
+    _coefficients,
     _finite_terms,
+    _term_block,
     constant_sequence,
     plan_truncation,
     rule_sequence,
@@ -408,13 +410,15 @@ def _gaussian_batch(spec, B, truncation, rng, R):
     each realization is base + scale * Z with one standard normal Z."""
     idx = _gaussian_window(spec, B, truncation)
     gamma = 1.0 if isinstance(spec, IndicatorGamma) else spec.gamma
-    w = np.array([term_value(_ONES, gamma, int(n)) for n in idx])
+    # Python ints: gamma ** np.int64 would be numpy's power, with other bits
+    ns = idx.tolist()
+    w = np.array(_term_block(_ONES, gamma, ns, errors=False))
     if isinstance(spec, GaussianIID):
         mu = np.full(idx.shape, spec.mu_a)
         sigma = np.full(idx.shape, spec.sigma_a)
     else:
-        mu = np.array([spec.mu.a(int(n)) for n in idx])
-        sigma = np.array([spec.sigma.a(int(n)) for n in idx])
+        mu = np.array(_coefficients(spec.mu, ns))
+        sigma = np.array(_coefficients(spec.sigma, ns))
     base = float(np.dot(mu, w))
     # hypot rounds accurately and does not overflow where a sum of squares would
     scale = math.hypot(*(sigma * w))

@@ -168,8 +168,8 @@ class TestMultiply:
                                 for _ in range(rnd.randint(1, 9))])
             g = polynomial_rep([rnd.uniform(-9, 9) * 10.0 ** rnd.randint(-8, 8)
                                 for _ in range(rnd.randint(1, 9))])
-            d1 = [analytic._d_value(f.coefficients, n) for n in range(9)]
-            d2 = [analytic._d_value(g.coefficients, n) for n in range(9)]
+            d1 = [kernel.term_value(f.coefficients, 1.0, n) for n in range(9)]
+            d2 = [kernel.term_value(g.coefficients, 1.0, n) for n in range(9)]
             prod = multiply(f, g).coefficients
             last = f.coefficients.certificate.last + g.coefficients.certificate.last
             assert prod.certificate == FiniteSupport(last)
@@ -181,7 +181,7 @@ class TestMultiply:
         for f in (exp_rep(0.5), sin_rep(0.3), geometric_rep(0.2), polynomial_rep([0.1, 1.3, -0.7])):
             prod = multiply(polynomial_rep([2.0], f.center), f)
             for l in range(40):
-                assert prod.coefficients.term_rule(l) == 2.0 * analytic._d_value(f.coefficients, l)
+                assert prod.coefficients.term_rule(l) == 2.0 * kernel.term_value(f.coefficients, 1.0, l)
 
     def test_finite_product_reads_only_its_support(self):
         asked = []
@@ -250,7 +250,7 @@ def _generator_multiply(r1, r2):
     def reach(l):
         return range(max(0, l - last2), min(l, last1) + 1)
 
-    da, db = (functools.cache(functools.partial(analytic._d_value, r.coefficients))
+    da, db = (functools.cache(functools.partial(kernel.term_value, r.coefficients, 1.0))
               for r in (r1, r2))
     d_rule = functools.cache(lambda l: math.fsum(da(n) * db(l - n) for n in reach(l)))
     ea, eb = (kernel._term_errors(r.coefficients, 1.0) for r in (r1, r2))
@@ -296,7 +296,7 @@ def _factors(draw):
 
 def _terms_and_errors(seq, ls):
     errors = kernel._term_errors(seq, 1.0) or analytic._no_error
-    return [(analytic._d_value(seq, l).hex(), errors(l).hex()) for l in ls]
+    return [(kernel.term_value(seq, 1.0, l).hex(), errors(l).hex()) for l in ls]
 
 
 class TestConvolution:
@@ -602,26 +602,27 @@ class TestGridBatch:
     @pytest.mark.parametrize("rep", [exp_rep(0.25), recenter(exp_rep(), 0.25)],
                              ids=["exp", "recenter"])
     def test_one_plan_and_one_fetch_per_grid_call(self, rep, monkeypatch):
-        # symmetric about the center: one plan at the reach, one fetch of
-        # each term at it, however many points and Simpson levels
+        # symmetric about the center: one plan at the reach, one block fetch
+        # of the terms 0..N at it, however many points and Simpson levels
         seq = rep.coefficients
         plans, fetched = [], []
-        plan, term = analytic.plan_truncation, analytic._term_and_err
+        plan, block = analytic.plan_truncation, analytic._term_block
         monkeypatch.setattr(analytic, "plan_truncation",
                             lambda *a: plans.append(a) or plan(*a))
-        monkeypatch.setattr(analytic, "_term_and_err",
-                            lambda s, g, n: (fetched.append((g, n)) if s is seq else None)
-                            or term(s, g, n))
+        monkeypatch.setattr(analytic, "_term_block",
+                            lambda s, g, ns, errors=True: (fetched.append((g, list(ns)))
+                                                           if s is seq else None)
+                            or block(s, g, ns, errors))
         sup_distance_on_grid(rep, math.exp, (-0.75, 1.25), 17)
         assert [(abs(a[1]), a[2]) for a in plans] == [(1.0, 1e-12)]
         last = plan(seq.certificate, 1.0, 1e-12).last_index
-        assert fetched == [(1.0, n) for n in range(last + 1)]
+        assert fetched == [(1.0, list(range(last + 1)))]
         plans.clear()
         fetched.clear()
         lp_norm_on_interval(rep, 2.0, (-0.75, 1.25), 1e-9)
         assert [abs(a[1]) for a in plans] == [1.0]
         last = plan(*plans[0]).last_index
-        assert fetched == [(1.0, n) for n in range(last + 1)]
+        assert fetched == [(1.0, list(range(last + 1)))]
 
     def test_geometric_grid_inside_radius(self):
         rep = geometric_rep()
@@ -645,9 +646,14 @@ class TestGridDegreeAndRefusal:
                 steps.append(1)
                 return other + float(self)
 
-        term = analytic._term_and_err
-        monkeypatch.setattr(analytic, "_term_and_err",
-                            lambda s, g, n: (lambda v, e: (Counted(v), e))(*term(s, g, n)))
+        block = analytic._term_block
+
+        def counted(s, g, ns, errors=True):
+            if not errors:
+                return block(s, g, ns, errors)
+            return [(Counted(v), e) for v, e in block(s, g, ns)]
+
+        monkeypatch.setattr(analytic, "_term_block", counted)
         rep = geometric_rep(0.9)
         lo, hi = 0.8001, 0.9999
         reach = max(abs(lo - 0.9), abs(hi - 0.9))

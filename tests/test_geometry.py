@@ -157,9 +157,9 @@ class TestEarlyRefusal:
         calls = []
         summand = geometry._rho_summand
 
-        def counted(T1, T2, n):
+        def counted(T1, T2, n, terms=None):
             calls.append(n)
-            return summand(T1, T2, n)
+            return summand(T1, T2, n, terms)
 
         monkeypatch.setattr(geometry, "_rho_summand", counted)
         T1 = TaylorMeasure(constant_sequence(1.0), 2.0)

@@ -7,17 +7,22 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from taylormeasure import (
+    AnalyticRep,
     Bounded,
     CoefficientSequence,
     ConstantTail,
+    DegenerateDistribution,
     DivergenceUnknown,
     FactorialGeometric,
     FiniteSupport,
     GeometricEnvelope,
     GeometricTail,
+    InvalidPmf,
+    JordanPmf,
     NatSet,
     PowerSeriesPmf,
     PrecisionUnattainable,
+    QuantileTailUnresolved,
     TaylorMeasure,
     TermBackedSequence,
     TruncationPlan,
@@ -31,6 +36,7 @@ from taylormeasure import (
     from_pmf,
     geometric_sequence,
     jordan_decompose,
+    linear_combine,
     linear_combination,
     lp_norm_on_interval,
     multiply,
@@ -48,7 +54,7 @@ from taylormeasure import (
     term_value,
     total_variation,
 )
-from taylormeasure import TaylorMeasureError, geometry, kernel
+from taylormeasure import TaylorMeasureError, analytic, geometry, kernel, montecarlo, probability
 from taylormeasure.kernel import _PLAN_CAP, _log_term_and_err, _term_and_err
 
 import exact_reference
@@ -1132,3 +1138,300 @@ class TestTermMemo:
         for call, out in zip(calls, first):
             assert call() == out
             assert formed == seen
+
+
+# ---------------------------------------------------------------------------
+# Every run of terms read outside the kernel is one _term_block fetch, with
+# the bits of a fetch one index at a time
+
+
+def _per_index_block(seq, gamma, indices, errors=True):
+    """Test-only reference: a run of terms fetched one index at a time."""
+    terms = [_term_and_err(seq, gamma, n) for n in indices]
+    return terms if errors else [v for v, _ in terms]
+
+
+def _hexed(x):
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (list, tuple)):
+        return [_hexed(y) for y in x]
+    return x
+
+
+def _outcome(call, patches=()):
+    """call()'s result as nested hex strings, or the type and message of the
+    error it raised, with each (module, name, value) of patches set."""
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name, value in patches:
+            mp.setattr(module, name, value)
+        try:
+            return _hexed(call())
+        except (ArithmeticError, ValueError, TaylorMeasureError) as exc:
+            return type(exc), str(exc)
+
+
+def _per_index_outcome(call, *modules):
+    """_outcome with each module's _term_block fetching one index at a time."""
+    return _outcome(call, [(m, "_term_block", _per_index_block) for m in modules])
+
+
+def _rep_terms(rep, count):
+    """A representation's d_n and term errors at 0..count-1."""
+    seq = rep.coefficients
+    errors = kernel._term_errors(seq, 1.0) or (lambda n: 0.0)
+    return [(term_value(seq, 1.0, n), errors(n)) for n in range(count)]
+
+
+def _lgamma_terms(c, r):
+    """q(n) = c r**n / n!, formed in logs so that no n! overflows."""
+    return lambda n: c * math.exp(n * math.log(r) - math.lgamma(n + 1))
+
+
+@st.composite
+def _fetch_reps(draw):
+    """A zero-argument builder of an entire representation at center 0:
+    constant, finite, geometric and rule coefficients, term-backed ones
+    with term errors, and composites."""
+    kind = draw(st.sampled_from(["constant", "finite", "geometric", "rule", "term_error",
+                                 "product", "power", "combination", "recentered"]))
+    c = draw(st.floats(-3.0, 3.0))
+    if kind == "constant":
+        seq = constant_sequence(c, draw(st.lists(st.floats(-3.0, 3.0), max_size=6)))
+    elif kind == "finite":
+        seq = finite_sequence(draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12)))
+    elif kind == "geometric":
+        seq = geometric_sequence(c, draw(st.floats(-2.0, 2.0)))
+    elif kind == "rule":
+        seq = rule_sequence(lambda n: c * (-1.0) ** n * (1 + n % 3) / 3.0, Bounded(abs(c)))
+    elif kind == "term_error":
+        r, g = draw(st.floats(0.1, 2.0)), draw(st.sampled_from([1.0, 0.5, -2.0]))
+        # a_n = c (r / g)**n, within a few ulp
+        seq = TermBackedSequence(_lgamma_terms(c, r), g,
+                                 GeometricEnvelope(2.0 * abs(c), 1.01 * r / abs(g)),
+                                 lambda n: 1e-12 * r ** n / math.gamma(min(n, 170) + 1))
+    else:
+        reps = {
+            "product": lambda: multiply(exp_rep(), sin_rep()),
+            "power": lambda: power(cos_rep(), 2),
+            "combination": lambda: linear_combine(c, exp_rep(), 0.5, sin_rep()),
+            "recentered": lambda: recenter(exp_rep(), 0.25),
+        }
+        return lambda: AnalyticRep(0.0, reps[kind]().coefficients, math.inf)
+    return lambda: AnalyticRep(0.0, seq, math.inf)
+
+
+class _PerIndexPmf:
+    """Test-only reference: the pmf engine forming each weight one index at
+    a time, when the table reaches it and again when a quantile or pmf
+    reads it."""
+
+    def _weight(self, n):
+        w = self._sign * self._measure.term(n)
+        if w < 0.0 and self._refuses_negative:
+            raise InvalidPmf(f"negative density weight at index {n}")
+        return w if w > 0.0 else 0.0
+
+    def _extend(self, upto):
+        while len(self._cum) <= upto:
+            self._acc.add(self._weight(len(self._cum)))
+            self._cum.append(self._acc.value)
+
+    def _cum_at(self, n):
+        self._extend(n)
+        return self._cum[n]
+
+    def pmf(self, n):
+        return 0.0 if n < 0 else self._weight(n) / self.normalizer.value
+
+    def quantile(self, u):
+        if not 0.0 <= u <= 1.0:
+            raise ValueError("u must lie in [0, 1]")
+        plan = self._plan()
+        slack = (plan.tail_bound + self.normalizer.abs_error) / self.normalizer.value
+        if plan.tail_bound > 0.0 and u > 1.0 - slack:
+            raise QuantileTailUnresolved(
+                f"quantile {u} exceeds the cumulative probability "
+                f"{1.0 - slack} certified at horizon {plan.last_index}")
+        target = u * self.normalizer.value
+        last_positive = None
+        for n in range(plan.last_index + 1):
+            self._extend(n)
+            if self._weight(n) > 0.0:
+                last_positive = n
+            if self._cum[n] >= target:
+                return n
+        if plan.tail_bound == 0.0 and last_positive is not None:
+            return last_positive
+        reached = self._cum_at(plan.last_index) / self.normalizer.value
+        raise QuantileTailUnresolved(
+            f"quantile {u} exceeds the cumulative probability {reached} "
+            f"certified at horizon {plan.last_index}")
+
+
+class _PerIndexPowerSeriesPmf(_PerIndexPmf, PowerSeriesPmf):
+    pass
+
+
+class _PerIndexJordanPmf(_PerIndexPmf, JordanPmf):
+    pass
+
+
+@st.composite
+def _fetch_pmfs(draw):
+    """(build, reference): zero-argument builders of one pmf, by the engine
+    and by _PerIndexPmf. Power-series weights are constant, geometric, rule
+    or term-backed; a rule's turns negative or nan at one index, which the
+    normalizer may not reach. Jordan parts are those of a signed
+    linear combination."""
+    zeta = draw(st.sampled_from([0.5, 2.5, 9.0, 30.0]))
+    # a loose normalizer leaves indices that only the table reaches
+    eps = draw(st.sampled_from([1e-12, 1e-3]))
+    kind = draw(st.sampled_from(["constant", "geometric", "rule", "term", "jordan"]))
+    if kind == "jordan":
+        T = linear_combination(1.0, draw(_memo_operands), -0.75, draw(_memo_operands))
+        sign = draw(st.sampled_from([1, -1]))
+
+        def build():
+            pair = probability.probability_pair(T)
+            q = pair.q_pos if sign > 0 else pair.q_neg
+            if q is None:
+                raise DegenerateDistribution("this side has no mass")
+            return q
+
+        def reference():
+            return _PerIndexJordanPmf(T, sign, build().normalizer)
+
+        return build, reference
+    if kind == "constant":
+        b = constant_sequence(draw(st.floats(0.25, 3.0)),
+                              draw(st.lists(st.floats(0.0, 3.0), max_size=6)))
+    elif kind == "geometric":
+        b = geometric_sequence(draw(st.floats(0.25, 3.0)), draw(st.floats(0.0, 1.5)))
+    elif kind == "rule":
+        # the normalizer, to 1e-3, stops at n = 4 or 11; the table at 14 or 24
+        zeta, eps, bad_at = draw(st.sampled_from([0.5, 2.5])), 1e-3, draw(st.integers(4, 24))
+        bad = draw(st.sampled_from([-1e-3, math.nan]))
+        b = rule_sequence(lambda n: bad if n == bad_at else 1.0 + n % 3, Bounded(3.0))
+    else:
+        r, g = draw(st.floats(0.25, 2.0)), draw(st.sampled_from([1.0, 0.5, 2.0]))
+        b = TermBackedSequence(_lgamma_terms(1.0, r), g,
+                               GeometricEnvelope(2.0, 1.01 * r / g))
+    return (lambda: PowerSeriesPmf(zeta, b, eps)), (lambda: _PerIndexPowerSeriesPmf(zeta, b, eps))
+
+
+_pmf_calls = st.lists(st.one_of(
+    st.tuples(st.just("table"), st.sampled_from([1e-16, 1e-10, 1e-4])),
+    st.tuples(st.sampled_from(["pmf", "cdf"]), st.integers(-1, 100)),
+    st.tuples(st.just("quantile"), st.floats(0.0, 1.0)),
+), min_size=1, max_size=8)
+
+
+def _pmf_call(p, call):
+    name, arg = call
+    if name == "table":
+        return p.cumulative_table(arg)
+    return getattr(p, name)(arg)
+
+
+class TestOneTermFetch:
+    """Each caller that reads a run of terms outside the kernel fetches it
+    as one _term_block: its output equals that of a fetch one index at a
+    time, bit for bit, errors included."""
+
+    @given(_fetch_reps(), st.floats(-3.0, 0.0), st.floats(0.01, 3.0),
+           st.sampled_from([1e-12, 1e-8]))
+    @settings(max_examples=80, deadline=None)
+    def test_grid_points_and_bounds(self, build, lo, width, eps):
+        hi = lo + width
+        xs = [lo + (hi - lo) * i / 8 for i in range(9)]
+
+        def points():
+            at = analytic._horner_grid(build(), lo, hi, eps)
+            return [at(x) for x in xs]
+
+        assert _outcome(points) == _per_index_outcome(points, analytic)
+
+    @given(_fetch_reps(), st.integers(0, 60))
+    @settings(max_examples=80, deadline=None)
+    def test_truncate_rep(self, build, N):
+        def truncated():
+            return _rep_terms(analytic.truncate_rep(build(), N), N + 2)
+
+        assert _outcome(truncated) == _per_index_outcome(truncated, analytic)
+
+    @given(_fetch_reps(), st.floats(-1.0, 1.0))
+    @settings(max_examples=80, deadline=None)
+    def test_recenter(self, build, center):
+        def shifted():
+            return _rep_terms(recenter(build(), center), 12)
+
+        assert _outcome(shifted) == _per_index_outcome(shifted, analytic)
+
+    @given(_fetch_pmfs(), _pmf_calls)
+    @settings(max_examples=150, deadline=None)
+    def test_pmf_table_pmf_and_quantile(self, builders, calls):
+        # the same calls in the same order: each result, or error, and the
+        # table each leaves behind
+        made = [_outcome(lambda build=build: [build().normalizer.value]) for build in builders]
+        assert made[0] == made[1]
+        if isinstance(made[0], tuple):
+            return
+        p, ref = (build() for build in builders)
+        for call in calls:
+            assert _outcome(lambda: _pmf_call(p, call)) == _outcome(lambda: _pmf_call(ref, call))
+            assert _hexed(p._cum) == _hexed(ref._cum), call
+
+    @given(st.one_of(st.sampled_from([2.5, 300.0]), st.floats(0.05, 300.0)))
+    @settings(max_examples=40, deadline=None)
+    def test_poisson_cells(self, zeta):
+        cells = lambda: montecarlo._poisson_cells(zeta)
+        assert _outcome(cells) == _outcome(
+            cells, [(montecarlo, "PowerSeriesPmf", _PerIndexPowerSeriesPmf)])
+
+    @given(_composites() | _memo_operands.map(lambda T: lambda: T),
+           st.sampled_from([1e-3, 1e-6, 1e-9]))
+    @settings(max_examples=80, deadline=None)
+    def test_rational_approximation_coefficients(self, build, tol):
+        def coefficients():
+            R = geometry.rational_approximation(build(), tol)
+            return type(R.coefficients).__name__, [R.term(n) for n in range(60)]
+
+        assert _outcome(coefficients) == _per_index_outcome(coefficients, geometry)
+
+    def test_each_pmf_weight_is_formed_once(self, monkeypatch):
+        formed = []
+        ones = rule_sequence(lambda n: formed.append(n) or 1.0, Bounded(1.0))
+        p = PowerSeriesPmf(4.0, ones)
+        formed.clear()
+        assert p.quantile(0.9) == 7
+        # a block of one index at a time, and none past the answer
+        assert formed == list(range(8))
+        formed.clear()
+        assert p.quantile(0.9) == 7 and p.cdf(5) > 0.0 and p.pmf(3) > 0.0
+        assert formed == []
+        _, h = p.cumulative_table()
+        assert formed == list(range(8, h + 1))
+
+        class Fresh(PowerSeriesPmf):
+            def __init__(self, *args):
+                super().__init__(*args)
+                formed.clear()
+
+        monkeypatch.setattr(montecarlo, "_ONES", ones)
+        monkeypatch.setattr(montecarlo, "PowerSeriesPmf", Fresh)
+        head, past = montecarlo._poisson_cells(2.5)
+        # the head is the table's, and each mass past it is formed once,
+        # up to the one that stops the run
+        assert formed == list(range(len(head) + len(past) + 1))
+
+    def test_a_refused_weight_leaves_the_table_before_it(self):
+        # the normalizer, to 1e-3, sums b_0..b_5; the table reaches b_10
+        for bad, error in ((-1.0, InvalidPmf), (math.nan, ValueError)):
+            b = rule_sequence(lambda n: bad if n == 10 else 1.0, Bounded(1.0))
+            p, ref = PowerSeriesPmf(1.0, b, 1e-3), _PerIndexPowerSeriesPmf(1.0, b, 1e-3)
+            for q in (p, ref):
+                q.cdf(4)
+                with pytest.raises(error, match="10"):
+                    q.cumulative_table()
+            assert len(p._cum) == 10 and _hexed(p._cum) == _hexed(ref._cum)
