@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cache, partial
 from operator import mul
 from typing import Callable, Iterable, Sequence
@@ -60,6 +59,7 @@ from .kernel import (
     _require_certificate,
     _term_block,
     _term_errors,
+    _value_type,
     constant_sequence,
     finite_sequence,
     plan_truncation,
@@ -73,7 +73,7 @@ _SHIFT_CAP = 10 ** 6
 _GRID_SHARE = 1e-6
 
 
-@dataclass(frozen=True)
+@_value_type
 class AnalyticRep:
     """f represented by its derivative sequence a_n = f^(n)(center).
 
@@ -81,13 +81,12 @@ class AnalyticRep:
     it is declared data, not an inferred radius of convergence.
     """
 
-    center: float
-    coefficients: SequenceLike
-    radius_hint: float
-
-    def __post_init__(self):
-        if not self.radius_hint > 0.0:
+    def __init__(self, center: float, coefficients: SequenceLike, radius_hint: float):
+        if not radius_hint > 0.0:
             raise ValueError("radius_hint must be positive")
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "radius_hint", radius_hint)
 
 
 def _d_envelope(rep: AnalyticRep) -> _TermEnvelope:

@@ -14,7 +14,6 @@ never compile it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -25,6 +24,7 @@ from .kernel import (
     GeometricTail,
     SequenceLike,
     ZeroTail,
+    _value_type,
 )
 
 _LEAF = 64  # runs up to this long are stepped forward, longer ones split
@@ -128,15 +128,16 @@ def _sparse(m: int, k: int, indices: list[int], last: int) -> int:
     return (acc * math.perm(last, last - prev)) << (k * (last - prev))
 
 
-@dataclass(frozen=True)
+@_value_type
 class _ExactTerms:
     """Terms c_n * x**n / n! given exactly, every number a dyadic rational:
     c_n = head[n] below len(head), and c_n = tail * rho**n from there on."""
 
-    head: tuple[Fraction, ...]
-    x: Fraction
-    tail: Fraction
-    rho: Fraction
+    def __init__(self, head: tuple[Fraction, ...], x: Fraction, tail: Fraction, rho: Fraction):
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "rho", rho)
 
     def numerators(self) -> tuple[int, int, int]:
         """(k, mh, mt) with x = mh / 2**k and x * rho = mt / 2**k, over

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property, partial
 
 from .errors import NegativeRadicand
@@ -49,6 +48,7 @@ from .kernel import (
     _sum_terms,
     _term_block,
     _term_errors,
+    _value_type,
     finite_sequence,
     plan_truncation,
 )
@@ -311,7 +311,7 @@ def rational_approximation(
     return TaylorMeasure(finite_sequence(prefix), 1.0, label=T.label)
 
 
-@dataclass(frozen=True)
+@_value_type
 class HilbertAxiomReport:
     """Worst-case residuals over all sampled pairs.
 
@@ -324,12 +324,15 @@ class HilbertAxiomReport:
     product, while the rho norm satisfies the identity to roundoff.
     """
 
-    pairs_checked: int
-    symmetry_max: float
-    bilinearity_max: float
-    cauchy_schwarz_min_slack: float
-    parallelogram_rho_max: float
-    parallelogram_tv_max: float
+    def __init__(self, pairs_checked: int, symmetry_max: float, bilinearity_max: float,
+                 cauchy_schwarz_min_slack: float, parallelogram_rho_max: float,
+                 parallelogram_tv_max: float):
+        object.__setattr__(self, "pairs_checked", pairs_checked)
+        object.__setattr__(self, "symmetry_max", symmetry_max)
+        object.__setattr__(self, "bilinearity_max", bilinearity_max)
+        object.__setattr__(self, "cauchy_schwarz_min_slack", cauchy_schwarz_min_slack)
+        object.__setattr__(self, "parallelogram_rho_max", parallelogram_rho_max)
+        object.__setattr__(self, "parallelogram_tv_max", parallelogram_tv_max)
 
 
 def _rel(lhs: float, rhs: float) -> float:

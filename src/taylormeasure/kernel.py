@@ -46,14 +46,22 @@ normal floating range (per term in _term_from_coefficient, per block in
 _linear_reach), which keeps small cases exact to a few ulp.
 The convention 0**0 = 1 applies throughout, so the n = 0 term is a_0
 even when gamma = 0.
+
+The package's value types (the certificates, tails and sequences here,
+NatSet, MeasureValue, TaylorMeasure and the other results) are plain
+classes that write their own __init__; one helper here, _value_type,
+gives each its __repr__, __eq__, __hash__, __match_args__ and frozen
+attributes from closures over its field names, as a dataclass would, so
+that no process that uses only them imports dataclasses or runs
+generated code.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, partial
+from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Union
 
 from .errors import DivergenceUnknown, OutOfDomain
@@ -79,45 +87,125 @@ def _sign(x: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Growth certificates
+# Value types
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _value_type(cls=None, *, frozen: bool = True, hidden: tuple[str, ...] = ()):
+    """Class decorator for a value type, whose fields are the parameters of
+    the __init__ it writes (a frozen one sets them by object.__setattr__).
+    It adds what a frozen dataclass would, with the same strings and values,
+    from closures over the field names rather than generated source:
+    __match_args__, and __repr__, __eq__ and __hash__ over the fields not
+    ``hidden``. A frozen type refuses to set or delete any attribute; a
+    mutable one is unhashable. A method the class defines itself is kept."""
+    if cls is None:
+        return partial(_value_type, frozen=frozen, hidden=hidden)
+    code = getattr(cls.__init__, "__code__", None)  # none for object.__init__
+    names = code.co_varnames[1:code.co_argcount] if code else ()
+    shown = tuple(n for n in names if n not in hidden)
+    # the fields as a tuple; attrgetter of one name gives the field itself
+    key = (attrgetter(*shown) if len(shown) > 1
+           else lambda self: tuple(getattr(self, n) for n in shown))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(shown, key(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    added = {"__match_args__": names, "__repr__": __repr__, "__eq__": __eq__,
+             "__hash__": __hash__ if frozen else None}
+    if frozen:
+        added.update(__setattr__=__setattr__, __delattr__=__delattr__)
+    for name, value in added.items():
+        if name not in vars(cls):
+            setattr(cls, name, value)
+    return cls
+
+
+# ---------------------------------------------------------------------------
+# Growth certificates
+# ---------------------------------------------------------------------------
+#
+# Certificates key the truncation-plan memo, so they write __eq__ and
+# __hash__ out, as a dataclass's read: _value_type's closures fetch the
+# fields through attrgetter, some 60 ns slower per call.
+
+
+@_value_type
 class FiniteSupport:
     """a_n = 0 for every n > last. last = -1 denotes the zero sequence."""
 
-    last: int
+    def __init__(self, last: int):
+        if last < -1:
+            raise ValueError(f"FiniteSupport.last must be >= -1, got {last}")
+        object.__setattr__(self, "last", last)
 
-    def __post_init__(self):
-        if self.last < -1:
-            raise ValueError(f"FiniteSupport.last must be >= -1, got {self.last}")
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.last,) == (other.last,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.last,))
 
 
-@dataclass(frozen=True)
+@_value_type
 class Bounded:
     """|a_n| <= bound for all n."""
 
-    bound: float
+    def __init__(self, bound: float):
+        if not (bound >= 0.0 and math.isfinite(bound)):
+            raise ValueError(f"Bounded.bound must be finite and >= 0, got {bound}")
+        object.__setattr__(self, "bound", bound)
 
-    def __post_init__(self):
-        if not (self.bound >= 0.0 and math.isfinite(self.bound)):
-            raise ValueError(f"Bounded.bound must be finite and >= 0, got {self.bound}")
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.bound,) == (other.bound,)
+        return NotImplemented
 
-
-def _check_envelope(cert) -> None:
-    """The __post_init__ of GeometricEnvelope and FactorialGeometric."""
-    name = type(cert).__name__
-    for field_name in ("scale", "ratio"):
-        v = getattr(cert, field_name)
-        if not (v >= 0.0 and math.isfinite(v)):
-            raise ValueError(f"{name}.{field_name} must be finite and >= 0, got {v}")
-    if cert.start < 0:
-        raise ValueError(f"{name}.start must be >= 0")
+    def __hash__(self):
+        return hash((self.bound,))
 
 
-@dataclass(frozen=True)
-class GeometricEnvelope:
+@_value_type
+class _Envelope:
+    """The fields and checks of GeometricEnvelope and FactorialGeometric."""
+
+    def __init__(self, scale: float, ratio: float, start: int = 0):
+        name = type(self).__name__
+        for field_name, v in (("scale", scale), ("ratio", ratio)):
+            if not (v >= 0.0 and math.isfinite(v)):
+                raise ValueError(f"{name}.{field_name} must be finite and >= 0, got {v}")
+        if start < 0:
+            raise ValueError(f"{name}.start must be >= 0")
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "ratio", ratio)
+        object.__setattr__(self, "start", start)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.scale, self.ratio, self.start) == (other.scale, other.ratio, other.start)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.scale, self.ratio, self.start))
+
+
+class GeometricEnvelope(_Envelope):
     """|a_n| <= scale * ratio**n for all n >= start.
 
     ``from_asymptotic(M, b)`` builds the envelope for a sequence known to
@@ -125,19 +213,12 @@ class GeometricEnvelope:
     the slack between the asymptotic statement and a hard bound.
     """
 
-    scale: float
-    ratio: float
-    start: int = 0
-
-    __post_init__ = _check_envelope
-
     @classmethod
     def from_asymptotic(cls, scale: float, ratio: float, start: int = 0) -> "GeometricEnvelope":
         return cls(2.0 * abs(scale), abs(ratio), start)
 
 
-@dataclass(frozen=True)
-class FactorialGeometric:
+class FactorialGeometric(_Envelope):
     """|a_n| <= scale * n! * ratio**n for all n >= start.
 
     Describes coefficient sequences that grow factorially while their
@@ -150,14 +231,8 @@ class FactorialGeometric:
     infinite sets.
     """
 
-    scale: float
-    ratio: float
-    start: int = 0
 
-    __post_init__ = _check_envelope
-
-
-@dataclass(frozen=True)
+@_value_type
 class Unverified:
     """No growth information. Infinite-set queries fail loudly."""
 
@@ -170,27 +245,29 @@ GrowthCertificate = Union[FiniteSupport, Bounded, GeometricEnvelope, FactorialGe
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_value_type
 class ZeroTail:
     """a_n = 0 beyond the prefix."""
 
 
-@dataclass(frozen=True)
+@_value_type
 class ConstantTail:
     """a_n = value beyond the prefix."""
 
-    value: float
+    def __init__(self, value: float):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
+@_value_type
 class GeometricTail:
     """a_n = scale * ratio**n beyond the prefix (n is the global index)."""
 
-    scale: float
-    ratio: float
+    def __init__(self, scale: float, ratio: float):
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "ratio", ratio)
 
 
-@dataclass(frozen=True)
+@_value_type
 class CustomTail:
     """a_n = rule(n) beyond the prefix.
 
@@ -198,35 +275,36 @@ class CustomTail:
     indices where rule(n) would overflow a float.
     """
 
-    rule: Callable[[int], float]
-    log_rule: Callable[[int], tuple[int, float]] | None = None
+    def __init__(self, rule: Callable[[int], float],
+                 log_rule: Callable[[int], tuple[int, float]] | None = None):
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "log_rule", log_rule)
 
 
 TailModel = Union[ZeroTail, ConstantTail, GeometricTail, CustomTail]
 
 
-@dataclass(frozen=True)
+@_value_type
 class CoefficientSequence:
     """Total map n -> a_n given by an explicit prefix plus a tail model,
     together with a growth certificate for the whole sequence."""
 
-    prefix: tuple[float, ...] = ()
-    tail: TailModel = field(default_factory=ZeroTail)
-    certificate: GrowthCertificate = field(default_factory=Unverified)
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, self.prefix)):
-            n = next(n for n, c in enumerate(self.prefix) if not math.isfinite(c))
-            raise ValueError(f"coefficient a_{n} = {self.prefix[n]} is not finite")
-        t = self.tail
-        if isinstance(t, ConstantTail):
-            constants: tuple[float, ...] = (t.value,)
-        elif isinstance(t, GeometricTail):
-            constants = (t.scale, t.ratio)
+    def __init__(self, prefix: tuple[float, ...] = (), tail: TailModel = ZeroTail(),
+                 certificate: GrowthCertificate = Unverified()):
+        if not all(map(math.isfinite, prefix)):
+            n = next(n for n, c in enumerate(prefix) if not math.isfinite(c))
+            raise ValueError(f"coefficient a_{n} = {prefix[n]} is not finite")
+        if isinstance(tail, ConstantTail):
+            constants: tuple[float, ...] = (tail.value,)
+        elif isinstance(tail, GeometricTail):
+            constants = (tail.scale, tail.ratio)
         else:
             constants = ()
         if not all(map(math.isfinite, constants)):
-            raise ValueError(f"tail constants must be finite, got {t}")
+            raise ValueError(f"tail constants must be finite, got {tail}")
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "certificate", certificate)
 
     def a(self, n: int) -> float:
         if n < 0:
@@ -295,7 +373,7 @@ def rule_sequence(
     return CoefficientSequence(tuple(float(c) for c in prefix), CustomTail(rule, log_rule), certificate)
 
 
-@dataclass(frozen=True)
+@_value_type
 class TermBackedSequence:
     """Coefficient sequence defined through prescribed term values.
 
@@ -317,10 +395,12 @@ class TermBackedSequence:
     reports it in its abs_error.
     """
 
-    term_rule: Callable[[int], float]
-    presentation_gamma: float
-    certificate: GrowthCertificate
-    term_error: Callable[[int], float] | None = None
+    def __init__(self, term_rule: Callable[[int], float], presentation_gamma: float,
+                 certificate: GrowthCertificate, term_error: Callable[[int], float] | None = None):
+        object.__setattr__(self, "term_rule", term_rule)
+        object.__setattr__(self, "presentation_gamma", presentation_gamma)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "term_error", term_error)
 
     def a(self, n: int) -> float:
         if n < 0:
@@ -419,7 +499,7 @@ SequenceLike = Union[CoefficientSequence, TermBackedSequence]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_value_type
 class SignedLogTerm:
     """One series term in sign + log-magnitude form.
 
@@ -427,9 +507,10 @@ class SignedLogTerm:
     exactly when sign = 0.
     """
 
-    n: int
-    sign: int
-    log_mag: float
+    def __init__(self, n: int, sign: int, log_mag: float):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "log_mag", log_mag)
 
     @property
     def value(self) -> float:
@@ -668,12 +749,13 @@ def tail_bound(cert: GrowthCertificate, gamma: float, last_index: int) -> float:
     return _TermEnvelope.of(cert, gamma).tail(last_index)
 
 
-@dataclass(frozen=True)
+@_value_type
 class TruncationPlan:
     """Sum indices 0..last_index; the rest is bounded by tail_bound."""
 
-    last_index: int
-    tail_bound: float
+    def __init__(self, last_index: int, tail_bound: float):
+        object.__setattr__(self, "last_index", last_index)
+        object.__setattr__(self, "tail_bound", tail_bound)
 
 
 _PLAN_CAP = 10 ** 7
@@ -832,7 +914,7 @@ def _needed_scale(d: float, n: int, ratio: float, k: int) -> float:
     return _exp_signed(1, log_s + 8.0 * _ULP * (abs(ld) + lg + abs(lr) + 1.0)) + _TINY
 
 
-@dataclass(slots=True)
+@_value_type(frozen=False, hidden=("term",))
 class _TermEnvelope:
     """A certified bound on a term function p(n): the terms
     a_n * gamma**n / n! of a measure, or a sum, product or shift of them.
@@ -847,12 +929,17 @@ class _TermEnvelope:
     envelopes and never change one.
     """
 
-    k: int | None = 1
-    scale: float = 0.0
-    ratio: float = 1.0
-    start: int = 0
-    last: int | None = None
-    term: Callable[[int], float] | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("k", "scale", "ratio", "start", "last", "term")
+
+    def __init__(self, k: int | None = 1, scale: float = 0.0, ratio: float = 1.0,
+                 start: int = 0, last: int | None = None,
+                 term: Callable[[int], float] | None = None):
+        self.k = k
+        self.scale = scale
+        self.ratio = ratio
+        self.start = start
+        self.last = last
+        self.term = term
 
     @classmethod
     def of(cls, cert: GrowthCertificate, gamma: float,
@@ -905,7 +992,8 @@ class _TermEnvelope:
             if d != 0.0:
                 scale = max(scale, _needed_scale(d, n, ratio, self.k))
         if self.k and not math.isfinite(scale):
-            return replace(self, k=0).widened(ratio)
+            return _TermEnvelope(0, self.scale, self.ratio, self.start, self.last,
+                                 self.term).widened(ratio)
         return _TermEnvelope(self.k, scale, ratio)
 
     def scaled(self, w: float) -> "_TermEnvelope":
@@ -933,7 +1021,8 @@ class _TermEnvelope:
         if self.last is None:
             return self
         if other.k == 0:
-            return replace(self, k=0).widened(other.ratio)
+            return _TermEnvelope(0, self.scale, self.ratio, self.start, self.last,
+                                 self.term).widened(other.ratio)
         return self.widened()
 
     def cauchy(self, other: "_TermEnvelope") -> "_TermEnvelope":
@@ -1187,7 +1276,9 @@ def _term_block(seq: SequenceLike, gamma: float, indices: Union[range, list, tup
     _TermRun); every other sequence reads its coefficients so
     (_coefficients), forms each nonzero term at 0 < n <= the block's reach
     (_linear_reach) as a * gamma**n / n!, and every other one with
-    _term_from_coefficient. A run of one index is _term_and_err's."""
+    _term_from_coefficient. A run of one index is _term_and_err's, and so is
+    a block whose coefficient read raises, formed again one index at a time,
+    so that an earlier index's own error is raised first."""
     if len(indices) == 1:
         term = _term_and_err(seq, gamma, indices[0])
         return [term if errors else term[0]]
@@ -1198,7 +1289,11 @@ def _term_block(seq: SequenceLike, gamma: float, indices: Union[range, list, tup
             return values
         block = [(q, abs(q) * 2.0 * _ULP) for q in values]
     else:
-        coeffs = _coefficients(seq, indices)
+        try:
+            coeffs = _coefficients(seq, indices)
+        except Exception:  # one index at a time: the first that fails raises its own error
+            block = [_term_and_err(seq, gamma, n) for n in indices]
+            return block if errors else [v for v, _ in block]
         reach, fact = _linear_reach(indices, coeffs, gamma), _FACT
         if not errors:
             return [a * gamma ** n / fact[n] if a and 0 < n <= reach
@@ -1230,7 +1325,8 @@ def _sum_terms(seq: SequenceLike, gamma: float, indices: Iterable[int],
     ``pairs`` are terms already formed, (value, error) in index order,
     summed as they are until they stop; seq and gamma are then not read.
     A term-backed sequence at its presentation gamma is read so
-    (_term_block), and so are geometry's rho summands.
+    (_term_block), and so are geometry's rho summands and, formed one index
+    at a time, a block whose coefficient read raises.
     """
     if not isinstance(indices, (range, list, tuple)):
         indices = list(indices)
@@ -1238,10 +1334,16 @@ def _sum_terms(seq: SequenceLike, gamma: float, indices: Iterable[int],
         raise ValueError("index must be a natural number")
     if pairs is None and isinstance(seq, TermBackedSequence) and gamma == seq.presentation_gamma:
         pairs = _term_block(seq, gamma, indices)
+    if pairs is None:
+        try:
+            block = _coefficients(seq, indices)
+        except Exception:  # one index at a time: the first that fails raises its own error
+            pairs = [_term_and_err(seq, gamma, n) for n in indices]
     formed = pairs is not None
-    bias = None if formed else _term_errors(seq, gamma)
-    block = pairs if formed else _coefficients(seq, indices)
-    reach = 0 if formed else _linear_reach(indices, block, gamma)
+    if formed:
+        block, bias, reach = pairs, None, 0
+    else:
+        bias, reach = _term_errors(seq, gamma), _linear_reach(indices, block, gamma)
     fact = _FACT
     hp = cp = hn = cn = err = ep = en = 0.0
     for n, a in zip(indices, block):

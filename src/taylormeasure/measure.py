@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from . import kernel
@@ -41,11 +40,12 @@ from .kernel import (
     SignedLogTerm,
     TermBackedSequence,
     _TermEnvelope,
+    _value_type,
     finite_sequence,
 )
 
 
-@dataclass(frozen=True)
+@_value_type
 class NatSet:
     """A subset of N that is finite, cofinite, or everything.
 
@@ -54,24 +54,20 @@ class NatSet:
     nothing excluded normalizes to kind 'all'.
     """
 
-    kind: str
-    elements: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in ("finite", "cofinite", "all"):
-            raise ValueError(f"NatSet.kind must be finite|cofinite|all, got {self.kind!r}")
+    def __init__(self, kind: str, elements: tuple[int, ...] = ()):
+        if kind not in ("finite", "cofinite", "all"):
+            raise ValueError(f"NatSet.kind must be finite|cofinite|all, got {kind!r}")
         try:
-            ints = [int(n) for n in self.elements]
+            ints = [int(n) for n in elements]
         except (ValueError, OverflowError):  # nan or an infinity
             ints = [-1]
-        if any(i < 0 or i != n for i, n in zip(ints, self.elements)):
+        if any(i < 0 or i != n for i, n in zip(ints, elements)):
             raise ValueError("NatSet elements must be naturals")
         elems = tuple(sorted(set(ints)))
-        object.__setattr__(self, "elements", elems)
-        if self.kind == "all" and elems:
+        if kind == "all" and elems:
             raise ValueError("an 'all' set carries no elements")
-        if self.kind == "cofinite" and not elems:
-            object.__setattr__(self, "kind", "all")
+        object.__setattr__(self, "kind", "all" if kind == "cofinite" and not elems else kind)
+        object.__setattr__(self, "elements", elems)
 
     @classmethod
     def finite(cls, elements: Iterable[int]) -> "NatSet":
@@ -104,7 +100,7 @@ class NatSet:
         return iter(self.elements)
 
 
-@dataclass(frozen=True)
+@_value_type
 class MeasureValue:
     """A computed set value together with a certified absolute error.
 
@@ -112,27 +108,23 @@ class MeasureValue:
     NonFiniteResult.
     """
 
-    value: float
-    abs_error: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.value) and math.isfinite(self.abs_error)):
-            raise NonFiniteResult(
-                f"result {self.value} with error bound {self.abs_error} is not finite"
-            )
+    def __init__(self, value: float, abs_error: float):
+        if not (math.isfinite(value) and math.isfinite(abs_error)):
+            raise NonFiniteResult(f"result {value} with error bound {abs_error} is not finite")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "abs_error", abs_error)
 
 
-@dataclass(frozen=True)
+@_value_type
 class TaylorMeasure:
     """T(B) = sum_{n in B} a_n * gamma**n / n! for a coefficient sequence a."""
 
-    coefficients: SequenceLike
-    gamma: float
-    label: str | None = None
-
-    def __post_init__(self):
-        if not math.isfinite(self.gamma):
-            raise ValueError(f"TaylorMeasure.gamma must be finite, got {self.gamma}")
+    def __init__(self, coefficients: SequenceLike, gamma: float, label: str | None = None):
+        if not math.isfinite(gamma):
+            raise ValueError(f"TaylorMeasure.gamma must be finite, got {gamma}")
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "label", label)
 
     def term(self, n: int) -> float:
         """The term function p(n) = a_n * gamma**n / n! in linear space."""
@@ -263,7 +255,7 @@ def total_variation(T: TaylorMeasure, sets: NatSet, eps: float = 1e-12) -> Measu
     return _part_value(T, sets, eps, "variation")
 
 
-@dataclass(frozen=True)
+@_value_type
 class JordanPair:
     """Decomposition T = positive - negative against the Hahn split
     A+ = {n : p(n) >= 0} (ties assigned to A+).
@@ -277,7 +269,8 @@ class JordanPair:
     stop at the underflow horizon, and the terms they sum are split exactly.
     """
 
-    measure: TaylorMeasure
+    def __init__(self, measure: TaylorMeasure):
+        object.__setattr__(self, "measure", measure)
 
     def hahn_positive_indicator(self, n: int) -> bool:
         return self.measure.term(n) >= 0.0

@@ -24,7 +24,6 @@ QuantileTailUnresolved instead of silently returning a wrong index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 
 from .errors import (
@@ -48,6 +47,7 @@ from .kernel import (
     _coefficients,
     _finite_terms,
     _term_block,
+    _value_type,
     plan_truncation,
 )
 from .measure import (
@@ -280,7 +280,7 @@ class JordanPmf(_IncrementalPmf):
         return f"JordanPmf({side}, mass={self.normalizer.value})"
 
 
-@dataclass(frozen=True)
+@_value_type
 class TaylorProbabilityPair:
     """Masses and pmfs of the two sign-parts of a Taylor measure.
 
@@ -288,10 +288,12 @@ class TaylorProbabilityPair:
     holds None and it contributes nothing to the reconstruction.
     """
 
-    mass_pos: float
-    mass_neg: float
-    q_pos: JordanPmf | None
-    q_neg: JordanPmf | None
+    def __init__(self, mass_pos: float, mass_neg: float, q_pos: JordanPmf | None,
+                 q_neg: JordanPmf | None):
+        object.__setattr__(self, "mass_pos", mass_pos)
+        object.__setattr__(self, "mass_neg", mass_neg)
+        object.__setattr__(self, "q_pos", q_pos)
+        object.__setattr__(self, "q_neg", q_neg)
 
     def reconstruct(self, B: NatSet, eps: float = 1e-12) -> MeasureValue:
         """mass_pos * Q_pos(B) - mass_neg * Q_neg(B), through the pmfs.

@@ -518,13 +518,17 @@ DETERMINISTIC_RUNS = [
 
 # Runs the CLI on each argv of a JSON list in one process, then prints what
 # it loaded: the package's modules (and fractions) right after
-# ``import taylormeasure``, after the runs, and the numpy-backed ones; and
-# whether one name read through the package binds its module's names there.
+# ``import taylormeasure``, after the runs, and the numpy-backed ones; which
+# of dataclasses and inspect were loaded after the import and after the
+# runs; and whether one name read through the package binds its module's
+# names there.
 _CHILD = """
 import contextlib, io, json, sys
+SLOW = ("dataclasses", "inspect")
 import taylormeasure
 on_import = sorted(m for m in sys.modules
                    if m.startswith("taylormeasure.") or m == "fractions")
+slow_on_import = [m for m in SLOW if m in sys.modules]
 from taylormeasure.cli import main
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -535,10 +539,11 @@ loaded = sorted(m for m in sys.modules if m.startswith("taylormeasure."))
 numpy = sorted(m for m in sys.modules
                if m.split(".")[0] == "numpy"
                or m in ("taylormeasure.montecarlo", "taylormeasure.stochastic"))
+slow = [m for m in SLOW if m in sys.modules]
 taylormeasure.distance
 bound = vars(taylormeasure).get("norm") is taylormeasure.geometry.norm
 print(json.dumps({"on_import": on_import, "loaded": loaded, "numpy": numpy,
-                  "bound": bound}))
+                  "slow_on_import": slow_on_import, "slow": slow, "bound": bound}))
 """
 
 EAGER = ["cli", "errors", "kernel", "measure", "serialize"]
@@ -579,6 +584,13 @@ class TestLazyImports:
         out = run_child([argv])
         assert out["loaded"] == sorted(f"taylormeasure.{m}" for m in EAGER + LOADS[argv[0]])
         assert out["numpy"] == []
+
+    def test_no_run_loads_dataclasses_or_inspect(self):
+        # the value types are built without dataclasses, which pulls in
+        # inspect, ast, dis and tokenize
+        out = run_child(DETERMINISTIC_RUNS)
+        assert out["slow_on_import"] == []
+        assert out["slow"] == []
 
     def test_public_names_are_exported(self):
         namespace = {}

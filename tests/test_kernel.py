@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 import random
 from fractions import Fraction
@@ -17,13 +19,18 @@ from taylormeasure import (
     FiniteSupport,
     GeometricEnvelope,
     GeometricTail,
+    HilbertAxiomReport,
     InvalidPmf,
+    JordanPair,
     JordanPmf,
+    MeasureValue,
     NatSet,
+    NonFiniteResult,
     PowerSeriesPmf,
     PrecisionUnattainable,
     QuantileTailUnresolved,
     TaylorMeasure,
+    TaylorProbabilityPair,
     TermBackedSequence,
     TruncationPlan,
     Unverified,
@@ -54,7 +61,9 @@ from taylormeasure import (
     term_value,
     total_variation,
 )
-from taylormeasure import TaylorMeasureError, analytic, geometry, kernel, montecarlo, probability
+from taylormeasure import (
+    TaylorMeasureError, analytic, exact, geometry, kernel, montecarlo, probability,
+)
 from taylormeasure.kernel import _PLAN_CAP, _log_term_and_err, _term_and_err
 
 import exact_reference
@@ -739,11 +748,13 @@ _coeffs = st.one_of(st.just(0.0), st.floats(-1e3, 1e3),
 @st.composite
 def _fused_sequences(draw):
     """Every tail kind behind a prefix, and term-backed sequences with and
-    without term errors; rule and term-backed ones may hold a nan."""
+    without term errors; rule and term-backed ones may hold a nan, and
+    their rule may raise at one index."""
     kind = draw(st.sampled_from(["zero", "constant", "geometric", "rule", "log_rule",
                                  "term", "term_error"]))
     prefix = tuple(draw(st.lists(_coeffs, max_size=8)))
     nan_at = draw(st.none() | st.integers(0, 300))
+    raise_at = draw(st.none() | st.integers(0, 300))
     c = draw(_coeffs)
     if kind == "zero":
         return CoefficientSequence(prefix, kernel.ZeroTail())
@@ -753,6 +764,8 @@ def _fused_sequences(draw):
         return CoefficientSequence(prefix, GeometricTail(c, draw(st.floats(-3.0, 3.0))))
     if kind in ("rule", "log_rule"):
         def rule(n):
+            if n == raise_at:
+                raise ZeroDivisionError(f"rule raised at {n}")
             return math.nan if n == nan_at else c * (-1.0) ** n * (1 + n % 3)
 
         def log_rule(n):
@@ -764,6 +777,8 @@ def _fused_sequences(draw):
     q = draw(st.floats(0.1, 0.99))
 
     def term_rule(n):
+        if n == raise_at:
+            raise ZeroDivisionError(f"rule raised at {n}")
         return math.nan if n == nan_at else c * q ** n
 
     term_error = (lambda n: 1e-9 * q ** n) if kind == "term_error" else None
@@ -788,6 +803,9 @@ _fused_indices = st.one_of(
 _WIDE_BLOCK = CoefficientSequence((1e-300, 1e300, 1e-300, 1e300, 1e-300, 1e300, 1e300, 1e-300))
 _ACROSS_170 = constant_sequence(1.0, (3.0, -2.0))
 _LOG_FORM_TAIL = CoefficientSequence((2.0,), GeometricTail(1e-300, -1e10))
+# a nan at n = 2 and a rule that raises at n = 5: the nan raises first
+_NAN_THEN_RAISE = rule_sequence(lambda n: math.nan if n == 2 else (1 / 0 if n == 5 else 1.0),
+                                Bounded(1.0))
 
 
 class TestFusedPass:
@@ -797,6 +815,7 @@ class TestFusedPass:
     @example(seq=_WIDE_BLOCK, gamma=-5.0, presented=False, indices=(7, 6, 1, 2))
     @example(seq=_ACROSS_170, gamma=2.0, presented=False, indices=range(150, 200))
     @example(seq=_LOG_FORM_TAIL, gamma=0.9, presented=False, indices=range(20, 45))
+    @example(seq=_NAN_THEN_RAISE, gamma=1.5, presented=False, indices=range(8))
     def test_matches_term_by_term_pass(self, seq, gamma, presented, indices):
         if presented and isinstance(seq, TermBackedSequence):
             gamma = seq.presentation_gamma
@@ -812,6 +831,27 @@ class TestFusedPass:
         with pytest.raises(ValueError, match="natural number"):
             sum_terms(finite_sequence([1.0, 2.0]), 1.0, [1, -1])
 
+    def test_an_earlier_nan_raises_before_a_later_failing_read(self):
+        # the block's coefficient read fails at a_5; the block is then formed
+        # one index at a time, so a_2's nan raises first, as it does index by
+        # index
+        seq = _NAN_THEN_RAISE
+        with pytest.raises(ValueError, match="coefficient a_2 is nan"):
+            for n in range(8):
+                _term_and_err(seq, 1.5, n)
+        calls = [lambda: kernel._term_block(seq, 1.5, range(8)),
+                 lambda: kernel._term_block(seq, 1.5, range(8), errors=False),
+                 lambda: sum_terms(seq, 1.5, range(8)),
+                 lambda: evaluate(TaylorMeasure(seq, 1.5), NatSet.finite(range(8)))]
+        for call in calls:
+            with pytest.raises(ValueError, match="coefficient a_2 is nan"):
+                call()
+        # with no nan before it, the failing read raises its own error
+        seq = rule_sequence(lambda n: 1 / 0 if n == 5 else 1.0, Bounded(1.0))
+        for call in calls:
+            with pytest.raises(ZeroDivisionError):
+                call()
+
 
 class TestTermBlock:
     @given(_fused_sequences(), _fused_gammas, st.booleans(), _fused_indices)
@@ -819,6 +859,7 @@ class TestTermBlock:
     @example(seq=_WIDE_BLOCK, gamma=5.0, presented=False, indices=range(8))
     @example(seq=_ACROSS_170, gamma=-2.0, presented=False, indices=range(150, 200))
     @example(seq=_LOG_FORM_TAIL, gamma=0.9, presented=False, indices=range(20, 45))
+    @example(seq=_NAN_THEN_RAISE, gamma=1.5, presented=False, indices=range(8))
     def test_matches_term_and_err(self, seq, gamma, presented, indices):
         if presented and isinstance(seq, TermBackedSequence):
             gamma = seq.presentation_gamma
@@ -1435,3 +1476,147 @@ class TestOneTermFetch:
                 with pytest.raises(error, match="10"):
                     q.cumulative_table()
             assert len(p._cum) == 10 and _hexed(p._cum) == _hexed(ref._cum)
+
+
+# Each value type's fields, in order, as the dataclass it used to be
+# declared them.
+_FIELDS = {
+    FiniteSupport: ("last",),
+    Bounded: ("bound",),
+    GeometricEnvelope: ("scale", "ratio", "start"),
+    FactorialGeometric: ("scale", "ratio", "start"),
+    Unverified: (),
+    kernel.ZeroTail: (),
+    ConstantTail: ("value",),
+    GeometricTail: ("scale", "ratio"),
+    kernel.CustomTail: ("rule", "log_rule"),
+    CoefficientSequence: ("prefix", "tail", "certificate"),
+    TermBackedSequence: ("term_rule", "presentation_gamma", "certificate", "term_error"),
+    kernel.SignedLogTerm: ("n", "sign", "log_mag"),
+    TruncationPlan: ("last_index", "tail_bound"),
+    NatSet: ("kind", "elements"),
+    MeasureValue: ("value", "abs_error"),
+    TaylorMeasure: ("coefficients", "gamma", "label"),
+    JordanPair: ("measure",),
+    AnalyticRep: ("center", "coefficients", "radius_hint"),
+    TaylorProbabilityPair: ("mass_pos", "mass_neg", "q_pos", "q_neg"),
+    HilbertAxiomReport: ("pairs_checked", "symmetry_max", "bilinearity_max",
+                         "cauchy_schwarz_min_slack", "parallelogram_rho_max",
+                         "parallelogram_tv_max"),
+    exact._ExactTerms: ("head", "x", "tail", "rho"),
+}
+
+
+@functools.cache
+def _twin_type(cls):
+    """A frozen dataclass with cls's name and fields."""
+    return dataclasses.make_dataclass(cls.__name__, _FIELDS[cls], frozen=True)
+
+
+def _twin(obj):
+    return _twin_type(type(obj))(*(getattr(obj, name) for name in _FIELDS[type(obj)]))
+
+
+def _value_examples():
+    T = TaylorMeasure(constant_sequence(1.0), 0.5, "ones")
+    signed = TaylorMeasure(finite_sequence([1.0, -2.0, 3.0]), 1.0)
+    return [
+        FiniteSupport(3), FiniteSupport(-1), Bounded(0.0), Bounded(2.5),
+        GeometricEnvelope(2.0, 0.5), GeometricEnvelope(2.0, 0.5, 3),
+        FactorialGeometric(2.0, 0.5, 3), Unverified(),
+        kernel.ZeroTail(), ConstantTail(-0.0), ConstantTail(2.0), GeometricTail(1.0, -0.5),
+        kernel.CustomTail(math.cos), kernel.CustomTail(math.cos, math.frexp),
+        CoefficientSequence(), CoefficientSequence((1.0, -2.5)),
+        CoefficientSequence((1.0, -2.5), GeometricTail(0.5, 2.0), GeometricEnvelope(2.5, 2.0, 1)),
+        constant_sequence(1.0), geometric_sequence(2.0, -0.5),
+        rule_sequence(math.cos, Bounded(1.0)), rule_sequence(math.cos, Bounded(1.0), (2.0,)),
+        TermBackedSequence(math.cos, 1.0, Bounded(1.0)),
+        TermBackedSequence(math.cos, -0.5, Unverified(), math.sin),
+        term(ONES, 1.0, 3), term(ONES, 0.0, 3),
+        TruncationPlan(14, 8e-13), plan_truncation(Bounded(1.0), 1.0, 1e-12),
+        NatSet.finite([3, 1, 1]), NatSet.finite([]), NatSet.cofinite([2, 0]),
+        NatSet.cofinite([]), NatSet.all(),
+        MeasureValue(1.25, 3e-16), MeasureValue(-0.0, 0.0), evaluate(T, NatSet.all()),
+        T, TaylorMeasure(constant_sequence(1.0), 0.5), signed,
+        jordan_decompose(T), jordan_decompose(signed),
+        exp_rep(), AnalyticRep(0.5, finite_sequence([1.0, 2.0]), 3.0),
+        probability.probability_pair(signed), probability.probability_pair(T),
+        geometry.hilbert_axiom_report([T, signed], NatSet.finite(range(4)), seed=1),
+        exact._exact_terms(constant_sequence(1.5, (1.0,)), 0.5),
+    ]
+
+
+class TestValueTypes:
+    """The value types are plain classes (kernel._value_type): each reads as
+    the frozen dataclass it was, with the same fields, repr, == and hash."""
+
+    def test_every_value_type_is_covered(self):
+        assert {type(x) for x in _value_examples()} == set(_FIELDS)
+
+    @pytest.mark.parametrize("obj", _value_examples(), ids=lambda x: type(x).__name__)
+    def test_reads_as_its_dataclass_twin(self, obj):
+        twin = _twin(obj)
+        assert type(obj).__match_args__ == type(twin).__match_args__ == _FIELDS[type(obj)]
+        assert repr(obj) == repr(twin)
+        assert "0x" not in repr(obj)  # no address: the benchmark digests reprs
+        assert hash(obj) == hash(twin)
+        same = type(obj)(*(getattr(obj, name) for name in _FIELDS[type(obj)]))
+        assert same == obj and hash(same) == hash(obj) and not same != obj
+        assert obj != twin and obj != object()
+
+    def test_equal_and_hash_agree_with_the_twins(self):
+        examples = _value_examples()
+        for a in examples:
+            for b in examples:
+                assert (a == b) is (_twin(a) == _twin(b))
+                if a == b:
+                    assert hash(a) == hash(b)
+
+    @pytest.mark.parametrize("obj", _value_examples(), ids=lambda x: type(x).__name__)
+    def test_fields_cannot_be_assigned_or_deleted(self, obj):
+        for name in _FIELDS[type(obj)] + ("other",):
+            with pytest.raises(AttributeError, match="cannot assign"):
+                setattr(obj, name, 0)
+            with pytest.raises(AttributeError, match="cannot delete"):
+                delattr(obj, name)
+        assert repr(obj) == repr(_twin(obj))
+
+    def test_term_envelope_stays_mutable_slotted_and_unhashable(self):
+        twin_type = dataclasses.make_dataclass(
+            "_TermEnvelope", ["k", "scale", "ratio", "start", "last",
+                              ("term", object, dataclasses.field(repr=False, compare=False))],
+            slots=True)
+        env = kernel._TermEnvelope(0, 2.0, 0.5, 3, None, math.cos)
+        twin = twin_type(0, 2.0, 0.5, 3, None, math.cos)
+        assert repr(env) == repr(twin) == "_TermEnvelope(k=0, scale=2.0, ratio=0.5, start=3, last=None)"
+        assert kernel._TermEnvelope.__match_args__ == twin_type.__match_args__
+        assert env == kernel._TermEnvelope(0, 2.0, 0.5, 3)  # term is not compared
+        assert env != kernel._TermEnvelope(1, 2.0, 0.5, 3)
+        assert kernel._TermEnvelope() == kernel._TermEnvelope(1, 0.0, 1.0, 0, None, None)
+        with pytest.raises(TypeError):
+            hash(env)
+        env.k = 1
+        assert env.k == 1 and not hasattr(env, "__dict__")
+        with pytest.raises(AttributeError):
+            env.other = 1
+
+    def test_init_checks_raise_as_before(self):
+        for make, error in [(lambda: FiniteSupport(-2), ValueError),
+                            (lambda: Bounded(math.inf), ValueError),
+                            (lambda: GeometricEnvelope(-1.0, 0.5), ValueError),
+                            (lambda: FactorialGeometric(1.0, math.nan), ValueError),
+                            (lambda: GeometricEnvelope(1.0, 0.5, -1), ValueError),
+                            (lambda: CoefficientSequence((1.0, math.nan)), ValueError),
+                            (lambda: CoefficientSequence((), ConstantTail(math.inf)), ValueError),
+                            (lambda: NatSet("some"), ValueError),
+                            (lambda: NatSet.finite([-1]), ValueError),
+                            (lambda: NatSet("all", (1,)), ValueError),
+                            (lambda: MeasureValue(math.inf, 0.0), NonFiniteResult),
+                            (lambda: TaylorMeasure(ONES, math.nan), ValueError),
+                            (lambda: AnalyticRep(0.0, ONES, 0.0), ValueError),
+                            (lambda: Unverified(1), TypeError),
+                            (lambda: TruncationPlan(3), TypeError)]:
+            with pytest.raises(error):
+                make()
+        assert GeometricEnvelope.from_asymptotic(-1.5, -0.5, 2) == GeometricEnvelope(3.0, 0.5, 2)
+        assert NatSet.cofinite([]) == NatSet.all() and NatSet.cofinite([]).kind == "all"
